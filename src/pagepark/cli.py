@@ -137,6 +137,24 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _replica_count(text: str) -> int:
+    """argparse type of every --replicas: an integer >= 2 (one replica has no
+    standard error). argparse turns the ValueError of a non-integer into a
+    usage error too."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 replicas, got {value}")
+    return value
+
+
+def _trials_n_list(text: str) -> list[int]:
+    """argparse type of trials --n-list: a nonempty list of sizes >= 2."""
+    n_list = _parse_int_list(text)
+    if not n_list or any(n < 2 for n in n_list):
+        raise argparse.ArgumentTypeError(f"n values must be >= 2, got {text!r}")
+    return n_list
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -229,9 +247,7 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 
 
 def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = _parse_int_list(args.n_list)
-    if not n_list or any(n < 2 for n in n_list):
-        raise SystemExit("trials: n values must be >= 2")
+    n_list = args.n_list
     checks = CheckLog()
     print(
         f"trials: n in {n_list}, {args.replicas} replicas each", file=sys.stderr
@@ -469,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="E[M_n]/n versus the jamming limit 1 - e^-2")
     p.add_argument("--n-list", default="10,100,1000,10000",
                    help="comma-separated interval sizes")
-    p.add_argument("--replicas", type=int, default=10_000,
+    p.add_argument("--replicas", type=_replica_count, default=10_000,
                    help="Monte Carlo replicas per n (default 10000)")
     _add_common(p)
     p.set_defaults(run=cmd_density_convergence)
@@ -478,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time-resolved density versus 1 - e^{-2F(t)}")
     p.add_argument("--t-grid", default="0.25,0.5,1,2,4",
                    help="comma-separated time points")
-    p.add_argument("--replicas", type=int, default=100_000,
+    p.add_argument("--replicas", type=_replica_count, default=100_000,
                    help="Monte Carlo replicas (default 100000)")
     p.add_argument("--dist", choices=("exp", "uniform"), default="exp",
                    help="arrival mark distribution (default exp)")
@@ -487,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trials",
                        help="total draws T_n against the n log n scale")
-    p.add_argument("--n-list", default="1000,10000,100000,1000000",
+    p.add_argument("--n-list", type=_trials_n_list, default="1000,10000,100000,1000000",
                    help="comma-separated interval sizes")
-    p.add_argument("--replicas", type=int, default=100,
+    p.add_argument("--replicas", type=_replica_count, default=100,
                    help="replicas per n (default 100)")
     _add_common(p)
     p.set_defaults(run=cmd_trials)
@@ -511,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", "--k-list", dest="k_list",
                    default="0,1,2,3,5,8,13,21,34",
                    help="comma-separated lags")
-    p.add_argument("--replicas", type=int, default=200_000,
+    p.add_argument("--replicas", type=_replica_count, default=200_000,
                    help="site pairs per lag (default 200000)")
     _add_common(p)
     p.set_defaults(run=cmd_autocovariance)

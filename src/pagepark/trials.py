@@ -1,12 +1,22 @@
 """Trial counting through Poissonization.
 
 Give every slot its own unit-rate Poisson arrival stream. The first arrivals
-xi^1 form the priority field, so the jammed configuration and all per-site
-arrival times come from the usual construction; tau* is the last parking time.
-The total number of arrivals up to tau*, summed over the n-1 slots, has exactly
-the law of T_n, the number of uniform draws (rejections included) the direct
-process needs to jam: merging the streams reproduces i.i.d. uniform slot picks.
-T_n grows like n log n; a coupon collector over the n-1 slots dominates it.
+xi form the priority field, so the jammed configuration and the jamming time
+tau* (the last parking time) are functions of xi alone. The total number of
+arrivals up to tau*, summed over the n-1 slots, has exactly the law of T_n, the
+number of uniform draws (rejections included) the direct process needs to jam:
+merging the streams reproduces i.i.d. uniform slot picks. T_n grows like
+n log n; a coupon collector over the n-1 slots dominates it.
+
+The fast kernel never simulates the later arrivals one by one. Each slot's
+arrivals after xi_s form a unit-rate Poisson process on (xi_s, inf) that is
+independent of xi, so given xi
+
+    T = #{s : xi_s <= tau*} + Poisson(sum_s (tau* - xi_s)^+)
+
+exactly. tau* is the largest mark among the slots that hold a car; it is found
+by visiting slots in decreasing mark order and stopping at the first one that
+holds a car, which the run-parity rule decides from two O(1) local walks.
 """
 from __future__ import annotations
 
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_SEED, EXP, SeedSpec, sample_priority_field
-from .finite import car_slots_from_occupancy, construct_from_priorities, occupancy_profile
+from .finite import construct_from_priorities, rise_descent_at
 from .stats import MCEstimate, SampleStats
 
 
@@ -65,34 +75,57 @@ def simulate_poissonized(
     )
 
 
-def _tau_star_fast(n: int, rng: np.random.Generator) -> tuple[float, np.ndarray]:
-    """tau* and the first-arrival vector, via the vectorised classifier.
+def tau_star(xi: np.ndarray) -> float:
+    """Jamming time of the first-arrival field xi over slots 1..n-1: the
+    largest mark among the slots that hold a car.
 
-    Car slots are recovered from the unique matching of the jammed occupancy,
-    and tau* is the largest mark among them."""
-    xi = rng.standard_exponential(n - 1)
-    occ = occupancy_profile(xi)
-    slots = car_slots_from_occupancy(occ)
-    return float(xi[slots].max()), xi
+    Slots are visited in decreasing mark order, k at a time (argpartition, then
+    a sort of the top k); the first one that holds a car gives tau*. Every slot
+    not yet visited has a mark no larger, so the result is exact. Slot s holds
+    a car iff the ascending run ending at it (the rise at site s+1) and the
+    descending run starting at it (the descent at site s) both have odd length,
+    with the package tie rule (left slot first). For i.i.d. marks the scan stops
+    after O(1) candidates, each costing two O(1) runs."""
+    xi = np.asarray(xi, dtype=np.float64)
+    m = xi.size
+    if m < 1:
+        raise ValueError("need at least one slot")
+    k = min(m, 32)
+    while True:
+        top = np.argpartition(xi, m - k)[m - k:]
+        for s in top[np.argsort(xi[top])[::-1]] + 1:
+            rise = rise_descent_at(xi, s + 1).rise_length
+            if rise % 2 and rise_descent_at(xi, s).descent_length % 2:
+                return float(xi[s - 1])
+        if k == m:
+            raise AssertionError("a nonempty interval always holds a car")
+        k = min(m, 8 * k)
 
 
 def _poissonized_fast(n: int, rng: np.random.Generator) -> TrialOutcome:
-    """Replica kernel for large n: same law as simulate_poissonized, with the
-    per-slot counting done in vectorised rounds of exponential gaps."""
-    tau_star, xi = _tau_star_fast(n, rng)
-    cum = xi.copy()
-    alive = np.flatnonzero(cum <= tau_star)
-    total = 0
-    while alive.size:
-        total += alive.size
-        cum[alive] += rng.standard_exponential(alive.size)
-        alive = alive[cum[alive] <= tau_star]
-    return TrialOutcome(n=n, tau_star=tau_star, T=total)
+    """Replica kernel for large n: same law as simulate_poissonized.
+
+    One draw of the first-arrival field xi fixes tau*. The attempts are the
+    first arrivals at or before tau*, plus one Poisson draw for all later
+    arrivals up to tau*: by superposition of the per-slot streams after their
+    first arrival, its mean is sum_s (tau* - xi_s)^+. That sum is taken as
+    (n-1) tau* - sum xi plus the excess of the few marks above tau*, so only
+    those marks are copied."""
+    xi = rng.standard_exponential(n - 1)
+    tau = tau_star(xi)
+    above = xi[xi > tau]
+    mean_later = (n - 1) * tau - float(xi.sum()) + float(np.sum(above - tau))
+    # rounding can leave the mean a few ulp below an exact 0 (n = 2, 3)
+    later = int(rng.poisson(max(mean_later, 0.0)))
+    return TrialOutcome(n=n, tau_star=tau, T=n - 1 - above.size + later)
 
 
-def _replica_specs(master_seed: int | SeedSpec, count: int, offset: int = 0) -> list[SeedSpec]:
-    master = master_seed.master_seed if isinstance(master_seed, SeedSpec) else int(master_seed)
-    return [SeedSpec(master, offset + i) for i in range(count)]
+def _replica_specs(seed: int | SeedSpec, count: int, offset: int = 0) -> list[SeedSpec]:
+    """Streams for count replicas. A SeedSpec seed starts the stream indices at
+    its replica_index; an int seed is SeedSpec(seed, 0)."""
+    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+    start = spec.replica_index + offset
+    return [SeedSpec(spec.master_seed, start + i) for i in range(count)]
 
 
 def _map_replicas(fn, specs: list[SeedSpec], threads: int) -> list:
@@ -118,7 +151,10 @@ def tau_star_statistics(
     threads: int = 1,
 ) -> TauStarStats:
     specs = _replica_specs(seed, replicas)
-    taus = np.array(_map_replicas(lambda sp: _tau_star_fast(n, sp.generator())[0], specs, threads))
+    def one(sp: SeedSpec) -> float:
+        return tau_star(sp.generator().standard_exponential(n - 1))
+
+    taus = np.array(_map_replicas(one, specs, threads))
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     return TauStarStats(
         n=n,
@@ -160,8 +196,9 @@ def trials_ratio_sweep(
 ) -> list[TrialsRow]:
     """Mean T_n against n log n for each n, with per-replica RNG streams.
 
-    Stream indices are globally distinct across rows, so rows are independent
-    and any row subset reproduces bit-identically."""
+    Stream indices run on from the seed's replica_index (0 for an int seed)
+    and are distinct across rows, so rows are independent and any leading row
+    subset reproduces bit-identically."""
     rows = []
     offset = 0
     for n in n_list:

@@ -153,6 +153,31 @@ class TestOutAndErrors:
         assert run_cli("density-curve", "--t-grid", "-1").returncode != 0
         assert run_cli("density-curve", "--threads", "0").returncode != 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--replicas", value]
+            for command in ("density-convergence", "density-curve", "trials", "autocovariance")
+            for value in ("0", "1", "many")
+        ]
+        + [["trials", "--n-list", value] for value in ("1", "1,5", ",", "ten")],
+    )
+    def test_usage_errors_exit_2(self, argv, capsys):
+        # argparse rejects the value before any work starts: exit 2, never an
+        # exception out of main
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument" in captured.err
+
+    def test_usage_error_process_has_no_traceback(self):
+        res = run_cli("trials", "--replicas", "1")
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
     def test_checks_reported_on_stderr(self):
         res = run_cli("site-vacancy", "--n", "10")
         assert "check[ok]" in res.stderr

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pagepark import (
+    CHAIN_CAP,
+    SampleStats,
     SeedSpec,
     car_slots_from_occupancy,
     chi_square_two_sample,
@@ -19,6 +23,7 @@ from pagepark import (
     trials_ratio_sweep,
 )
 from pagepark.core import PriorityField
+from pagepark.trials import _poissonized_fast, tau_star
 
 
 class TestPoissonizedReplica:
@@ -117,6 +122,22 @@ class TestRatioSweep:
         assert full[0].mean_T == head[0].mean_T
         assert full[0].tau_star_mean == head[0].tau_star_mean
 
+    def test_seedspec_seed_starts_stream_indices(self):
+        # a SeedSpec(m, r) sweep draws its rows from streams r, r+1, ...; an
+        # int seed m is SeedSpec(m, 0)
+        master, start, reps = 94, 7, 20
+        rows = trials_ratio_sweep([300, 400], reps, seed=SeedSpec(master, start))
+        for row, first in zip(rows, (start, start + reps)):
+            ts = [
+                _poissonized_fast(row.n, SeedSpec(master, first + i).generator()).T
+                for i in range(reps)
+            ]
+            want = SampleStats.from_samples(ts)
+            assert (row.mean_T, row.stderr_T) == (want.mean, want.stderr)
+        assert trials_ratio_sweep([300], reps, seed=master) == trials_ratio_sweep(
+            [300], reps, seed=SeedSpec(master, 0)
+        )
+
     def test_small_n_mean_matches_chain(self):
         row = trials_ratio_sweep([6], 30_000, seed=95, threads=2)[0]
         want = float(expected_T_exact(6))
@@ -135,7 +156,71 @@ class TestFastKernelLaw:
         assert p > 0.001
 
 
-def _fast_ts(n: int, reps: int, seed: int) -> list:
-    from pagepark.trials import _poissonized_fast
+def _mark_field(kind: str, values: list) -> np.ndarray:
+    v = np.asarray(values, dtype=np.float64)
+    if kind == "tied":
+        return np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
+    if kind == "sawtooth":
+        # every high slot sits between two lower ones and never holds a car,
+        # so the scan must look past all of them (beyond its first batch)
+        saw = np.empty(2 * v.size + 1)
+        saw[0::2] = np.append(v, 0.5)
+        saw[1::2] = v + 2.0
+        return saw
+    return v
 
+
+class TestTauStar:
+    @given(
+        st.sampled_from(["float", "tied", "sawtooth"]),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90),
+    )
+    @example("sawtooth", [i / 40 for i in range(40)])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_classifier_max_car_mark(self, kind, values):
+        xi = _mark_field(kind, values)
+        slots = car_slots_from_occupancy(occupancy_profile(xi))
+        assert tau_star(xi) == float(xi[slots].max())
+
+    def test_empty_field_rejected(self):
+        with pytest.raises(ValueError):
+            tau_star(np.array([]))
+
+
+def _without_first_arrivals(n: int, rng: np.random.Generator) -> int:
+    """Planted fault: drops the #{xi_s <= tau*} term."""
+    xi = rng.standard_exponential(n - 1)
+    return int(rng.poisson(np.sum(np.maximum(tau_star(xi) - xi, 0.0))))
+
+
+def _second_largest_car_mark(n: int, rng: np.random.Generator) -> int:
+    """Planted fault: takes tau* as the second-largest car mark."""
+    xi = rng.standard_exponential(n - 1)
+    marks = np.sort(xi[car_slots_from_occupancy(occupancy_profile(xi))])
+    tau = marks[-2] if marks.size > 1 else marks[-1]
+    return int(np.count_nonzero(xi <= tau) + rng.poisson(np.sum(np.maximum(tau - xi, 0.0))))
+
+
+def _chain_mean_misses(kernel, reps: int = 3000, seed: int = 98) -> list:
+    """Sizes n in 2..CHAIN_CAP where the kernel's mean T is more than 4 stderr
+    from the absorbing chain's exact E[T_n]."""
+    misses = []
+    for n in range(2, CHAIN_CAP + 1):
+        ts = [kernel(n, SeedSpec(seed + n, i).generator()) for i in range(reps)]
+        st_ = SampleStats.from_samples(ts)
+        if abs(st_.mean - float(expected_T_exact(n))) > 4.0 * st_.stderr:
+            misses.append(n)
+    return misses
+
+
+class TestFastKernelChainMean:
+    def test_mean_t_matches_chain_for_every_small_n(self):
+        assert _chain_mean_misses(lambda n, rng: _poissonized_fast(n, rng).T) == []
+
+    @pytest.mark.parametrize("kernel", [_without_first_arrivals, _second_largest_car_mark])
+    def test_planted_faults_fail(self, kernel):
+        assert _chain_mean_misses(kernel) != []
+
+
+def _fast_ts(n: int, reps: int, seed: int) -> list:
     return [int(_poissonized_fast(n, SeedSpec(seed, i).generator()).T) for i in range(reps)]
