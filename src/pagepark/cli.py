@@ -129,30 +129,43 @@ def emit(rows: Sequence[ResultRow], config: RunConfig, checks: CheckLog) -> None
             fh.write(text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+# argparse types. A bad value is a usage error (exit 2, before any work
+# starts); argparse turns the ValueError of int() or float() into one too.
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _at_least(low: int) -> Callable[[str], int]:
+    """An integer >= low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        return value
+
+    return integer
 
 
-def _replica_count(text: str) -> int:
-    """argparse type of every --replicas: an integer >= 2 (one replica has no
-    standard error). argparse turns the ValueError of a non-integer into a
-    usage error too."""
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 replicas, got {value}")
+def _time(text: str) -> float:
+    """A finite time >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"need a finite time >= 0, got {text!r}")
     return value
 
 
-def _trials_n_list(text: str) -> list[int]:
-    """argparse type of trials --n-list: a nonempty list of sizes >= 2."""
-    n_list = _parse_int_list(text)
-    if not n_list or any(n < 2 for n in n_list):
-        raise argparse.ArgumentTypeError(f"n values must be >= 2, got {text!r}")
-    return n_list
+def _csv_list(item: Callable[[str], Any]) -> Callable[[str], list]:
+    """A nonempty comma-separated list, each entry parsed by `item`."""
+
+    def parse(text: str) -> list:
+        values = [item(tok) for tok in text.split(",") if tok.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
+        return values
+
+    return parse
+
+
+_replica_count = _at_least(2)  # one replica has no standard error
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +173,7 @@ def _trials_n_list(text: str) -> list[int]:
 
 
 def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = sorted(set(_parse_int_list(args.n_list)))
-    if not n_list or n_list[0] < 2:
-        raise SystemExit("density-convergence: n values must be >= 2")
+    n_list = sorted(set(args.n_list))
     rho = limit_constants()["jamming_density"]
     series = expected_M_series(n_list[-1]) if n_list[-1] > DISTRIBUTION_RATIONAL_CAP else None
     checks = CheckLog()
@@ -206,9 +217,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
 
 
 def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    t_grid = _parse_float_list(args.t_grid)
-    if not t_grid or any(t < 0 for t in t_grid):
-        raise SystemExit("density-curve: t values must be nonnegative")
+    t_grid = args.t_grid
     dist = ArrivalDistribution(args.dist)
     closed_arr = density_curve_closed_form(t_grid, dist=dist)
     print(
@@ -293,10 +302,6 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     n = args.n
-    if not 2 <= n <= ENUMERATION_CAP:
-        raise SystemExit(
-            f"oracle: exhaustive enumeration supports 2 <= n <= {ENUMERATION_CAP} (got {n})"
-        )
     checks = CheckLog()
     print(f"oracle: replaying all {math.factorial(n - 1)} orderings", file=sys.stderr)
     report = enumerate_orderings(n)
@@ -360,8 +365,6 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 
 def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     n = args.n
-    if n < 2:
-        raise SystemExit("site-vacancy: n must be >= 2")
     checks = CheckLog()
     use_exact = n <= DISTRIBUTION_RATIONAL_CAP
     if use_exact:
@@ -410,9 +413,7 @@ def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 
 
 def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    k_list = _parse_int_list(args.k_list)
-    if not k_list or any(k < 0 for k in k_list):
-        raise SystemExit("autocovariance: lags must be nonnegative")
+    k_list = args.k_list
     checks = CheckLog()
     rows: list[ResultRow] = []
     vac = limit_constants()["vacancy"]
@@ -468,7 +469,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output format (default csv; oracle is json-only)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write the table to PATH instead of stdout")
-    p.add_argument("--threads", type=int, default=1, metavar="K",
+    p.add_argument("--threads", type=_at_least(1), default=1, metavar="K",
                    help="worker threads for the Monte Carlo kernels (default 1; "
                         "output is independent of K)")
 
@@ -483,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density-convergence",
                        help="E[M_n]/n versus the jamming limit 1 - e^-2")
-    p.add_argument("--n-list", default="10,100,1000,10000",
+    p.add_argument("--n-list", type=_csv_list(_at_least(2)), default="10,100,1000,10000",
                    help="comma-separated interval sizes")
     p.add_argument("--replicas", type=_replica_count, default=10_000,
                    help="Monte Carlo replicas per n (default 10000)")
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density-curve",
                        help="time-resolved density versus 1 - e^{-2F(t)}")
-    p.add_argument("--t-grid", default="0.25,0.5,1,2,4",
+    p.add_argument("--t-grid", type=_csv_list(_time), default="0.25,0.5,1,2,4",
                    help="comma-separated time points")
     p.add_argument("--replicas", type=_replica_count, default=100_000,
                    help="Monte Carlo replicas (default 100000)")
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trials",
                        help="total draws T_n against the n log n scale")
-    p.add_argument("--n-list", type=_trials_n_list, default="1000,10000,100000,1000000",
+    p.add_argument("--n-list", type=_csv_list(_at_least(2)), default="1000,10000,100000,1000000",
                    help="comma-separated interval sizes")
     p.add_argument("--replicas", type=_replica_count, default=100,
                    help="replicas per n (default 100)")
@@ -512,19 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle",
                        help="exhaustive small-n enumeration report (JSON)")
-    p.add_argument("--n", type=int, default=6, help="interval size (2..10)")
+    p.add_argument("--n", type=int, choices=range(2, ENUMERATION_CAP + 1), default=6,
+                   help="interval size")
     _add_common(p)
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("site-vacancy",
                        help="exact per-site vacancy profile")
-    p.add_argument("--n", type=int, default=20, help="interval size (>= 2)")
+    p.add_argument("--n", type=_at_least(2), default=20, help="interval size (>= 2)")
     _add_common(p)
     p.set_defaults(run=cmd_site_vacancy)
 
     p = sub.add_parser("autocovariance",
                        help="jammed-state occupancy autocovariance on the line")
-    p.add_argument("--n-list", "--k-list", dest="k_list",
+    p.add_argument("--n-list", "--k-list", dest="k_list", type=_csv_list(_at_least(0)),
                    default="0,1,2,3,5,8,13,21,34",
                    help="comma-separated lags")
     p.add_argument("--replicas", type=_replica_count, default=200_000,
@@ -540,8 +542,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.seed is None:
         args.seed = _default_seed()
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     if args.command == "oracle":
         # the report is nested (distribution, profile); csv would flatten it badly
         if args.fmt == "csv":

@@ -2,14 +2,17 @@
 and parking configurations.
 
 Cars of length 2 park on sites 1..n; slot i (1 <= i <= n-1) covers sites (i, i+1).
-A priority field attaches one continuous mark to every slot; cars park in
-increasing mark order, so any jammed configuration depends on the marks only
-through their ordering.
+A priority field attaches one mark to every slot; cars park in increasing mark
+order, so any jammed configuration depends on the marks only through their
+ordering. Equal marks are ordered by slot index (the left slot acts first);
+every classifier and construction in the package uses this one tie rule.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,9 +35,42 @@ class SeedSpec:
     master_seed: int
     replica_index: int = 0
 
+    def sequence(self) -> np.random.SeedSequence:
+        return np.random.SeedSequence(self.master_seed, spawn_key=(self.replica_index,))
+
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.replica_index,))
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.Philox(self.sequence()))
+
+
+def _as_spec(seed: int | SeedSpec) -> SeedSpec:
+    """An int seed m is SeedSpec(m, 0)."""
+    return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
+
+
+def as_generator(rng: np.random.Generator | SeedSpec | int | None = None) -> np.random.Generator:
+    """The stream a kernel draws from: a Generator is used as is, None is the
+    DEFAULT_SEED stream, and an int or SeedSpec is its SeedSpec's stream."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return _as_spec(DEFAULT_SEED if rng is None else rng).generator()
+
+
+def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int = 1) -> list:
+    """[fn(job, rng) for job in jobs], in job order, each job on its own stream.
+
+    Job c of a call seeded SeedSpec(m, r) draws from SeedSequence(m,
+    spawn_key=(r, c)), the c-th child that SeedSpec(m, r) spawns. So calls with
+    different r never share a stream, and results depend on neither `threads`
+    nor the jobs after c."""
+    children = _as_spec(seed).sequence().spawn(len(jobs))
+
+    def run(c: int):
+        return fn(jobs[c], np.random.Generator(np.random.Philox(children[c])))
+
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(len(jobs))))
+    return [run(c) for c in range(len(jobs))]
 
 
 @dataclass(frozen=True)
@@ -81,8 +117,8 @@ class PriorityField:
 
     values[k] is the mark of slot index_offset + k. Finite fields over sites
     1..n use index_offset=1 and n-1 values; infinite-mode windows may start at
-    a negative index. Values are pairwise distinct (ties are resolved when the
-    field is sampled; see sample_priority_field).
+    a negative index. Marks may be equal; equal marks are ordered by slot
+    index, left slot first.
     """
 
     values: np.ndarray
@@ -93,8 +129,6 @@ class PriorityField:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("priority field needs a 1-d, non-empty value block")
-        if np.unique(vals).size != vals.size:
-            raise ValueError("priority field contains duplicate values")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -128,25 +162,11 @@ def sample_priority_field(
 ) -> PriorityField:
     """Draw i.i.d. marks for the n-1 slots of a finite interval with n sites.
 
-    Duplicate float values (probability ~ n * 2^-53) are re-drawn from the same
-    stream until all marks are distinct, which keeps the field deterministic in
-    the seed while honouring the distinctness invariant.
-    """
+    Equal float marks (probability ~ n * 2^-53) are kept; the slot-index tie
+    rule orders them."""
     if n < 2:
         raise ValueError("need n >= 2 sites")
-    if rng is None:
-        rng = SeedSpec(DEFAULT_SEED).generator()
-    elif isinstance(rng, SeedSpec):
-        rng = rng.generator()
-    values = dist.sample(rng, n - 1)
-    while True:
-        uniq, counts = np.unique(values, return_counts=True)
-        if uniq.size == values.size:
-            break
-        for v in uniq[counts > 1]:
-            dup = np.flatnonzero(values == v)[1:]
-            values[dup] = dist.sample(rng, dup.size)
-    return PriorityField(values, index_offset=1)
+    return PriorityField(dist.sample(as_generator(rng), n - 1), index_offset=1)
 
 
 @dataclass(frozen=True, eq=False)

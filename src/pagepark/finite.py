@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, ParkingConfiguration, PriorityField, SeedSpec
+from .core import DEFAULT_SEED, ParkingConfiguration, PriorityField, SeedSpec, as_generator
 from .stats import SampleStats
 
 
@@ -168,10 +168,7 @@ def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -
     is maintained incrementally and cross-checked on exit."""
     if n < 2:
         raise ValueError("need n >= 2 sites")
-    if rng is None:
-        rng = SeedSpec(DEFAULT_SEED).generator()
-    elif isinstance(rng, SeedSpec):
-        rng = rng.generator()
+    rng = as_generator(rng)
     occ = np.zeros(n, dtype=bool)
     free_pairs = n - 1
     t = 0
@@ -257,8 +254,7 @@ def measure_M_T(
     method "priorities" uses the classifier fast path and reports M only."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.generator()
+    rng = as_generator(seed)
     if method == "direct":
         m, t = simulate_direct_batch(n, replicas, rng)
         return MeasuredMT(

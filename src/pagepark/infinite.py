@@ -16,20 +16,24 @@ an astronomically unlikely runaway into a loud error instead of silent bias.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, EXP, ArrivalDistribution, PriorityField, SeedSpec
+from .core import DEFAULT_SEED, EXP, ArrivalDistribution, PriorityField, SeedSpec, as_generator, map_streams
 from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # generated indices per side before aborting loudly
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # replicas per stream in sample_runs
+_AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
 
 
 class RareEventCapError(RuntimeError):
     """A window or run outgrew the configured cap (never silently truncated)."""
+
+
+def _chunk_sizes(replicas: int, chunk: int) -> list[int]:
+    return [chunk] * (replicas // chunk) + ([replicas % chunk] if replicas % chunk else [])
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +60,40 @@ class WindowSample:
         return self.descent_length - 1
 
 
-def _tau_single(rise: int, desc: int, xi_left: float, xi_right: float) -> float:
-    rise_odd = rise % 2 == 1
-    desc_odd = desc % 2 == 1
-    if rise_odd and desc_odd:
-        return min(xi_left, xi_right)
-    if rise_odd:
-        return xi_left
-    if desc_odd:
-        return xi_right
-    return math.inf
+class _LazyLine:
+    """Marks of the integer line: `values` from slot `lo` on, extended by fresh
+    draws, one per slot, in the order slots are first reached."""
+
+    def __init__(self, rng: np.random.Generator, dist: ArrivalDistribution, values=(), lo: int = 0) -> None:
+        self.rng, self.dist = rng, dist
+        self.marks = {lo + j: float(v) for j, v in enumerate(values)}
+        self.lo, self.hi = lo, lo + len(values) - 1
+
+    def __call__(self, idx: int) -> float:
+        while idx < self.lo:
+            self.lo -= 1
+            self.marks[self.lo] = float(self.dist.ppf(self.rng.random(1))[0])
+        while idx > self.hi:
+            self.hi += 1
+            self.marks[self.hi] = float(self.dist.ppf(self.rng.random(1))[0])
+        return self.marks[idx]
+
+    def runs(self, site: int, cap: int) -> tuple[int, int]:
+        """(rise, descent) at `site`: the descent ends at the first j >= 1 with
+        xi_{site+j-1} <= xi_{site+j}, the rise at the first j >= 1 with
+        xi_{site-j-1} > xi_{site-j} (equal marks: left slot first). The right
+        side is walked first."""
+        desc = 1
+        while desc <= cap and not self(site + desc - 1) <= self(site + desc):
+            desc += 1
+        if desc > cap:
+            raise RareEventCapError(f"descent run exceeded cap {cap}")
+        rise = 1
+        while rise <= cap and self(site - rise - 1) <= self(site - rise):
+            rise += 1
+        if rise > cap:
+            raise RareEventCapError(f"rise run exceeded cap {cap}")
+        return rise, desc
 
 
 def sample_site_infinite(
@@ -76,42 +104,15 @@ def sample_site_infinite(
     """Sample one window around site 0; marks are generated lazily outward.
 
     Draw order is fixed (right side xi_0, xi_1, ..., then left side xi_-1,
-    xi_-2, ...), so a seed reproduces the sample bit for bit. Duplicate float
-    marks are re-drawn (tie resolution at generation)."""
-    if rng is None:
-        rng = SeedSpec(DEFAULT_SEED).generator()
-    elif isinstance(rng, SeedSpec):
-        rng = rng.generator()
-    seen: set[float] = set()
-
-    def draw() -> float:
-        while True:
-            x = float(dist.ppf(rng.random(1))[0])
-            if x not in seen:
-                seen.add(x)
-                return x
-
-    right = [draw()]  # xi_0, xi_1, ... up to and including the first ascent
-    while len(right) < 2 or not right[-2] <= right[-1]:
-        if len(right) > cap:
-            raise RareEventCapError(f"descent run exceeded cap {cap}")
-        right.append(draw())
-    desc = len(right) - 1  # first j >= 1 with xi_{j-1} <= xi_j
-
-    left = [draw()]  # xi_-1, xi_-2, ... until a new draw exceeds its successor
-    while len(left) < 2 or left[-1] <= left[-2]:
-        if len(left) > cap:
-            raise RareEventCapError(f"rise run exceeded cap {cap}")
-        left.append(draw())
-    rise = len(left) - 1
-
-    values = np.array(left[::-1] + right, dtype=np.float64)
-    window = PriorityField(values, index_offset=-rise - 1)
-    tau = _tau_single(rise, desc, left[0], right[0])
+    xi_-2, ...), so a seed reproduces the sample bit for bit. Equal marks are
+    ordered by slot index (left slot first), as everywhere in the package."""
+    line = _LazyLine(as_generator(rng), dist)
+    rise, desc = line.runs(0, cap)
+    one = RunsSample(*(np.array([x]) for x in (rise, desc, line(-1), line(0))))
     return WindowSample(
-        xi_window=window,
-        occupancy_at_0=not (rise % 2 == 0 and desc % 2 == 0),
-        tau_0=tau,
+        xi_window=PriorityField([line(i) for i in range(-rise - 1, desc + 1)], index_offset=-rise - 1),
+        occupancy_at_0=not one.vacant[0],
+        tau_0=float(one.tau()[0]),
         rise_length=rise,
         descent_length=desc,
     )
@@ -179,8 +180,7 @@ class RunsSample:
         return tau
 
 
-def _runs_chunk(size: int, spec: SeedSpec, dist: ArrivalDistribution, cap: int) -> RunsSample:
-    rng = spec.generator()
+def _runs_chunk(size: int, rng: np.random.Generator, dist: ArrivalDistribution, cap: int) -> RunsSample:
     desc, xi_right = _run_lengths_batch(rng, dist, size, cap, left_side=False)
     rise, xi_left = _run_lengths_batch(rng, dist, size, cap, left_side=True)
     return RunsSample(rise=rise, descent=desc, xi_left=xi_left, xi_right=xi_right)
@@ -193,22 +193,16 @@ def sample_runs(
     threads: int = 1,
     cap: int = WINDOW_CAP,
 ) -> RunsSample:
-    """Vectorised window sampling, chunked into fixed-size independent streams.
+    """Vectorised window sampling, chunked into fixed-size independent streams
+    (map_streams; chunk c of seed SeedSpec(m, r) is stream (m, (r, c))).
 
     Chunk boundaries do not depend on `threads`, so results are identical for
     any thread count."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    master = seed.master_seed if isinstance(seed, SeedSpec) else int(seed)
-    sizes = [_CHUNK] * (replicas // _CHUNK)
-    if replicas % _CHUNK:
-        sizes.append(replicas % _CHUNK)
-    jobs = [(sz, SeedSpec(master, ci)) for ci, sz in enumerate(sizes)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda j: _runs_chunk(j[0], j[1], dist, cap), jobs))
-    else:
-        parts = [_runs_chunk(sz, sp, dist, cap) for sz, sp in jobs]
+    parts = map_streams(
+        lambda size, rng: _runs_chunk(size, rng, dist, cap), seed, _chunk_sizes(replicas, _CHUNK), threads
+    )
     return RunsSample(
         rise=np.concatenate([p.rise for p in parts]),
         descent=np.concatenate([p.descent for p in parts]),
@@ -275,46 +269,16 @@ class AutocovEstimate:
 def _scalar_occupancy_pair(values: np.ndarray, k: int, lo: int, rng, dist, cap: int):
     """Fallback for strip rows whose runs touch the strip edge: extend the row's
     mark sequence lazily (fresh independent draws) and classify exactly."""
-    marks = {lo + j: float(v) for j, v in enumerate(values)}
-    hi = lo + values.size - 1
-
-    def mark(idx: int) -> float:
-        nonlocal lo, hi
-        while idx < lo:
-            lo -= 1
-            marks[lo] = float(dist.ppf(rng.random(1))[0])
-        while idx > hi:
-            hi += 1
-            marks[hi] = float(dist.ppf(rng.random(1))[0])
-        return marks[idx]
-
-    def occupied(site: int) -> bool:
-        j = 1
-        while True:
-            if j > cap:
-                raise RareEventCapError(f"descent run exceeded cap {cap}")
-            if mark(site + j - 1) <= mark(site + j):
-                desc = j
-                break
-            j += 1
-        j = 1
-        while True:
-            if j > cap:
-                raise RareEventCapError(f"rise run exceeded cap {cap}")
-            if not mark(site - j - 1) <= mark(site - j):
-                rise = j
-                break
-            j += 1
-        return not (rise % 2 == 0 and desc % 2 == 0)
-
-    return occupied(0), occupied(k)
+    line = _LazyLine(rng, dist, values, lo)
+    rise0, desc0 = line.runs(0, cap)
+    rise_k, desc_k = line.runs(k, cap)
+    return bool(rise0 % 2 or desc0 % 2), bool(rise_k % 2 or desc_k % 2)
 
 
 def _occupancy_pair_chunk(
-    size: int, spec: SeedSpec, k: int, dist: ArrivalDistribution, buffer: int, cap: int, reflect: bool
+    size: int, rng: np.random.Generator, k: int, dist: ArrivalDistribution, buffer: int, cap: int, reflect: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Occupancy of sites 0 and k from one strip of marks per replica."""
-    rng = spec.generator()
     lo = -(buffer + 2)
     hi = k + buffer + 2
     width = hi - lo + 1
@@ -360,20 +324,13 @@ def autocovariance_mc(
         raise ValueError("lag must be >= 0")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    master = seed.master_seed if isinstance(seed, SeedSpec) else int(seed)
-    chunk = 1 << 14
-    sizes = [chunk] * (replicas // chunk)
-    if replicas % chunk:
-        sizes.append(replicas % chunk)
     dist = ArrivalDistribution("uniform")
-    jobs = [(sz, SeedSpec(master, ci)) for ci, sz in enumerate(sizes)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda j: _occupancy_pair_chunk(j[0], j[1], k, dist, buffer, cap, reflected), jobs)
-            )
-    else:
-        parts = [_occupancy_pair_chunk(sz, sp, k, dist, buffer, cap, reflected) for sz, sp in jobs]
+    parts = map_streams(
+        lambda size, rng: _occupancy_pair_chunk(size, rng, k, dist, buffer, cap, reflected),
+        seed,
+        _chunk_sizes(replicas, _AUTOCOV_CHUNK),
+        threads,
+    )
     x = np.concatenate([p[0] for p in parts]).astype(np.float64)
     y = np.concatenate([p[1] for p in parts]).astype(np.float64)
     r = x.size

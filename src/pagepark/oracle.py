@@ -1,8 +1,9 @@
 """Brute-force ground truth for small intervals.
 
 Everything here is deliberately independent of the simulator modules: parking
-is replayed with its own plain-Python loop over explicit permutations, and the
-trial-count mean comes from the absorbing-chain linear system. The rest of the
+is replayed with its own plain-Python loop over explicit permutations (or weak
+orderings, whose ties the replay breaks by slot index), and the trial-count
+mean comes from the absorbing-chain linear system. The rest of the
 package is validated against these values, never the other way around.
 """
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 ENUMERATION_CAP = 10  # (n-1)! permutations; 9! = 362880 is the practical limit
@@ -29,15 +30,15 @@ class OracleReport:
     expected_T: Fraction
 
 
-def _replay(order: tuple[int, ...], n: int) -> list[bool]:
+def _replay(order, n: int) -> list[int | None]:
     """Park greedily in the given slot order (0-based slots; slot s covers
-    sites s and s+1) and return the jammed occupancy."""
-    occ = [False] * n
+    sites s and s+1). Entry i of the result is the slot of the car covering
+    0-based site i, or None when the site stays vacant."""
+    cover: list[int | None] = [None] * n
     for s in order:
-        if not occ[s] and not occ[s + 1]:
-            occ[s] = True
-            occ[s + 1] = True
-    return occ
+        if cover[s] is None and cover[s + 1] is None:
+            cover[s] = cover[s + 1] = s
+    return cover
 
 
 def enumerate_orderings(n: int) -> OracleReport:
@@ -54,11 +55,11 @@ def enumerate_orderings(n: int) -> OracleReport:
     m_counts: dict[int, int] = {}
     vacant_counts = [0] * n
     for order in permutations(range(m)):
-        occ = _replay(order, n)
-        parked = sum(occ)
+        cover = _replay(order, n)
+        parked = n - cover.count(None)
         m_counts[parked] = m_counts.get(parked, 0) + 1
         for i in range(n):
-            if not occ[i]:
+            if cover[i] is None:
                 vacant_counts[i] += 1
     return OracleReport(
         n=n,
@@ -97,20 +98,48 @@ def expected_T_exact(n: int) -> Fraction:
     return e_from(0)
 
 
-def verify_lemma1(n: int, classify) -> list[tuple[tuple[int, ...], int]]:
-    """Check a site classifier against the replay for every ordering of n-1 slots.
+def weak_orderings(m: int):
+    """Every weak ordering of m slots once, as a rank vector with ties.
+
+    ranks[s] is the level (1..k) of 0-based slot s; tied slots share a level.
+    There are Fubini(m) of them (1, 3, 13, 75, 541, 4683 for m = 1..6), built
+    as ordered set partitions: a block of slots on level 1, then the rest."""
+
+    def fill(ranks: tuple, rest: tuple, level: int):
+        if not rest:
+            yield ranks
+        for size in range(1, len(rest) + 1):
+            for block in combinations(rest, size):
+                placed = tuple(level if s in block else r for s, r in enumerate(ranks))
+                yield from fill(placed, tuple(s for s in rest if s not in block), level + 1)
+
+    return fill((0,) * m, tuple(range(m)), 1)
+
+
+def park_in_rank_order(ranks) -> list[int | None]:
+    """Replay parking with slots tried in increasing rank, equal ranks in slot
+    order (left slot first). Entry i is the 0-based slot of the car covering
+    0-based site i, or None when the site stays vacant."""
+    order = sorted(range(len(ranks)), key=lambda s: ranks[s])  # stable: ties by slot index
+    return _replay(order, len(ranks) + 1)
+
+
+def verify_lemma1(n: int, classify, rank_vectors=None) -> list[tuple[tuple[int, ...], int]]:
+    """Check a site classifier against the replay for every given slot ranking.
 
     classify(ranks, i) must predict occupancy of 1-based site i from the slot
-    ranks alone (rank vector = marks; only the ordering matters). Returns the
-    list of (permutation, site) counterexamples, expected empty.
+    ranks alone (rank vector = marks; only the ordering matters). rank_vectors
+    defaults to every permutation of 1..n-1; weak_orderings(n - 1) adds ties,
+    which the replay breaks by slot index. Returns the list of (ranks, site)
+    counterexamples, expected empty.
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
+    if rank_vectors is None:
+        rank_vectors = permutations(range(1, n))
     bad: list[tuple[tuple[int, ...], int]] = []
-    for ranks in permutations(range(1, n)):
-        # ranks[s] is the mark of 0-based slot s; attempt order = increasing rank
-        order = sorted(range(n - 1), key=lambda s: ranks[s])
-        occ = _replay(tuple(order), n)
+    for ranks in rank_vectors:
+        occ = [c is not None for c in park_in_rank_order(ranks)]
         for i in range(1, n + 1):
             if bool(classify(ranks, i)) != occ[i - 1]:
                 bad.append((ranks, i))

@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,24 @@ def chi_square_two_sample(counts_a: dict, counts_b: dict, min_expected: float = 
         exp = tot * n_side / (na + nb)
         stat += float(((obs - exp) ** 2 / exp).sum())
     dof = a.size - 1
-    return stat, dof, float(chi2.sf(stat, dof))
+    return stat, dof, chi_square_sf(stat, dof)
+
+
+def chi_square_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with integer dof >= 1 (Abramowitz & Stegun
+    26.4.4-5): with h = x/2, the sum of h^a e^-h / Gamma(a+1) over
+    a = dof/2 - 1, dof/2 - 2, ... >= 0, plus erfc(sqrt(h)) for odd dof. The
+    terms are positive and taken in log space, so deep tails underflow to 0."""
+    if dof < 1:
+        raise ValueError(f"need dof >= 1, got {dof}")
+    if x <= 0:
+        return 1.0
+    h = x / 2
+    tail = math.erfc(math.sqrt(h)) if dof % 2 else 0.0
+    log_h = math.log(h)
+    return tail + math.fsum(
+        math.exp(a * log_h - h - math.lgamma(a + 1)) for a in (dof % 2 / 2 + i for i in range(dof // 2))
+    )
 
 
 def ks_distance(samples, cdf) -> float:

@@ -21,12 +21,11 @@ holds a car, which the run-parity rule decides from two O(1) local walks.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, EXP, SeedSpec, sample_priority_field
+from .core import DEFAULT_SEED, EXP, SeedSpec, as_generator, map_streams, sample_priority_field
 from .finite import construct_from_priorities, rise_descent_at
 from .stats import MCEstimate, SampleStats
 
@@ -54,10 +53,7 @@ def simulate_poissonized(
     exponential gaps until its arrival sum would pass tau*."""
     if n < 2:
         raise ValueError("need n >= 2 sites")
-    if rng is None:
-        rng = SeedSpec(DEFAULT_SEED).generator()
-    elif isinstance(rng, SeedSpec):
-        rng = rng.generator()
+    rng = as_generator(rng)
     field = sample_priority_field(n, EXP, rng)
     outcome = construct_from_priorities(field, timed=True)
     tau_star = max(outcome.per_car_times.values())
@@ -120,21 +116,6 @@ def _poissonized_fast(n: int, rng: np.random.Generator) -> TrialOutcome:
     return TrialOutcome(n=n, tau_star=tau, T=n - 1 - above.size + later)
 
 
-def _replica_specs(seed: int | SeedSpec, count: int, offset: int = 0) -> list[SeedSpec]:
-    """Streams for count replicas. A SeedSpec seed starts the stream indices at
-    its replica_index; an int seed is SeedSpec(seed, 0)."""
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
-    start = spec.replica_index + offset
-    return [SeedSpec(spec.master_seed, start + i) for i in range(count)]
-
-
-def _map_replicas(fn, specs: list[SeedSpec], threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, specs))
-    return [fn(s) for s in specs]
-
-
 @dataclass(frozen=True)
 class TauStarStats:
     """Replica statistics of the jamming time tau*."""
@@ -150,11 +131,10 @@ def tau_star_statistics(
     seed: int | SeedSpec = DEFAULT_SEED,
     threads: int = 1,
 ) -> TauStarStats:
-    specs = _replica_specs(seed, replicas)
-    def one(sp: SeedSpec) -> float:
-        return tau_star(sp.generator().standard_exponential(n - 1))
-
-    taus = np.array(_map_replicas(one, specs, threads))
+    """Replica c draws from map_streams' stream c of the seed."""
+    taus = np.array(
+        map_streams(lambda n, rng: tau_star(rng.standard_exponential(n - 1)), seed, [n] * replicas, threads)
+    )
     qs = (0.05, 0.25, 0.5, 0.75, 0.95)
     return TauStarStats(
         n=n,
@@ -196,15 +176,14 @@ def trials_ratio_sweep(
 ) -> list[TrialsRow]:
     """Mean T_n against n log n for each n, with per-replica RNG streams.
 
-    Stream indices run on from the seed's replica_index (0 for an int seed)
-    and are distinct across rows, so rows are independent and any leading row
-    subset reproduces bit-identically."""
+    Replicas are numbered across rows and replica c draws from map_streams'
+    stream c of the seed, so rows are independent and any leading row subset
+    reproduces bit-identically."""
+    jobs = [n for n in n_list for _ in range(replicas)]
+    outs_all = map_streams(_poissonized_fast, seed, jobs, threads)
     rows = []
-    offset = 0
-    for n in n_list:
-        specs = _replica_specs(seed, replicas, offset)
-        offset += replicas
-        outs = _map_replicas(lambda sp: _poissonized_fast(n, sp.generator()), specs, threads)
+    for j in range(0, len(jobs), replicas):
+        n, outs = jobs[j], outs_all[j:j + replicas]
         t = np.array([o.T for o in outs], dtype=np.float64)
         taus = np.array([o.tau_star for o in outs])
         st = SampleStats.from_samples(t)
@@ -235,8 +214,7 @@ def coupon_collector_mc(
     a new one is Geometric((k-j)/k), independent across stages."""
     if k < 1:
         raise ValueError("need k >= 1")
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-    rng = spec.generator()
+    rng = as_generator(seed)
     totals = np.zeros(replicas, dtype=np.int64)
     for j in range(k):
         totals += rng.geometric((k - j) / k, size=replicas)

@@ -97,9 +97,11 @@ class TestDeterminism:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    def test_threads_do_not_change_bytes(self):
-        a = run_cli(*INVOCATIONS["trials"], "--threads", "1", "--format", "json")
-        b = run_cli(*INVOCATIONS["trials"], "--threads", "4", "--format", "json")
+    @pytest.mark.parametrize("command", ["trials", "density-curve", "autocovariance"])
+    def test_threads_do_not_change_bytes(self, command):
+        a = run_cli(*INVOCATIONS[command], "--threads", "1", "--format", "json")
+        b = run_cli(*INVOCATIONS[command], "--threads", "4", "--format", "json")
+        assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
     def test_seed_changes_mc_columns(self):
@@ -160,7 +162,13 @@ class TestOutAndErrors:
             for command in ("density-convergence", "density-curve", "trials", "autocovariance")
             for value in ("0", "1", "many")
         ]
-        + [["trials", "--n-list", value] for value in ("1", "1,5", ",", "ten")],
+        + [["trials", "--n-list", value] for value in ("1", "1,5", ",", "ten")]
+        + [["density-convergence", "--n-list", value] for value in ("1", "10,1", ",", "ten")]
+        + [["density-curve", "--t-grid", value] for value in ("-1", "0.5,-0.1", "nan", "inf", ",", "x")]
+        + [["autocovariance", flag, value] for flag in ("--k-list", "--n-list") for value in ("-1", ",", "1.5")]
+        + [["site-vacancy", "--n", value] for value in ("1", "0", "two")]
+        + [["oracle", "--n", value] for value in ("1", "11", "six")]
+        + [["density-curve", "--threads", value] for value in ("0", "-2")],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
         # argparse rejects the value before any work starts: exit 2, never an

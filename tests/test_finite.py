@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pagepark import (
+    PriorityField,
     SeedSpec,
     car_slots_from_occupancy,
     classify_site,
@@ -22,10 +23,13 @@ from pagepark import (
     simulate_direct,
     simulate_direct_batch,
     verify_lemma1,
+    weak_orderings,
 )
+from pagepark.oracle import park_in_rank_order
+from pagepark.trials import tau_star
 
 # seed-driven random fields keep hypothesis shrinking useful while the
-# marks themselves stay continuous and distinct
+# marks themselves stay continuous (ties have probability ~ n 2^-53)
 field_seeds = st.integers(min_value=0, max_value=2**48)
 sizes = st.integers(min_value=2, max_value=120)
 
@@ -84,6 +88,21 @@ class TestClassifierEquivalence:
         # every ordering of the n-1 slots; the classifier must reproduce the
         # replayed occupancy at every site
         assert verify_lemma1(n, classify_site) == []
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_tie_rule_exhaustive_on_weak_orderings(self, n):
+        # every weak ordering of the n-1 slots (4683 at n = 7): equal marks
+        # act in slot order, and each classifier and construction must agree
+        # with the oracle's replay of that rule
+        ranked = list(weak_orderings(n - 1))
+        assert verify_lemma1(n, classify_site, ranked) == []
+        for ranks in ranked:
+            cover = park_in_rank_order(ranks)
+            want = [c is not None for c in cover]
+            xi = np.array(ranks, dtype=np.float64)
+            assert occupancy_profile(xi).tolist() == want, ranks
+            assert construct_from_priorities(PriorityField(xi)).config.occupancy.tolist() == want, ranks
+            assert tau_star(xi) == max(ranks[c] for c in cover if c is not None), ranks
 
     @given(field_seeds, sizes)
     @settings(max_examples=60, deadline=None)

@@ -25,6 +25,7 @@ from pagepark import (
     sample_site_infinite,
     vacancy_mc,
 )
+from pagepark.infinite import _CHUNK, _runs_chunk
 
 
 class TestWindowSampler:
@@ -137,6 +138,20 @@ class TestRunLaws:
         np.testing.assert_array_equal(a.descent, b.descent)
         np.testing.assert_array_equal(a.xi_left, b.xi_left)
 
+    def test_chunks_are_spawn_key_streams(self):
+        # chunk c of a sweep seeded SeedSpec(m, r) is stream SeedSequence(m, (r, c))
+        master, r = 66, 5
+        runs = sample_runs(_CHUNK + 100, seed=SeedSpec(master, r))
+        parts = [
+            _runs_chunk(size, np.random.Generator(np.random.Philox(np.random.SeedSequence(master, spawn_key=(r, c)))),
+                        EXP, 10_000)
+            for c, size in enumerate((_CHUNK, 100))
+        ]
+        np.testing.assert_array_equal(runs.rise, np.concatenate([p.rise for p in parts]))
+        np.testing.assert_array_equal(runs.descent, np.concatenate([p.descent for p in parts]))
+        np.testing.assert_array_equal(runs.xi_left, np.concatenate([p.xi_left for p in parts]))
+        np.testing.assert_array_equal(runs.xi_right, np.concatenate([p.xi_right for p in parts]))
+
     def test_batch_cap_triggers(self):
         with pytest.raises(RareEventCapError):
             sample_runs(10_000, seed=65, cap=1)
@@ -168,6 +183,12 @@ class TestEstimators:
         closed = odd_descent_prob_closed_form(grid)
         for e, c in zip(est, closed):
             assert abs(e.estimate - c) <= 4 * e.stderr
+
+    def test_replica_index_selects_the_stream(self):
+        # SeedSpec(m, 71) and SeedSpec(m, 72) are independent batches
+        a = density_at_time_mc([1.0], 20_000, seed=SeedSpec(42424242, 71))[0]
+        b = density_at_time_mc([1.0], 20_000, seed=SeedSpec(42424242, 72))[0]
+        assert a.estimate != b.estimate
 
     def test_uniform_kind_curve(self):
         est = density_at_time_mc([0.4], 100_000, seed=74, dist=UNIFORM)[0]
@@ -204,6 +225,13 @@ class TestAutocovariance:
         a = autocovariance_mc(2, 100_000, seed=84)
         b = autocovariance_mc(2, 100_000, seed=84, reflected=True)
         assert abs(a.estimate - b.estimate) <= 5 * (a.stderr + b.stderr)
+
+    def test_each_lag_draws_its_own_marks(self):
+        # the CLI seeds lag idx with SeedSpec(seed, idx); equal lags on two
+        # replica indices must see different strips
+        a = autocovariance_mc(1, 20_000, seed=SeedSpec(86, 0))
+        b = autocovariance_mc(1, 20_000, seed=SeedSpec(86, 1))
+        assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)
 
     def test_threads_identical(self):
         a = autocovariance_mc(2, 40_000, seed=85, threads=1)

@@ -10,9 +10,13 @@ import pytest
 from pagepark import (
     CHAIN_CAP,
     ENUMERATION_CAP,
+    classify_site,
     enumerate_orderings,
     expected_T_exact,
+    verify_lemma1,
+    weak_orderings,
 )
+from pagepark.oracle import park_in_rank_order
 
 F = Fraction
 
@@ -87,6 +91,29 @@ class TestStructure:
         vac = enumerate_orderings(n).per_site_vacancy
         for a, b in zip(vac, vac[1:]):
             assert a + b <= 1
+
+    def test_weak_orderings_each_once(self):
+        # Fubini numbers: ordered set partitions of m slots
+        for m, count in enumerate((1, 3, 13, 75, 541, 4683), start=1):
+            ranked = list(weak_orderings(m))
+            assert len(ranked) == len(set(ranked)) == count
+            for ranks in ranked:
+                assert set(ranks) == set(range(1, max(ranks) + 1))
+        assert sorted(weak_orderings(2)) == [(1, 1), (1, 2), (2, 1)]
+
+    def test_ties_park_left_slot_first(self):
+        # all three slots tied: slot 0 parks, slot 1 is blocked, slot 2 parks
+        assert park_in_rank_order((1, 1, 1)) == [0, 0, 2, 2]
+        assert park_in_rank_order((2, 1, 1)) == [None, 1, 1, None]
+
+    def test_weak_orderings_catch_a_wrong_tie_rule(self):
+        # breaking ties right slot first agrees on every permutation but must
+        # fail on weak orderings
+        def right_first(ranks, i):
+            return classify_site([r - 1e-6 * s for s, r in enumerate(ranks)], i)
+
+        assert verify_lemma1(5, right_first) == []
+        assert verify_lemma1(5, right_first, weak_orderings(4)) != []
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,10 @@ from pagepark.core import PriorityField
 from pagepark.trials import _poissonized_fast, tau_star
 
 
+def _stream(master, *key):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master, spawn_key=key)))
+
+
 class TestPoissonizedReplica:
     def test_counts_sum_to_t_and_cover_cars(self):
         out = simulate_poissonized(40, rng=SeedSpec(5), keep_counts=True)
@@ -123,13 +127,14 @@ class TestRatioSweep:
         assert full[0].tau_star_mean == head[0].tau_star_mean
 
     def test_seedspec_seed_starts_stream_indices(self):
-        # a SeedSpec(m, r) sweep draws its rows from streams r, r+1, ...; an
-        # int seed m is SeedSpec(m, 0)
-        master, start, reps = 94, 7, 20
-        rows = trials_ratio_sweep([300, 400], reps, seed=SeedSpec(master, start))
-        for row, first in zip(rows, (start, start + reps)):
+        # replica c of a sweep seeded SeedSpec(m, r), numbered across rows,
+        # draws from SeedSequence(m, spawn_key=(r, c)); an int seed m is
+        # SeedSpec(m, 0)
+        master, r, reps = 94, 7, 20
+        rows = trials_ratio_sweep([300, 400], reps, seed=SeedSpec(master, r))
+        for j, row in enumerate(rows):
             ts = [
-                _poissonized_fast(row.n, SeedSpec(master, first + i).generator()).T
+                _poissonized_fast(row.n, _stream(master, r, j * reps + i)).T
                 for i in range(reps)
             ]
             want = SampleStats.from_samples(ts)
