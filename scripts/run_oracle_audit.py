@@ -10,6 +10,7 @@ import argparse
 from fractions import Fraction
 
 from pagepark import (
+    ENUMERATION_CAP,
     classify_site,
     distribution_M,
     enumerate_orderings,
@@ -19,9 +20,20 @@ from pagepark import (
 )
 
 
+def _n_max(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 2 <= n <= ENUMERATION_CAP:
+        raise argparse.ArgumentTypeError(f"must be in 2..{ENUMERATION_CAP}, got {n}")
+    return n
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-max", type=int, default=8, help="largest n to audit (<= 10)")
+    ap.add_argument("--n-max", type=_n_max, default=8,
+                    help=f"largest n to audit (2..{ENUMERATION_CAP})")
     args = ap.parse_args()
 
     failures = 0

@@ -36,6 +36,7 @@ from .exact import (
 from .finite import classify_site, measure_M_T
 from .infinite import autocovariance_mc, density_at_time_mc
 from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact, verify_lemma1
+from .stats import bernoulli_variance_range, wilson_interval
 from .trials import trials_ratio_sweep
 
 __all__ = ["RunConfig", "ResultRow", "build_parser", "main"]
@@ -216,6 +217,12 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
     return rows, checks, params
 
 
+def _curve_check(mc, closed: float) -> tuple[bool, str]:
+    """The closed form must lie in the 4-sigma Wilson interval of the MC proportion."""
+    lo, hi = wilson_interval(mc.estimate, mc.replicas, 4.0)
+    return lo <= closed <= hi, f"closed {closed:.6f} in 4-sigma Wilson interval [{lo:.6f}, {hi:.6f}]"
+
+
 def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     t_grid = args.t_grid
     dist = ArrivalDistribution(args.dist)
@@ -245,12 +252,7 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 replicas=args.replicas,
             )
         )
-        band = 4.0 * mc.stderr if mc.stderr > 0 else 1e-9
-        checks.record(
-            f"curve_t{t:g}",
-            diff <= band,
-            f"|MC - closed| = {diff:.3e} <= 4 stderr = {band:.3e}",
-        )
+        checks.record(f"curve_t{t:g}", *_curve_check(mc, closed))
     params = {"t_grid": t_grid, "replicas": args.replicas, "dist": args.dist}
     return rows, checks, params
 
@@ -412,6 +414,32 @@ def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     return rows, checks, params
 
 
+def _occupancy_variance(mean: float, replicas: int) -> tuple[float, float]:
+    """Range of the Bernoulli variance of a site occupancy over the 5-sigma
+    Wilson interval of its mean; never a point, even for a constant sample."""
+    return bernoulli_variance_range(*wilson_interval(mean, replicas, 5.0))
+
+
+def _lag0_check(est, var: float) -> tuple[bool, str]:
+    """X(0) = X(k) at lag 0, so cov(0) is the variance of the site-0 occupancy:
+    var must be a Bernoulli variance its Wilson interval allows."""
+    lo, hi = _occupancy_variance(est.mean_site_0, est.replicas)
+    return lo <= var <= hi, (
+        f"cov(0) = {est.estimate:.6f}; reference {var:.6f} in [{lo:.6f}, {hi:.6f}] "
+        f"from the 5-sigma Wilson interval")
+
+
+def _decorrelation_check(est, cov: float = 0.0) -> tuple[bool, str]:
+    """For decorrelated sites the sample covariance has stderr
+    sqrt(var X(0) var X(k) / replicas); each variance is taken at its largest
+    over the site's Wilson interval."""
+    var_0 = _occupancy_variance(est.mean_site_0, est.replicas)[1]
+    var_k = _occupancy_variance(est.mean_site_k, est.replicas)[1]
+    band = 5.0 * math.sqrt(var_0 * var_k / est.replicas)
+    diff = abs(est.estimate - cov)
+    return diff <= band, f"|cov({est.k}) - {cov:g}| = {diff:.3e} <= 5 Wilson stderr = {band:.3e}"
+
+
 def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     k_list = args.k_list
     checks = CheckLog()
@@ -435,20 +463,10 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 replicas=est.replicas,
             )
         )
-        band = 5.0 * est.stderr if est.stderr > 0 else 1e-9
         if k == 0:
-            var = vac * (1.0 - vac)
-            checks.record(
-                "lag0_is_bernoulli_variance",
-                abs(est.estimate - var) <= band,
-                f"cov(0) = {est.estimate:.6f} vs e^-2(1-e^-2) = {var:.6f}",
-            )
+            checks.record("lag0_is_bernoulli_variance", *_lag0_check(est, vac * (1.0 - vac)))
         elif k >= 30:
-            checks.record(
-                f"lag{k}_decorrelated",
-                abs(est.estimate) <= band,
-                f"|cov({k})| = {abs(est.estimate):.3e} <= 5 stderr = {band:.3e}",
-            )
+            checks.record(f"lag{k}_decorrelated", *_decorrelation_check(est))
     params = {"k_list": k_list, "replicas": args.replicas}
     return rows, checks, params
 

@@ -1,13 +1,35 @@
 """Exact finite-n analytics and closed-form limits.
 
-The mean of M_n (occupied sites at jamming on n sites) obeys
+The first car parks at a uniform slot I of the n-1 slots and splits the
+interval into independent sub-intervals of I-1 and n-I-1 sites. Every exact
+finite-n law here is a count of slot orderings built on that split, kept in
+integers and divided by (n-1)! once at the end.
 
-    E[M_n] = 2 + (2 / (n-1)) * sum_{k=0}^{n-2} E[M_k],    E[M_0] = E[M_1] = 0,
+The mean: A_k = (k-1)! E[M_k] is the number of occupied sites summed over all
+orderings of k-1 slots. From
 
-because the first car parks at a uniform slot I and splits the interval into
-independent sub-intervals of I-1 and n-I-1 sites. The same split gives the full
-law of M_n by convolution. Per-site vacancy factorises over the two sides of
-the site into alternating factorial series; the relevant tail sum is
+    E[M_k] = 2 + (2 / (k-1)) * sum_{j=0}^{k-2} E[M_j],    E[M_0] = E[M_1] = 0,
+
+it follows that, with P_k = (k-2)! sum_{j<=k-2} E[M_j],
+
+    P_k = (k-2) P_{k-1} + (k-2) A_{k-2},    A_k = 2 (k-1)! + 2 P_k.
+
+The law: N_k(c) counts the orderings of the k-1 slots that jam with c cars.
+If slot i parks first, the other k-2 slots are the i-2 slots of the left
+block, the k-i-2 of the right block and the dead slots i-1 and i+1 (those
+that exist). A left ordering and a right ordering extend to
+
+    w(k,i) = (k-2)! / (max(i-2,0)! max(k-i-2,0)!)
+
+orderings of all k-2, one per interleaving of the blocks and the dead slots, so
+
+    N_k(c) = sum_{i=1}^{k-1} w(k,i) sum_{a+b=c-1} N_{i-1}(a) N_{k-i-1}(b),
+
+and sum_c N_k(c) = (k-1)!. Both factors are symmetric under i <-> k-i, so the
+sum runs over i <= k/2 and counts every off-centre term twice.
+
+Per-site vacancy factorises over the two sides of the site into alternating
+factorial series; the relevant tail sum is
 
     S_k = sum_{l=1}^{k} 2l / (2l+1)!  ->  1/e,
 
@@ -23,25 +45,29 @@ import numpy as np
 
 from .core import EXP, ArrivalDistribution
 
-# Full-distribution recursion in rationals is O(n^3)-ish with huge integers;
-# beyond this cap distribution_M falls back to float64.
+# distribution_M's exact path is O(n^4) big-integer products (3.3 s cold at this
+# n on a 2-vCPU Xeon VM); beyond it distribution_M falls back to float64.
 DISTRIBUTION_RATIONAL_CAP = 256
 
-_em_exact: list[Fraction] = [Fraction(0), Fraction(0)]
-_em_exact_prefix = Fraction(0)  # sum of _em_exact[0 .. len-2]
+_occupied_totals: list[int] = [0, 0]  # A_k = (k-1)! E[M_k]
+_occupied_prefix = 0  # P_k for the last k in _occupied_totals
 
 
 def expected_M(n: int) -> Fraction:
-    """Exact rational E[M_n]. Practical up to n of a few thousand; use
-    expected_M_series for long float sweeps."""
+    """Exact rational E[M_n] from integer ordering counts, one big-integer step
+    per size (0.03 s at n = 3000 on a 2-vCPU Xeon VM); use expected_M_series
+    for long float sweeps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    global _em_exact_prefix
-    while len(_em_exact) <= n:
-        k = len(_em_exact)  # computing E[M_k]
-        _em_exact_prefix += _em_exact[k - 2]
-        _em_exact.append(2 + 2 * _em_exact_prefix / (k - 1))
-    return _em_exact[n]
+    global _occupied_prefix
+    totals = _occupied_totals
+    if len(totals) <= n:
+        fact = math.factorial(len(totals) - 2)
+        for k in range(len(totals), n + 1):
+            fact *= k - 1  # (k-1)!
+            _occupied_prefix = (k - 2) * (_occupied_prefix + totals[k - 2])
+            totals.append(2 * fact + 2 * _occupied_prefix)
+    return Fraction(totals[n], math.factorial(n - 1)) if n else Fraction(0)
 
 
 def expected_M_series(n_max: int) -> np.ndarray:
@@ -61,26 +87,32 @@ def expected_M_series(n_max: int) -> np.ndarray:
     return em
 
 
-_dist_exact: list[list[Fraction]] = [[Fraction(1)], [Fraction(1)]]  # car-count laws
+# N_k as (lowest car count c, [N_k(c), N_k(c+1), ...]); zero counts are trimmed
+_ordering_counts: list[tuple[int, list[int]]] = [(0, [1]), (0, [1])]
 
 
-def _dist_exact_upto(n: int) -> None:
-    one = Fraction(1)
-    while len(_dist_exact) <= n:
-        k = len(_dist_exact)
-        # law of the car count C_k = C_{I-1} + C'_{k-I-1} + 1, I uniform on 1..k-1
-        acc: list[Fraction] = [Fraction(0)] * (k // 2 + 1)
-        for i in range(1, k):
-            a, b = _dist_exact[i - 1], _dist_exact[k - i - 1]
-            for ca, pa in enumerate(a):
-                if pa:
-                    for cb, pb in enumerate(b):
-                        if pb:
-                            acc[ca + cb + 1] += pa * pb
-        w = Fraction(1, k - 1)
-        row = [p * w for p in acc]
-        assert sum(row) == one
-        _dist_exact.append(row)
+def _ordering_counts_upto(n: int) -> None:
+    if len(_ordering_counts) > n:
+        return
+    fact = [math.factorial(m) for m in range(n - 1)]
+    for k in range(len(_ordering_counts), n + 1):
+        acc = [0] * (k // 2 + 1)
+        for i in range(1, k // 2 + 1):
+            j = k - i
+            w = fact[k - 2] // (fact[max(i - 2, 0)] * fact[max(j - 2, 0)])
+            if i != j:
+                w *= 2
+            lo_a, a = _ordering_counts[i - 1]
+            lo_b, b = _ordering_counts[j - 1]
+            if len(a) > len(b):
+                a, b = b, a
+            for x, na in enumerate(a, lo_a + lo_b + 1):
+                wa = w * na
+                for y, nb in enumerate(b, x):
+                    acc[y] += wa * nb
+        assert sum(acc) == fact[k - 2] * (k - 1)
+        nonzero = [c for c, v in enumerate(acc) if v]
+        _ordering_counts.append((nonzero[0], acc[nonzero[0] : nonzero[-1] + 1]))
 
 
 @dataclass(frozen=True)
@@ -101,19 +133,23 @@ def distribution_M(n: int, rational_cap: int = DISTRIBUTION_RATIONAL_CAP) -> MDi
     if n < 0:
         raise ValueError("n must be >= 0")
     if n <= rational_cap:
-        _dist_exact_upto(n)
-        row = _dist_exact[n]
-        probs = {2 * c: p for c, p in enumerate(row) if p}
+        _ordering_counts_upto(n)
+        lo, counts = _ordering_counts[n]
+        total = math.factorial(max(n - 1, 0))
+        probs = {2 * c: Fraction(v, total) for c, v in enumerate(counts, lo) if v}
         return MDistribution(n=n, probs=probs, exact=True)
     rows: list[np.ndarray] = [np.array([1.0]), np.array([1.0])]
     for k in range(2, n + 1):
         acc = np.zeros(k // 2 + 1)
-        for i in range(1, k):
+        for i in range(1, k // 2 + 1):
             conv = np.convolve(rows[i - 1], rows[k - i - 1])
-            acc[1 : 1 + conv.size] += conv
+            acc[1 : 1 + conv.size] += conv if 2 * i == k else 2.0 * conv
         rows.append(acc / (k - 1))
     probs = {2 * c: float(p) for c, p in enumerate(rows[n]) if p > 0.0}
     return MDistribution(n=n, probs=probs, exact=False)
+
+
+_tail_sums: list[Fraction] = [Fraction(0)]  # S_0, S_1, ...
 
 
 def partial_sum_S(k: int) -> Fraction:
@@ -121,12 +157,10 @@ def partial_sum_S(k: int) -> Fraction:
     like the tail of the alternating exp(-1) series (error < 1/(2k+2)!)."""
     if k <= 0:
         return Fraction(0)
-    total = Fraction(0)
-    fact = 1  # (2l+1)! built incrementally
-    for l in range(1, k + 1):
-        fact *= (2 * l) * (2 * l + 1)
-        total += Fraction(2 * l, fact)
-    return total
+    while len(_tail_sums) <= k:
+        l = len(_tail_sums)
+        _tail_sums.append(_tail_sums[-1] + Fraction(2 * l, math.factorial(2 * l + 1)))
+    return _tail_sums[k]
 
 
 def inv_e_fraction(terms: int = 60) -> Fraction:

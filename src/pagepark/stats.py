@@ -39,9 +39,25 @@ class MCEstimate:
 
 
 def proportion_estimate(hits: int, total: int) -> MCEstimate:
+    """hits/total with its Wald stderr, which is 0 at 0 or total hits."""
     p = hits / total
-    se = math.sqrt(max(p * (1.0 - p), 1e-300) / total)
-    return MCEstimate(estimate=p, stderr=se, replicas=total)
+    return MCEstimate(estimate=p, stderr=math.sqrt(p * (1.0 - p) / total), replicas=total)
+
+
+def wilson_interval(p: float, total: int, z: float) -> tuple[float, float]:
+    """Wilson (1927) score interval for a proportion p observed in total trials:
+    the q with |p - q| <= z sqrt(q(1-q)/total). Its width stays positive at
+    p = 0 or 1, where the Wald band p +- z stderr collapses to a point."""
+    z2 = z * z / total
+    centre = (p + z2 / 2.0) / (1.0 + z2)
+    half = z / (1.0 + z2) * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total))
+    return (0.0 if p == 0.0 else centre - half), (1.0 if p == 1.0 else centre + half)
+
+
+def bernoulli_variance_range(lo: float, hi: float) -> tuple[float, float]:
+    """Smallest and largest q(1-q) over q in [lo, hi]."""
+    peak = min(max(0.5, lo), hi)
+    return min(lo * (1.0 - lo), hi * (1.0 - hi)), peak * (1.0 - peak)
 
 
 def chi_square_two_sample(counts_a: dict, counts_b: dict, min_expected: float = 5.0):

@@ -8,7 +8,10 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from pagepark.cli import build_parser, main
+from pagepark.cli import _curve_check, _decorrelation_check, _lag0_check, build_parser, main
+from pagepark.core import DEFAULT_SEED, SeedSpec
+from pagepark.exact import density_curve_closed_form, limit_constants
+from pagepark.infinite import autocovariance_mc, density_at_time_mc
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 CLI = [sys.executable, "-m", "pagepark.cli"]
@@ -191,6 +194,49 @@ class TestOutAndErrors:
         assert "check[ok]" in res.stderr
 
 
+class TestCheckPower:
+    """The statistical checks at the default replicas: a reference placed
+    6 Wald stderr from the estimate fails on either side, and the Wilson bands
+    are as wide as the Wald bands they replace to within 5%."""
+
+    @staticmethod
+    def assert_band(check, est, centre, stderr, z):
+        for sign in (-1.0, 1.0):
+            assert check(est, centre + sign * 0.95 * z * stderr)[0]
+            assert not check(est, centre + sign * 1.05 * z * stderr)[0]
+            assert not check(est, centre + sign * 6.0 * stderr)[0]
+
+    def test_density_curve(self):
+        grid = [0.25, 0.5, 1.0, 2.0, 4.0]
+        est = density_at_time_mc(grid, 100_000, seed=SeedSpec(DEFAULT_SEED, 0))
+        for mc, closed in zip(est, density_curve_closed_form(grid)):
+            assert _curve_check(mc, float(closed))[0]
+            self.assert_band(_curve_check, mc, mc.estimate, mc.stderr, 4.0)
+
+    def test_autocovariance_lag0(self):
+        est = autocovariance_mc(0, 200_000, seed=SeedSpec(DEFAULT_SEED, 0))
+        vac = limit_constants()["vacancy"]
+        assert _lag0_check(est, vac * (1.0 - vac))[0]
+        self.assert_band(_lag0_check, est, est.estimate, est.stderr, 5.0)
+
+    def test_autocovariance_decorrelated(self):
+        est = autocovariance_mc(34, 200_000, seed=SeedSpec(DEFAULT_SEED, 8))
+        assert _decorrelation_check(est)[0]
+        self.assert_band(_decorrelation_check, est, est.estimate, est.stderr, 5.0)
+
+    def test_all_hits_no_longer_fails(self):
+        # with 2 replicas both hit at t = 4: the Wald band was 4 * 1e-150 wide
+        res = run_cli("density-curve", "--replicas", "2", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+        assert "check[ok] curve_t4" in res.stderr
+
+    def test_constant_pairs_no_longer_fail(self):
+        # 2 pairs with occupancies (1, 0) at lag 0: the sample products are
+        # equal, so the Wald stderr was 0 and the band 1e-9
+        res = run_cli("autocovariance", "--k-list", "0,34", "--replicas", "2", "--seed", "1")
+        assert res.returncode == 0, res.stderr
+
+
 class TestInProcess:
     def test_main_returns_zero(self, capsys):
         code = main(["site-vacancy", "--n", "6"])
@@ -211,3 +257,22 @@ class TestInProcess:
             "site-vacancy",
             "autocovariance",
         }
+
+
+class TestAuditScript:
+    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_audit.py"
+
+    @pytest.mark.parametrize("value", ["0", "1", "11", "x"])
+    def test_n_max_out_of_range_is_usage_error(self, value):
+        # 0 and 1 would audit nothing and pass; 11 is past the enumeration cap
+        res = subprocess.run([sys.executable, str(self.SCRIPT), "--n-max", value],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr and "--n-max" in res.stderr
+
+    def test_small_audit_passes(self):
+        res = subprocess.run([sys.executable, str(self.SCRIPT), "--n-max", "4"],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert [line.split(":")[0] for line in res.stdout.splitlines()] == ["n=2", "n=3", "n=4"]

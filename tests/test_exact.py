@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagepark import (
@@ -40,7 +40,7 @@ class TestExpectedM:
 
     def test_recursion_identity(self):
         # E[M_n] = 2 + (2/(n-1)) sum_{k<=n-2} E[M_k], checked standalone
-        for n in (5, 17, 60):
+        for n in (5, 17, 60, 256, 300):
             rhs = 2 + F(2, n - 1) * sum(expected_M(k) for k in range(n - 1))
             assert expected_M(n) == rhs
 
@@ -69,6 +69,18 @@ class TestDistributionM:
         assert d.mean() == expected_M(n)
         assert sum(d.probs.values()) == 1
 
+    def test_at_scale(self):
+        # far beyond the oracle: both paths of the folded split recursion
+        d = distribution_M(200)
+        assert d.exact
+        assert sum(d.probs.values()) == 1
+        assert d.mean() == expected_M(200)
+        f = distribution_M(200, rational_cap=199)
+        assert not f.exact
+        for m, p in d.probs.items():
+            if p > F(1, 10**250):
+                assert f.probs[m] == pytest.approx(float(p), rel=1e-12, abs=0.0)
+
     def test_float_fallback(self):
         d = distribution_M(40, rational_cap=10)
         assert not d.exact
@@ -90,6 +102,7 @@ class TestVacancyProfile:
         assert got == enumerate_orderings(n).per_site_vacancy
 
     @given(st.integers(min_value=2, max_value=120))
+    @example(256)  # the rational cap
     @settings(max_examples=25, deadline=None)
     def test_symmetry_and_total(self, n):
         vac = [per_site_vacancy_exact(n, i) for i in range(1, n + 1)]
@@ -128,8 +141,9 @@ class TestVacancyProfile:
 class TestSeriesAndConstants:
     def test_partial_sum_closed_form(self):
         # 2l/(2l+1)! = 1/(2l)! - 1/(2l+1)! telescopes into the alternating
-        # exp(-1) series truncated after the 1/(2k+1)! term
-        for k in range(0, 8):
+        # exp(-1) series truncated after the 1/(2k+1)! term; read out of order,
+        # so the cached prefix is hit both while growing and after
+        for k in (*range(0, 8), 130, 64, 129):
             expect = sum(
                 F((-1) ** j, math.factorial(j)) for j in range(2, 2 * k + 2)
             )
