@@ -2,8 +2,12 @@
 """Density experiments: E[M_n]/n convergence and the time-resolved curve.
 
 Reproduces the two headline density tables. Exact values come from the
-rational/float recursion; Monte Carlo columns use the direct uniform-draw
-process (finite n) and the outward-growth sampler (infinite line).
+rational/float recursion. The finite-n Monte Carlo column samples the law of
+the uniform-draw process in one pass per chunk of replicas
+(finite.simulate_direct_batch); the infinite-line column uses the
+outward-growth sampler. A bad flag value is a usage error (exit 2).
+
+    python scripts/run_density_experiments.py --n-list 10,100 --replicas 20000
 """
 import argparse
 import math
@@ -16,17 +20,21 @@ from pagepark import (
     limit_constants,
     measure_M_T,
 )
+from pagepark.cli import _at_least, _csv_list, _replica_count, _time
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-list", default="10,100,1000,10000")
-    ap.add_argument("--t-grid", default="0.25,0.5,1,2,4")
-    ap.add_argument("--replicas", type=int, default=20_000)
+    ap.add_argument("--n-list", type=_csv_list(_at_least(2)), default="10,100,1000,10000",
+                    help="comma-separated interval sizes (>= 2)")
+    ap.add_argument("--t-grid", type=_csv_list(_time), default="0.25,0.5,1,2,4",
+                    help="comma-separated finite times (>= 0)")
+    ap.add_argument("--replicas", type=_replica_count, default=20_000,
+                    help="Monte Carlo replicas (>= 2)")
     ap.add_argument("--seed", type=int, default=42424242)
     args = ap.parse_args()
 
-    n_list = [int(x) for x in args.n_list.split(",")]
+    n_list = args.n_list
     rho = limit_constants()["jamming_density"]
     series = expected_M_series(max(n_list))
 
@@ -41,7 +49,7 @@ def main() -> None:
         )
     print()
 
-    t_grid = [float(x) for x in args.t_grid.split(",")]
+    t_grid = args.t_grid
     closed = density_curve_closed_form(t_grid)
     est = density_at_time_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 1000))
     print("# site occupancy at time t on the line   (closed form 1 - e^{-2F(t)})")

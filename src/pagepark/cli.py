@@ -26,6 +26,7 @@ from .core import DEFAULT_SEED, SEED_ENV_VAR, ArrivalDistribution, SeedSpec
 from .exact import (
     DISTRIBUTION_RATIONAL_CAP,
     density_curve_closed_form,
+    distribution_M,
     expected_M,
     expected_M_series,
     limit_constants,
@@ -173,6 +174,22 @@ _replica_count = _at_least(2)  # one replica has no standard error
 # subcommands
 
 
+def _mean_check(n: int, m_stats, em: float) -> tuple[bool, str]:
+    """The MC mean of M_n must lie within 5 stderr of the exact mean em. A
+    sample with no spread has no stderr: up to the rational cap the band is
+    then 5 exact standard deviations of M_n over sqrt(replicas); above it the
+    check fails rather than invent a band."""
+    diff = abs(m_stats.mean - em)
+    if m_stats.stderr > 0:
+        band = 5.0 * m_stats.stderr
+        return diff <= band, f"MC mean {m_stats.mean:.6f} vs exact {em:.6f} within 5 stderr = {band:.3e}"
+    if n > DISTRIBUTION_RATIONAL_CAP:
+        return False, f"MC mean {m_stats.mean:.6f} vs exact {em:.6f}: no spread in {m_stats.count} replicas"
+    band = 5.0 * math.sqrt(float(distribution_M(n).variance()) / m_stats.count)
+    return diff <= band, (f"MC mean {m_stats.mean:.6f} vs exact {em:.6f} within 5 exact sd/sqrt({m_stats.count}) "
+                          f"= {band:.3e} (no spread in the sample)")
+
+
 def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     n_list = sorted(set(args.n_list))
     rho = limit_constants()["jamming_density"]
@@ -207,12 +224,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
             density_gap <= 12.0 / n + 1e-12,
             f"|E[M_n]/n - (1-e^-2)| = {density_gap:.3e} <= 12/n = {12.0 / n:.3e}",
         )
-        band = 5.0 * mt.m_stats.stderr if mt.m_stats.stderr > 0 else 1e-9
-        checks.record(
-            f"mc_agrees_n{n}",
-            abs(mt.m_stats.mean - em) <= band,
-            f"MC mean {mt.m_stats.mean:.6f} vs exact {em:.6f} within 5 stderr",
-        )
+        checks.record(f"mc_agrees_n{n}", *_mean_check(n, mt.m_stats, em))
     params = {"n_list": n_list, "replicas": args.replicas}
     return rows, checks, params
 

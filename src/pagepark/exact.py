@@ -126,6 +126,10 @@ class MDistribution:
     def mean(self):
         return sum(m * p for m, p in self.probs.items())
 
+    def variance(self):
+        mu = self.mean()
+        return sum((m - mu) ** 2 * p for m, p in self.probs.items())
+
 
 def distribution_M(n: int, rational_cap: int = DISTRIBUTION_RATIONAL_CAP) -> MDistribution:
     """Full law of M_n. Exact rationals up to rational_cap sites, float64 beyond

@@ -1,6 +1,19 @@
 """Jamming on a finite interval: the uniform-draw process, the priority-field
 construction, and the parity classifier that links them.
 
+Observed through the first arrivals of one unit-rate Poisson stream per slot
+(merged, the streams pick slots uniformly), only the first draw of a slot can
+park a car, so the jammed configuration is the priority-field construction on
+the first-arrival field xi, and the jamming time tau* is the largest mark
+among the slots that hold a car. Each slot's later arrivals form a unit-rate
+Poisson process on (xi_s, inf) independent of xi, so the draw count is
+
+    T = #{s : xi_s <= tau*} + Poisson(sum_s (tau* - xi_s)^+)
+
+exactly (the superposition identity of trials.py). simulate_direct_batch
+computes (M, T) this way, one pass per chunk of replicas; simulate_direct runs
+the draws one by one and is the reference.
+
 Conventions used throughout (1-based sites and slots in the API):
 
 * slot i covers sites (i, i+1); marks live on slots 1..n-1.
@@ -21,6 +34,8 @@ import numpy as np
 
 from .core import DEFAULT_SEED, ParkingConfiguration, PriorityField, SeedSpec, as_generator
 from .stats import SampleStats
+
+_CHUNK_MARKS = 1 << 14  # marks per chunk of simulate_direct_batch; small keeps peak memory flat
 
 
 @dataclass(frozen=True)
@@ -147,17 +162,30 @@ def construct_from_priorities(xi: PriorityField, timed: bool = False) -> JammedO
     return JammedOutcome(config=config, M=config.occupied_count, T=None, per_car_times=times)
 
 
-def car_slots_from_occupancy(occ: np.ndarray) -> np.ndarray:
-    """0-based slots holding cars, recovered from a jammed occupancy.
+def car_slot_mask(occ: np.ndarray) -> np.ndarray:
+    """Boolean mask, same shape (..., n) as the jammed occupancy occ, of the
+    0-based slots holding cars (slot s covers sites s and s+1).
 
     Maximal occupied runs have even length and a unique perfect matching, so
     the car positions are forced: every other site from each run's start."""
     occ = np.asarray(occ, dtype=bool)
-    idx = np.arange(occ.size)
-    run_start = occ & np.concatenate(([True], ~occ[:-1]))
-    last_start = np.maximum.accumulate(np.where(run_start, idx, 0))
-    on_car_start = occ & ((idx - last_start) % 2 == 0)
-    return idx[on_car_start]
+    idx = np.arange(occ.shape[-1])
+    run_start = occ.copy()
+    run_start[..., 1:] &= ~occ[..., :-1]
+    last_start = np.maximum.accumulate(np.where(run_start, idx, 0), axis=-1)
+    return occ & ((idx - last_start) % 2 == 0)
+
+
+def car_slots_from_occupancy(occ: np.ndarray) -> np.ndarray:
+    """0-based slots holding cars, recovered from a jammed 1-D occupancy."""
+    return np.flatnonzero(car_slot_mask(occ))
+
+
+def tau_star_rows(xi: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """Jamming time of each row of the first-arrival fields xi, shape
+    (..., n-1), given occ = occupancy_profile(xi): the largest mark among the
+    slots that hold a car."""
+    return np.where(car_slot_mask(occ)[..., :-1], xi, -np.inf).max(axis=-1)
 
 
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> JammedOutcome:
@@ -193,35 +221,28 @@ def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -
 def simulate_direct_batch(
     n: int, replicas: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised uniform-draw process across replicas; returns (M, T) arrays.
+    """Law of (M, T) of the uniform-draw process across replicas, in one pass
+    per chunk of replicas; returns int64 arrays (M, T).
 
-    All live replicas draw one slot per step; jammed replicas stop drawing.
-    Exactly the law of simulate_direct, batched for throughput."""
+    Each replica draws its first-arrival field xi (one unit-rate Poisson
+    stream per slot), which fixes the jammed configuration, M and tau*; the
+    later arrivals up to tau* are one Poisson draw (see the module docstring).
+    Exactly the law of simulate_direct, which stays the draw-by-draw
+    reference. Chunks hold about _CHUNK_MARKS marks, at least one replica."""
     if n < 2:
         raise ValueError("need n >= 2 sites")
-    occ = np.zeros(replicas * n, dtype=bool)  # flat (replica, site)
-    fpc = np.full(replicas, n - 1, dtype=np.int64)
-    t_cnt = np.zeros(replicas, dtype=np.int64)
-    m_cnt = np.zeros(replicas, dtype=np.int64)
-    active = np.arange(replicas)
-    while active.size:
-        s = rng.integers(0, n - 1, size=active.size)
-        t_cnt[active] += 1
-        base = active * n + s
-        can = ~occ[base] & ~occ[base + 1]
-        if can.any():
-            rows = active[can]
-            ps = s[can]
-            pbase = rows * n + ps
-            lost = np.ones(rows.size, dtype=np.int64)
-            lost += (ps >= 1) & ~occ[np.maximum(pbase - 1, 0)]
-            lost += (ps <= n - 3) & ~occ[np.minimum(pbase + 2, occ.size - 1)]
-            occ[pbase] = True
-            occ[pbase + 1] = True
-            fpc[rows] -= lost
-            m_cnt[rows] += 2
-        active = active[fpc[active] > 0]
-    return m_cnt, t_cnt
+    rows = max(1, _CHUNK_MARKS // (n - 1))
+    m_out = np.empty(replicas, dtype=np.int64)
+    t_out = np.empty(replicas, dtype=np.int64)
+    for lo in range(0, replicas, rows):
+        hi = min(lo + rows, replicas)
+        xi = rng.standard_exponential((hi - lo, n - 1))
+        occ = occupancy_profile(xi)
+        tau = tau_star_rows(xi, occ)[:, None]
+        m_out[lo:hi] = occ.sum(axis=1)
+        later = rng.poisson(np.maximum(tau - xi, 0.0).sum(axis=1))
+        t_out[lo:hi] = np.count_nonzero(xi <= tau, axis=1) + later
+    return m_out, t_out
 
 
 def sample_M_batch(n: int, replicas: int, rng: np.random.Generator) -> np.ndarray:
@@ -250,8 +271,9 @@ def measure_M_T(
 ) -> MeasuredMT:
     """Aggregate independent jamming replicas.
 
-    method "direct" runs the genuine uniform-draw process and reports M and T;
-    method "priorities" uses the classifier fast path and reports M only."""
+    method "direct" samples the law of (M, T) of the uniform-draw process with
+    simulate_direct_batch and reports both; method "priorities" samples the
+    priority-field construction and reports M only."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     rng = as_generator(seed)

@@ -1,4 +1,5 @@
 """CLI harness: table shapes, determinism, exit codes, and JSON schemas."""
+import functools
 import json
 import pathlib
 import subprocess
@@ -8,10 +9,12 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from pagepark.cli import _curve_check, _decorrelation_check, _lag0_check, build_parser, main
+from pagepark.cli import _curve_check, _decorrelation_check, _lag0_check, _mean_check, build_parser, main
 from pagepark.core import DEFAULT_SEED, SeedSpec
-from pagepark.exact import density_curve_closed_form, limit_constants
+from pagepark.exact import DISTRIBUTION_RATIONAL_CAP, density_curve_closed_form, expected_M, limit_constants
+from pagepark.finite import measure_M_T
 from pagepark.infinite import autocovariance_mc, density_at_time_mc
+from pagepark.stats import SampleStats
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 CLI = [sys.executable, "-m", "pagepark.cli"]
@@ -224,6 +227,36 @@ class TestCheckPower:
         assert _decorrelation_check(est)[0]
         self.assert_band(_decorrelation_check, est, est.estimate, est.stderr, 5.0)
 
+    def test_density_convergence(self):
+        # the CLI's draws at the default replicas for --n-list 10,100
+        for idx, n in enumerate((10, 100)):
+            mt = measure_M_T(n, 10_000, seed=SeedSpec(DEFAULT_SEED, idx))
+            em = float(expected_M(n))
+            check = functools.partial(_mean_check, n)
+            assert check(mt.m_stats, em)[0]
+            self.assert_band(check, mt.m_stats, mt.m_stats.mean, mt.m_stats.stderr, 5.0)
+
+    def test_no_spread_uses_the_exact_sd(self):
+        # Var(M_4) = 8/9: two equal samples at n = 4 are 5 sqrt(8/9)/sqrt(2)
+        # = 3.33 wide either way; M_2 has no variance, so only 2 passes there
+        for m in (2, 4):
+            ok, detail = _mean_check(4, SampleStats.from_samples([m, m]), 10 / 3)
+            assert ok and "no spread" in detail
+        assert _mean_check(2, SampleStats.from_samples([2, 2]), 2.0)[0]
+        assert not _mean_check(2, SampleStats.from_samples([2, 2]), 2.5)[0]
+        n = DISTRIBUTION_RATIONAL_CAP + 1
+        ok, detail = _mean_check(n, SampleStats.from_samples([222, 222]), 222.0)
+        assert not ok and "no spread in 2 replicas" in detail
+
+    @pytest.mark.parametrize("seed", ["1", "6"])
+    def test_no_spread_density_convergence(self, seed):
+        # seed 1 is the command that failed against the old 1e-9 band (it drew
+        # M = 4 twice); seed 6 now draws M = 2 twice, so the exact-sd band is used
+        res = run_cli("density-convergence", "--n-list", "4", "--replicas", "2", "--seed", seed)
+        assert res.returncode == 0, res.stderr
+        if seed == "6":
+            assert "no spread" in res.stderr
+
     def test_all_hits_no_longer_fails(self):
         # with 2 replicas both hit at t = 4: the Wald band was 4 * 1e-150 wide
         res = run_cli("density-curve", "--replicas", "2", "--seed", "1")
@@ -257,6 +290,32 @@ class TestInProcess:
             "site-vacancy",
             "autocovariance",
         }
+
+
+class TestDensityScript:
+    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_density_experiments.py"
+
+    def run(self, *args):
+        return subprocess.run([sys.executable, str(self.SCRIPT), *args],
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--replicas", v] for v in ("1", "0", "many")]
+        + [["--n-list", v] for v in ("1", "10,1", ",", "ten")]
+        + [["--t-grid", v] for v in ("-1", "nan", "inf", "x")],
+    )
+    def test_bad_values_are_usage_errors(self, argv):
+        res = self.run(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr and argv[0] in res.stderr
+
+    def test_small_run_prints_both_tables(self):
+        res = self.run("--n-list", "10,20", "--t-grid", "1", "--replicas", "200")
+        assert res.returncode == 0, res.stderr
+        rows = [line.split()[0] for line in res.stdout.splitlines() if line and not line.startswith("#")]
+        assert rows == ["n", "10", "20", "t", "1.00"]
 
 
 class TestAuditScript:

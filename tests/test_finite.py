@@ -3,7 +3,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagepark import (
@@ -25,7 +25,10 @@ from pagepark import (
     verify_lemma1,
     weak_orderings,
 )
-from pagepark.oracle import park_in_rank_order
+from pagepark import finite
+from pagepark.finite import car_slot_mask, tau_star_rows
+from pagepark.oracle import CHAIN_CAP, expected_T_exact, park_in_rank_order
+from pagepark.stats import SampleStats
 from pagepark.trials import tau_star
 
 # seed-driven random fields keep hypothesis shrinking useful while the
@@ -197,12 +200,14 @@ class TestDirectProcess:
         assert out.M == 2 and out.T == 1
 
     def test_batch_matches_single_law(self):
-        # same generator type, two seeds; chi-square on the T distribution
-        n, reps = 5, 20_000
-        single = [simulate_direct(n, rng=SeedSpec(1234, i)).T for i in range(reps)]
-        _, batch_t = simulate_direct_batch(n, reps, SeedSpec(5678).generator())
-        _, _, p = _chi2(collections.Counter(single), collections.Counter(batch_t.tolist()))
-        assert p > 0.001
+        # the one-pass kernel against the draw-by-draw reference: chi-square
+        # on the laws of M and of T (n = 6, where M takes two values)
+        n, reps = 6, 20_000
+        single = [simulate_direct(n, rng=SeedSpec(1234, i)) for i in range(reps)]
+        batch_m, batch_t = simulate_direct_batch(n, reps, SeedSpec(5678).generator())
+        for ref, got in (([o.M for o in single], batch_m), ([o.T for o in single], batch_t)):
+            _, _, p = _chi2(collections.Counter(ref), collections.Counter(got.tolist()))
+            assert p > 0.001
 
     def test_batch_m_matches_exact_law(self):
         n, reps = 6, 40_000
@@ -224,6 +229,127 @@ class TestDirectProcess:
             got = counts.get(mm, 0) / reps
             sigma = float(p * (1 - p) / reps) ** 0.5
             assert abs(got - float(p)) <= 5 * sigma
+
+
+def _one_chunk_kernel(tau_of, first_arrivals: bool = True):
+    """The one-pass kernel on a single chunk, with tau* taken by
+    tau_of(xi, occ); without first_arrivals it drops the #{xi_s <= tau*} term."""
+
+    def kernel(n: int, replicas: int, rng: np.random.Generator):
+        xi = rng.standard_exponential((replicas, n - 1))
+        occ = occupancy_profile(xi)
+        tau = tau_of(xi, occ)[:, None]
+        t = rng.poisson(np.maximum(tau - xi, 0.0).sum(axis=1))
+        if first_arrivals:
+            t += np.count_nonzero(xi <= tau, axis=1)
+        return occ.sum(axis=1), t
+
+    return kernel
+
+
+def _second_largest_car_mark(xi, occ):
+    """The second-largest car mark of each row (the only one for one car)."""
+    marks = np.sort(np.where(car_slot_mask(occ)[:, :-1], xi, -np.inf), axis=1)
+    second = marks[:, -2] if marks.shape[1] > 1 else marks[:, -1]
+    return np.where(np.isfinite(second), second, marks[:, -1])
+
+
+PLANTED_FAULTS = {
+    "without_first_arrivals": _one_chunk_kernel(tau_star_rows, first_arrivals=False),
+    "second_largest_car_mark": _one_chunk_kernel(_second_largest_car_mark),
+    "largest_mark_of_all_slots": _one_chunk_kernel(lambda xi, occ: xi.max(axis=1)),
+}
+
+
+def _chain_mean_misses(kernel, reps: int = 20_000, seed: int = 99) -> list:
+    """(n, quantity) for each n in 2..CHAIN_CAP where the kernel's mean M or T
+    misses the exact E[M_n] or chain E[T_n]: by more than 4 stderr, or at all
+    when the sample has no spread (T at n = 2, 3; M at n = 2, 3, 5)."""
+    misses = []
+    for n in range(2, CHAIN_CAP + 1):
+        m, t = kernel(n, reps, SeedSpec(seed, n).generator())
+        for name, sample, want in (("M", m, expected_M(n)), ("T", t, expected_T_exact(n))):
+            st_ = SampleStats.from_samples(sample)
+            if abs(st_.mean - float(want)) > 4.0 * st_.stderr:
+                misses.append((n, name))
+    return misses
+
+
+def _by_hand(n: int, replicas: int, rng: np.random.Generator):
+    """The one-pass kernel rebuilt from its definition, chunk by chunk, with
+    the 1-D tau* scan of trials.py and a per-row Poisson mean."""
+    rows = max(1, finite._CHUNK_MARKS // (n - 1))
+    ms, ts = [], []
+    for lo in range(0, replicas, rows):
+        xi = rng.standard_exponential((min(rows, replicas - lo), n - 1))
+        taus = [tau_star(row) for row in xi]
+        means = [float(np.sum(np.maximum(tau - row, 0.0))) for tau, row in zip(taus, xi)]
+        later = rng.poisson(means)
+        ms += [int(occupancy_profile(row).sum()) for row in xi]
+        ts += [int(np.count_nonzero(row <= tau)) + int(k) for tau, row, k in zip(taus, xi, later)]
+    return ms, ts
+
+
+def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
+    """rows fields of one kind, row r built from values rotated by r."""
+    out = []
+    for r in range(rows):
+        v = np.roll(np.asarray(values, dtype=np.float64), r)
+        if kind == "tied":
+            v = np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
+        elif kind == "sawtooth":
+            # every high slot sits between two lower ones and never holds a car
+            saw = np.empty(2 * v.size + 1)
+            saw[0::2] = np.append(v, 0.5)
+            saw[1::2] = v + 2.0
+            v = saw
+        out.append(v)
+    return np.array(out)
+
+
+class TestDirectBatchKernel:
+    def test_means_match_exact_for_every_small_n(self):
+        assert _chain_mean_misses(simulate_direct_batch) == []
+
+    @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+    def test_planted_faults_fail(self, fault):
+        assert _chain_mean_misses(PLANTED_FAULTS[fault]) != []
+
+    @given(
+        st.sampled_from(["float", "tied", "sawtooth"]),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90),
+        st.integers(min_value=1, max_value=4),
+    )
+    @example("sawtooth", [i / 40 for i in range(40)], 3)
+    @settings(max_examples=200, deadline=None)
+    def test_tau_star_rows_equal_scan(self, kind, values, rows):
+        xi = _mark_rows(kind, values, rows)
+        assert tau_star_rows(xi, occupancy_profile(xi)).tolist() == [tau_star(row) for row in xi]
+
+    @pytest.mark.parametrize(
+        "n, replicas",
+        [
+            (finite._CHUNK_MARKS + 2, 3),  # n - 1 > marks per chunk: one row per chunk
+            (6, 2 * (finite._CHUNK_MARKS // 5) + 7),  # a partial last chunk
+        ],
+    )
+    def test_chunks_equal_rows_built_by_hand(self, n, replicas):
+        m, t = simulate_direct_batch(n, replicas, SeedSpec(61).generator())
+        want_m, want_t = _by_hand(n, replicas, SeedSpec(61).generator())
+        assert m.dtype == t.dtype == np.int64
+        assert m.tolist() == want_m
+        assert t.tolist() == want_t
+
+    def test_deterministic_in_seed(self):
+        a = simulate_direct_batch(40, 500, SeedSpec(62).generator())
+        b = simulate_direct_batch(40, 500, SeedSpec(62).generator())
+        c = simulate_direct_batch(40, 500, SeedSpec(63).generator())
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[1], c[1])
+
+    def test_rejects_single_site(self):
+        with pytest.raises(ValueError):
+            simulate_direct_batch(1, 3, SeedSpec(64).generator())
 
 
 def _chi2(ca, cb):
