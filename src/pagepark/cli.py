@@ -269,6 +269,18 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     return rows, checks, params
 
 
+def _coupon_check(r) -> tuple[bool, str]:
+    """Mean T_n must not exceed the exact coupon-collector mean by more than 3 stderr."""
+    return r.dominated_by_coupon, f"mean T = {r.mean_T:.1f} <= coupon mean {r.coupon_mean:.1f} (+3 stderr)"
+
+
+def _ratio_check(a, b) -> tuple[bool, str]:
+    """T_n / (n log n) must not fall from row a to the larger-n row b by more
+    than 3 stderr of the difference."""
+    slack = 3.0 * math.hypot(a.ratio_stderr, b.ratio_stderr)
+    return b.ratio >= a.ratio - slack, f"ratio {a.ratio:.4f} -> {b.ratio:.4f} (slack {slack:.4f})"
+
+
 def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     n_list = args.n_list
     checks = CheckLog()
@@ -296,20 +308,11 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 dominated_by_coupon=r.dominated_by_coupon,
             )
         )
-        checks.record(
-            f"coupon_dominates_n{r.n}",
-            r.dominated_by_coupon,
-            f"mean T = {r.mean_T:.1f} <= coupon mean {r.coupon_mean:.1f} (+3 stderr)",
-        )
+        checks.record(f"coupon_dominates_n{r.n}", *_coupon_check(r))
     increasing_n = all(a < b for a, b in zip(n_list, n_list[1:]))
     if increasing_n and len(sweep) >= 2 and args.replicas >= 30:
         for a, b in zip(sweep, sweep[1:]):
-            slack = 3.0 * math.hypot(a.ratio_stderr, b.ratio_stderr)
-            checks.record(
-                f"ratio_nondecreasing_n{a.n}_to_n{b.n}",
-                b.ratio >= a.ratio - slack,
-                f"ratio {a.ratio:.4f} -> {b.ratio:.4f} (slack {slack:.4f})",
-            )
+            checks.record(f"ratio_nondecreasing_n{a.n}_to_n{b.n}", *_ratio_check(a, b))
     params = {"n_list": n_list, "replicas": args.replicas}
     return rows, checks, params
 
@@ -452,6 +455,12 @@ def _decorrelation_check(est, cov: float = 0.0) -> tuple[bool, str]:
     return diff <= band, f"|cov({est.k}) - {cov:g}| = {diff:.3e} <= 5 Wilson stderr = {band:.3e}"
 
 
+def _no_vacant_pair_check(est) -> tuple[bool, str]:
+    """Runs of cars have even length, so two vacant sites are never 1, 2 or 4
+    apart: at those lags the count of vacant pairs must be exactly 0."""
+    return est.both_vacant == 0, f"{est.both_vacant} of {est.replicas} pairs have both sites vacant"
+
+
 def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     k_list = args.k_list
     checks = CheckLog()
@@ -465,6 +474,7 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             seed=SeedSpec(args.seed, idx),
             threads=args.threads,
         )
+        print(f"autocovariance: lag {k}: {est.fallback_rows} pairs took the exact fallback", file=sys.stderr)
         rows.append(
             ResultRow(
                 lag=k,
@@ -477,6 +487,8 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         )
         if k == 0:
             checks.record("lag0_is_bernoulli_variance", *_lag0_check(est, vac * (1.0 - vac)))
+        elif k in (1, 2, 4):
+            checks.record(f"lag{k}_no_vacant_pair", *_no_vacant_pair_check(est))
         elif k >= 30:
             checks.record(f"lag{k}_decorrelated", *_decorrelation_check(est))
     params = {"k_list": k_list, "replicas": args.replicas}

@@ -167,20 +167,6 @@ def partial_sum_S(k: int) -> Fraction:
     return _tail_sums[k]
 
 
-def inv_e_fraction(terms: int = 60) -> Fraction:
-    """Rational approximation of 1/e via the alternating factorial series;
-    error below 1/(terms+1)!."""
-    total = Fraction(0)
-    fact = 1
-    sign = 1
-    for j in range(terms + 1):
-        if j:
-            fact *= j
-            sign = -sign
-        total += Fraction(sign if j else 1, fact)
-    return total
-
-
 def _eps_factor(j: int) -> Fraction:
     """1/(j-1)! when j is odd, else 0: probability that the run on one side of a
     site covers everything up to the interval edge with even length."""
@@ -262,28 +248,3 @@ def odd_descent_prob_closed_form(t_grid, dist: ArrivalDistribution = EXP) -> np.
     t = np.asarray(t_grid, dtype=np.float64)
     f_of_t = np.array([dist.cdf(float(x)) for x in np.atleast_1d(t)])
     return 1.0 - np.exp(-f_of_t)
-
-
-@dataclass(frozen=True)
-class ExactTable:
-    """Bundle of the exact finite-n quantities for one interval size."""
-
-    n: int
-    expected_M: Fraction
-    expected_M_float: float
-    distribution_M: MDistribution
-    per_site_vacancy: tuple
-
-    def vacancy_total(self):
-        return sum(self.per_site_vacancy)
-
-
-def exact_table(n: int) -> ExactTable:
-    em = expected_M(n)
-    return ExactTable(
-        n=n,
-        expected_M=em,
-        expected_M_float=float(em),
-        distribution_M=distribution_M(n),
-        per_site_vacancy=tuple(per_site_vacancy_exact(n, i) for i in range(1, n + 1)),
-    )

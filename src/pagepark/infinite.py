@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, EXP, ArrivalDistribution, PriorityField, SeedSpec, as_generator, map_streams
+from .core import DEFAULT_SEED, EXP, UNIFORM, ArrivalDistribution, PriorityField, SeedSpec, as_generator, map_streams
 from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # generated indices per side before aborting loudly
 _CHUNK = 1 << 15  # replicas per stream in sample_runs
 _AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
+_STRIP_BUFFER = 6  # autocovariance sites read marks within _STRIP_BUFFER + 2; 6 timed fastest of 3..12
 
 
 class RareEventCapError(RuntimeError):
@@ -256,7 +257,11 @@ def odd_descent_time_prob_mc(
 
 @dataclass(frozen=True)
 class AutocovEstimate:
-    """Estimated cov(X(0), X(k)) of the jammed occupancy field."""
+    """Estimated cov(X(0), X(k)) of the jammed occupancy field.
+
+    both_vacant counts the pairs with both sites vacant; fallback_rows counts
+    the pairs whose runs outgrew their windows and were classified exactly by
+    extending the line."""
 
     k: int
     estimate: float
@@ -264,46 +269,48 @@ class AutocovEstimate:
     mean_site_0: float
     mean_site_k: float
     replicas: int
+    both_vacant: int
+    fallback_rows: int
 
 
-def _scalar_occupancy_pair(values: np.ndarray, k: int, lo: int, rng, dist, cap: int):
-    """Fallback for strip rows whose runs touch the strip edge: extend the row's
-    mark sequence lazily (fresh independent draws) and classify exactly."""
-    line = _LazyLine(rng, dist, values, lo)
+def _scalar_occupancy_pair(values: np.ndarray, k: int, lo: int, rng, cap: int):
+    """Fallback for strip rows whose runs outgrow their windows: extend the
+    row's mark sequence lazily (fresh independent draws) and classify exactly."""
+    line = _LazyLine(rng, UNIFORM, values, lo)
     rise0, desc0 = line.runs(0, cap)
     rise_k, desc_k = line.runs(k, cap)
     return bool(rise0 % 2 or desc0 % 2), bool(rise_k % 2 or desc_k % 2)
 
 
 def _occupancy_pair_chunk(
-    size: int, rng: np.random.Generator, k: int, dist: ArrivalDistribution, buffer: int, cap: int, reflect: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Occupancy of sites 0 and k from one strip of marks per replica."""
-    lo = -(buffer + 2)
-    hi = k + buffer + 2
-    width = hi - lo + 1
-    values = dist.ppf(rng.random((size, width)))
+    size: int, rng: np.random.Generator, k: int, cap: int, reflect: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupancy of sites 0 and k, and the rows sent to the fallback, from one
+    strip of uniform marks per replica over slots -w..k+w, w = _STRIP_BUFFER + 2.
+
+    Each site reads only the marks within w of it; a row where a run does not
+    stop inside its site's window is classified by _scalar_occupancy_pair."""
+    w = _STRIP_BUFFER + 2
+    values = rng.random((size, k + 2 * w + 1))
     if reflect:
         values = values[:, ::-1]  # mirrored field; site j maps to k - j
-    asc = values[:, :-1] <= values[:, 1:]
+    asc = values[:, :-1] <= values[:, 1:]  # column c compares slots c - w and c - w + 1
+    rows = np.arange(size)
 
-    def site_occupancy(site: int) -> tuple[np.ndarray, np.ndarray]:
-        c = site - lo
-        right = asc[:, c:]
-        has_stop = right.any(axis=1)
-        desc = right.argmax(axis=1) + 1
-        rev = ~asc[:, c - 2 :: -1]
-        has_break = rev.any(axis=1)
-        rise = rev.argmax(axis=1) + 1
-        occ = (rise % 2 == 1) | (desc % 2 == 1)
-        return occ, ~(has_stop & has_break)
+    def site_occupancy(c: int) -> tuple[np.ndarray, np.ndarray]:
+        # first stop of each run, counted from 0 (run length = index + 1)
+        right = asc[:, c : c + w]  # descent stops: xi_{s+j-1} <= xi_{s+j}, j = 1..w
+        left = ~asc[:, c - w : c - 1][:, ::-1]  # rise stops: xi_{s-j-1} > xi_{s-j}, j = 1..w-1
+        desc = right.argmax(axis=1)
+        rise = left.argmax(axis=1)
+        return (rise & desc & 1) == 0, ~(right[rows, desc] & left[rows, rise])
 
-    occ0, edge0 = site_occupancy(0)
-    occk, edgek = site_occupancy(k) if k else (occ0, edge0)
+    occ0, edge0 = site_occupancy(w)
+    occk, edgek = site_occupancy(w + k) if k else (occ0, edge0)
     edge = edge0 | edgek
-    for row in np.flatnonzero(edge):  # probability ~ 1/buffer!, kept exact anyway
-        occ0[row], occk[row] = _scalar_occupancy_pair(values[row], k, lo, rng, dist, cap)
-    return occ0, occk
+    for row in np.flatnonzero(edge):  # about 2/w! of the rows, kept exact anyway
+        occ0[row], occk[row] = _scalar_occupancy_pair(values[row], k, -w, rng, cap)
+    return occ0, occk, edge
 
 
 def autocovariance_mc(
@@ -312,7 +319,6 @@ def autocovariance_mc(
     seed: int | SeedSpec = DEFAULT_SEED,
     threads: int = 1,
     reflected: bool = False,
-    buffer: int = 64,
     cap: int = WINDOW_CAP,
 ) -> AutocovEstimate:
     """Estimate cov(X(0), X(k)) of the jammed field on the line.
@@ -324,9 +330,8 @@ def autocovariance_mc(
         raise ValueError("lag must be >= 0")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    dist = ArrivalDistribution("uniform")
     parts = map_streams(
-        lambda size, rng: _occupancy_pair_chunk(size, rng, k, dist, buffer, cap, reflected),
+        lambda size, rng: _occupancy_pair_chunk(size, rng, k, cap, reflected),
         seed,
         _chunk_sizes(replicas, _AUTOCOV_CHUNK),
         threads,
@@ -344,4 +349,6 @@ def autocovariance_mc(
         mean_site_0=float(x.mean()),
         mean_site_k=float(y.mean()),
         replicas=r,
+        both_vacant=int(np.count_nonzero((x == 0) & (y == 0))),
+        fallback_rows=sum(int(np.count_nonzero(p[2])) for p in parts),
     )

@@ -1,6 +1,8 @@
 """CLI harness: table shapes, determinism, exit codes, and JSON schemas."""
+import dataclasses
 import functools
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -9,12 +11,23 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from pagepark.cli import _curve_check, _decorrelation_check, _lag0_check, _mean_check, build_parser, main
+from pagepark.cli import (
+    _coupon_check,
+    _curve_check,
+    _decorrelation_check,
+    _lag0_check,
+    _mean_check,
+    _no_vacant_pair_check,
+    _ratio_check,
+    build_parser,
+    main,
+)
 from pagepark.core import DEFAULT_SEED, SeedSpec
 from pagepark.exact import DISTRIBUTION_RATIONAL_CAP, density_curve_closed_form, expected_M, limit_constants
 from pagepark.finite import measure_M_T
 from pagepark.infinite import autocovariance_mc, density_at_time_mc
 from pagepark.stats import SampleStats
+from pagepark.trials import trials_ratio_sweep
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 CLI = [sys.executable, "-m", "pagepark.cli"]
@@ -226,6 +239,29 @@ class TestCheckPower:
         est = autocovariance_mc(34, 200_000, seed=SeedSpec(DEFAULT_SEED, 8))
         assert _decorrelation_check(est)[0]
         self.assert_band(_decorrelation_check, est, est.estimate, est.stderr, 5.0)
+
+    def test_autocovariance_no_vacant_pair(self):
+        est = autocovariance_mc(1, 200_000, seed=SeedSpec(DEFAULT_SEED, 1))
+        assert est.both_vacant == 0 and _no_vacant_pair_check(est)[0]
+        ok, detail = _no_vacant_pair_check(dataclasses.replace(est, both_vacant=1))
+        assert not ok and detail.startswith("1 of 200000")
+
+    def test_trials(self):
+        # the CLI's draws at the default replicas for --n-list 1000,10000; both
+        # checks are one-sided, so the reference moves only towards failure
+        a, b = trials_ratio_sweep([1000, 10_000], 100, seed=DEFAULT_SEED)
+        for row in (a, b):
+            assert _coupon_check(row)[0]
+            edge, se = row.mean_T - 3.0 * row.stderr_T, row.stderr_T
+            assert _coupon_check(dataclasses.replace(row, coupon_mean=edge + 0.15 * se))[0]
+            assert not _coupon_check(dataclasses.replace(row, coupon_mean=edge - 0.15 * se))[0]
+            assert not _coupon_check(dataclasses.replace(row, coupon_mean=edge - 3.0 * se))[0]
+        assert _ratio_check(a, b)[0]
+        se = math.hypot(a.ratio_stderr, b.ratio_stderr)
+        edge = b.ratio + 3.0 * se
+        assert _ratio_check(dataclasses.replace(a, ratio=edge - 0.15 * se), b)[0]
+        assert not _ratio_check(dataclasses.replace(a, ratio=edge + 0.15 * se), b)[0]
+        assert not _ratio_check(dataclasses.replace(a, ratio=edge + 3.0 * se), b)[0]
 
     def test_density_convergence(self):
         # the CLI's draws at the default replicas for --n-list 10,100

@@ -13,10 +13,8 @@ from pagepark import (
     density_curve_closed_form,
     distribution_M,
     enumerate_orderings,
-    exact_table,
     expected_M,
     expected_M_series,
-    inv_e_fraction,
     limit_constants,
     odd_descent_prob_closed_form,
     partial_sum_S,
@@ -155,9 +153,6 @@ class TestSeriesAndConstants:
             err = abs(float(partial_sum_S(k)) - math.exp(-1.0))
             assert err < 1.0 / math.factorial(2 * k + 2) + 1e-18
 
-    def test_inv_e_fraction_accuracy(self):
-        assert float(inv_e_fraction(30)) == pytest.approx(math.exp(-1.0), abs=1e-16)
-
     def test_limit_constants_identities(self):
         c = limit_constants()
         assert c["jamming_density"] == pytest.approx(1.0 - math.exp(-2.0))
@@ -209,12 +204,3 @@ class TestTimeCurves:
         grid = np.linspace(0.0, 10.0, 101)
         assert np.all(np.diff(density_curve_closed_form(grid)) >= 0)
         assert np.all(np.diff(odd_descent_prob_closed_form(grid)) >= 0)
-
-
-class TestExactTable:
-    def test_bundle_consistent(self):
-        tab = exact_table(8)
-        assert tab.expected_M == expected_M(8)
-        assert tab.expected_M_float == pytest.approx(float(expected_M(8)))
-        assert tab.distribution_M.mean() == tab.expected_M
-        assert tab.vacancy_total() + tab.expected_M == 8

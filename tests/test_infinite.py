@@ -25,7 +25,10 @@ from pagepark import (
     sample_site_infinite,
     vacancy_mc,
 )
-from pagepark.infinite import _CHUNK, _runs_chunk
+from pagepark import infinite
+from pagepark.cli import _decorrelation_check, _lag0_check, _no_vacant_pair_check
+from pagepark.infinite import _CHUNK, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _runs_chunk
+from pagepark.stats import wilson_interval
 
 
 class TestWindowSampler:
@@ -243,3 +246,67 @@ class TestAutocovariance:
             autocovariance_mc(-1, 100)
         with pytest.raises(ValueError):
             autocovariance_mc(0, 1)
+
+
+def _strip_failures(est) -> list[str]:
+    """The exact checks an estimate must pass at lags 0, 1, 2 and 4, by name:
+    cov(0) = e^-2 (1 - e^-2), and two vacant sites are never 1, 2 or 4 apart,
+    so there cov(k) = -e^-4 exactly."""
+    vac = math.exp(-2.0)
+    failed = []
+    lo, hi = wilson_interval(est.mean_site_0, est.replicas, 4.0)
+    if not lo <= 1.0 - vac <= hi:
+        failed.append("mean_site_0")
+    if est.k == 0 and not _lag0_check(est, vac * (1.0 - vac))[0]:
+        failed.append("lag0")
+    if est.k in (1, 2, 4):
+        if not _no_vacant_pair_check(est)[0]:
+            failed.append("no_vacant_pair")
+        if not _decorrelation_check(est, cov=-vac * vac)[0]:
+            failed.append("cov")
+    return failed
+
+
+class TestStripKernel:
+    """The windows of _occupancy_pair_chunk against the lazy line, and the law
+    when almost every row takes the exact fallback."""
+
+    @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 13])
+    def test_windows_match_lazy_line(self, monkeypatch, buffer, reflect, k):
+        monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
+        size, w = 1000, buffer + 2
+        strips = np.random.Generator(np.random.Philox(90 + k)).random((size, k + 2 * w + 1))
+        if reflect:
+            strips = strips[:, ::-1]
+        occ0, occk, fallback = _occupancy_pair_chunk(size, np.random.Generator(np.random.Philox(90 + k)), k,
+                                                     WINDOW_CAP, reflect)
+        rng = np.random.Generator(np.random.Philox(0))
+        for row in range(size):
+            line = _LazyLine(rng, UNIFORM, strips[row], -w)
+            runs = [line.runs(site, WINDOW_CAP) for site in (0, k)]
+            # a site reads w - 1 rise stops and w descent stops
+            assert fallback[row] == any(rise >= w or desc > w for rise, desc in runs)
+            if not fallback[row]:
+                assert (occ0[row], occk[row]) == tuple(bool(r % 2 or d % 2) for r, d in runs)
+
+    def test_fallback_rows_keep_the_law(self, monkeypatch):
+        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
+        for k in (0, 1, 2, 4):
+            est = autocovariance_mc(k, 20_000, seed=SeedSpec(87, k))
+            assert est.fallback_rows > est.replicas / 2
+            assert _strip_failures(est) == []
+
+    def test_truncated_fallback_fails(self, monkeypatch):
+        # a fallback that stops at the strip edge and calls both sites occupied
+        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
+        monkeypatch.setattr(infinite, "_scalar_occupancy_pair", lambda *args: (True, True))
+        for k in (0, 1, 2, 4):
+            assert _strip_failures(autocovariance_mc(k, 20_000, seed=SeedSpec(87, k)))
+
+    def test_fallback_count_is_thread_independent(self, monkeypatch):
+        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 1)
+        a = autocovariance_mc(3, 40_000, seed=88, threads=1)
+        b = autocovariance_mc(3, 40_000, seed=88, threads=3)
+        assert a == b and a.fallback_rows > 0
