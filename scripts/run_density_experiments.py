@@ -4,8 +4,9 @@
 Reproduces the two headline density tables. Exact values come from the
 rational/float recursion. The finite-n Monte Carlo column samples the law of
 the uniform-draw process in one pass per chunk of replicas
-(finite.simulate_direct_batch); the infinite-line column uses the
-outward-growth sampler. A bad flag value is a usage error (exit 2).
+(finite.simulate_direct_batch); the infinite-line column uses the strip
+window sampler (infinite.sample_runs). A bad flag value is a usage error
+(exit 2).
 
     python scripts/run_density_experiments.py --n-list 10,100 --replicas 20000
 """

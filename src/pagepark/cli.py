@@ -2,7 +2,8 @@
 
 Each subcommand runs a self-contained experiment, writes one table
 (CSV or a JSON envelope) to stdout or --out, and validates its own
-in-run consistency checks.  Exit status is 0 iff every check passed.
+in-run consistency checks.  Exit status: 0 every check passed, 1 a check
+failed, 2 usage error, 3 internal error (RareEventCapError included).
 Progress and check diagnostics go to stderr; stdout carries data only.
 
 Determinism: for a fixed seed and flag set the emitted bytes are
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -35,7 +37,8 @@ from .exact import (
     site_coupling_bound,
 )
 from .finite import classify_site, measure_M_T
-from .infinite import autocovariance_mc, density_at_time_mc
+from . import infinite
+from .infinite import autocovariance_mc
 from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact, verify_lemma1
 from .stats import bernoulli_variance_range, wilson_interval
 from .trials import trials_ratio_sweep
@@ -242,13 +245,10 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     print(
         f"density-curve: {len(t_grid)} points, {args.replicas} replicas", file=sys.stderr
     )
-    est = density_at_time_mc(
-        t_grid,
-        args.replicas,
-        seed=SeedSpec(args.seed, 0),
-        dist=dist,
-        threads=args.threads,
-    )
+    # looked up on the module at call time, so that a wrapper installed there sees this call
+    runs = infinite.sample_runs(args.replicas, seed=SeedSpec(args.seed, 0), dist=dist, threads=args.threads)
+    print(f"density-curve: {runs.fallback_rows} replicas took the exact fallback", file=sys.stderr)
+    est = runs.density_at_time(t_grid)
     checks = CheckLog()
     rows: list[ResultRow] = []
     for t, closed, mc in zip(t_grid, closed_arr, est):
@@ -593,16 +593,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     elif args.fmt is None:
         args.fmt = "csv"
     run: Callable = args.run
-    rows, checks, params = run(args)
-    config = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        fmt=args.fmt,
-        out=args.out,
-        threads=args.threads,
-        params=params,
-    )
-    emit(rows, config, checks)
+    try:
+        rows, checks, params = run(args)
+        config = RunConfig(
+            command=args.command,
+            seed=args.seed,
+            fmt=args.fmt,
+            out=args.out,
+            threads=args.threads,
+            params=params,
+        )
+        emit(rows, config, checks)
+    except Exception as exc:  # the process boundary: one line and exit 3, never a traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"{args.command}: internal error: {type(exc).__name__}: {exc} "
+              f"({os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return 3
     if not checks.all_passed:
         failed = sum(not e["passed"] for e in checks.entries)
         print(f"{args.command}: {failed} check(s) failed", file=sys.stderr)

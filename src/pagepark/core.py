@@ -22,14 +22,24 @@ DEFAULT_SEED = 42424242
 SEED_ENV_VAR = "PAGEPARK_SEED"
 
 
+def _stream(seq: np.random.SeedSequence) -> np.random.Generator:
+    """The one bit generator behind every stream: PCG64DXSM, which draws
+    doubles about twice as fast as Philox. A stream's output is fixed by the
+    generator and its SeedSequence, so changing it changes every Monte Carlo
+    table. (np.random is looked up on call, so importing the package does not
+    load it.)"""
+    return np.random.Generator(np.random.PCG64DXSM(seq))
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Addresses one deterministic RNG stream.
 
-    Streams are Philox counter-based generators keyed through
-    SeedSequence(master_seed, spawn_key=(replica_index,)), so distinct replica
-    indices give statistically independent streams and identical specs give
-    bit-identical draws on every platform.
+    SeedSpec(m, r) is the _stream seeded by SeedSequence(m,
+    spawn_key=(r,)); job c of a map_streams call seeded with it draws from the
+    child SeedSequence(m, spawn_key=(r, c)). Distinct specs give statistically
+    independent streams, and identical specs give bit-identical draws on every
+    platform.
     """
 
     master_seed: int
@@ -39,7 +49,7 @@ class SeedSpec:
         return np.random.SeedSequence(self.master_seed, spawn_key=(self.replica_index,))
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(self.sequence()))
+        return _stream(self.sequence())
 
 
 def _as_spec(seed: int | SeedSpec) -> SeedSpec:
@@ -65,7 +75,7 @@ def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int
     children = _as_spec(seed).sequence().spawn(len(jobs))
 
     def run(c: int):
-        return fn(jobs[c], np.random.Generator(np.random.Philox(children[c])))
+        return fn(jobs[c], _stream(children[c]))
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -10,8 +10,15 @@ length s'). Site 0 is vacant iff s and s' are both even, and its arrival time is
           = min(xi_{-1}, xi_0) if both are odd
           = +inf     if both are even.
 
+Both batch estimators, sample_runs and autocovariance_mc, draw one strip of
+uniform marks per chunk, transposed so that each slot is a contiguous row over
+the replicas, and read a site's runs from the marks within w = _STRIP_BUFFER + 2
+of it with one classifier (_site_runs). A replica whose run does not stop
+inside that window is finished exactly on the lazy line, so no run is cut off.
+
 Run lengths have 1/l! tails, so windows stay tiny; the cap exists only to turn
 an astronomically unlikely runaway into a loud error instead of silent bias.
+On every path, a run longer than the cap raises RareEventCapError.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from .stats import MCEstimate, proportion_estimate
 WINDOW_CAP = 10_000  # generated indices per side before aborting loudly
 _CHUNK = 1 << 15  # replicas per stream in sample_runs
 _AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
-_STRIP_BUFFER = 6  # autocovariance sites read marks within _STRIP_BUFFER + 2; 6 timed fastest of 3..12
+_STRIP_BUFFER = 6  # strip sites read marks within _STRIP_BUFFER + 2; 6 timed fastest of 3..12
 
 
 class RareEventCapError(RuntimeError):
@@ -119,47 +126,17 @@ def sample_site_infinite(
     )
 
 
-def _run_lengths_batch(
-    rng: np.random.Generator,
-    dist: ArrivalDistribution,
-    size: int,
-    cap: int,
-    left_side: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run length and first mark for one side of `size` replicas.
-
-    Right side: length = first j >= 1 with xi_{j-1} <= xi_j. Left side mirrors
-    it with the tie broken the other way (smaller slot index acts first)."""
-    first = dist.ppf(rng.random(size))
-    length = np.ones(size, dtype=np.int64)
-    prev = first.copy()
-    alive = np.arange(size)
-    j = 1
-    while alive.size:
-        if j > cap:
-            raise RareEventCapError(f"run exceeded cap {cap} for {alive.size} replicas")
-        draws = dist.ppf(rng.random(alive.size))
-        if left_side:
-            cont = draws <= prev[alive]
-        else:
-            cont = prev[alive] > draws
-        stopped = alive[~cont]
-        length[stopped] = j
-        keep = alive[cont]
-        prev[keep] = draws[cont]
-        alive = keep
-        j += 1
-    return length, first
-
-
 @dataclass(frozen=True, eq=False)
 class RunsSample:
-    """Batched (rise, descent, xi_-1, xi_0) draws for site 0."""
+    """Batched (rise, descent, xi_-1, xi_0) draws for site 0; fallback_rows
+    counts the replicas whose runs outgrew the strip window and were finished
+    on the lazy line."""
 
     rise: np.ndarray
     descent: np.ndarray
     xi_left: np.ndarray
     xi_right: np.ndarray
+    fallback_rows: int = 0
 
     @property
     def replicas(self) -> int:
@@ -170,21 +147,63 @@ class RunsSample:
         return (self.rise % 2 == 0) & (self.descent % 2 == 0)
 
     def tau(self) -> np.ndarray:
-        rise_odd = self.rise % 2 == 1
-        desc_odd = self.descent % 2 == 1
-        tau = np.full(self.replicas, np.inf)
-        tau[rise_odd] = self.xi_left[rise_odd]
-        only_desc = desc_odd & ~rise_odd
-        tau[only_desc] = self.xi_right[only_desc]
-        both = rise_odd & desc_odd
-        tau[both] = np.minimum(self.xi_left[both], self.xi_right[both])
-        return tau
+        covered_right = np.where(self.descent & 1, self.xi_right, np.inf)
+        return np.minimum(covered_right, np.where(self.rise & 1, self.xi_left, np.inf))
+
+    def density_at_time(self, t_grid) -> list[MCEstimate]:
+        """P(tau_0 <= t) for each t of the grid, from this one batch, so the
+        estimated curve is exactly nondecreasing in t."""
+        tau = self.tau()
+        return [proportion_estimate(int(np.count_nonzero(tau <= t)), self.replicas) for t in np.atleast_1d(t_grid)]
+
+
+# _FIRST_STOP[b] is the length of the run whose stops are the set bits of b
+# (bit j: the run stops at length j + 1), or 0 when no bit is set.
+_FIRST_STOP = np.array([0] + [(b & -b).bit_length() for b in range(1, 256)], dtype=np.int64)
+_STOP_BITS = 8  # stops one packed byte holds, so the largest window
+
+
+def _pack_stops(rows: list[np.ndarray]) -> np.ndarray:
+    """Bit j of each replica's byte is rows[j] (at most _STOP_BITS rows)."""
+    bits = rows[0].astype(np.uint8)
+    shifted = np.empty_like(bits)
+    for j in range(1, len(rows)):
+        np.left_shift(rows[j].view(np.uint8), j, out=shifted)
+        bits |= shifted
+    return bits
+
+
+def _site_runs(asc: np.ndarray, c: int, w: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rise and descent lengths at strip row c, one per replica, read from the
+    w descent stops and the w - 1 rise stops around it, and a flag for the
+    replicas whose runs outgrew that window (their lengths are not set).
+
+    asc[r] is the transposed strip's comparison row xi_r <= xi_{r+1} (equal
+    marks: left slot first), so the descent stops at the first j >= 1 with
+    asc[c + j - 1] and the rise at the first j >= 1 with not asc[c - j - 1].
+    An in-window run longer than cap raises RareEventCapError, as the lazy
+    line does for the rows it finishes."""
+    if w > _STOP_BITS:
+        raise ValueError(f"a window of {w} stops does not fit in {_STOP_BITS} bits")
+    descent = _FIRST_STOP[_pack_stops([asc[c + j] for j in range(w)])]
+    rise_bits = _pack_stops([asc[c - 2 - j] for j in range(w - 1)])
+    rise = _FIRST_STOP[~rise_bits & ((1 << (w - 1)) - 1)]
+    if max(rise.max(), descent.max()) > cap:
+        raise RareEventCapError(f"run exceeded cap {cap}")
+    return rise, descent, (rise == 0) | (descent == 0)
 
 
 def _runs_chunk(size: int, rng: np.random.Generator, dist: ArrivalDistribution, cap: int) -> RunsSample:
-    desc, xi_right = _run_lengths_batch(rng, dist, size, cap, left_side=False)
-    rise, xi_left = _run_lengths_batch(rng, dist, size, cap, left_side=True)
-    return RunsSample(rise=rise, descent=desc, xi_left=xi_left, xi_right=xi_right)
+    """Runs at site 0 from one transposed strip of uniform marks over slots
+    -w..w, w = _STRIP_BUFFER + 2; only xi_-1 and xi_0 are mapped through
+    dist. Replicas whose runs outgrow the window continue on the lazy line."""
+    w = _STRIP_BUFFER + 2
+    values = rng.random((2 * w + 1, size))
+    rise, descent, outgrown = _site_runs(values[:-1] <= values[1:], w, w, cap)
+    fallback = np.flatnonzero(outgrown)
+    for row in fallback:  # about 1/w! of the replicas
+        rise[row], descent[row] = _LazyLine(rng, UNIFORM, values[:, row], -w).runs(0, cap)
+    return RunsSample(rise, descent, dist.ppf(values[w - 1]), dist.ppf(values[w]), int(fallback.size))
 
 
 def sample_runs(
@@ -209,6 +228,7 @@ def sample_runs(
         descent=np.concatenate([p.descent for p in parts]),
         xi_left=np.concatenate([p.xi_left for p in parts]),
         xi_right=np.concatenate([p.xi_right for p in parts]),
+        fallback_rows=sum(p.fallback_rows for p in parts),
     )
 
 
@@ -230,13 +250,9 @@ def density_at_time_mc(
     dist: ArrivalDistribution = EXP,
     threads: int = 1,
 ) -> list[MCEstimate]:
-    """P(site 0 occupied by time t) on a grid, one estimate per t.
-
-    A single batch of arrival times serves the whole grid, so the estimated
-    curve is exactly nondecreasing in t."""
-    runs = sample_runs(replicas, seed, dist, threads)
-    tau = runs.tau()
-    return [proportion_estimate(int((tau <= t).sum()), runs.replicas) for t in np.atleast_1d(t_grid)]
+    """P(site 0 occupied by time t) on a grid, one estimate per t, all from
+    one batch (RunsSample.density_at_time)."""
+    return sample_runs(replicas, seed, dist, threads).density_at_time(t_grid)
 
 
 def odd_descent_time_prob_mc(
@@ -286,31 +302,27 @@ def _occupancy_pair_chunk(
     size: int, rng: np.random.Generator, k: int, cap: int, reflect: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Occupancy of sites 0 and k, and the rows sent to the fallback, from one
-    strip of uniform marks per replica over slots -w..k+w, w = _STRIP_BUFFER + 2.
+    transposed strip of uniform marks over slots -w..k+w, w = _STRIP_BUFFER + 2
+    (strip row r holds slot r - w of every replica).
 
-    Each site reads only the marks within w of it; a row where a run does not
-    stop inside its site's window is classified by _scalar_occupancy_pair."""
+    Each site reads only the marks within w of it (_site_runs); a replica
+    whose runs outgrow a site's window is classified by _scalar_occupancy_pair."""
     w = _STRIP_BUFFER + 2
-    values = rng.random((size, k + 2 * w + 1))
+    values = rng.random((k + 2 * w + 1, size))
     if reflect:
-        values = values[:, ::-1]  # mirrored field; site j maps to k - j
-    asc = values[:, :-1] <= values[:, 1:]  # column c compares slots c - w and c - w + 1
-    rows = np.arange(size)
+        values = values[::-1]  # mirrored field; site j maps to k - j
+    asc = values[:-1] <= values[1:]
 
-    def site_occupancy(c: int) -> tuple[np.ndarray, np.ndarray]:
-        # first stop of each run, counted from 0 (run length = index + 1)
-        right = asc[:, c : c + w]  # descent stops: xi_{s+j-1} <= xi_{s+j}, j = 1..w
-        left = ~asc[:, c - w : c - 1][:, ::-1]  # rise stops: xi_{s-j-1} > xi_{s-j}, j = 1..w-1
-        desc = right.argmax(axis=1)
-        rise = left.argmax(axis=1)
-        return (rise & desc & 1) == 0, ~(right[rows, desc] & left[rows, rise])
+    def occupancy(c: int) -> tuple[np.ndarray, np.ndarray]:
+        rise, descent, outgrown = _site_runs(asc, c, w, cap)
+        return ((rise | descent) & 1).astype(bool), outgrown  # occupied iff a run is odd
 
-    occ0, edge0 = site_occupancy(w)
-    occk, edgek = site_occupancy(w + k) if k else (occ0, edge0)
-    edge = edge0 | edgek
-    for row in np.flatnonzero(edge):  # about 2/w! of the rows, kept exact anyway
-        occ0[row], occk[row] = _scalar_occupancy_pair(values[row], k, -w, rng, cap)
-    return occ0, occk, edge
+    occ0, out0 = occupancy(w)
+    occk, outk = occupancy(w + k) if k else (occ0, out0)
+    fallback = out0 | outk
+    for row in np.flatnonzero(fallback):  # about 2/w! of the rows, kept exact anyway
+        occ0[row], occk[row] = _scalar_occupancy_pair(values[:, row], k, -w, rng, cap)
+    return occ0, occk, fallback
 
 
 def autocovariance_mc(

@@ -11,6 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from pagepark import cli, infinite
 from pagepark.cli import (
     _coupon_check,
     _curve_check,
@@ -208,6 +209,38 @@ class TestOutAndErrors:
     def test_checks_reported_on_stderr(self):
         res = run_cli("site-vacancy", "--n", "10")
         assert "check[ok]" in res.stderr
+
+
+class TestExitCodes:
+    """0: every check passed; 1: a check failed; 2: usage error (see
+    TestOutAndErrors); 3: internal error, as one stderr line."""
+
+    def test_pass_is_0(self):
+        assert main(["site-vacancy", "--n", "8"]) == 0
+
+    def test_failed_check_is_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "site_coupling_bound", lambda n, i: -1.0)
+        assert main(["site-vacancy", "--n", "8"]) == 1
+        assert "check[FAIL] centre_near_limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, kernel, error",
+        [
+            (["density-curve", "--replicas", "100", "--threads", "2"], "_runs_chunk", infinite.RareEventCapError),
+            (["autocovariance", "--k-list", "0,3", "--replicas", "100"], "_occupancy_pair_chunk", ZeroDivisionError),
+        ],
+    )
+    def test_internal_error_is_3(self, monkeypatch, capsys, argv, kernel, error):
+        def fail(*args):
+            raise error("planted")
+
+        monkeypatch.setattr(infinite, kernel, fail)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"{argv[0]}: internal error: {error.__name__}: planted (")
 
 
 class TestCheckPower:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pagepark import (
     EXP,
@@ -146,7 +148,7 @@ class TestRunLaws:
         master, r = 66, 5
         runs = sample_runs(_CHUNK + 100, seed=SeedSpec(master, r))
         parts = [
-            _runs_chunk(size, np.random.Generator(np.random.Philox(np.random.SeedSequence(master, spawn_key=(r, c)))),
+            _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c)))),
                         EXP, 10_000)
             for c, size in enumerate((_CHUNK, 100))
         ]
@@ -267,9 +269,47 @@ def _strip_failures(est) -> list[str]:
     return failed
 
 
+class _IntegerMarks:
+    """A stand-in generator whose marks are integers below `levels`, so that
+    equal marks are common and the tie rule decides most runs."""
+
+    def __init__(self, seed: int, levels: int) -> None:
+        self.rng, self.levels = np.random.Generator(np.random.PCG64DXSM(seed)), levels
+
+    def random(self, shape):
+        return self.rng.integers(0, self.levels, shape).astype(np.float64)
+
+
+def _pair_reference(rng, size, k, w, reflect):
+    """What _occupancy_pair_chunk must return, replica by replica, when its
+    generator `rng` has the same state: the strip is drawn transposed, and each
+    replica's sites 0 and k are classified on one lazy line that continues on
+    `rng`, in replica order, exactly as the kernel's fallback does."""
+    strips = rng.random((k + 2 * w + 1, size))
+    if reflect:
+        strips = strips[::-1]
+    occ0, occk, outgrown = [], [], []
+    for row in range(size):
+        line = _LazyLine(rng, UNIFORM, strips[:, row], -w)
+        runs = [line.runs(site, WINDOW_CAP) for site in (0, k)]
+        occ0.append(bool(runs[0][0] % 2 or runs[0][1] % 2))
+        occk.append(bool(runs[1][0] % 2 or runs[1][1] % 2))
+        outgrown.append(any(rise >= w or desc > w for rise, desc in runs))  # w - 1 rise, w descent stops
+    return np.array(occ0), np.array(occk), np.array(outgrown)
+
+
+def _runs_reference(rng, size, w):
+    """Rise and descent lengths _runs_chunk must return for a generator in the
+    same state (see _pair_reference), and the count of replicas whose runs
+    outgrow the window."""
+    strips = rng.random((2 * w + 1, size))
+    runs = np.array([_LazyLine(rng, UNIFORM, strips[:, row], -w).runs(0, WINDOW_CAP) for row in range(size)])
+    return runs[:, 0], runs[:, 1], int(np.count_nonzero((runs[:, 0] >= w) | (runs[:, 1] > w)))
+
+
 class TestStripKernel:
-    """The windows of _occupancy_pair_chunk against the lazy line, and the law
-    when almost every row takes the exact fallback."""
+    """The strip classifier of both estimators against the lazy line, replica
+    by replica, and the law when almost every row takes the exact fallback."""
 
     @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
     @pytest.mark.parametrize("reflect", [False, True])
@@ -277,19 +317,56 @@ class TestStripKernel:
     def test_windows_match_lazy_line(self, monkeypatch, buffer, reflect, k):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
         size, w = 1000, buffer + 2
-        strips = np.random.Generator(np.random.Philox(90 + k)).random((size, k + 2 * w + 1))
-        if reflect:
-            strips = strips[:, ::-1]
-        occ0, occk, fallback = _occupancy_pair_chunk(size, np.random.Generator(np.random.Philox(90 + k)), k,
-                                                     WINDOW_CAP, reflect)
-        rng = np.random.Generator(np.random.Philox(0))
-        for row in range(size):
-            line = _LazyLine(rng, UNIFORM, strips[row], -w)
-            runs = [line.runs(site, WINDOW_CAP) for site in (0, k)]
-            # a site reads w - 1 rise stops and w descent stops
-            assert fallback[row] == any(rise >= w or desc > w for rise, desc in runs)
-            if not fallback[row]:
-                assert (occ0[row], occk[row]) == tuple(bool(r % 2 or d % 2) for r, d in runs)
+        got = _occupancy_pair_chunk(size, np.random.Generator(np.random.PCG64DXSM(90 + k)), k, WINDOW_CAP, reflect)
+        want = _pair_reference(np.random.Generator(np.random.PCG64DXSM(90 + k)), size, k, w, reflect)
+        for g, x in zip(got, want):
+            np.testing.assert_array_equal(g, x)
+
+    @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
+    @pytest.mark.parametrize("dist", [EXP, UNIFORM], ids=["exp", "uniform"])
+    def test_runs_chunk_matches_lazy_line(self, monkeypatch, buffer, dist):
+        monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
+        size, w = 3000, buffer + 2
+        got = _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(91)), dist, WINDOW_CAP)
+        rise, desc, outgrown = _runs_reference(np.random.Generator(np.random.PCG64DXSM(91)), size, w)
+        np.testing.assert_array_equal(got.rise, rise)
+        np.testing.assert_array_equal(got.descent, desc)
+        assert got.fallback_rows == outgrown
+        assert outgrown > 0 or buffer > 1  # narrow windows exercise the fallback
+        # only the two centre marks pass through the quantile transform
+        strips = np.random.Generator(np.random.PCG64DXSM(91)).random((2 * w + 1, size))
+        np.testing.assert_array_equal(got.xi_left, dist.ppf(strips[w - 1]))
+        np.testing.assert_array_equal(got.xi_right, dist.ppf(strips[w]))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 6), st.integers(0, 2), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_tied_integer_marks(self, seed, levels, k, buffer, reflect):
+        w = buffer + 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infinite, "_STRIP_BUFFER", buffer)
+            got = _occupancy_pair_chunk(64, _IntegerMarks(seed, levels), k, WINDOW_CAP, reflect)
+            runs = _runs_chunk(64, _IntegerMarks(seed, levels), UNIFORM, WINDOW_CAP)
+        for g, x in zip(got, _pair_reference(_IntegerMarks(seed, levels), 64, k, w, reflect)):
+            np.testing.assert_array_equal(g, x)
+        rise, desc, outgrown = _runs_reference(_IntegerMarks(seed, levels), 64, w)
+        np.testing.assert_array_equal(runs.rise, rise)
+        np.testing.assert_array_equal(runs.descent, desc)
+        assert runs.fallback_rows == outgrown
+
+    def test_window_wider_than_a_byte_is_refused(self, monkeypatch):
+        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 7)  # w = 9 descent stops
+        with pytest.raises(ValueError):
+            _runs_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), EXP, WINDOW_CAP)
+        with pytest.raises(ValueError):
+            _occupancy_pair_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), 3, WINDOW_CAP, False)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cap_binds_inside_the_window(self, seed):
+        # any run longer than the cap raises, whether or not its row took the fallback
+        with pytest.raises(RareEventCapError):
+            autocovariance_mc(3, 2000, seed=seed, cap=1)
+        with pytest.raises(RareEventCapError):
+            sample_runs(2000, seed=seed, cap=1)
 
     def test_fallback_rows_keep_the_law(self, monkeypatch):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
@@ -310,3 +387,5 @@ class TestStripKernel:
         a = autocovariance_mc(3, 40_000, seed=88, threads=1)
         b = autocovariance_mc(3, 40_000, seed=88, threads=3)
         assert a == b and a.fallback_rows > 0
+        runs = [sample_runs(_CHUNK + 5000, seed=88, threads=t).fallback_rows for t in (1, 3)]
+        assert runs[0] == runs[1] > 0

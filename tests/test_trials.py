@@ -27,7 +27,7 @@ from pagepark.trials import _poissonized_fast, tau_star
 
 
 def _stream(master, *key):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(master, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=key)))
 
 
 class TestPoissonizedReplica:
