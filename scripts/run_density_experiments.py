@@ -3,8 +3,8 @@
 
 Reproduces the two headline density tables. Exact values come from the
 rational/float recursion. The finite-n Monte Carlo column samples the law of
-the uniform-draw process in one pass per chunk of replicas
-(finite.simulate_direct_batch); the infinite-line column uses the strip
+the uniform-draw process with the first-arrival kernel
+(finite.first_arrival_batch); the infinite-line column uses the strip
 window sampler (infinite.sample_runs). A bad flag value is a usage error
 (exit 2).
 
@@ -33,6 +33,8 @@ def main() -> None:
     ap.add_argument("--replicas", type=_replica_count, default=20_000,
                     help="Monte Carlo replicas (>= 2)")
     ap.add_argument("--seed", type=int, default=42424242)
+    ap.add_argument("--threads", type=_at_least(1), default=1,
+                    help="worker threads (default 1); the tables do not depend on it")
     args = ap.parse_args()
 
     n_list = args.n_list
@@ -42,7 +44,7 @@ def main() -> None:
     print(f"# jammed density vs n   (limit 1 - e^-2 = {rho:.10f})")
     print(f"{'n':>8} {'exact E[M]/n':>15} {'mc mean':>12} {'mc stderr':>12} {'n*gap':>10}")
     for idx, n in enumerate(n_list):
-        mt = measure_M_T(n, args.replicas, seed=SeedSpec(args.seed, idx))
+        mt = measure_M_T(n, args.replicas, seed=SeedSpec(args.seed, idx), threads=args.threads)
         em = float(series[n])
         print(
             f"{n:>8} {em / n:>15.10f} {mt.m_stats.mean / n:>12.8f} "
@@ -52,7 +54,7 @@ def main() -> None:
 
     t_grid = args.t_grid
     closed = density_curve_closed_form(t_grid)
-    est = density_at_time_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 1000))
+    est = density_at_time_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 1000), threads=args.threads)
     print("# site occupancy at time t on the line   (closed form 1 - e^{-2F(t)})")
     print(f"{'t':>6} {'closed':>12} {'mc':>12} {'stderr':>10} {'z':>7}")
     for t, c, e in zip(t_grid, closed, est):

@@ -208,7 +208,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
             em = float(series[n])
             exact = em
         print(f"density-convergence: n={n} ({args.replicas} replicas)", file=sys.stderr)
-        mt = measure_M_T(n, args.replicas, seed=SeedSpec(args.seed, idx))
+        mt = measure_M_T(n, args.replicas, seed=SeedSpec(args.seed, idx), threads=args.threads)
         density_gap = abs(em / n - rho)
         rows.append(
             ResultRow(

@@ -65,6 +65,12 @@ def as_generator(rng: np.random.Generator | SeedSpec | int | None = None) -> np.
     return _as_spec(DEFAULT_SEED if rng is None else rng).generator()
 
 
+def chunk_sizes(total: int, chunk: int) -> list[int]:
+    """total split into chunks of `chunk`, the last one partial: the job list
+    of every chunked kernel, fixed by its inputs so never by `threads`."""
+    return [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
+
+
 def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int = 1) -> list:
     """[fn(job, rng) for job in jobs], in job order, each job on its own stream.
 

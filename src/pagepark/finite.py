@@ -10,9 +10,10 @@ Poisson process on (xi_s, inf) independent of xi, so the draw count is
 
     T = #{s : xi_s <= tau*} + Poisson(sum_s (tau* - xi_s)^+)
 
-exactly (the superposition identity of trials.py). simulate_direct_batch
-computes (M, T) this way, one pass per chunk of replicas; simulate_direct runs
-the draws one by one and is the reference.
+exactly (the superposition identity). first_arrival_batch computes (M, T,
+tau*) this way and is the one fast kernel for all three; simulate_direct runs
+the draws one by one and trials.simulate_poissonized runs every arrival, and
+both stay independent references.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -32,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, ParkingConfiguration, PriorityField, SeedSpec, as_generator
+from .core import DEFAULT_SEED, ParkingConfiguration, PriorityField, SeedSpec, as_generator, chunk_sizes, map_streams
 from .stats import SampleStats
 
-_CHUNK_MARKS = 1 << 14  # marks per chunk of simulate_direct_batch; small keeps peak memory flat
+_CHUNK_MARKS = 1 << 14  # marks per first_arrival_batch job; small keeps peak memory flat
+_SCAN_SITES = 1000  # longer rows find tau* by the tau_star scan: the T-only crossover is 700-1000 on 2 vCPUs
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,33 @@ def tau_star_rows(xi: np.ndarray, occ: np.ndarray) -> np.ndarray:
     return np.where(car_slot_mask(occ)[..., :-1], xi, -np.inf).max(axis=-1)
 
 
+def tau_star(xi: np.ndarray) -> float:
+    """Jamming time of one first-arrival field xi over slots 1..n-1, without
+    classifying every site.
+
+    Slots are visited in decreasing mark order, k at a time (argpartition, then
+    a sort of the top k); the first one that holds a car gives tau*. Every slot
+    not yet visited has a mark no larger, so the result is exact. Slot s holds
+    a car iff the ascending run ending at it (the rise at site s+1) and the
+    descending run starting at it (the descent at site s) both have odd length,
+    with the package tie rule (left slot first). For i.i.d. marks the scan stops
+    after O(1) candidates, each costing two O(1) runs."""
+    xi = np.asarray(xi, dtype=np.float64)
+    m = xi.size
+    if m < 1:
+        raise ValueError("need at least one slot")
+    k = min(m, 32)
+    while True:
+        top = np.argpartition(xi, m - k)[m - k:]
+        for s in top[np.argsort(xi[top])[::-1]] + 1:
+            rise = rise_descent_at(xi, s + 1).rise_length
+            if rise % 2 and rise_descent_at(xi, s).descent_length % 2:
+                return float(xi[s - 1])
+        if k == m:
+            raise AssertionError("a nonempty interval always holds a car")
+        k = min(m, 8 * k)
+
+
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> JammedOutcome:
     """Run the uniform-draw process on n sites until jamming.
 
@@ -218,74 +247,80 @@ def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -
     return JammedOutcome(config=config, M=m, T=t)
 
 
+def _draw_counts(xi: np.ndarray, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """T of each row of first-arrival fields xi, shape (rows, n-1), with
+    jamming times tau: the superposition identity of the module docstring.
+    sum_s (tau* - xi_s)^+ is taken as tau* #below - (sum of all marks - those
+    above), so only a mask the size of xi is allocated."""
+    above = xi > tau[:, None]
+    below = xi.shape[1] - np.count_nonzero(above, axis=1)
+    mean_later = tau * below - (xi.sum(axis=1) - xi.sum(axis=1, where=above))
+    # rounding can leave a mean a few ulp below an exact 0 (ties, n = 2, 3)
+    return below + rng.poisson(np.maximum(mean_later, 0.0))
+
+
+def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
+    """(M or None, T, tau*) of `rows` replicas on n sites, from one draw of
+    their first-arrival fields. Rows of up to _SCAN_SITES sites find tau* in
+    the classified 2-D block; longer rows scan for it (tau_star) and are
+    classified only when M is wanted."""
+    n, rows, want_m = job
+    xi = rng.standard_exponential((rows, n - 1))
+    scan = n > _SCAN_SITES
+    occ = occupancy_profile(xi) if want_m or not scan else None
+    tau = np.array([tau_star(row) for row in xi]) if scan else tau_star_rows(xi, occ)
+    return (occ.sum(axis=1) if want_m else None), _draw_counts(xi, tau, rng), tau
+
+
+def first_arrival_batch(
+    n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1, want_m: bool = True
+) -> list[tuple]:
+    """(M or None, T, tau*) for `replicas` replicas of each n, as int64, int64
+    and float64 arrays: the law of the uniform-draw process, its draw count and
+    its jamming time (see the module docstring).
+
+    Each row is split into jobs of about _CHUNK_MARKS marks (at least one
+    replica), numbered across rows; job c of seed SeedSpec(m, r) draws from
+    map_streams' stream (m, (r, c)), so results depend on neither `threads`
+    nor the rows after a row."""
+    for n in n_list:
+        if n < 2:
+            raise ValueError("need n >= 2 sites")
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
+    sizes = [chunk_sizes(replicas, max(1, _CHUNK_MARKS // (n - 1))) for n in n_list]
+    jobs = [(n, size, want_m) for n, row in zip(n_list, sizes) for size in row]
+    parts = iter(map_streams(_first_arrival_chunk, seed, jobs, threads))
+    out = []
+    for row in sizes:
+        m, t, tau = zip(*(next(parts) for _ in row))
+        out.append((np.concatenate(m) if want_m else None, np.concatenate(t), np.concatenate(tau)))
+    return out
+
+
 def simulate_direct_batch(
-    n: int, replicas: int, rng: np.random.Generator
+    n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Law of (M, T) of the uniform-draw process across replicas, in one pass
-    per chunk of replicas; returns int64 arrays (M, T).
-
-    Each replica draws its first-arrival field xi (one unit-rate Poisson
-    stream per slot), which fixes the jammed configuration, M and tau*; the
-    later arrivals up to tau* are one Poisson draw (see the module docstring).
-    Exactly the law of simulate_direct, which stays the draw-by-draw
-    reference. Chunks hold about _CHUNK_MARKS marks, at least one replica."""
-    if n < 2:
-        raise ValueError("need n >= 2 sites")
-    rows = max(1, _CHUNK_MARKS // (n - 1))
-    m_out = np.empty(replicas, dtype=np.int64)
-    t_out = np.empty(replicas, dtype=np.int64)
-    for lo in range(0, replicas, rows):
-        hi = min(lo + rows, replicas)
-        xi = rng.standard_exponential((hi - lo, n - 1))
-        occ = occupancy_profile(xi)
-        tau = tau_star_rows(xi, occ)[:, None]
-        m_out[lo:hi] = occ.sum(axis=1)
-        later = rng.poisson(np.maximum(tau - xi, 0.0).sum(axis=1))
-        t_out[lo:hi] = np.count_nonzero(xi <= tau, axis=1) + later
-    return m_out, t_out
-
-
-def sample_M_batch(n: int, replicas: int, rng: np.random.Generator) -> np.ndarray:
-    """M samples from the priority-field construction via the vectorised
-    classifier. Occupancy depends on the marks only through their ordering, so
-    raw uniforms serve as marks."""
-    u = rng.random((replicas, n - 1))
-    return occupancy_profile(u).sum(axis=1)
+    """Law of (M, T) of the uniform-draw process across replicas, as int64
+    arrays: one row of first_arrival_batch. Exactly the law of
+    simulate_direct, which stays the draw-by-draw reference."""
+    m, t, _ = first_arrival_batch([n], replicas, seed, threads)[0]
+    return m, t
 
 
 @dataclass(frozen=True)
 class MeasuredMT:
-    """Replica statistics of M (and T when the method provides draws)."""
+    """Replica statistics of M and T."""
 
     n: int
-    method: str
     m_stats: SampleStats
-    t_stats: SampleStats | None
+    t_stats: SampleStats
 
 
-def measure_M_T(
-    n: int,
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    method: str = "direct",
-) -> MeasuredMT:
-    """Aggregate independent jamming replicas.
-
-    method "direct" samples the law of (M, T) of the uniform-draw process with
-    simulate_direct_batch and reports both; method "priorities" samples the
-    priority-field construction and reports M only."""
+def measure_M_T(n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1) -> MeasuredMT:
+    """Statistics of (M, T) over independent replicas of the uniform-draw
+    process, from simulate_direct_batch."""
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    rng = as_generator(seed)
-    if method == "direct":
-        m, t = simulate_direct_batch(n, replicas, rng)
-        return MeasuredMT(
-            n=n,
-            method=method,
-            m_stats=SampleStats.from_samples(m),
-            t_stats=SampleStats.from_samples(t),
-        )
-    if method == "priorities":
-        m = sample_M_batch(n, replicas, rng)
-        return MeasuredMT(n=n, method=method, m_stats=SampleStats.from_samples(m), t_stats=None)
-    raise ValueError(f"unknown method {method!r}")
+    m, t = simulate_direct_batch(n, replicas, seed, threads)
+    return MeasuredMT(n=n, m_stats=SampleStats.from_samples(m), t_stats=SampleStats.from_samples(t))

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, EXP, UNIFORM, ArrivalDistribution, PriorityField, SeedSpec, as_generator, map_streams
+from .core import (
+    DEFAULT_SEED, EXP, UNIFORM, ArrivalDistribution, PriorityField, SeedSpec, as_generator, chunk_sizes, map_streams,
+)
 from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # generated indices per side before aborting loudly
@@ -38,10 +40,6 @@ _STRIP_BUFFER = 6  # strip sites read marks within _STRIP_BUFFER + 2; 6 timed fa
 
 class RareEventCapError(RuntimeError):
     """A window or run outgrew the configured cap (never silently truncated)."""
-
-
-def _chunk_sizes(replicas: int, chunk: int) -> list[int]:
-    return [chunk] * (replicas // chunk) + ([replicas % chunk] if replicas % chunk else [])
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +219,7 @@ def sample_runs(
     if replicas < 1:
         raise ValueError("need at least 1 replica")
     parts = map_streams(
-        lambda size, rng: _runs_chunk(size, rng, dist, cap), seed, _chunk_sizes(replicas, _CHUNK), threads
+        lambda size, rng: _runs_chunk(size, rng, dist, cap), seed, chunk_sizes(replicas, _CHUNK), threads
     )
     return RunsSample(
         rise=np.concatenate([p.rise for p in parts]),
@@ -345,7 +343,7 @@ def autocovariance_mc(
     parts = map_streams(
         lambda size, rng: _occupancy_pair_chunk(size, rng, k, cap, reflected),
         seed,
-        _chunk_sizes(replicas, _AUTOCOV_CHUNK),
+        chunk_sizes(replicas, _AUTOCOV_CHUNK),
         threads,
     )
     x = np.concatenate([p[0] for p in parts]).astype(np.float64)

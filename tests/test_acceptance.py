@@ -25,9 +25,9 @@ from pagepark import (
     expected_M,
     expected_M_series,
     odd_descent_prob_closed_form,
+    occupancy_profile,
     odd_descent_time_prob_mc,
     per_site_vacancy_exact,
-    sample_M_batch,
     simulate_direct,
     simulate_poissonized,
     trials_ratio_sweep,
@@ -186,12 +186,13 @@ def test_criterion_08_trials_sweep():
 
 
 def test_criterion_09_construction_equivalence():
-    # the direct side runs the draws one by one: the batch kernel is built
-    # from the priority field, so it would compare the classifier with itself
+    # the direct side runs the draws one by one: the first-arrival kernel is
+    # built from the priority field, so it would compare the classifier with
+    # itself; the priority side classifies uniform marks and never calls it
     n, reps = 6, 100_000
     rng = SeedSpec(424211).generator()
     direct = [simulate_direct(n, rng) for _ in range(reps)]
-    m_prio = sample_M_batch(n, reps, SeedSpec(424212).generator())
+    m_prio = occupancy_profile(SeedSpec(424212).generator().random((reps, n - 1))).sum(axis=1)
     _, _, p_m = chi_square_two_sample(
         dict(collections.Counter(o.M for o in direct)),
         dict(collections.Counter(int(x) for x in m_prio)),

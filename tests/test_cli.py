@@ -117,7 +117,7 @@ class TestDeterminism:
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
 
-    @pytest.mark.parametrize("command", ["trials", "density-curve", "autocovariance"])
+    @pytest.mark.parametrize("command", ["trials", "density-curve", "autocovariance", "density-convergence"])
     def test_threads_do_not_change_bytes(self, command):
         a = run_cli(*INVOCATIONS[command], "--threads", "1", "--format", "json")
         b = run_cli(*INVOCATIONS[command], "--threads", "4", "--format", "json")
@@ -317,14 +317,14 @@ class TestCheckPower:
         ok, detail = _mean_check(n, SampleStats.from_samples([222, 222]), 222.0)
         assert not ok and "no spread in 2 replicas" in detail
 
-    @pytest.mark.parametrize("seed", ["1", "6"])
+    @pytest.mark.parametrize("seed", ["1", "7"])
     def test_no_spread_density_convergence(self, seed):
-        # seed 1 is the command that failed against the old 1e-9 band (it drew
-        # M = 4 twice); seed 6 now draws M = 2 twice, so the exact-sd band is used
+        # seed 1 is the command that failed against the old 1e-9 band; it
+        # draws M = 4 twice, and seed 7 draws M = 2 twice, so both use the
+        # exact-sd band
         res = run_cli("density-convergence", "--n-list", "4", "--replicas", "2", "--seed", seed)
         assert res.returncode == 0, res.stderr
-        if seed == "6":
-            assert "no spread" in res.stderr
+        assert "no spread" in res.stderr
 
     def test_all_hits_no_longer_fails(self):
         # with 2 replicas both hit at t = 4: the Wald band was 4 * 1e-150 wide
@@ -372,7 +372,8 @@ class TestDensityScript:
         "argv",
         [["--replicas", v] for v in ("1", "0", "many")]
         + [["--n-list", v] for v in ("1", "10,1", ",", "ten")]
-        + [["--t-grid", v] for v in ("-1", "nan", "inf", "x")],
+        + [["--t-grid", v] for v in ("-1", "nan", "inf", "x")]
+        + [["--threads", v] for v in ("0", "x")],
     )
     def test_bad_values_are_usage_errors(self, argv):
         res = self.run(*argv)
@@ -381,10 +382,14 @@ class TestDensityScript:
         assert "Traceback" not in res.stderr and argv[0] in res.stderr
 
     def test_small_run_prints_both_tables(self):
-        res = self.run("--n-list", "10,20", "--t-grid", "1", "--replicas", "200")
+        # 4000 replicas are three kernel jobs at n = 10, so --threads 2 splits them
+        argv = ("--n-list", "10,20", "--t-grid", "1", "--replicas", "4000")
+        res = self.run(*argv)
         assert res.returncode == 0, res.stderr
         rows = [line.split()[0] for line in res.stdout.splitlines() if line and not line.startswith("#")]
         assert rows == ["n", "10", "20", "t", "1.00"]
+        threaded = self.run(*argv, "--threads", "2")
+        assert threaded.returncode == 0 and threaded.stdout == res.stdout
 
 
 class TestAuditScript:

@@ -14,11 +14,11 @@ from pagepark import (
     construct_from_priorities,
     distribution_M,
     expected_M,
+    first_arrival_batch,
     measure_M_T,
     occupancy_profile,
     recount_free_pairs,
     rise_descent_at,
-    sample_M_batch,
     sample_priority_field,
     simulate_direct,
     simulate_direct_batch,
@@ -26,10 +26,9 @@ from pagepark import (
     weak_orderings,
 )
 from pagepark import finite
-from pagepark.finite import car_slot_mask, tau_star_rows
+from pagepark.finite import car_slot_mask, tau_star, tau_star_rows
 from pagepark.oracle import CHAIN_CAP, expected_T_exact, park_in_rank_order
 from pagepark.stats import SampleStats
-from pagepark.trials import tau_star
 
 # seed-driven random fields keep hypothesis shrinking useful while the
 # marks themselves stay continuous (ties have probability ~ n 2^-53)
@@ -204,14 +203,14 @@ class TestDirectProcess:
         # on the laws of M and of T (n = 6, where M takes two values)
         n, reps = 6, 20_000
         single = [simulate_direct(n, rng=SeedSpec(1234, i)) for i in range(reps)]
-        batch_m, batch_t = simulate_direct_batch(n, reps, SeedSpec(5678).generator())
+        batch_m, batch_t = simulate_direct_batch(n, reps, SeedSpec(5678))
         for ref, got in (([o.M for o in single], batch_m), ([o.T for o in single], batch_t)):
             _, _, p = _chi2(collections.Counter(ref), collections.Counter(got.tolist()))
             assert p > 0.001
 
     def test_batch_m_matches_exact_law(self):
         n, reps = 6, 40_000
-        m_batch, _ = simulate_direct_batch(n, reps, SeedSpec(97).generator())
+        m_batch, _ = simulate_direct_batch(n, reps, SeedSpec(97))
         law = distribution_M(n).probs
         counts = collections.Counter(m_batch.tolist())
         assert set(counts) <= set(law)
@@ -221,8 +220,9 @@ class TestDirectProcess:
             assert abs(got - float(p)) <= 5 * sigma
 
     def test_priorities_m_matches_exact_law(self):
+        # the classifier on uniform marks: only their ordering matters
         n, reps = 6, 40_000
-        m = sample_M_batch(n, reps, SeedSpec(98).generator())
+        m = occupancy_profile(SeedSpec(98).generator().random((reps, n - 1))).sum(axis=1)
         law = distribution_M(n).probs
         counts = collections.Counter(int(x) for x in m)
         for mm, p in law.items():
@@ -231,20 +231,10 @@ class TestDirectProcess:
             assert abs(got - float(p)) <= 5 * sigma
 
 
-def _one_chunk_kernel(tau_of, first_arrivals: bool = True):
-    """The one-pass kernel on a single chunk, with tau* taken by
-    tau_of(xi, occ); without first_arrivals it drops the #{xi_s <= tau*} term."""
-
-    def kernel(n: int, replicas: int, rng: np.random.Generator):
-        xi = rng.standard_exponential((replicas, n - 1))
-        occ = occupancy_profile(xi)
-        tau = tau_of(xi, occ)[:, None]
-        t = rng.poisson(np.maximum(tau - xi, 0.0).sum(axis=1))
-        if first_arrivals:
-            t += np.count_nonzero(xi <= tau, axis=1)
-        return occ.sum(axis=1), t
-
-    return kernel
+# the merged law table runs the kernel on each tau* path: _SCAN_SITES = 1
+# sends every n >= 2 through the tau_star scan, CHAIN_CAP keeps n <= CHAIN_CAP
+# in the 2-D classifier
+PATHS = {"scan": 1, "classifier": CHAIN_CAP}
 
 
 def _second_largest_car_mark(xi, occ):
@@ -254,20 +244,38 @@ def _second_largest_car_mark(xi, occ):
     return np.where(np.isfinite(second), second, marks[:, -1])
 
 
+def _on_one_row(tau_of):
+    """A tau_star replacement: tau_of applied to one field."""
+    return lambda xi: float(tau_of(xi[None, :], occupancy_profile(xi[None, :]))[0])
+
+
+_draw_counts = finite._draw_counts
+
+# planted faults, as replacements of the kernel's parts; the tau* faults
+# replace both tau_star (scan path) and tau_star_rows (classifier path)
 PLANTED_FAULTS = {
-    "without_first_arrivals": _one_chunk_kernel(tau_star_rows, first_arrivals=False),
-    "second_largest_car_mark": _one_chunk_kernel(_second_largest_car_mark),
-    "largest_mark_of_all_slots": _one_chunk_kernel(lambda xi, occ: xi.max(axis=1)),
+    "without_first_arrivals": {
+        "_draw_counts": lambda xi, tau, rng: _draw_counts(xi, tau, rng) - np.count_nonzero(xi <= tau[:, None], axis=1),
+    },
+    "second_largest_car_mark": {
+        "tau_star_rows": _second_largest_car_mark,
+        "tau_star": _on_one_row(_second_largest_car_mark),
+    },
+    "largest_mark_of_all_slots": {
+        "tau_star_rows": lambda xi, occ: xi.max(axis=1),
+        "tau_star": lambda xi: float(xi.max()),
+    },
 }
 
 
-def _chain_mean_misses(kernel, reps: int = 20_000, seed: int = 99) -> list:
-    """(n, quantity) for each n in 2..CHAIN_CAP where the kernel's mean M or T
-    misses the exact E[M_n] or chain E[T_n]: by more than 4 stderr, or at all
-    when the sample has no spread (T at n = 2, 3; M at n = 2, 3, 5)."""
+def _chain_mean_misses(reps: int = 6000, seed: int = 99) -> list:
+    """(n, quantity) for each n in 2..CHAIN_CAP where simulate_direct_batch's
+    mean M or T misses the exact E[M_n] or chain E[T_n]: by more than 4
+    stderr, or at all when the sample has no spread (T at n = 2, 3; M at
+    n = 2, 3, 5)."""
     misses = []
     for n in range(2, CHAIN_CAP + 1):
-        m, t = kernel(n, reps, SeedSpec(seed, n).generator())
+        m, t = simulate_direct_batch(n, reps, SeedSpec(seed, n))
         for name, sample, want in (("M", m, expected_M(n)), ("T", t, expected_T_exact(n))):
             st_ = SampleStats.from_samples(sample)
             if abs(st_.mean - float(want)) > 4.0 * st_.stderr:
@@ -275,19 +283,27 @@ def _chain_mean_misses(kernel, reps: int = 20_000, seed: int = 99) -> list:
     return misses
 
 
-def _by_hand(n: int, replicas: int, rng: np.random.Generator):
-    """The one-pass kernel rebuilt from its definition, chunk by chunk, with
-    the 1-D tau* scan of trials.py and a per-row Poisson mean."""
-    rows = max(1, finite._CHUNK_MARKS // (n - 1))
-    ms, ts = [], []
-    for lo in range(0, replicas, rows):
-        xi = rng.standard_exponential((min(rows, replicas - lo), n - 1))
-        taus = [tau_star(row) for row in xi]
-        means = [float(np.sum(np.maximum(tau - row, 0.0))) for tau, row in zip(taus, xi)]
-        later = rng.poisson(means)
-        ms += [int(occupancy_profile(row).sum()) for row in xi]
-        ts += [int(np.count_nonzero(row <= tau)) + int(k) for tau, row, k in zip(taus, xi, later)]
-    return ms, ts
+def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
+    """(M, T, tau*) of each row rebuilt from the definition: rows of n split
+    into jobs of max(1, _CHUNK_MARKS // (n-1)) replicas, numbered c across
+    rows, job c drawing its fields from stream (master, (r, c)); tau* is the
+    largest car mark and the later draws one Poisson draw per row."""
+    c, out = 0, []
+    for n in n_list:
+        per_job = max(1, finite._CHUNK_MARKS // (n - 1))
+        ms, ts, taus = [], [], []
+        for lo in range(0, replicas, per_job):
+            rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c))))
+            c += 1
+            xi = rng.standard_exponential((min(per_job, replicas - lo), n - 1))
+            occ = [occupancy_profile(row) for row in xi]
+            tau = [float(row[car_slots_from_occupancy(o)].max()) for row, o in zip(xi, occ)]
+            later = rng.poisson([float(np.sum(np.maximum(t - row, 0.0))) for t, row in zip(tau, xi)])
+            ms += [int(o.sum()) for o in occ]
+            ts += [int(np.count_nonzero(row <= t)) + int(k) for t, row, k in zip(tau, xi, later)]
+            taus += tau
+        out.append((ms, ts, taus))
+    return out
 
 
 def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
@@ -298,7 +314,8 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
         if kind == "tied":
             v = np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
         elif kind == "sawtooth":
-            # every high slot sits between two lower ones and never holds a car
+            # every high slot sits between two lower ones and never holds a
+            # car, so the scan must look past all of them (beyond its first batch)
             saw = np.empty(2 * v.size + 1)
             saw[0::2] = np.append(v, 0.5)
             saw[1::2] = v + 2.0
@@ -308,12 +325,18 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
 
 
 class TestDirectBatchKernel:
-    def test_means_match_exact_for_every_small_n(self):
-        assert _chain_mean_misses(simulate_direct_batch) == []
+    def test_means_match_exact_for_every_small_n(self, monkeypatch):
+        for path, sites in PATHS.items():
+            monkeypatch.setattr(finite, "_SCAN_SITES", sites)
+            assert _chain_mean_misses() == [], path
 
     @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
-    def test_planted_faults_fail(self, fault):
-        assert _chain_mean_misses(PLANTED_FAULTS[fault]) != []
+    def test_planted_faults_fail(self, monkeypatch, fault):
+        for name, part in PLANTED_FAULTS[fault].items():
+            monkeypatch.setattr(finite, name, part)
+        for path, sites in PATHS.items():
+            monkeypatch.setattr(finite, "_SCAN_SITES", sites)
+            assert _chain_mean_misses() != [], path
 
     @given(
         st.sampled_from(["float", "tied", "sawtooth"]),
@@ -321,35 +344,53 @@ class TestDirectBatchKernel:
         st.integers(min_value=1, max_value=4),
     )
     @example("sawtooth", [i / 40 for i in range(40)], 3)
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_tau_star_rows_equal_scan(self, kind, values, rows):
+        # scan == tau_star_rows == the largest car mark of the classifier
         xi = _mark_rows(kind, values, rows)
-        assert tau_star_rows(xi, occupancy_profile(xi)).tolist() == [tau_star(row) for row in xi]
+        want = [float(row[car_slots_from_occupancy(occupancy_profile(row))].max()) for row in xi]
+        assert [tau_star(row) for row in xi] == want
+        assert tau_star_rows(xi, occupancy_profile(xi)).tolist() == want
 
     @pytest.mark.parametrize(
         "n, replicas",
         [
             (finite._CHUNK_MARKS + 2, 3),  # n - 1 > marks per chunk: one row per chunk
             (6, 2 * (finite._CHUNK_MARKS // 5) + 7),  # a partial last chunk
+            (finite._SCAN_SITES, 40),  # the longest classified row; partial last chunk
+            (finite._SCAN_SITES + 1, 40),  # the shortest scanned row; partial last chunk
         ],
     )
     def test_chunks_equal_rows_built_by_hand(self, n, replicas):
-        m, t = simulate_direct_batch(n, replicas, SeedSpec(61).generator())
-        want_m, want_t = _by_hand(n, replicas, SeedSpec(61).generator())
+        (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
         assert m.dtype == t.dtype == np.int64
-        assert m.tolist() == want_m
-        assert t.tolist() == want_t
+        assert [m.tolist(), t.tolist(), tau.tolist()] == list(_by_hand([n], replicas, 61, 2)[0])
+
+    def test_jobs_numbered_across_rows(self):
+        # job c counts across rows, so each row's streams follow the jobs of
+        # the rows before it; a leading subset of rows reproduces, and an int
+        # seed m is SeedSpec(m, 0)
+        n_list, reps = [6, finite._SCAN_SITES + 1, 40], 25
+        got = first_arrival_batch(n_list, reps, SeedSpec(62, 3), want_m=False)
+        want = _by_hand(n_list, reps, 62, 3)
+        for (m, t, tau), (_, want_t, want_tau) in zip(got, want):
+            assert m is None
+            assert [t.tolist(), tau.tolist()] == [want_t, want_tau]
+        head = first_arrival_batch(n_list[:2], reps, SeedSpec(62, 3), want_m=False)
+        assert all(np.array_equal(x[1], y[1]) for x, y in zip(head, got))
+        a, b = (first_arrival_batch(n_list, reps, s)[2] for s in (62, SeedSpec(62, 0)))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_deterministic_in_seed(self):
-        a = simulate_direct_batch(40, 500, SeedSpec(62).generator())
-        b = simulate_direct_batch(40, 500, SeedSpec(62).generator())
-        c = simulate_direct_batch(40, 500, SeedSpec(63).generator())
+        a = simulate_direct_batch(40, 500, SeedSpec(62), threads=2)
+        b = simulate_direct_batch(40, 500, SeedSpec(62))
+        c = simulate_direct_batch(40, 500, SeedSpec(63))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[1], c[1])
 
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
-            simulate_direct_batch(1, 3, SeedSpec(64).generator())
+            simulate_direct_batch(1, 3, SeedSpec(64))
 
 
 def _chi2(ca, cb):
@@ -363,16 +404,8 @@ class TestMeasure:
         mt = measure_M_T(50, 20_000, seed=SeedSpec(31))
         em = float(expected_M(50))
         assert abs(mt.m_stats.mean - em) <= 5 * mt.m_stats.stderr
-        assert mt.t_stats is not None and mt.t_stats.mean > 0
-
-    def test_priorities_mean_tracks_exact(self):
-        mt = measure_M_T(50, 20_000, seed=SeedSpec(32), method="priorities")
-        em = float(expected_M(50))
-        assert abs(mt.m_stats.mean - em) <= 5 * mt.m_stats.stderr
-        assert mt.t_stats is None
+        assert mt.t_stats.mean > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             measure_M_T(10, 1)
-        with pytest.raises(ValueError):
-            measure_M_T(10, 10, method="nope")

@@ -4,30 +4,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pagepark import (
-    CHAIN_CAP,
     SampleStats,
     SeedSpec,
     car_slots_from_occupancy,
     chi_square_two_sample,
     construct_from_priorities,
-    coupon_collector_mc,
     coupon_collector_mean_exact,
     expected_T_exact,
+    first_arrival_batch,
     occupancy_profile,
     simulate_poissonized,
     tau_star_statistics,
     trials_ratio_sweep,
 )
+from pagepark import finite
 from pagepark.core import PriorityField
-from pagepark.trials import _poissonized_fast, tau_star
-
-
-def _stream(master, *key):
-    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=key)))
+from pagepark.finite import tau_star
 
 
 class TestPoissonizedReplica:
@@ -99,10 +93,6 @@ class TestCouponCollector:
         h100 = sum(1.0 / j for j in range(1, 101))
         assert coupon_collector_mean_exact(100) == pytest.approx(100 * h100)
 
-    def test_mc_matches_exact(self):
-        est = coupon_collector_mc(20, 20_000, seed=92)
-        assert est.within(coupon_collector_mean_exact(20), k_sigma=4.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             coupon_collector_mean_exact(0)
@@ -127,18 +117,16 @@ class TestRatioSweep:
         assert full[0].tau_star_mean == head[0].tau_star_mean
 
     def test_seedspec_seed_starts_stream_indices(self):
-        # replica c of a sweep seeded SeedSpec(m, r), numbered across rows,
-        # draws from SeedSequence(m, spawn_key=(r, c)); an int seed m is
-        # SeedSpec(m, 0)
+        # the sweep is one first_arrival_batch call over all its rows, so its
+        # (row, chunk) jobs are numbered across rows from stream (m, (r, 0));
+        # test_finite rebuilds those streams by hand. A row on each side of
+        # the scan crossover; an int seed m is SeedSpec(m, 0)
         master, r, reps = 94, 7, 20
-        rows = trials_ratio_sweep([300, 400], reps, seed=SeedSpec(master, r))
-        for j, row in enumerate(rows):
-            ts = [
-                _poissonized_fast(row.n, _stream(master, r, j * reps + i)).T
-                for i in range(reps)
-            ]
-            want = SampleStats.from_samples(ts)
-            assert (row.mean_T, row.stderr_T) == (want.mean, want.stderr)
+        n_list = [300, finite._SCAN_SITES + 1]
+        rows = trials_ratio_sweep(n_list, reps, seed=SeedSpec(master, r))
+        for row, (_, t, tau) in zip(rows, first_arrival_batch(n_list, reps, SeedSpec(master, r), want_m=False)):
+            want = SampleStats.from_samples(t)
+            assert (row.mean_T, row.stderr_T, row.tau_star_mean) == (want.mean, want.stderr, float(tau.mean()))
         assert trials_ratio_sweep([300], reps, seed=master) == trials_ratio_sweep(
             [300], reps, seed=SeedSpec(master, 0)
         )
@@ -150,82 +138,20 @@ class TestRatioSweep:
 
 
 class TestFastKernelLaw:
-    def test_fast_t_matches_event_level(self):
-        # the vectorised kernel must reproduce the event-level law of T
+    def test_fast_t_matches_event_level(self, monkeypatch):
+        # the first-arrival kernel must reproduce the event-level law of T on
+        # each tau* path (the scan forced by _SCAN_SITES = 1)
         n, reps = 6, 25_000
-        slow = [simulate_poissonized(n, rng=SeedSpec(96, i)).T for i in range(reps)]
-        row_ts = _fast_ts(n, reps, seed=97)
-        _, _, p = chi_square_two_sample(
-            dict(collections.Counter(slow)), dict(collections.Counter(row_ts))
-        )
-        assert p > 0.001
-
-
-def _mark_field(kind: str, values: list) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if kind == "tied":
-        return np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
-    if kind == "sawtooth":
-        # every high slot sits between two lower ones and never holds a car,
-        # so the scan must look past all of them (beyond its first batch)
-        saw = np.empty(2 * v.size + 1)
-        saw[0::2] = np.append(v, 0.5)
-        saw[1::2] = v + 2.0
-        return saw
-    return v
+        slow = collections.Counter(simulate_poissonized(n, rng=SeedSpec(96, i)).T for i in range(reps))
+        for sites in (1, n):
+            monkeypatch.setattr(finite, "_SCAN_SITES", sites)
+            fast = first_arrival_batch([n], reps, seed=97, want_m=False)[0][1]
+            _, _, p = chi_square_two_sample(dict(slow), dict(collections.Counter(fast.tolist())))
+            assert p > 0.001, sites
 
 
 class TestTauStar:
-    @given(
-        st.sampled_from(["float", "tied", "sawtooth"]),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90),
-    )
-    @example("sawtooth", [i / 40 for i in range(40)])
-    @settings(max_examples=300, deadline=None)
-    def test_equals_classifier_max_car_mark(self, kind, values):
-        xi = _mark_field(kind, values)
-        slots = car_slots_from_occupancy(occupancy_profile(xi))
-        assert tau_star(xi) == float(xi[slots].max())
-
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
             tau_star(np.array([]))
 
-
-def _without_first_arrivals(n: int, rng: np.random.Generator) -> int:
-    """Planted fault: drops the #{xi_s <= tau*} term."""
-    xi = rng.standard_exponential(n - 1)
-    return int(rng.poisson(np.sum(np.maximum(tau_star(xi) - xi, 0.0))))
-
-
-def _second_largest_car_mark(n: int, rng: np.random.Generator) -> int:
-    """Planted fault: takes tau* as the second-largest car mark."""
-    xi = rng.standard_exponential(n - 1)
-    marks = np.sort(xi[car_slots_from_occupancy(occupancy_profile(xi))])
-    tau = marks[-2] if marks.size > 1 else marks[-1]
-    return int(np.count_nonzero(xi <= tau) + rng.poisson(np.sum(np.maximum(tau - xi, 0.0))))
-
-
-def _chain_mean_misses(kernel, reps: int = 3000, seed: int = 98) -> list:
-    """Sizes n in 2..CHAIN_CAP where the kernel's mean T is more than 4 stderr
-    from the absorbing chain's exact E[T_n]."""
-    misses = []
-    for n in range(2, CHAIN_CAP + 1):
-        ts = [kernel(n, SeedSpec(seed + n, i).generator()) for i in range(reps)]
-        st_ = SampleStats.from_samples(ts)
-        if abs(st_.mean - float(expected_T_exact(n))) > 4.0 * st_.stderr:
-            misses.append(n)
-    return misses
-
-
-class TestFastKernelChainMean:
-    def test_mean_t_matches_chain_for_every_small_n(self):
-        assert _chain_mean_misses(lambda n, rng: _poissonized_fast(n, rng).T) == []
-
-    @pytest.mark.parametrize("kernel", [_without_first_arrivals, _second_largest_car_mark])
-    def test_planted_faults_fail(self, kernel):
-        assert _chain_mean_misses(kernel) != []
-
-
-def _fast_ts(n: int, reps: int, seed: int) -> list:
-    return [int(_poissonized_fast(n, SeedSpec(seed, i).generator()).T) for i in range(reps)]
