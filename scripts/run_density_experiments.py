@@ -15,11 +15,11 @@ import math
 
 from pagepark import (
     SeedSpec,
-    density_at_time_mc,
     density_curve_closed_form,
     expected_M_series,
     limit_constants,
     measure_M_T,
+    sample_runs,
 )
 from pagepark.cli import _at_least, _csv_list, _replica_count, _time
 
@@ -54,7 +54,7 @@ def main() -> None:
 
     t_grid = args.t_grid
     closed = density_curve_closed_form(t_grid)
-    est = density_at_time_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 1000), threads=args.threads)
+    est = sample_runs(args.replicas, seed=SeedSpec(args.seed, 1000), threads=args.threads).density_at_time(t_grid)
     print("# site occupancy at time t on the line   (closed form 1 - e^{-2F(t)})")
     print(f"{'t':>6} {'closed':>12} {'mc':>12} {'stderr':>10} {'z':>7}")
     for t, c, e in zip(t_grid, closed, est):

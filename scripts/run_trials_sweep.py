@@ -3,23 +3,30 @@
 
 Also reports the last-parking time tau* (which drives the log n factor:
 draws keep landing on dead slots until the final gap fills) and the exact
-coupon-collector mean over the n-1 slots as a sanity ceiling.
+coupon-collector mean over the n-1 slots as a sanity ceiling. A bad flag
+value is a usage error (exit 2).
+
+    python scripts/run_trials_sweep.py --n-list 1000,10000 --replicas 20
 """
 import argparse
 import math
 
 from pagepark import tau_star_statistics, trials_ratio_sweep
+from pagepark.cli import _at_least, _csv_list, _replica_count
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-list", default="1000,10000,100000,1000000")
-    ap.add_argument("--replicas", type=int, default=100)
+    ap.add_argument("--n-list", type=_csv_list(_at_least(2)), default="1000,10000,100000,1000000",
+                    help="comma-separated interval sizes (>= 2)")
+    ap.add_argument("--replicas", type=_replica_count, default=100,
+                    help="replicas per n (>= 2)")
     ap.add_argument("--seed", type=int, default=42424242)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=_at_least(1), default=1,
+                    help="worker threads (default 1); the tables do not depend on it")
     args = ap.parse_args()
 
-    n_list = [int(x) for x in args.n_list.split(",")]
+    n_list = args.n_list
     rows = trials_ratio_sweep(n_list, args.replicas, seed=args.seed, threads=args.threads)
     print(f"# mean T_n / (n log n)   ({args.replicas} replicas per n)")
     print(f"{'n':>9} {'mean T':>14} {'ratio':>8} {'+-':>7} {'tau*':>7} {'coupon':>14}")

@@ -10,15 +10,17 @@ length s'). Site 0 is vacant iff s and s' are both even, and its arrival time is
           = min(xi_{-1}, xi_0) if both are odd
           = +inf     if both are even.
 
-Both batch estimators, sample_runs and autocovariance_mc, draw one strip of
-uniform marks per chunk, transposed so that each slot is a contiguous row over
-the replicas, and read a site's runs from the marks within w = _STRIP_BUFFER + 2
-of it with one classifier (_site_runs). A replica whose run does not stop
+sample_site_infinite grows one line lazily and is the reference. The two batch
+estimators, sample_runs (site 0: density curve, vacancy, f(t)) and
+autocovariance_mc (sites 0 and k), read one kernel, _strip_runs: per chunk it
+draws one strip of uniform marks, transposed so that each slot is a contiguous
+row over the replicas, and reads each site's runs from the marks within
+w = _STRIP_BUFFER + 2 of it (_site_runs). A replica whose run does not stop
 inside that window is finished exactly on the lazy line, so no run is cut off.
 
-Run lengths have 1/l! tails, so windows stay tiny; the cap exists only to turn
-an astronomically unlikely runaway into a loud error instead of silent bias.
-On every path, a run longer than the cap raises RareEventCapError.
+Run lengths have 1/l! tails, so windows stay tiny; WINDOW_CAP exists only to
+turn an astronomically unlikely runaway into a loud error instead of silent
+bias. On every path, a run longer than WINDOW_CAP raises RareEventCapError.
 """
 from __future__ import annotations
 
@@ -32,14 +34,14 @@ from .core import (
 )
 from .stats import MCEstimate, proportion_estimate
 
-WINDOW_CAP = 10_000  # generated indices per side before aborting loudly
+WINDOW_CAP = 10_000  # longest run before aborting loudly; read at call time
 _CHUNK = 1 << 15  # replicas per stream in sample_runs
 _AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
 _STRIP_BUFFER = 6  # strip sites read marks within _STRIP_BUFFER + 2; 6 timed fastest of 3..12
 
 
 class RareEventCapError(RuntimeError):
-    """A window or run outgrew the configured cap (never silently truncated)."""
+    """A run outgrew WINDOW_CAP (never silently truncated)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +86,12 @@ class _LazyLine:
             self.marks[self.hi] = float(self.dist.ppf(self.rng.random(1))[0])
         return self.marks[idx]
 
-    def runs(self, site: int, cap: int) -> tuple[int, int]:
+    def runs(self, site: int) -> tuple[int, int]:
         """(rise, descent) at `site`: the descent ends at the first j >= 1 with
         xi_{site+j-1} <= xi_{site+j}, the rise at the first j >= 1 with
         xi_{site-j-1} > xi_{site-j} (equal marks: left slot first). The right
         side is walked first."""
+        cap = WINDOW_CAP
         desc = 1
         while desc <= cap and not self(site + desc - 1) <= self(site + desc):
             desc += 1
@@ -105,7 +108,6 @@ class _LazyLine:
 def sample_site_infinite(
     dist: ArrivalDistribution = EXP,
     rng: np.random.Generator | SeedSpec | None = None,
-    cap: int = WINDOW_CAP,
 ) -> WindowSample:
     """Sample one window around site 0; marks are generated lazily outward.
 
@@ -113,7 +115,7 @@ def sample_site_infinite(
     xi_-2, ...), so a seed reproduces the sample bit for bit. Equal marks are
     ordered by slot index (left slot first), as everywhere in the package."""
     line = _LazyLine(as_generator(rng), dist)
-    rise, desc = line.runs(0, cap)
+    rise, desc = line.runs(0)
     one = RunsSample(*(np.array([x]) for x in (rise, desc, line(-1), line(0))))
     return WindowSample(
         xi_window=PriorityField([line(i) for i in range(-rise - 1, desc + 1)], index_offset=-rise - 1),
@@ -154,10 +156,19 @@ class RunsSample:
         tau = self.tau()
         return [proportion_estimate(int(np.count_nonzero(tau <= t)), self.replicas) for t in np.atleast_1d(t_grid)]
 
+    def odd_descent_time_prob(self, t_grid) -> list[MCEstimate]:
+        """f(t) = P(xi_0 <= t and the descent at 0 is odd) for each t of the grid."""
+        odd = self.descent % 2 == 1
+        return [
+            proportion_estimate(int(np.count_nonzero(odd & (self.xi_right <= t))), self.replicas)
+            for t in np.atleast_1d(t_grid)
+        ]
+
 
 # _FIRST_STOP[b] is the length of the run whose stops are the set bits of b
-# (bit j: the run stops at length j + 1), or 0 when no bit is set.
-_FIRST_STOP = np.array([0] + [(b & -b).bit_length() for b in range(1, 256)], dtype=np.int64)
+# (bit j: the run stops at length j + 1), or 0 when no bit is set. Run lengths
+# are stored in its dtype, int16, which holds every length up to WINDOW_CAP.
+_FIRST_STOP = np.array([0] + [(b & -b).bit_length() for b in range(1, 256)], dtype=np.int16)
 _STOP_BITS = 8  # stops one packed byte holds, so the largest window
 
 
@@ -171,7 +182,7 @@ def _pack_stops(rows: list[np.ndarray]) -> np.ndarray:
     return bits
 
 
-def _site_runs(asc: np.ndarray, c: int, w: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _site_runs(asc: np.ndarray, c: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rise and descent lengths at strip row c, one per replica, read from the
     w descent stops and the w - 1 rise stops around it, and a flag for the
     replicas whose runs outgrew that window (their lengths are not set).
@@ -179,29 +190,46 @@ def _site_runs(asc: np.ndarray, c: int, w: int, cap: int) -> tuple[np.ndarray, n
     asc[r] is the transposed strip's comparison row xi_r <= xi_{r+1} (equal
     marks: left slot first), so the descent stops at the first j >= 1 with
     asc[c + j - 1] and the rise at the first j >= 1 with not asc[c - j - 1].
-    An in-window run longer than cap raises RareEventCapError, as the lazy
-    line does for the rows it finishes."""
+    An in-window run longer than WINDOW_CAP raises RareEventCapError, as the
+    lazy line does for the rows it finishes."""
     if w > _STOP_BITS:
         raise ValueError(f"a window of {w} stops does not fit in {_STOP_BITS} bits")
     descent = _FIRST_STOP[_pack_stops([asc[c + j] for j in range(w)])]
     rise_bits = _pack_stops([asc[c - 2 - j] for j in range(w - 1)])
     rise = _FIRST_STOP[~rise_bits & ((1 << (w - 1)) - 1)]
-    if max(rise.max(), descent.max()) > cap:
-        raise RareEventCapError(f"run exceeded cap {cap}")
+    if max(rise.max(), descent.max()) > WINDOW_CAP:
+        raise RareEventCapError(f"run exceeded cap {WINDOW_CAP}")
     return rise, descent, (rise == 0) | (descent == 0)
 
 
-def _runs_chunk(size: int, rng: np.random.Generator, dist: ArrivalDistribution, cap: int) -> RunsSample:
-    """Runs at site 0 from one transposed strip of uniform marks over slots
-    -w..w, w = _STRIP_BUFFER + 2; only xi_-1 and xi_0 are mapped through
-    dist. Replicas whose runs outgrow the window continue on the lazy line."""
+def _strip_runs(
+    size: int, rng: np.random.Generator, sites: tuple[int, ...]
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], int]:
+    """Rise and descent lengths at each of `sites` (increasing, from 0), one
+    per replica, from one transposed strip of uniform marks over slots
+    -w..sites[-1]+w, w = _STRIP_BUFFER + 2 (strip row r holds slot r - w).
+
+    Each site reads only the marks within w of it (_site_runs). A replica
+    whose runs outgrow any site's window is finished on one lazy line that
+    continues its strip row, classifying the sites in order. Returns the
+    strip, each site's (rise, descent), and the count of finished replicas."""
     w = _STRIP_BUFFER + 2
-    values = rng.random((2 * w + 1, size))
-    rise, descent, outgrown = _site_runs(values[:-1] <= values[1:], w, w, cap)
-    fallback = np.flatnonzero(outgrown)
-    for row in fallback:  # about 1/w! of the replicas
-        rise[row], descent[row] = _LazyLine(rng, UNIFORM, values[:, row], -w).runs(0, cap)
-    return RunsSample(rise, descent, dist.ppf(values[w - 1]), dist.ppf(values[w]), int(fallback.size))
+    strip = rng.random((sites[-1] + 2 * w + 1, size))
+    asc = strip[:-1] <= strip[1:]
+    runs = [_site_runs(asc, w + site, w) for site in sites]
+    fallback = np.flatnonzero(np.logical_or.reduce([outgrown for _, _, outgrown in runs]))
+    for row in fallback:  # about len(sites)/w! of the replicas
+        line = _LazyLine(rng, UNIFORM, strip[:, row], -w)
+        for site, (rise, descent, _) in zip(sites, runs):
+            rise[row], descent[row] = line.runs(site)
+    return strip, [(rise, descent) for rise, descent, _ in runs], int(fallback.size)
+
+
+def _runs_chunk(size: int, rng: np.random.Generator, dist: ArrivalDistribution) -> RunsSample:
+    """Runs at site 0 (_strip_runs); only xi_-1 and xi_0 are mapped through dist."""
+    strip, [(rise, descent)], fallback = _strip_runs(size, rng, (0,))
+    w = _STRIP_BUFFER + 2
+    return RunsSample(rise, descent, dist.ppf(strip[w - 1]), dist.ppf(strip[w]), fallback)
 
 
 def sample_runs(
@@ -209,7 +237,6 @@ def sample_runs(
     seed: int | SeedSpec = DEFAULT_SEED,
     dist: ArrivalDistribution = EXP,
     threads: int = 1,
-    cap: int = WINDOW_CAP,
 ) -> RunsSample:
     """Vectorised window sampling, chunked into fixed-size independent streams
     (map_streams; chunk c of seed SeedSpec(m, r) is stream (m, (r, c))).
@@ -218,9 +245,7 @@ def sample_runs(
     any thread count."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    parts = map_streams(
-        lambda size, rng: _runs_chunk(size, rng, dist, cap), seed, chunk_sizes(replicas, _CHUNK), threads
-    )
+    parts = map_streams(lambda size, rng: _runs_chunk(size, rng, dist), seed, chunk_sizes(replicas, _CHUNK), threads)
     return RunsSample(
         rise=np.concatenate([p.rise for p in parts]),
         descent=np.concatenate([p.descent for p in parts]),
@@ -228,45 +253,6 @@ def sample_runs(
         xi_right=np.concatenate([p.xi_right for p in parts]),
         fallback_rows=sum(p.fallback_rows for p in parts),
     )
-
-
-def vacancy_mc(
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    dist: ArrivalDistribution = EXP,
-    threads: int = 1,
-) -> MCEstimate:
-    """Monte Carlo estimate of P(site 0 vacant at jamming) on the line."""
-    runs = sample_runs(replicas, seed, dist, threads)
-    return proportion_estimate(int(runs.vacant.sum()), runs.replicas)
-
-
-def density_at_time_mc(
-    t_grid,
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    dist: ArrivalDistribution = EXP,
-    threads: int = 1,
-) -> list[MCEstimate]:
-    """P(site 0 occupied by time t) on a grid, one estimate per t, all from
-    one batch (RunsSample.density_at_time)."""
-    return sample_runs(replicas, seed, dist, threads).density_at_time(t_grid)
-
-
-def odd_descent_time_prob_mc(
-    t_grid,
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    dist: ArrivalDistribution = EXP,
-    threads: int = 1,
-) -> list[MCEstimate]:
-    """f(t) = P(xi_0 <= t and the descent at 0 is odd), estimated on a grid."""
-    runs = sample_runs(replicas, seed, dist, threads)
-    desc_odd = runs.descent % 2 == 1
-    return [
-        proportion_estimate(int((desc_odd & (runs.xi_right <= t)).sum()), runs.replicas)
-        for t in np.atleast_1d(t_grid)
-    ]
 
 
 @dataclass(frozen=True)
@@ -287,40 +273,12 @@ class AutocovEstimate:
     fallback_rows: int
 
 
-def _scalar_occupancy_pair(values: np.ndarray, k: int, lo: int, rng, cap: int):
-    """Fallback for strip rows whose runs outgrow their windows: extend the
-    row's mark sequence lazily (fresh independent draws) and classify exactly."""
-    line = _LazyLine(rng, UNIFORM, values, lo)
-    rise0, desc0 = line.runs(0, cap)
-    rise_k, desc_k = line.runs(k, cap)
-    return bool(rise0 % 2 or desc0 % 2), bool(rise_k % 2 or desc_k % 2)
-
-
-def _occupancy_pair_chunk(
-    size: int, rng: np.random.Generator, k: int, cap: int, reflect: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occupancy of sites 0 and k, and the rows sent to the fallback, from one
-    transposed strip of uniform marks over slots -w..k+w, w = _STRIP_BUFFER + 2
-    (strip row r holds slot r - w of every replica).
-
-    Each site reads only the marks within w of it (_site_runs); a replica
-    whose runs outgrow a site's window is classified by _scalar_occupancy_pair."""
-    w = _STRIP_BUFFER + 2
-    values = rng.random((k + 2 * w + 1, size))
-    if reflect:
-        values = values[::-1]  # mirrored field; site j maps to k - j
-    asc = values[:-1] <= values[1:]
-
-    def occupancy(c: int) -> tuple[np.ndarray, np.ndarray]:
-        rise, descent, outgrown = _site_runs(asc, c, w, cap)
-        return ((rise | descent) & 1).astype(bool), outgrown  # occupied iff a run is odd
-
-    occ0, out0 = occupancy(w)
-    occk, outk = occupancy(w + k) if k else (occ0, out0)
-    fallback = out0 | outk
-    for row in np.flatnonzero(fallback):  # about 2/w! of the rows, kept exact anyway
-        occ0[row], occk[row] = _scalar_occupancy_pair(values[:, row], k, -w, rng, cap)
-    return occ0, occk, fallback
+def _occupancy_pair_chunk(size: int, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Occupancy of sites 0 and k (occupied iff a run is odd) and the count of
+    replicas finished on the lazy line, from one strip (_strip_runs)."""
+    _, runs, fallback = _strip_runs(size, rng, (0, k) if k else (0,))
+    occ = [((rise | descent) & 1).astype(bool) for rise, descent in runs]
+    return occ[0], occ[-1], fallback
 
 
 def autocovariance_mc(
@@ -328,23 +286,17 @@ def autocovariance_mc(
     replicas: int,
     seed: int | SeedSpec = DEFAULT_SEED,
     threads: int = 1,
-    reflected: bool = False,
-    cap: int = WINDOW_CAP,
 ) -> AutocovEstimate:
     """Estimate cov(X(0), X(k)) of the jammed field on the line.
 
     Occupancy depends only on the ordering of the marks, so the kernel samples
-    uniform marks; `reflected` classifies the mirrored field instead (the law
-    is reflection-invariant, which tests use as a consistency check)."""
+    uniform marks."""
     if k < 0:
         raise ValueError("lag must be >= 0")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     parts = map_streams(
-        lambda size, rng: _occupancy_pair_chunk(size, rng, k, cap, reflected),
-        seed,
-        chunk_sizes(replicas, _AUTOCOV_CHUNK),
-        threads,
+        lambda size, rng: _occupancy_pair_chunk(size, rng, k), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), threads
     )
     x = np.concatenate([p[0] for p in parts]).astype(np.float64)
     y = np.concatenate([p[1] for p in parts]).astype(np.float64)
@@ -360,5 +312,5 @@ def autocovariance_mc(
         mean_site_k=float(y.mean()),
         replicas=r,
         both_vacant=int(np.count_nonzero((x == 0) & (y == 0))),
-        fallback_rows=sum(int(np.count_nonzero(p[2])) for p in parts),
+        fallback_rows=sum(p[2] for p in parts),
     )

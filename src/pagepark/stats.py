@@ -121,12 +121,3 @@ def chi_square_sf(x: float, dof: int) -> float:
         math.exp(a * log_h - h - math.lgamma(a + 1)) for a in (dof % 2 / 2 + i for i in range(dof // 2))
     )
 
-
-def ks_distance(samples, cdf) -> float:
-    """Kolmogorov-Smirnov distance between an empirical sample and a cdf."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = x.size
-    f = np.array([cdf(v) for v in x])
-    upper = np.abs(np.arange(1, n + 1) / n - f).max()
-    lower = np.abs(f - np.arange(0, n) / n).max()
-    return float(max(upper, lower))

@@ -18,7 +18,6 @@ from pagepark import (
     SeedSpec,
     chi_square_two_sample,
     classify_site,
-    density_at_time_mc,
     density_curve_closed_form,
     distribution_M,
     enumerate_orderings,
@@ -26,12 +25,12 @@ from pagepark import (
     expected_M_series,
     odd_descent_prob_closed_form,
     occupancy_profile,
-    odd_descent_time_prob_mc,
     per_site_vacancy_exact,
+    proportion_estimate,
+    sample_runs,
     simulate_direct,
     simulate_poissonized,
     trials_ratio_sweep,
-    vacancy_mc,
     verify_lemma1,
 )
 
@@ -114,7 +113,8 @@ def test_criterion_04_oracle_equivalence():
 
 def test_criterion_05_infinite_vacancy():
     t0 = time.perf_counter()
-    est = vacancy_mc(1_000_000, seed=SeedSpec(42424242), threads=4)
+    runs = sample_runs(1_000_000, seed=SeedSpec(42424242), threads=4)
+    est = proportion_estimate(int(runs.vacant.sum()), runs.replicas)
     dt = time.perf_counter() - t0
     z = (est.estimate - VAC) / est.stderr
     report(
@@ -127,7 +127,7 @@ def test_criterion_05_infinite_vacancy():
 
 def test_criterion_06_density_evolution():
     grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    est = density_at_time_mc(grid, 100_000, seed=SeedSpec(42424242, 6))
+    est = sample_runs(100_000, seed=SeedSpec(42424242, 6)).density_at_time(grid)
     closed = density_curve_closed_form(grid)
     ratios = [abs(e.estimate - c) / e.stderr for e, c in zip(est, closed)]
     worst = max(ratios)
@@ -141,12 +141,12 @@ def test_criterion_06_density_evolution():
 
 def test_criterion_07_f_identity():
     grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    f_est = odd_descent_time_prob_mc(grid, 100_000, seed=SeedSpec(42424242, 71))
+    f_est = sample_runs(100_000, seed=SeedSpec(42424242, 71)).odd_descent_time_prob(grid)
     f_closed = odd_descent_prob_closed_form(grid)
     worst_f = max(abs(e.estimate - c) / e.stderr for e, c in zip(f_est, f_closed))
 
     # independent batch for the occupancy side of the identity
-    rho_est = density_at_time_mc(grid, 100_000, seed=SeedSpec(42424242, 72))
+    rho_est = sample_runs(100_000, seed=SeedSpec(42424242, 72)).density_at_time(grid)
     worst_id = 0.0
     for fe, re_ in zip(f_est, rho_est):
         f = fe.estimate

@@ -26,7 +26,7 @@ from pagepark.cli import (
 from pagepark.core import DEFAULT_SEED, SeedSpec
 from pagepark.exact import DISTRIBUTION_RATIONAL_CAP, density_curve_closed_form, expected_M, limit_constants
 from pagepark.finite import measure_M_T
-from pagepark.infinite import autocovariance_mc, density_at_time_mc
+from pagepark.infinite import autocovariance_mc, sample_runs
 from pagepark.stats import SampleStats
 from pagepark.trials import trials_ratio_sweep
 
@@ -257,7 +257,7 @@ class TestCheckPower:
 
     def test_density_curve(self):
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-        est = density_at_time_mc(grid, 100_000, seed=SeedSpec(DEFAULT_SEED, 0))
+        est = sample_runs(100_000, seed=SeedSpec(DEFAULT_SEED, 0)).density_at_time(grid)
         for mc, closed in zip(est, density_curve_closed_form(grid)):
             assert _curve_check(mc, float(closed))[0]
             self.assert_band(_curve_check, mc, mc.estimate, mc.stderr, 4.0)
@@ -388,6 +388,36 @@ class TestDensityScript:
         assert res.returncode == 0, res.stderr
         rows = [line.split()[0] for line in res.stdout.splitlines() if line and not line.startswith("#")]
         assert rows == ["n", "10", "20", "t", "1.00"]
+        threaded = self.run(*argv, "--threads", "2")
+        assert threaded.returncode == 0 and threaded.stdout == res.stdout
+
+
+class TestTrialsScript:
+    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_trials_sweep.py"
+
+    def run(self, *args):
+        return subprocess.run([sys.executable, str(self.SCRIPT), *args],
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--replicas", v] for v in ("1", "0", "many")]
+        + [["--n-list", v] for v in ("1", "10,1", ",", "x")]
+        + [["--threads", v] for v in ("0", "x")],
+    )
+    def test_bad_values_are_usage_errors(self, argv):
+        res = self.run(*argv)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr and argv[0] in res.stderr
+
+    def test_small_run_prints_both_tables(self):
+        # 20 replicas are two kernel jobs at n = 1000, so --threads 2 splits them
+        argv = ("--n-list", "100,1000", "--replicas", "20")
+        res = self.run(*argv)
+        assert res.returncode == 0, res.stderr
+        rows = [line.split()[0] for line in res.stdout.splitlines() if line and not line.startswith("#")]
+        assert rows == ["n", "100", "1000", "mean", "q05", "q25", "q50", "q75", "q95"]
         threaded = self.run(*argv, "--threads", "2")
         assert threaded.returncode == 0 and threaded.stdout == res.stdout
 

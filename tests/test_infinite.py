@@ -18,18 +18,18 @@ from pagepark import (
     SeedSpec,
     autocovariance_mc,
     chi_square_two_sample,
-    density_at_time_mc,
     density_curve_closed_form,
     limit_constants,
     odd_descent_prob_closed_form,
-    odd_descent_time_prob_mc,
+    proportion_estimate,
     sample_runs,
     sample_site_infinite,
-    vacancy_mc,
 )
-from pagepark import infinite
+from pagepark import core, infinite
 from pagepark.cli import _decorrelation_check, _lag0_check, _no_vacant_pair_check
-from pagepark.infinite import _CHUNK, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _runs_chunk
+from pagepark.infinite import (
+    _CHUNK, _FIRST_STOP, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _runs_chunk, _strip_runs,
+)
 from pagepark.stats import wilson_interval
 
 
@@ -78,9 +78,10 @@ class TestWindowSampler:
         else:
             assert math.isinf(w.tau_0)
 
-    def test_cap_triggers_loudly(self):
+    def test_cap_triggers_loudly(self, monkeypatch):
+        monkeypatch.setattr(infinite, "WINDOW_CAP", 0)
         with pytest.raises(RareEventCapError):
-            sample_site_infinite(rng=SeedSpec(0), cap=0)
+            sample_site_infinite(rng=SeedSpec(0))
 
 
 class TestRunLaws:
@@ -149,7 +150,7 @@ class TestRunLaws:
         runs = sample_runs(_CHUNK + 100, seed=SeedSpec(master, r))
         parts = [
             _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c)))),
-                        EXP, 10_000)
+                        EXP)
             for c, size in enumerate((_CHUNK, 100))
         ]
         np.testing.assert_array_equal(runs.rise, np.concatenate([p.rise for p in parts]))
@@ -157,14 +158,20 @@ class TestRunLaws:
         np.testing.assert_array_equal(runs.xi_left, np.concatenate([p.xi_left for p in parts]))
         np.testing.assert_array_equal(runs.xi_right, np.concatenate([p.xi_right for p in parts]))
 
-    def test_batch_cap_triggers(self):
+    def test_batch_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(infinite, "WINDOW_CAP", 1)
         with pytest.raises(RareEventCapError):
-            sample_runs(10_000, seed=65, cap=1)
+            sample_runs(10_000, seed=65)
+
+    def test_run_lengths_fit_their_dtype(self):
+        # run lengths are stored in _FIRST_STOP's dtype; the cap raises before one overflows it
+        assert np.iinfo(_FIRST_STOP.dtype).max >= WINDOW_CAP
 
 
 class TestEstimators:
     def test_vacancy_near_limit(self):
-        est = vacancy_mc(300_000, seed=70)
+        runs = sample_runs(300_000, seed=70)
+        est = proportion_estimate(int(runs.vacant.sum()), runs.replicas)
         assert est.within(limit_constants()["vacancy"], k_sigma=4.0)
 
     def test_tau_vacant_iff_infinite(self):
@@ -175,7 +182,7 @@ class TestEstimators:
 
     def test_density_curve_monotone_and_correct(self):
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-        est = density_at_time_mc(grid, 100_000, seed=72)
+        est = sample_runs(100_000, seed=72).density_at_time(grid)
         closed = density_curve_closed_form(grid)
         values = [e.estimate for e in est]
         assert values == sorted(values)  # shared batch forces monotonicity
@@ -184,19 +191,19 @@ class TestEstimators:
 
     def test_odd_descent_prob_curve(self):
         grid = [0.3, 1.0, 3.0]
-        est = odd_descent_time_prob_mc(grid, 100_000, seed=73)
+        est = sample_runs(100_000, seed=73).odd_descent_time_prob(grid)
         closed = odd_descent_prob_closed_form(grid)
         for e, c in zip(est, closed):
             assert abs(e.estimate - c) <= 4 * e.stderr
 
     def test_replica_index_selects_the_stream(self):
         # SeedSpec(m, 71) and SeedSpec(m, 72) are independent batches
-        a = density_at_time_mc([1.0], 20_000, seed=SeedSpec(42424242, 71))[0]
-        b = density_at_time_mc([1.0], 20_000, seed=SeedSpec(42424242, 72))[0]
+        a = sample_runs(20_000, seed=SeedSpec(42424242, 71)).density_at_time([1.0])[0]
+        b = sample_runs(20_000, seed=SeedSpec(42424242, 72)).density_at_time([1.0])[0]
         assert a.estimate != b.estimate
 
     def test_uniform_kind_curve(self):
-        est = density_at_time_mc([0.4], 100_000, seed=74, dist=UNIFORM)[0]
+        est = sample_runs(100_000, seed=74, dist=UNIFORM).density_at_time([0.4])[0]
         closed = float(density_curve_closed_form([0.4], dist=UNIFORM)[0])
         assert abs(est.estimate - closed) <= 4 * est.stderr
 
@@ -226,9 +233,12 @@ class TestAutocovariance:
         assert est.mean_site_0 == pytest.approx(rho, abs=0.01)
         assert est.mean_site_k == pytest.approx(rho, abs=0.01)
 
-    def test_reflection_invariance(self):
+    def test_reflection_invariance(self, monkeypatch):
         a = autocovariance_mc(2, 100_000, seed=84)
-        b = autocovariance_mc(2, 100_000, seed=84, reflected=True)
+        stream = core._stream
+        monkeypatch.setattr(core, "_stream", lambda seq: _Reflected(stream(seq)))
+        b = autocovariance_mc(2, 100_000, seed=84)
+        assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)  # the mirrored strips were classified
         assert abs(a.estimate - b.estimate) <= 5 * (a.stderr + b.stderr)
 
     def test_each_lag_draws_its_own_marks(self):
@@ -269,6 +279,24 @@ def _strip_failures(est) -> list[str]:
     return failed
 
 
+def _vacancy_agrees(runs) -> bool:
+    """e^-2 lies in the 4-sigma Wilson interval of the vacant fraction."""
+    lo, hi = wilson_interval(float(runs.vacant.mean()), runs.replicas, 4.0)
+    return lo <= math.exp(-2.0) <= hi
+
+
+def _truncated_runs(line, site):
+    """A faulty _LazyLine.runs that stops each run at the strip's edge instead
+    of drawing fresh marks beyond it."""
+    desc = 1
+    while site + desc <= line.hi and not line(site + desc - 1) <= line(site + desc):
+        desc += 1
+    rise = 1
+    while site - rise - 1 >= line.lo and line(site - rise - 1) <= line(site - rise):
+        rise += 1
+    return rise, desc
+
+
 class _IntegerMarks:
     """A stand-in generator whose marks are integers below `levels`, so that
     equal marks are common and the tie rule decides most runs."""
@@ -280,93 +308,109 @@ class _IntegerMarks:
         return self.rng.integers(0, self.levels, shape).astype(np.float64)
 
 
-def _pair_reference(rng, size, k, w, reflect):
-    """What _occupancy_pair_chunk must return, replica by replica, when its
-    generator `rng` has the same state: the strip is drawn transposed, and each
-    replica's sites 0 and k are classified on one lazy line that continues on
-    `rng`, in replica order, exactly as the kernel's fallback does."""
-    strips = rng.random((k + 2 * w + 1, size))
-    if reflect:
-        strips = strips[::-1]
-    occ0, occk, outgrown = [], [], []
-    for row in range(size):
-        line = _LazyLine(rng, UNIFORM, strips[:, row], -w)
-        runs = [line.runs(site, WINDOW_CAP) for site in (0, k)]
-        occ0.append(bool(runs[0][0] % 2 or runs[0][1] % 2))
-        occk.append(bool(runs[1][0] % 2 or runs[1][1] % 2))
-        outgrown.append(any(rise >= w or desc > w for rise, desc in runs))  # w - 1 rise, w descent stops
-    return np.array(occ0), np.array(occk), np.array(outgrown)
+class _Reflected:
+    """A stand-in generator that draws every strip mirrored: a strip over
+    slots -w..k+w holds slot k - j where the kernel reads slot j, so the
+    kernel classifies the reflected field."""
+
+    def __init__(self, rng) -> None:
+        self.rng = rng
+
+    def random(self, shape):
+        return self.rng.random(shape)[::-1]
 
 
-def _runs_reference(rng, size, w):
-    """Rise and descent lengths _runs_chunk must return for a generator in the
-    same state (see _pair_reference), and the count of replicas whose runs
-    outgrow the window."""
-    strips = rng.random((2 * w + 1, size))
-    runs = np.array([_LazyLine(rng, UNIFORM, strips[:, row], -w).runs(0, WINDOW_CAP) for row in range(size)])
-    return runs[:, 0], runs[:, 1], int(np.count_nonzero((runs[:, 0] >= w) | (runs[:, 1] > w)))
+def _strip_reference(rng, size, sites, w):
+    """What _strip_runs must return, replica by replica, when its generator
+    `rng` has the same state: the strip is drawn transposed, and each
+    replica's sites are classified in order on one lazy line that continues
+    on `rng`, in replica order, exactly as the kernel's fallback does."""
+    strip = rng.random((sites[-1] + 2 * w + 1, size))
+    runs = np.array([
+        [line.runs(site) for site in sites]
+        for line in (_LazyLine(rng, UNIFORM, strip[:, row], -w) for row in range(size))
+    ]).reshape(size, len(sites), 2)
+    outgrown = ((runs[..., 0] >= w) | (runs[..., 1] > w)).any(axis=1)  # w - 1 rise, w descent stops
+    return strip, [(runs[:, i, 0], runs[:, i, 1]) for i in range(len(sites))], int(np.count_nonzero(outgrown))
+
+
+def _assert_same_strip(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert len(got[1]) == len(want[1])
+    for (rise, descent), (rise_ref, descent_ref) in zip(got[1], want[1]):
+        np.testing.assert_array_equal(rise, rise_ref)
+        np.testing.assert_array_equal(descent, descent_ref)
+    assert got[2] == want[2]
 
 
 class TestStripKernel:
-    """The strip classifier of both estimators against the lazy line, replica
-    by replica, and the law when almost every row takes the exact fallback."""
+    """The strip kernel of both estimators against the lazy line, replica by
+    replica, and the law when almost every row takes the exact fallback."""
 
     @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
     @pytest.mark.parametrize("reflect", [False, True])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 13])
     def test_windows_match_lazy_line(self, monkeypatch, buffer, reflect, k):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
-        size, w = 1000, buffer + 2
-        got = _occupancy_pair_chunk(size, np.random.Generator(np.random.PCG64DXSM(90 + k)), k, WINDOW_CAP, reflect)
-        want = _pair_reference(np.random.Generator(np.random.PCG64DXSM(90 + k)), size, k, w, reflect)
-        for g, x in zip(got, want):
-            np.testing.assert_array_equal(g, x)
+        size, sites = 1000, (0, k) if k else (0,)
+
+        def rng():
+            gen = np.random.Generator(np.random.PCG64DXSM(90 + k))
+            return _Reflected(gen) if reflect else gen
+
+        want = _strip_reference(rng(), size, sites, buffer + 2)
+        _assert_same_strip(_strip_runs(size, rng(), sites), want)
+        occ0, occk, fallback = _occupancy_pair_chunk(size, rng(), k)
+        occ = [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in want[1]]  # occupied iff a run is odd
+        np.testing.assert_array_equal(occ0, occ[0])
+        np.testing.assert_array_equal(occk, occ[-1])
+        assert fallback == want[2]
+        assert want[2] > 0 or buffer > 1  # narrow windows exercise the fallback
 
     @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
     @pytest.mark.parametrize("dist", [EXP, UNIFORM], ids=["exp", "uniform"])
     def test_runs_chunk_matches_lazy_line(self, monkeypatch, buffer, dist):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
         size, w = 3000, buffer + 2
-        got = _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(91)), dist, WINDOW_CAP)
-        rise, desc, outgrown = _runs_reference(np.random.Generator(np.random.PCG64DXSM(91)), size, w)
+        got = _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(91)), dist)
+        strip, [(rise, desc)], outgrown = _strip_reference(np.random.Generator(np.random.PCG64DXSM(91)), size, (0,), w)
         np.testing.assert_array_equal(got.rise, rise)
         np.testing.assert_array_equal(got.descent, desc)
         assert got.fallback_rows == outgrown
         assert outgrown > 0 or buffer > 1  # narrow windows exercise the fallback
         # only the two centre marks pass through the quantile transform
-        strips = np.random.Generator(np.random.PCG64DXSM(91)).random((2 * w + 1, size))
-        np.testing.assert_array_equal(got.xi_left, dist.ppf(strips[w - 1]))
-        np.testing.assert_array_equal(got.xi_right, dist.ppf(strips[w]))
+        np.testing.assert_array_equal(got.xi_left, dist.ppf(strip[w - 1]))
+        np.testing.assert_array_equal(got.xi_right, dist.ppf(strip[w]))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 6), st.integers(0, 2), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_tied_integer_marks(self, seed, levels, k, buffer, reflect):
-        w = buffer + 2
+        sites = (0, k) if k else (0,)
+
+        def rng():
+            marks = _IntegerMarks(seed, levels)
+            return _Reflected(marks) if reflect else marks
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(infinite, "_STRIP_BUFFER", buffer)
-            got = _occupancy_pair_chunk(64, _IntegerMarks(seed, levels), k, WINDOW_CAP, reflect)
-            runs = _runs_chunk(64, _IntegerMarks(seed, levels), UNIFORM, WINDOW_CAP)
-        for g, x in zip(got, _pair_reference(_IntegerMarks(seed, levels), 64, k, w, reflect)):
-            np.testing.assert_array_equal(g, x)
-        rise, desc, outgrown = _runs_reference(_IntegerMarks(seed, levels), 64, w)
-        np.testing.assert_array_equal(runs.rise, rise)
-        np.testing.assert_array_equal(runs.descent, desc)
-        assert runs.fallback_rows == outgrown
+            got = _strip_runs(64, rng(), sites)
+        _assert_same_strip(got, _strip_reference(rng(), 64, sites, buffer + 2))
 
     def test_window_wider_than_a_byte_is_refused(self, monkeypatch):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", 7)  # w = 9 descent stops
         with pytest.raises(ValueError):
-            _runs_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), EXP, WINDOW_CAP)
+            _runs_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), EXP)
         with pytest.raises(ValueError):
-            _occupancy_pair_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), 3, WINDOW_CAP, False)
+            _occupancy_pair_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), 3)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_cap_binds_inside_the_window(self, seed):
+    def test_cap_binds_inside_the_window(self, monkeypatch, seed):
         # any run longer than the cap raises, whether or not its row took the fallback
+        monkeypatch.setattr(infinite, "WINDOW_CAP", 1)
         with pytest.raises(RareEventCapError):
-            autocovariance_mc(3, 2000, seed=seed, cap=1)
+            autocovariance_mc(3, 2000, seed=seed)
         with pytest.raises(RareEventCapError):
-            sample_runs(2000, seed=seed, cap=1)
+            sample_runs(2000, seed=seed)
 
     def test_fallback_rows_keep_the_law(self, monkeypatch):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
@@ -374,13 +418,16 @@ class TestStripKernel:
             est = autocovariance_mc(k, 20_000, seed=SeedSpec(87, k))
             assert est.fallback_rows > est.replicas / 2
             assert _strip_failures(est) == []
+        runs = sample_runs(20_000, seed=SeedSpec(87, 9))
+        assert runs.fallback_rows > runs.replicas / 2 and _vacancy_agrees(runs)
 
     def test_truncated_fallback_fails(self, monkeypatch):
-        # a fallback that stops at the strip edge and calls both sites occupied
+        # the shared fallback cut off at the strip edge: both estimators must notice
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
-        monkeypatch.setattr(infinite, "_scalar_occupancy_pair", lambda *args: (True, True))
+        monkeypatch.setattr(infinite._LazyLine, "runs", _truncated_runs)
         for k in (0, 1, 2, 4):
             assert _strip_failures(autocovariance_mc(k, 20_000, seed=SeedSpec(87, k)))
+        assert not _vacancy_agrees(sample_runs(20_000, seed=SeedSpec(87, 9)))
 
     def test_fallback_count_is_thread_independent(self, monkeypatch):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", 1)
