@@ -4,17 +4,18 @@
 For each n the script replays all (n-1)! slot orderings and compares the
 enumerated E[M_n], law of M_n, per-site vacancy profile, and E[T_n] with the
 recursion, convolution, closed-form profile, and absorbing chain. It also
-sweeps the run-parity site classifier over every ordering.
+sweeps the run-parity classifier (occupancy_profile) over every ordering.
 """
 import argparse
 from fractions import Fraction
 
 from pagepark import (
     ENUMERATION_CAP,
-    classify_site,
     distribution_M,
     enumerate_orderings,
     expected_M,
+    expected_T_exact,
+    occupancy_profile,
     per_site_vacancy_exact,
     verify_lemma1,
 )
@@ -49,7 +50,9 @@ def main() -> None:
             issues.append("vacancy profile")
         if sum(rep.per_site_vacancy, Fraction(0)) + rep.expected_M != n:
             issues.append("vacancy/occupancy identity")
-        bad = verify_lemma1(n, classify_site)
+        if rep.expected_T != expected_T_exact(n):
+            issues.append("E[T] absorbing chain")
+        bad = verify_lemma1(n, occupancy_profile)
         if bad:
             issues.append(f"classifier ({len(bad)} counterexamples)")
         status = "ok" if not issues else "FAIL: " + ", ".join(issues)

@@ -14,11 +14,7 @@ from .core import (
     SEED_ENV_VAR,
     UNIFORM,
     ArrivalDistribution,
-    ParkingConfiguration,
-    PriorityField,
     SeedSpec,
-    recount_free_pairs,
-    sample_priority_field,
 )
 from .exact import (
     MDistribution,
@@ -34,16 +30,11 @@ from .exact import (
     site_coupling_bound,
 )
 from .finite import (
-    JammedOutcome,
     MeasuredMT,
-    RiseDescent,
     car_slots_from_occupancy,
-    classify_site,
-    construct_from_priorities,
     first_arrival_batch,
     measure_M_T,
     occupancy_profile,
-    rise_descent_at,
     simulate_direct,
     simulate_direct_batch,
 )
@@ -73,7 +64,6 @@ from .stats import (
 )
 from .trials import (
     TauStarStats,
-    TrialOutcome,
     TrialsRow,
     coupon_collector_mean_exact,
     simulate_poissonized,
@@ -90,29 +80,22 @@ __all__ = [
     "DEFAULT_SEED",
     "ENUMERATION_CAP",
     "EXP",
-    "JammedOutcome",
     "MCEstimate",
     "MDistribution",
     "MeasuredMT",
     "OracleReport",
-    "ParkingConfiguration",
-    "PriorityField",
     "RareEventCapError",
-    "RiseDescent",
     "RunsSample",
     "SEED_ENV_VAR",
     "SampleStats",
     "SeedSpec",
     "TauStarStats",
-    "TrialOutcome",
     "TrialsRow",
     "UNIFORM",
     "WindowSample",
     "autocovariance_mc",
     "car_slots_from_occupancy",
     "chi_square_two_sample",
-    "classify_site",
-    "construct_from_priorities",
     "coupon_collector_mean_exact",
     "density_curve_closed_form",
     "distribution_M",
@@ -129,9 +112,6 @@ __all__ = [
     "per_site_vacancy_exact",
     "per_site_vacancy_float",
     "proportion_estimate",
-    "recount_free_pairs",
-    "rise_descent_at",
-    "sample_priority_field",
     "sample_runs",
     "sample_site_infinite",
     "simulate_direct",

@@ -1,17 +1,18 @@
-"""Shared model objects: seeded RNG streams, arrival-time laws, priority fields,
-and parking configurations.
+"""Shared model objects: seeded RNG streams and arrival-time laws.
 
 Cars of length 2 park on sites 1..n; slot i (1 <= i <= n-1) covers sites (i, i+1).
-A priority field attaches one mark to every slot; cars park in increasing mark
-order, so any jammed configuration depends on the marks only through their
-ordering. Equal marks are ordered by slot index (the left slot acts first);
-every classifier and construction in the package uses this one tie rule.
+Every slot gets one i.i.d. mark, and cars park in increasing mark order, so a
+jammed configuration depends on the marks only through their ordering. Marks
+are plain float arrays over slots 1..n-1 (one row per replica), occupancy a
+boolean array over sites 1..n. Equal marks are ordered by slot index (the left
+slot acts first); every classifier and replay in the package uses this one tie
+rule.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,117 +120,6 @@ class ArrivalDistribution:
             return -np.log1p(-u)
         return u.copy()
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.ppf(rng.random(size))
-
 
 EXP = ArrivalDistribution("exp")
 UNIFORM = ArrivalDistribution("uniform")
-
-
-@dataclass(frozen=True, eq=False)
-class PriorityField:
-    """Marks xi for a contiguous block of slots.
-
-    values[k] is the mark of slot index_offset + k. Finite fields over sites
-    1..n use index_offset=1 and n-1 values; infinite-mode windows may start at
-    a negative index. Marks may be equal; equal marks are ordered by slot
-    index, left slot first.
-    """
-
-    values: np.ndarray
-    index_offset: int = 1
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("priority field needs a 1-d, non-empty value block")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def first_index(self) -> int:
-        return self.index_offset
-
-    @property
-    def last_index(self) -> int:
-        return self.index_offset + len(self) - 1
-
-    def value_at(self, index: int) -> float:
-        k = index - self.index_offset
-        if not 0 <= k < len(self):
-            raise IndexError(f"slot {index} outside field [{self.first_index}, {self.last_index}]")
-        return float(self.values[k])
-
-    @property
-    def n_sites(self) -> int:
-        """Site count for a finite field over slots 1..n-1."""
-        if self.index_offset != 1:
-            raise ValueError("n_sites is only defined for finite fields starting at slot 1")
-        return len(self) + 1
-
-
-def sample_priority_field(
-    n: int,
-    dist: ArrivalDistribution = EXP,
-    rng: np.random.Generator | SeedSpec | None = None,
-) -> PriorityField:
-    """Draw i.i.d. marks for the n-1 slots of a finite interval with n sites.
-
-    Equal float marks (probability ~ n * 2^-53) are kept; the slot-index tie
-    rule orders them."""
-    if n < 2:
-        raise ValueError("need n >= 2 sites")
-    return PriorityField(dist.sample(as_generator(rng), n - 1), index_offset=1)
-
-
-@dataclass(frozen=True, eq=False)
-class ParkingConfiguration:
-    """Occupancy of sites 1..n plus the cached count of free adjacent pairs.
-
-    occupancy[i-1] is True when site i holds (half of) a car. free_pair_count
-    is the number of slots whose two sites are both empty; the configuration is
-    jammed exactly when it is zero. Instances are immutable; simulators build
-    them once the process stops.
-    """
-
-    occupancy: np.ndarray
-    free_pair_count: int = field(default=-1)
-
-    def __post_init__(self) -> None:
-        occ = np.asarray(self.occupancy, dtype=bool)
-        object.__setattr__(self, "occupancy", occ)
-        if occ.ndim != 1 or occ.size < 2:
-            raise ValueError("configuration needs at least 2 sites")
-        recount = _count_free_pairs(occ)
-        if self.free_pair_count < 0:
-            object.__setattr__(self, "free_pair_count", recount)
-        elif self.free_pair_count != recount:
-            raise ValueError(
-                f"free_pair_count={self.free_pair_count} inconsistent with occupancy (recount {recount})"
-            )
-
-    @property
-    def n(self) -> int:
-        return int(self.occupancy.size)
-
-    @property
-    def jammed(self) -> bool:
-        return self.free_pair_count == 0
-
-    @property
-    def occupied_count(self) -> int:
-        return int(np.count_nonzero(self.occupancy))
-
-
-def _count_free_pairs(occ: np.ndarray) -> int:
-    return int(np.count_nonzero(~occ[:-1] & ~occ[1:]))
-
-
-def recount_free_pairs(config: ParkingConfiguration | np.ndarray) -> int:
-    """O(n) recount of free adjacent pairs, used to cross-check the incremental
-    counters kept by the simulators."""
-    occ = config.occupancy if isinstance(config, ParkingConfiguration) else np.asarray(config, dtype=bool)
-    return _count_free_pairs(occ)

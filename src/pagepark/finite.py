@@ -1,10 +1,10 @@
-"""Jamming on a finite interval: the uniform-draw process, the priority-field
-construction, and the parity classifier that links them.
+"""Jamming on a finite interval: the uniform-draw process and the parity
+classifier of marks that links it to parking in mark order.
 
 Observed through the first arrivals of one unit-rate Poisson stream per slot
 (merged, the streams pick slots uniformly), only the first draw of a slot can
-park a car, so the jammed configuration is the priority-field construction on
-the first-arrival field xi, and the jamming time tau* is the largest mark
+park a car, so the jammed configuration is parking in increasing order of the
+first-arrival marks xi, and the jamming time tau* is the largest mark
 among the slots that hold a car. Each slot's later arrivals form a unit-rate
 Poisson process on (xi_s, inf) independent of xi, so the draw count is
 
@@ -13,11 +13,13 @@ Poisson process on (xi_s, inf) independent of xi, so the draw count is
 exactly (the superposition identity). first_arrival_batch computes (M, T,
 tau*) this way and is the one fast kernel for all three; simulate_direct runs
 the draws one by one and trials.simulate_poissonized runs every arrival, and
-both stay independent references.
+both stay independent references. The replay in mark order is
+oracle.park_in_rank_order.
 
 Conventions used throughout (1-based sites and slots in the API):
 
-* slot i covers sites (i, i+1); marks live on slots 1..n-1.
+* slot i covers sites (i, i+1); marks are a float array over slots 1..n-1
+  (one row per replica), occupancy a boolean array over sites 1..n.
 * the rise at site i is the maximal ascending run of marks ending at slot i-1,
   its length counted in slots and clipped at the interval edge; rise length 0
   at i=1 (no slots on the left).
@@ -33,85 +35,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, ParkingConfiguration, PriorityField, SeedSpec, as_generator, chunk_sizes, map_streams
+from .core import DEFAULT_SEED, SeedSpec, as_generator, chunk_sizes, map_streams
 from .stats import SampleStats
 
 _CHUNK_MARKS = 1 << 14  # marks per first_arrival_batch job; small keeps peak memory flat
 _SCAN_SITES = 1000  # longer rows find tau* by the tau_star scan: the T-only crossover is 700-1000 on 2 vCPUs
 
 
-@dataclass(frozen=True)
-class JammedOutcome:
-    """Result of running one interval to jamming.
-
-    T is the number of uniform draws up to and including the jamming one; it is
-    None for the priority-field construction, which has no rejected attempts.
-    per_car_times maps occupied 1-based sites to the mark of their car's slot
-    (timed construction only).
-    """
-
-    config: ParkingConfiguration
-    M: int
-    T: int | None = None
-    per_car_times: dict | None = None
-
-
-@dataclass(frozen=True)
-class RiseDescent:
-    """Run lengths around one site; the site is vacant iff both are even."""
-
-    site: int
-    rise_length: int
-    descent_length: int
-
-    @property
-    def vacant(self) -> bool:
-        return self.rise_length % 2 == 0 and self.descent_length % 2 == 0
-
-
-def _values_of(xi) -> np.ndarray:
-    if isinstance(xi, PriorityField):
-        if xi.index_offset != 1:
-            raise ValueError("finite classification expects a field over slots 1..n-1")
-        return xi.values
-    return np.asarray(xi, dtype=np.float64)
-
-
-def rise_descent_at(xi, i: int) -> RiseDescent:
-    """Rise and descent lengths at 1-based site i for marks over slots 1..n-1."""
-    v = _values_of(xi)
-    m = v.size
-    n = m + 1
-    if not 1 <= i <= n:
-        raise ValueError(f"site {i} outside 1..{n}")
-    if i == 1:
-        rise = 0
-    else:
-        r = i - 1  # 1-based slot where the ascending run ends
-        while r >= 2 and v[r - 2] <= v[r - 1]:
-            r -= 1
-        rise = i - r
-    if i == n:
-        descent = 0
-    else:
-        e = i
-        while e <= m - 1 and not v[e - 1] <= v[e]:
-            e += 1
-        descent = e - i + 1
-    return RiseDescent(site=i, rise_length=rise, descent_length=descent)
-
-
-def classify_site(xi, i: int) -> bool:
-    """True when site i is occupied at jamming, by the run-parity rule."""
-    return not rise_descent_at(xi, i).vacant
-
-
 def occupancy_profile(values: np.ndarray) -> np.ndarray:
     """Vectorised run-parity classification of every site.
 
     values has shape (..., n-1) with marks along the last axis; the result is a
-    boolean occupancy array of shape (..., n). Agrees with classify_site and
-    with replaying the construction (tested exhaustively for small n).
+    boolean occupancy array of shape (..., n). Agrees with parking in mark
+    order (oracle.park_in_rank_order; checked on every ordering for small n).
     """
     v = np.asarray(values, dtype=np.float64)
     m = v.shape[-1]
@@ -137,31 +73,6 @@ def occupancy_profile(values: np.ndarray) -> np.ndarray:
     descent = np.zeros_like(rise)
     descent[..., :m] = run_end - idx + 1
     return (rise % 2 == 1) | (descent % 2 == 1)
-
-
-def construct_from_priorities(xi: PriorityField, timed: bool = False) -> JammedOutcome:
-    """Park cars in increasing mark order; the result is always jammed.
-
-    With timed=True, per_car_times records for every occupied site the mark of
-    the slot whose car covers it (the arrival time when marks are arrival
-    times)."""
-    v = _values_of(xi)
-    m = v.size
-    n = m + 1
-    occ = np.zeros(n, dtype=bool)
-    times: dict | None = {} if timed else None
-    order = np.argsort(v, kind="stable")
-    for s in order:
-        if not occ[s] and not occ[s + 1]:
-            occ[s] = True
-            occ[s + 1] = True
-            if timed:
-                t = float(v[s])
-                times[int(s) + 1] = t
-                times[int(s) + 2] = t
-    config = ParkingConfiguration(occ)
-    assert config.jammed, "processing every slot must jam the interval"
-    return JammedOutcome(config=config, M=config.occupied_count, T=None, per_car_times=times)
 
 
 def car_slot_mask(occ: np.ndarray) -> np.ndarray:
@@ -200,7 +111,7 @@ def tau_star(xi: np.ndarray) -> float:
     a car iff the ascending run ending at it (the rise at site s+1) and the
     descending run starting at it (the descent at site s) both have odd length,
     with the package tie rule (left slot first). For i.i.d. marks the scan stops
-    after O(1) candidates, each costing two O(1) runs."""
+    after O(1) candidates, each costing O(1) steps of the two walks."""
     xi = np.asarray(xi, dtype=np.float64)
     m = xi.size
     if m < 1:
@@ -208,28 +119,34 @@ def tau_star(xi: np.ndarray) -> float:
     k = min(m, 32)
     while True:
         top = np.argpartition(xi, m - k)[m - k:]
-        for s in top[np.argsort(xi[top])[::-1]] + 1:
-            rise = rise_descent_at(xi, s + 1).rise_length
-            if rise % 2 and rise_descent_at(xi, s).descent_length % 2:
-                return float(xi[s - 1])
+        for s in top[np.argsort(xi[top])[::-1]].tolist():  # 0-based slots
+            r = s  # walk left to the start r of the ascending run ending at s
+            while r > 0 and xi[r - 1] <= xi[r]:
+                r -= 1
+            if (s - r) % 2:
+                continue
+            e = s  # walk right to the end e of the descending run starting at s
+            while e < m - 1 and not xi[e] <= xi[e + 1]:
+                e += 1
+            if (e - s) % 2 == 0:
+                return float(xi[s])
         if k == m:
             raise AssertionError("a nonempty interval always holds a car")
         k = min(m, 8 * k)
 
 
-def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> JammedOutcome:
-    """Run the uniform-draw process on n sites until jamming.
+def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[np.ndarray, int]:
+    """Run the uniform-draw process on n sites until jamming: (occupancy, T).
 
     Each draw picks a slot uniformly from 1..n-1; the car parks iff both sites
     are free. T counts every draw, rejections included. The free-pair counter
-    is maintained incrementally and cross-checked on exit."""
+    is maintained incrementally and cross-checked against a recount on exit."""
     if n < 2:
         raise ValueError("need n >= 2 sites")
     rng = as_generator(rng)
     occ = np.zeros(n, dtype=bool)
     free_pairs = n - 1
     t = 0
-    m = 0
     while free_pairs > 0:
         s = int(rng.integers(0, n - 1))  # 0-based slot
         t += 1
@@ -242,9 +159,10 @@ def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -
             occ[s] = True
             occ[s + 1] = True
             free_pairs -= lost
-            m += 2
-    config = ParkingConfiguration(occ, free_pair_count=0)
-    return JammedOutcome(config=config, M=m, T=t)
+    recount = int(np.count_nonzero(~occ[:-1] & ~occ[1:]))
+    if recount != free_pairs:
+        raise RuntimeError(f"free-pair counter {free_pairs} disagrees with the recount {recount}")
+    return occ, t
 
 
 def _draw_counts(xi: np.ndarray, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -30,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_SEED, EXP, UNIFORM, ArrivalDistribution, PriorityField, SeedSpec, as_generator, chunk_sizes, map_streams,
+    DEFAULT_SEED, EXP, UNIFORM, ArrivalDistribution, SeedSpec, as_generator, chunk_sizes, map_streams,
 )
 from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # longest run before aborting loudly; read at call time
 _CHUNK = 1 << 15  # replicas per stream in sample_runs
 _AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
-_STRIP_BUFFER = 6  # strip sites read marks within _STRIP_BUFFER + 2; 6 timed fastest of 3..12
+_STRIP_BUFFER = 6  # strip sites read marks within _STRIP_BUFFER + 2; 6 ran fastest of 3..12
 
 
 class RareEventCapError(RuntimeError):
@@ -48,12 +48,14 @@ class RareEventCapError(RuntimeError):
 class WindowSample:
     """One exact sample of site 0 on the infinite line.
 
-    xi_window spans [m-1, m'+1] where m = -rise_length and m' = descent_length-1
-    are the bracketing local minima; the extra left mark lets the local-minimum
-    invariant be checked. tau_0 is +inf when the site stays vacant.
+    xi_window holds the marks of slots m-1 .. m'+1, where m = left_min_index =
+    -rise_length and m' = right_min_index = descent_length-1 are the
+    bracketing local minima (so xi_window[j - m + 1] is the mark of slot j);
+    the extra left mark lets the local-minimum invariant be checked. tau_0 is
+    +inf when the site stays vacant.
     """
 
-    xi_window: PriorityField
+    xi_window: np.ndarray
     occupancy_at_0: bool
     tau_0: float
     rise_length: int
@@ -118,7 +120,7 @@ def sample_site_infinite(
     rise, desc = line.runs(0)
     one = RunsSample(*(np.array([x]) for x in (rise, desc, line(-1), line(0))))
     return WindowSample(
-        xi_window=PriorityField([line(i) for i in range(-rise - 1, desc + 1)], index_offset=-rise - 1),
+        xi_window=np.array([line(i) for i in range(-rise - 1, desc + 1)]),
         occupancy_at_0=not one.vacant[0],
         tau_0=float(one.tau()[0]),
         rise_length=rise,

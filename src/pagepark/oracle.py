@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the simulator modules: parking
 is replayed with its own plain-Python loop over explicit permutations (or weak
 orderings, whose ties the replay breaks by slot index), and the trial-count
-mean comes from the absorbing-chain linear system. The rest of the
-package is validated against these values, never the other way around.
+mean comes both from those orderings and from the absorbing-chain linear
+system, two derivations that share no code. The rest of the package is
+validated against these values, never the other way around.
 """
 from __future__ import annotations
 
@@ -14,13 +15,15 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
 
+import numpy as np
+
 ENUMERATION_CAP = 10  # (n-1)! permutations; 9! = 362880 is the practical limit
 CHAIN_CAP = 12
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Exact aggregates over all (n-1)! slot orderings."""
+    """Exact aggregates over all (n-1)! slot orderings, E[T_n] included."""
 
     n: int
     permutations: int
@@ -41,12 +44,24 @@ def _replay(order, n: int) -> list[int | None]:
     return cover
 
 
+def _draws_to_see(k: int, m: int) -> Fraction:
+    """Expected uniform draws over m slots until k distinct slots have come
+    up: sum_{j<k} m/(m-j)."""
+    return sum((Fraction(m, m - j) for j in range(k)), Fraction(0))
+
+
 def enumerate_orderings(n: int) -> OracleReport:
     """Exhaustively replay every ordering of the n-1 slots.
 
     Returns exact rational aggregates: E[M_n], the full law of M_n, per-site
-    vacancy probabilities, and E[T_n] from the absorbing chain. Raises
-    ValueError above the enumeration cap (n > 10).
+    vacancy probabilities, and E[T_n]. Raises ValueError above the
+    enumeration cap (n > 10).
+
+    E[T_n] comes from the orderings too. The first draws of the uniform-draw
+    process visit the slots in a uniform random order, independent of the
+    draw counts at which new slots come up, and only a slot's first draw can
+    park a car. So the process jams at the first draw of the last car slot in
+    that order; if it comes k-th, the draw count has mean _draws_to_see(k, m).
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
@@ -54,8 +69,13 @@ def enumerate_orderings(n: int) -> OracleReport:
     total = factorial(m)
     m_counts: dict[int, int] = {}
     vacant_counts = [0] * n
+    last_car = [0] * (m + 1)  # last_car[k]: orderings whose last car slot comes k-th
     for order in permutations(range(m)):
         cover = _replay(order, n)
+        k = m
+        while cover[order[k - 1]] != order[k - 1]:  # cover[s] == s iff slot s holds a car
+            k -= 1
+        last_car[k] += 1
         parked = n - cover.count(None)
         m_counts[parked] = m_counts.get(parked, 0) + 1
         for i in range(n):
@@ -67,7 +87,7 @@ def enumerate_orderings(n: int) -> OracleReport:
         expected_M=Fraction(sum(k * c for k, c in m_counts.items()), total),
         distribution_M={k: Fraction(c, total) for k, c in sorted(m_counts.items())},
         per_site_vacancy=tuple(Fraction(c, total) for c in vacant_counts),
-        expected_T=expected_T_exact(n),
+        expected_T=sum((c * _draws_to_see(k, m) for k, c in enumerate(last_car)), Fraction(0)) / total,
     )
 
 
@@ -125,22 +145,21 @@ def park_in_rank_order(ranks) -> list[int | None]:
 
 
 def verify_lemma1(n: int, classify, rank_vectors=None) -> list[tuple[tuple[int, ...], int]]:
-    """Check a site classifier against the replay for every given slot ranking.
+    """Check a batched site classifier against the replay for every given
+    slot ranking.
 
-    classify(ranks, i) must predict occupancy of 1-based site i from the slot
-    ranks alone (rank vector = marks; only the ordering matters). rank_vectors
+    classify maps a 2-D mark array, one row of n-1 slot ranks per ordering
+    (only the ordering matters), to the (rows, n) boolean occupancy it
+    predicts; finite.occupancy_profile is such a function. rank_vectors
     defaults to every permutation of 1..n-1; weak_orderings(n - 1) adds ties,
-    which the replay breaks by slot index. Returns the list of (ranks, site)
-    counterexamples, expected empty.
+    which the replay breaks by slot index. Returns the list of (ranks,
+    1-based site) counterexamples, expected empty.
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
-    if rank_vectors is None:
-        rank_vectors = permutations(range(1, n))
-    bad: list[tuple[tuple[int, ...], int]] = []
-    for ranks in rank_vectors:
-        occ = [c is not None for c in park_in_rank_order(ranks)]
-        for i in range(1, n + 1):
-            if bool(classify(ranks, i)) != occ[i - 1]:
-                bad.append((ranks, i))
-    return bad
+    ranked = list(permutations(range(1, n)) if rank_vectors is None else rank_vectors)
+    want = np.array([[c is not None for c in park_in_rank_order(r)] for r in ranked], dtype=bool)
+    got = np.asarray(classify(np.array(ranked, dtype=np.float64).reshape(len(ranked), n - 1)), dtype=bool)
+    if got.shape != want.shape:
+        raise ValueError(f"classify returned shape {got.shape}, expected {want.shape}")
+    return [(ranked[r], int(i) + 1) for r, i in np.argwhere(got != want)]

@@ -1,7 +1,7 @@
 """Trial counting through Poissonization.
 
 Give every slot its own unit-rate Poisson arrival stream. The first arrivals
-xi form the priority field, so the jammed configuration and the jamming time
+xi are the slot marks, so the jammed configuration and the jamming time
 tau* (the last parking time) are functions of xi alone. The total number of
 arrivals up to tau*, summed over the n-1 slots, has exactly the law of T_n, the
 number of uniform draws (rejections included) the direct process needs to jam:
@@ -11,7 +11,8 @@ n log n; a coupon collector over the n-1 slots dominates it.
 The sweeps below read T and tau* from finite.first_arrival_batch, which draws
 only the first arrivals and counts the later ones with one Poisson draw (the
 superposition identity, stated in finite.py). simulate_poissonized runs every
-arrival and is its event-level reference.
+arrival and is its event-level reference; it parks cars with the oracle's own
+replay, so it shares no code with the kernel.
 """
 from __future__ import annotations
 
@@ -20,50 +21,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, EXP, SeedSpec, as_generator, sample_priority_field
-from .finite import construct_from_priorities, first_arrival_batch
+from .core import DEFAULT_SEED, EXP, SeedSpec, as_generator
+from .finite import first_arrival_batch
+from .oracle import park_in_rank_order
 from .stats import SampleStats
 
 
-@dataclass(frozen=True, eq=False)
-class TrialOutcome:
-    """One Poissonized replica: jamming time tau*, total arrival count T, and
-    optionally the per-slot counts (0-based slots)."""
+def simulate_poissonized(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[float, np.ndarray]:
+    """Event-level Poissonized replica: (tau*, per-slot arrival counts over
+    0-based slots); T is the sum of the counts.
 
-    n: int
-    tau_star: float
-    T: int
-    per_slot_counts: np.ndarray | None = None
-
-
-def simulate_poissonized(
-    n: int,
-    rng: np.random.Generator | SeedSpec | None = None,
-    keep_counts: bool = False,
-) -> TrialOutcome:
-    """Event-level Poissonized replica.
-
-    The first arrivals are used as the priority field (timed construction),
-    tau* is the largest parking time, and each slot then accumulates further
-    exponential gaps until its arrival sum would pass tau*."""
+    The first arrivals xi park cars in increasing order (the oracle's replay),
+    tau* is the largest mark of a car slot, and each slot then accumulates
+    further exponential gaps until its arrival sum would pass tau*."""
     if n < 2:
         raise ValueError("need n >= 2 sites")
     rng = as_generator(rng)
-    field = sample_priority_field(n, EXP, rng)
-    outcome = construct_from_priorities(field, timed=True)
-    tau_star = max(outcome.per_car_times.values())
+    xi = EXP.ppf(rng.random(n - 1))
+    tau_star = max(float(xi[s]) for s in park_in_rank_order(xi) if s is not None)
     counts = np.zeros(n - 1, dtype=np.int64)
     for s in range(n - 1):
-        acc = float(field.values[s])
+        acc = float(xi[s])
         while acc <= tau_star:
             counts[s] += 1
             acc += float(rng.standard_exponential())
-    return TrialOutcome(
-        n=n,
-        tau_star=tau_star,
-        T=int(counts.sum()),
-        per_slot_counts=counts if keep_counts else None,
-    )
+    return tau_star, counts
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ import numpy as np
 from pagepark import (
     SeedSpec,
     chi_square_two_sample,
-    classify_site,
     density_curve_closed_form,
     distribution_M,
     enumerate_orderings,
     expected_M,
     expected_M_series,
+    expected_T_exact,
     odd_descent_prob_closed_form,
     occupancy_profile,
     per_site_vacancy_exact,
@@ -100,7 +100,8 @@ def test_criterion_04_oracle_equivalence():
         exact_ok &= rep.distribution_M == distribution_M(n).probs
         profile = tuple(per_site_vacancy_exact(n, i) for i in range(1, n + 1))
         exact_ok &= rep.per_site_vacancy == profile
-        counterexamples += len(verify_lemma1(n, classify_site))
+        exact_ok &= rep.expected_T == expected_T_exact(n)
+        counterexamples += len(verify_lemma1(n, occupancy_profile))
     dt = time.perf_counter() - t0
     report(
         4,
@@ -191,17 +192,17 @@ def test_criterion_09_construction_equivalence():
     # itself; the priority side classifies uniform marks and never calls it
     n, reps = 6, 100_000
     rng = SeedSpec(424211).generator()
-    direct = [simulate_direct(n, rng) for _ in range(reps)]
+    direct = [simulate_direct(n, rng) for _ in range(reps)]  # (occupancy, T) pairs
     m_prio = occupancy_profile(SeedSpec(424212).generator().random((reps, n - 1))).sum(axis=1)
     _, _, p_m = chi_square_two_sample(
-        dict(collections.Counter(o.M for o in direct)),
+        dict(collections.Counter(int(occ.sum()) for occ, _ in direct)),
         dict(collections.Counter(int(x) for x in m_prio)),
     )
     t_poisson = [
-        simulate_poissonized(n, rng=SeedSpec(424213, i)).T for i in range(reps)
+        int(simulate_poissonized(n, rng=SeedSpec(424213, i))[1].sum()) for i in range(reps)
     ]
     _, _, p_t = chi_square_two_sample(
-        dict(collections.Counter(o.T for o in direct)),
+        dict(collections.Counter(t for _, t in direct)),
         dict(collections.Counter(t_poisson)),
     )
     report(

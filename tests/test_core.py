@@ -1,18 +1,14 @@
-"""Seeding, arrival laws, priority fields, and configuration invariants."""
+"""Seeding and arrival laws."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from pagepark import (
     EXP,
     UNIFORM,
     ArrivalDistribution,
-    ParkingConfiguration,
-    PriorityField,
     SeedSpec,
-    recount_free_pairs,
-    sample_priority_field,
 )
 from pagepark.core import DEFAULT_SEED, as_generator, map_streams
 
@@ -103,59 +99,3 @@ class TestArrivalDistribution:
         exp_marks = EXP.ppf(u)
         uni_marks = UNIFORM.ppf(u)
         np.testing.assert_array_equal(np.argsort(exp_marks), np.argsort(uni_marks))
-
-    def test_sample_matches_ppf_of_uniform_stream(self):
-        a = EXP.sample(SeedSpec(9).generator(), 32)
-        b = EXP.ppf(SeedSpec(9).generator().random(32))
-        np.testing.assert_array_equal(a, b)
-
-
-class TestPriorityField:
-    def test_indexing(self):
-        f = PriorityField(np.array([0.3, 0.1, 0.2]), index_offset=1)
-        assert len(f) == 3
-        assert f.first_index == 1 and f.last_index == 3
-        assert f.value_at(2) == pytest.approx(0.1)
-        assert f.n_sites == 4
-        with pytest.raises(IndexError):
-            f.value_at(4)
-
-    def test_negative_offset_window(self):
-        f = PriorityField(np.array([1.0, 2.0, 3.0]), index_offset=-1)
-        assert f.first_index == -1 and f.last_index == 1
-        with pytest.raises(ValueError):
-            _ = f.n_sites
-
-    @given(st.integers(min_value=2, max_value=200), st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_sampled_fields_sized_and_deterministic(self, n, seed):
-        f = sample_priority_field(n, rng=SeedSpec(seed))
-        assert len(f) == n - 1
-        np.testing.assert_array_equal(f.values, sample_priority_field(n, rng=seed).values)
-
-    def test_sampling_deterministic(self):
-        a = sample_priority_field(50, rng=SeedSpec(7))
-        b = sample_priority_field(50, rng=SeedSpec(7))
-        np.testing.assert_array_equal(a.values, b.values)
-
-
-class TestParkingConfiguration:
-    def test_free_pairs_default_and_validation(self):
-        occ = np.array([True, True, False, False, True])
-        c = ParkingConfiguration(occ)
-        assert c.free_pair_count == 1
-        assert not c.jammed
-        assert c.occupied_count == 3
-        with pytest.raises(ValueError):
-            ParkingConfiguration(occ, free_pair_count=2)
-
-    def test_jammed_detection(self):
-        c = ParkingConfiguration(np.array([False, True, True, False]))
-        assert c.jammed  # only pairs (1,2) and (3,4) exist; both touch a car
-
-    @given(st.lists(st.booleans(), min_size=2, max_size=64))
-    def test_recount_matches_constructor(self, bits):
-        occ = np.array(bits, dtype=bool)
-        c = ParkingConfiguration(occ)
-        assert c.free_pair_count == recount_free_pairs(occ)
-        assert c.jammed == (recount_free_pairs(c) == 0)

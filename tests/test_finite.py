@@ -1,4 +1,4 @@
-"""Finite-interval dynamics: classifier, construction, and the draw process."""
+"""Finite-interval dynamics: the classifier, its replay, and the draw process."""
 import collections
 
 import numpy as np
@@ -7,19 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pagepark import (
-    PriorityField,
     SeedSpec,
     car_slots_from_occupancy,
-    classify_site,
-    construct_from_priorities,
     distribution_M,
     expected_M,
     first_arrival_batch,
     measure_M_T,
     occupancy_profile,
-    recount_free_pairs,
-    rise_descent_at,
-    sample_priority_field,
     simulate_direct,
     simulate_direct_batch,
     verify_lemma1,
@@ -37,51 +31,36 @@ sizes = st.integers(min_value=2, max_value=120)
 
 
 class TestRiseDescent:
+    """Pinned cases of the run-parity rule, read through occupancy_profile:
+    site i is vacant iff its rise and descent both have even length."""
+
     def test_pinned_example(self):
         # marks (3, 1, 2) on slots 1..3: the middle slot parks first and
-        # blocks both neighbours, leaving sites 1 and 4 vacant
-        v = np.array([3.0, 1.0, 2.0])
-        rd = [rise_descent_at(v, i) for i in range(1, 5)]
-        assert [(r.rise_length, r.descent_length) for r in rd] == [
-            (0, 2),
-            (1, 1),
-            (1, 1),
-            (2, 0),
-        ]
-        assert [r.vacant for r in rd] == [True, False, False, True]
+        # blocks both neighbours, leaving sites 1 and 4 vacant (rise, descent
+        # at sites 1..4: (0, 2), (1, 1), (1, 1), (2, 0))
+        assert occupancy_profile(np.array([3.0, 1.0, 2.0])).tolist() == [False, True, True, False]
 
     def test_increasing_marks_pack_from_left(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        occ = [classify_site(v, i) for i in range(1, 6)]
-        assert occ == [True, True, True, True, False]
-        # the rise at the far edge spans all four slots
-        assert rise_descent_at(v, 5).rise_length == 4
+        # the rise at the far edge spans all four slots: even, so site 5 is vacant
+        occ = occupancy_profile(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert occ.tolist() == [True, True, True, True, False]
 
     def test_decreasing_marks_pack_from_right(self):
-        v = np.array([4.0, 3.0, 2.0, 1.0])
-        occ = [classify_site(v, i) for i in range(1, 6)]
-        assert occ == [False, True, True, True, True]
-        assert rise_descent_at(v, 1).descent_length == 4
+        # the descent at site 1 spans all four slots
+        occ = occupancy_profile(np.array([4.0, 3.0, 2.0, 1.0]))
+        assert occ.tolist() == [False, True, True, True, True]
 
     def test_edge_lengths_zero(self):
-        v = np.array([0.4, 0.9, 0.1])
-        n = v.size + 1
-        assert rise_descent_at(v, 1).rise_length == 0
-        assert rise_descent_at(v, n).descent_length == 0
+        # no slot left of site 1 or right of site n: those runs have length 0,
+        # so an edge site is vacant exactly when its one run is even
+        assert occupancy_profile(np.array([2.0, 1.0])).tolist() == [False, True, True]
+        assert occupancy_profile(np.array([1.0, 2.0])).tolist() == [True, True, False]
+        assert occupancy_profile(np.array([0.5])).tolist() == [True, True]
 
     def test_out_of_range_site(self):
+        # one site and no slot: nothing to classify
         with pytest.raises(ValueError):
-            rise_descent_at(np.array([0.5]), 3)
-
-    @given(field_seeds, sizes)
-    @settings(max_examples=60, deadline=None)
-    def test_parity_rule_is_definition_of_vacant(self, seed, n):
-        xi = sample_priority_field(n, rng=SeedSpec(seed))
-        for i in range(1, n + 1):
-            rd = rise_descent_at(xi, i)
-            assert rd.vacant == (rd.rise_length % 2 == 0 and rd.descent_length % 2 == 0)
-            assert 0 <= rd.rise_length <= i - 1
-            assert 0 <= rd.descent_length <= n - i
+            occupancy_profile(np.array([]))
 
 
 class TestClassifierEquivalence:
@@ -89,37 +68,36 @@ class TestClassifierEquivalence:
     def test_exhaustive_against_replay(self, n):
         # every ordering of the n-1 slots; the classifier must reproduce the
         # replayed occupancy at every site
-        assert verify_lemma1(n, classify_site) == []
+        assert verify_lemma1(n, occupancy_profile) == []
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_tie_rule_exhaustive_on_weak_orderings(self, n):
         # every weak ordering of the n-1 slots (4683 at n = 7): equal marks
-        # act in slot order, and each classifier and construction must agree
+        # act in slot order, and the classifier and the tau* scan must agree
         # with the oracle's replay of that rule
         ranked = list(weak_orderings(n - 1))
-        assert verify_lemma1(n, classify_site, ranked) == []
+        assert verify_lemma1(n, occupancy_profile, ranked) == []
         for ranks in ranked:
             cover = park_in_rank_order(ranks)
-            want = [c is not None for c in cover]
             xi = np.array(ranks, dtype=np.float64)
-            assert occupancy_profile(xi).tolist() == want, ranks
-            assert construct_from_priorities(PriorityField(xi)).config.occupancy.tolist() == want, ranks
             assert tau_star(xi) == max(ranks[c] for c in cover if c is not None), ranks
 
     @given(field_seeds, sizes)
     @settings(max_examples=60, deadline=None)
     def test_vectorised_profile_matches_scalar(self, seed, n):
-        xi = sample_priority_field(n, rng=SeedSpec(seed))
-        prof = occupancy_profile(xi.values)
-        scalar = np.array([classify_site(xi, i) for i in range(1, n + 1)])
-        np.testing.assert_array_equal(prof, scalar)
+        # a 2-D block of tied fields (marks in {0, .., 3}) against the scalar
+        # replay of each row, so the tie rule is checked beyond the exhaustive n
+        xi = np.floor(4.0 * SeedSpec(seed).generator().random((5, n - 1)))
+        built = [[c is not None for c in park_in_rank_order(row)] for row in xi]
+        assert occupancy_profile(xi).tolist() == built
 
     @given(field_seeds, sizes)
     @settings(max_examples=60, deadline=None)
     def test_profile_matches_construction(self, seed, n):
-        xi = sample_priority_field(n, rng=SeedSpec(seed))
-        built = construct_from_priorities(xi).config.occupancy
-        np.testing.assert_array_equal(occupancy_profile(xi.values), built)
+        # the classifier against the oracle's replay in mark order
+        xi = SeedSpec(seed).generator().random(n - 1)
+        built = [c is not None for c in park_in_rank_order(xi)]
+        assert occupancy_profile(xi).tolist() == built
 
     def test_profile_batched_shape(self):
         u = SeedSpec(3).generator().random((7, 9))
@@ -133,16 +111,16 @@ class TestJammedInvariants:
     @given(field_seeds, sizes)
     @settings(max_examples=80, deadline=None)
     def test_profile_is_jammed_even_and_covering(self, seed, n):
-        occ = occupancy_profile(sample_priority_field(n, rng=SeedSpec(seed)).values)
+        occ = occupancy_profile(SeedSpec(seed).generator().random(n - 1))
         m = int(occ.sum())
         assert m % 2 == 0
         assert m >= (n - 1) / 2
-        assert recount_free_pairs(occ) == 0
+        assert np.count_nonzero(~occ[:-1] & ~occ[1:]) == 0  # no free adjacent pair
 
     @given(field_seeds, sizes)
     @settings(max_examples=40, deadline=None)
     def test_car_slots_reconstruct_occupancy(self, seed, n):
-        occ = occupancy_profile(sample_priority_field(n, rng=SeedSpec(seed)).values)
+        occ = occupancy_profile(SeedSpec(seed).generator().random(n - 1))
         slots = car_slots_from_occupancy(occ)
         rebuilt = np.zeros(n, dtype=bool)
         rebuilt[slots] = True
@@ -160,43 +138,25 @@ class TestJammedInvariants:
         )
 
 
-class TestConstruction:
-    def test_timed_marks_are_car_slot_marks(self):
-        xi = sample_priority_field(40, rng=SeedSpec(11))
-        out = construct_from_priorities(xi, timed=True)
-        assert out.T is None
-        assert set(out.per_car_times) == {
-            int(i) + 1 for i in np.flatnonzero(out.config.occupancy)
-        }
-        slots = car_slots_from_occupancy(out.config.occupancy)
-        for s in slots:
-            t = xi.values[s]
-            assert out.per_car_times[int(s) + 1] == t
-            assert out.per_car_times[int(s) + 2] == t
-
-    def test_untimed_has_no_times(self):
-        xi = sample_priority_field(10, rng=SeedSpec(1))
-        assert construct_from_priorities(xi).per_car_times is None
-
-
 class TestDirectProcess:
     def test_single_replica_invariants(self):
-        out = simulate_direct(30, rng=SeedSpec(21))
-        assert out.config.jammed
-        assert out.M == out.config.occupied_count
-        assert out.M % 2 == 0
-        assert out.T >= out.M // 2  # every parked car took at least one draw
+        occ, t = simulate_direct(30, rng=SeedSpec(21))
+        assert occ.shape == (30,) and occ.dtype == bool
+        assert np.count_nonzero(~occ[:-1] & ~occ[1:]) == 0  # jammed
+        m = int(occ.sum())
+        assert m % 2 == 0
+        assert t >= m // 2  # every parked car took at least one draw
 
     def test_deterministic_in_seed(self):
-        a = simulate_direct(30, rng=SeedSpec(21))
-        b = simulate_direct(30, rng=SeedSpec(21))
-        np.testing.assert_array_equal(a.config.occupancy, b.config.occupancy)
-        assert a.T == b.T
+        a_occ, a_t = simulate_direct(30, rng=SeedSpec(21))
+        b_occ, b_t = simulate_direct(30, rng=SeedSpec(21))
+        np.testing.assert_array_equal(a_occ, b_occ)
+        assert a_t == b_t
 
     def test_small_n_exact(self):
         # n=2: one slot, first draw always parks
-        out = simulate_direct(2, rng=SeedSpec(0))
-        assert out.M == 2 and out.T == 1
+        occ, t = simulate_direct(2, rng=SeedSpec(0))
+        assert occ.tolist() == [True, True] and t == 1
 
     def test_batch_matches_single_law(self):
         # the one-pass kernel against the draw-by-draw reference: chi-square
@@ -204,7 +164,7 @@ class TestDirectProcess:
         n, reps = 6, 20_000
         single = [simulate_direct(n, rng=SeedSpec(1234, i)) for i in range(reps)]
         batch_m, batch_t = simulate_direct_batch(n, reps, SeedSpec(5678))
-        for ref, got in (([o.M for o in single], batch_m), ([o.T for o in single], batch_t)):
+        for ref, got in (([int(occ.sum()) for occ, _ in single], batch_m), ([t for _, t in single], batch_t)):
             _, _, p = _chi2(collections.Counter(ref), collections.Counter(got.tolist()))
             assert p > 0.001
 

@@ -37,29 +37,30 @@ class TestWindowSampler:
     def test_deterministic(self):
         a = sample_site_infinite(rng=SeedSpec(3))
         b = sample_site_infinite(rng=SeedSpec(3))
-        np.testing.assert_array_equal(a.xi_window.values, b.xi_window.values)
+        np.testing.assert_array_equal(a.xi_window, b.xi_window)
         assert a.tau_0 == b.tau_0
 
     @pytest.mark.parametrize("seed", range(40))
     def test_window_invariants(self, seed):
         w = sample_site_infinite(rng=SeedSpec(1000 + seed))
-        win = w.xi_window
-        # window spans [m-1, m'+1] around the bracketing local minima
-        assert win.first_index == w.left_min_index - 1
-        assert win.last_index == w.right_min_index + 1
+        m, mp = w.left_min_index, w.right_min_index
+        # window spans slots m-1 .. m'+1 around the bracketing local minima
+        assert w.xi_window.dtype == np.float64
+        assert w.xi_window.shape == (mp - m + 3,)
         assert w.rise_length >= 1 and w.descent_length >= 1
 
+        def at(j):
+            return w.xi_window[j - m + 1]
+
         # left minimum: the mark just outside exceeds it, the run ascends to slot -1
-        m = w.left_min_index
-        assert win.value_at(m - 1) > win.value_at(m)
+        assert at(m - 1) > at(m)
         for j in range(m, -1):
-            assert win.value_at(j) <= win.value_at(j + 1)
+            assert at(j) <= at(j + 1)
 
         # right run descends from slot 0 to the minimum, then steps up
-        mp = w.right_min_index
         for j in range(0, mp):
-            assert win.value_at(j) > win.value_at(j + 1)
-        assert win.value_at(mp) <= win.value_at(mp + 1)
+            assert at(j) > at(j + 1)
+        assert at(mp) <= at(mp + 1)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_occupancy_and_tau_rules(self, seed):
@@ -67,8 +68,8 @@ class TestWindowSampler:
         rise_odd = w.rise_length % 2 == 1
         desc_odd = w.descent_length % 2 == 1
         assert w.occupancy_at_0 == (rise_odd or desc_odd)
-        xi_l = w.xi_window.value_at(-1)
-        xi_r = w.xi_window.value_at(0)
+        xi_l = w.xi_window[w.rise_length]  # slot -1
+        xi_r = w.xi_window[w.rise_length + 1]  # slot 0
         if rise_odd and desc_odd:
             assert w.tau_0 == min(xi_l, xi_r)
         elif rise_odd:

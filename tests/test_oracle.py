@@ -5,17 +5,19 @@ pin hand-checkable values and structural identities only.
 """
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pagepark import (
     CHAIN_CAP,
     ENUMERATION_CAP,
-    classify_site,
     enumerate_orderings,
     expected_T_exact,
+    occupancy_profile,
     verify_lemma1,
     weak_orderings,
 )
+from pagepark import oracle
 from pagepark.oracle import park_in_rank_order
 
 F = Fraction
@@ -51,6 +53,18 @@ class TestFrozenValues:
         assert rep.distribution_M == {4: F(1)}
         assert rep.per_site_vacancy == (F(3, 8), F(0), F(1, 4), F(0), F(3, 8))
         assert rep.expected_T == 4
+
+    def test_expected_t_from_orderings_matches_chain(self):
+        # two derivations of E[T_n] that share no code
+        for n in range(2, ENUMERATION_CAP):
+            assert enumerate_orderings(n).expected_T == expected_T_exact(n), n
+
+    def test_expected_t_without_jamming_draw_fails(self, monkeypatch):
+        # planted fault: stop one draw short of the last car slot's first draw
+        draws_to_see = oracle._draws_to_see
+        monkeypatch.setattr(oracle, "_draws_to_see", lambda k, m: draws_to_see(k - 1, m))
+        for n in range(2, ENUMERATION_CAP):
+            assert enumerate_orderings(n).expected_T != expected_T_exact(n), n
 
     def test_expected_t_small(self):
         # n=2: single slot, always parks on the first draw
@@ -109,8 +123,8 @@ class TestStructure:
     def test_weak_orderings_catch_a_wrong_tie_rule(self):
         # breaking ties right slot first agrees on every permutation but must
         # fail on weak orderings
-        def right_first(ranks, i):
-            return classify_site([r - 1e-6 * s for s, r in enumerate(ranks)], i)
+        def right_first(marks):
+            return occupancy_profile(marks - 1e-6 * np.arange(marks.shape[1]))
 
         assert verify_lemma1(5, right_first) == []
         assert verify_lemma1(5, right_first, weak_orderings(4)) != []

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written, so removing a public
-name it uses breaks the suite, not only the docs."""
+"""The README's library quick start runs as written and every name in
+pagepark.__all__ resolves, so removing a public name it uses breaks the
+suite, not only the docs."""
 import pathlib
 import re
 
@@ -11,3 +12,12 @@ def test_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "from pagepark import" in block
     exec(compile(block, f"{README.name} quick start", "exec"), {})
+
+
+def test_star_import_resolves_every_export():
+    import pagepark
+
+    names: dict = {}
+    exec("from pagepark import *", names)  # raises AttributeError on a stale __all__ entry
+    assert sorted(set(pagepark.__all__) - set(names)) == []
+    assert len(pagepark.__all__) == len(set(pagepark.__all__))
