@@ -3,8 +3,9 @@
 
 For each n the script replays all (n-1)! slot orderings and compares the
 enumerated E[M_n], law of M_n, per-site vacancy profile, and E[T_n] with the
-recursion, convolution, closed-form profile, and absorbing chain. It also
-sweeps the run-parity classifier (occupancy_profile) over every ordering.
+mean recursion, the recurrence for the law, the closed-form profile, and the
+absorbing chain. It also sweeps the run-parity classifier (occupancy_profile)
+over every ordering.
 """
 import argparse
 from fractions import Fraction

@@ -349,18 +349,12 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         report.expected_T == chain_T,
         f"enumeration {report.expected_T} == absorbing chain {chain_T}",
     )
-    if n <= 9:
-        bad = verify_lemma1(n, occupancy_profile)
-        checks.record(
-            "parity_classification_matches_dynamics",
-            len(bad) == 0,
-            f"{len(bad)} counterexamples over all {report.permutations} orderings",
-        )
-    else:
-        print(
-            "note: parity classification sweep skipped for n > 9 (runtime)",
-            file=sys.stderr,
-        )
+    bad = verify_lemma1(n, occupancy_profile)
+    checks.record(
+        "parity_classification_matches_dynamics",
+        len(bad) == 0,
+        f"{len(bad)} counterexamples over all {report.permutations} orderings",
+    )
     rows = [
         ResultRow(
             n=report.n,

@@ -2,8 +2,8 @@
 
 The first car parks at a uniform slot I of the n-1 slots and splits the
 interval into independent sub-intervals of I-1 and n-I-1 sites. Every exact
-finite-n law here is a count of slot orderings built on that split, kept in
-integers and divided by (n-1)! once at the end.
+finite-n law here is built on that split, kept in integers and divided by a
+factorial once at the end.
 
 The mean: A_k = (k-1)! E[M_k] is the number of occupied sites summed over all
 orderings of k-1 slots. From
@@ -14,19 +14,22 @@ it follows that, with P_k = (k-2)! sum_{j<=k-2} E[M_j],
 
     P_k = (k-2) P_{k-1} + (k-2) A_{k-2},    A_k = 2 (k-1)! + 2 P_k.
 
-The law: N_k(c) counts the orderings of the k-1 slots that jam with c cars.
-If slot i parks first, the other k-2 slots are the i-2 slots of the left
-block, the k-i-2 of the right block and the dead slots i-1 and i+1 (those
-that exist). A left ordering and a right ordering extend to
+The law: g_n(x) = E[x^(M_n/2)] obeys the same split, (n-1) g_n =
+x sum_i g_(i-1) g_(n-i-1) with g_0 = g_1 = 1. So H(z) = sum_n g_n z^n solves
+the Riccati equation (H/z)' = x H^2 - 1/z^2; H = -w'/(x z w) linearises it to
+w'' - (2/z) w' - x w = 0, solved by (1 -+ sqrt(x) z) e^(+-sqrt(x) z), and
+g_0 = g_1 = 1 fix H = P/D with
 
-    w(k,i) = (k-2)! / (max(i-2,0)! max(k-i-2,0)!)
+    P(z) = sum_m x^floor(m/2) z^m / m!,   D(z) = 1 - sum_{m>=2} (m-1) x^floor(m/2) z^m / m!.
 
-orderings of all k-2, one per interleaving of the blocks and the dead slots, so
+The z^n coefficient of D H = P gives, for G_n = n! g_n, the positive recurrence
 
-    N_k(c) = sum_{i=1}^{k-1} w(k,i) sum_{a+b=c-1} N_{i-1}(a) N_{k-i-1}(b),
+    G_n = x^floor(n/2) + sum_{m=2}^{n} C(n,m) (m-1) x^floor(m/2) G_{n-m}.
 
-and sum_c N_k(c) = (k-1)!. Both factors are symmetric under i <-> k-i, so the
-sum runs over i <= k/2 and counts every off-centre term twice.
+In the deficit d = floor(n/2) - M_n/2 each term keeps its deficit but the
+odd-m terms of an even n, which gain one. The float path cuts the sum at
+m = 40: the weights (m-1)/m! beyond it sum to less than 1.3e-48, and every
+coefficient of g_k is at most 1.
 
 Per-site vacancy factorises over the two sides of the site into alternating
 factorial series; the relevant tail sum is
@@ -45,8 +48,8 @@ import numpy as np
 
 from .core import EXP, ArrivalDistribution
 
-# distribution_M's exact path is O(n^4) big-integer products (3.3 s cold at this
-# n on a 2-vCPU Xeon VM); beyond it distribution_M falls back to float64.
+# distribution_M's exact path is O(n^2) small-by-big products on packed rows
+# (0.33-0.45 s cold at this n on a 2-vCPU Xeon VM); beyond it, float64.
 DISTRIBUTION_RATIONAL_CAP = 256
 
 _occupied_totals: list[int] = [0, 0]  # A_k = (k-1)! E[M_k]
@@ -87,32 +90,41 @@ def expected_M_series(n_max: int) -> np.ndarray:
     return em
 
 
-# N_k as (lowest car count c, [N_k(c), N_k(c+1), ...]); zero counts are trimmed
-_ordering_counts: list[tuple[int, list[int]]] = [(0, [1]), (0, [1])]
+def _deficit_counts(n: int) -> list[int]:
+    """n! P(M_n = 2 (floor(n/2) - d)) for d = 0, 1, ...: the coefficients of G_n by
+    deficit, each row packed into one integer with B bits per coefficient. Every
+    partial sum of a coefficient is at most n! < 2^B, so nothing carries; B is
+    whole bytes, so the last row unpacks by slicing."""
+    width = math.factorial(n).bit_length() // 8 + 1
+    rows = [1, 1]
+    for k in range(2, n + 1):
+        parts = [0, 0]  # the sums over even and odd m
+        for m in range(2, k + 1):
+            parts[m & 1] += math.comb(k, m) * (m - 1) * rows[k - m]
+        rows.append(1 + parts[0] + (parts[1] << 8 * width if k % 2 == 0 else parts[1]))
+    raw = rows[n].to_bytes(rows[n].bit_length() // 8 + 1, "little")
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _ordering_counts_upto(n: int) -> None:
-    if len(_ordering_counts) > n:
-        return
-    fact = [math.factorial(m) for m in range(n - 1)]
-    for k in range(len(_ordering_counts), n + 1):
-        acc = [0] * (k // 2 + 1)
-        for i in range(1, k // 2 + 1):
-            j = k - i
-            w = fact[k - 2] // (fact[max(i - 2, 0)] * fact[max(j - 2, 0)])
-            if i != j:
-                w *= 2
-            lo_a, a = _ordering_counts[i - 1]
-            lo_b, b = _ordering_counts[j - 1]
-            if len(a) > len(b):
-                a, b = b, a
-            for x, na in enumerate(a, lo_a + lo_b + 1):
-                wa = w * na
-                for y, nb in enumerate(b, x):
-                    acc[y] += wa * nb
-        assert sum(acc) == fact[k - 2] * (k - 1)
-        nonzero = [c for c, v in enumerate(acc) if v]
-        _ordering_counts.append((nonzero[0], acc[nonzero[0] : nonzero[-1] + 1]))
+def _deficit_law_float(n: int) -> np.ndarray:
+    """P(M_n = 2 (floor(n/2) - d)) for d = 0, 1, ... from g_n in float64, the sum
+    cut at m = 40. A jammed row of k sites has at least (k-1)/3 cars, so its
+    deficit is at most k/6 + 1/3."""
+    terms = 40
+    m = np.arange(terms, 0, -1)  # the weights of rows k-40 .. k-1
+    weight = (m - 1) / np.array([math.factorial(j) for j in m], dtype=float)
+    odd = np.where(m % 2, weight, 0.0)
+    even = weight - odd
+    # each row is stored twice, so any 40 consecutive rows are one slice; the
+    # zero column 0 shifts the odd-m rows of an even k by one deficit
+    ring = np.zeros((2 * terms + 2, n // 6 + 3))
+    for k in range(n + 1):
+        win = ring[(k - terms) % (terms + 1) :][:terms]
+        row = weight @ win[:, 1:] if k % 2 else even @ win[:, 1:] + odd @ win[:, :-1]
+        if k <= terms:
+            row[0] += 1.0 / math.factorial(k)
+        ring[k % (terms + 1), 1:] = ring[k % (terms + 1) + terms + 1, 1:] = row
+    return row
 
 
 @dataclass(frozen=True)
@@ -137,20 +149,12 @@ def distribution_M(n: int, rational_cap: int = DISTRIBUTION_RATIONAL_CAP) -> MDi
     if n < 0:
         raise ValueError("n must be >= 0")
     if n <= rational_cap:
-        _ordering_counts_upto(n)
-        lo, counts = _ordering_counts[n]
-        total = math.factorial(max(n - 1, 0))
-        probs = {2 * c: Fraction(v, total) for c, v in enumerate(counts, lo) if v}
-        return MDistribution(n=n, probs=probs, exact=True)
-    rows: list[np.ndarray] = [np.array([1.0]), np.array([1.0])]
-    for k in range(2, n + 1):
-        acc = np.zeros(k // 2 + 1)
-        for i in range(1, k // 2 + 1):
-            conv = np.convolve(rows[i - 1], rows[k - i - 1])
-            acc[1 : 1 + conv.size] += conv if 2 * i == k else 2.0 * conv
-        rows.append(acc / (k - 1))
-    probs = {2 * c: float(p) for c, p in enumerate(rows[n]) if p > 0.0}
-    return MDistribution(n=n, probs=probs, exact=False)
+        total = math.factorial(n)
+        law = [Fraction(v, total) for v in _deficit_counts(n)]
+    else:
+        law = _deficit_law_float(n).tolist()
+    probs = {2 * (n // 2 - d): p for d, p in reversed(list(enumerate(law))) if p}
+    return MDistribution(n=n, probs=probs, exact=n <= rational_cap)
 
 
 _tail_sums: list[Fraction] = [Fraction(0)]  # S_0, S_1, ...

@@ -164,6 +164,16 @@ class TestOutAndErrors:
         assert "json-only" in res.stderr
         json.loads(res.stdout)
 
+    def test_oracle_sweeps_the_classifier_at_every_n(self, monkeypatch, capsys):
+        # n = 10 is the largest --n argparse accepts; the spy stands in for the
+        # full sweep (2.8 s there) and reports no counterexample
+        calls = []
+        monkeypatch.setattr(cli, "verify_lemma1", lambda n, classify: calls.append(n) or [])
+        assert main(["oracle", "--n", "10"]) == 0
+        assert calls == [10]
+        doc = json.loads(capsys.readouterr().out)
+        assert "parity_classification_matches_dynamics" in {e["name"] for e in doc["checks"]["entries"]}
+
     def test_oracle_cap_errors(self):
         res = run_cli("oracle", "--n", "11")
         assert res.returncode != 0

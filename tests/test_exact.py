@@ -54,10 +54,99 @@ class TestExpectedM:
         assert np.all(np.diff(em) <= 2.0 + 1e-12)
 
 
+# The independent reference for the law of M_n: the first-car split itself.
+# N_k as (lowest car count c, [N_k(c), N_k(c+1), ...]) counts the orderings of
+# the k-1 slots that jam with c cars. If slot i parks first, a left ordering
+# and a right ordering extend to w(k,i) = (k-2)! / (max(i-2,0)! max(k-i-2,0)!)
+# orderings of the other k-2 slots, so
+#     N_k(c) = sum_{i=1}^{k-1} w(k,i) sum_{a+b=c-1} N_{i-1}(a) N_{k-i-1}(b),
+# summed over i <= k/2 with every off-centre term counted twice.
+_ordering_counts: list[tuple[int, list[int]]] = [(0, [1]), (0, [1])]
+
+
+def _ordering_counts_upto(n: int) -> None:
+    if len(_ordering_counts) > n:
+        return
+    fact = [math.factorial(m) for m in range(n - 1)]
+    for k in range(len(_ordering_counts), n + 1):
+        acc = [0] * (k // 2 + 1)
+        for i in range(1, k // 2 + 1):
+            j = k - i
+            w = fact[k - 2] // (fact[max(i - 2, 0)] * fact[max(j - 2, 0)])
+            if i != j:
+                w *= 2
+            lo_a, a = _ordering_counts[i - 1]
+            lo_b, b = _ordering_counts[j - 1]
+            if len(a) > len(b):
+                a, b = b, a
+            for x, na in enumerate(a, lo_a + lo_b + 1):
+                wa = w * na
+                for y, nb in enumerate(b, x):
+                    acc[y] += wa * nb
+        assert sum(acc) == fact[k - 2] * (k - 1)
+        nonzero = [c for c, v in enumerate(acc) if v]
+        _ordering_counts.append((nonzero[0], acc[nonzero[0] : nonzero[-1] + 1]))
+
+
+def split_law(n: int) -> dict:
+    _ordering_counts_upto(n)
+    lo, counts = _ordering_counts[n]
+    total = math.factorial(max(n - 1, 0))
+    return {2 * c: F(v, total) for c, v in enumerate(counts, lo) if v}
+
+
+def recurrence_laws(n_max: int, shift=lambda m: m // 2, weight=lambda m: m - 1) -> list[dict]:
+    """A copy of the recurrence G_k = x^floor(k/2) + sum_m C(k,m) (m-1) x^floor(m/2) G_{k-m}
+    in plain coefficient lists (index = cars), with the cars of an m-site block
+    and its weight as parameters; each law is G_k over its own total."""
+    rows: list[list[int]] = []
+    for k in range(n_max + 1):
+        acc = [0] * (k + 1)
+        acc[k // 2] = 1
+        for m in range(2, k + 1):
+            f = math.comb(k, m) * weight(m)
+            for c, v in enumerate(rows[k - m]):
+                acc[c + shift(m)] += f * v
+        rows.append(acc)
+    return [{2 * c: F(v, sum(row)) for c, v in enumerate(row) if v} for row in rows]
+
+
+def variance_gap(law: dict, n: int) -> float:
+    """Var(M_n) - 4 e^-4 (n+2): below float noise from n = 30 on (the identity
+    holds up to an O(C^n / n!) term)."""
+    mean = sum(m * p for m, p in law.items())
+    return float(sum((m - mean) ** 2 * p for m, p in law.items())) - 4 * math.exp(-4) * (n + 2)
+
+
+def variance_envelope(n: int) -> float:
+    # measured on the float path: |gap| is 4e-16, 2.7e-15, 5e-14 and 5.7e-13 at
+    # n = 30, 60, 300 and 1000 (rounding in the mean grows like n^2 eps)
+    return 1e-17 * n * n
+
+
 class TestDistributionM:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_oracle(self, n):
         assert distribution_M(n).probs == enumerate_orderings(n).distribution_M
+
+    @pytest.mark.parametrize("n", range(0, 61))
+    def test_matches_split_reference(self, n):
+        d = distribution_M(n)
+        assert d.exact
+        assert d.probs == split_law(n)
+
+    def test_recurrence_copy_is_faithful(self):
+        laws = recurrence_laws(60)
+        assert all(laws[n] == distribution_M(n).probs for n in range(61))
+
+    @pytest.mark.parametrize(
+        "fault",
+        [dict(shift=lambda m: (m + 1) // 2), dict(weight=lambda m: 1)],
+        ids=["ceil_shift", "no_block_weight"],
+    )
+    def test_planted_faults_fail(self, fault):
+        laws = recurrence_laws(60, **fault)
+        assert not all(laws[n] == split_law(n) for n in range(61))
 
     @given(st.integers(min_value=2, max_value=60))
     @settings(max_examples=20, deadline=None)
@@ -68,7 +157,7 @@ class TestDistributionM:
         assert sum(d.probs.values()) == 1
 
     def test_at_scale(self):
-        # far beyond the oracle: both paths of the folded split recursion
+        # far beyond the oracle: both paths of the recurrence
         d = distribution_M(200)
         assert d.exact
         assert sum(d.probs.values()) == 1
@@ -85,10 +174,29 @@ class TestDistributionM:
         assert sum(d.probs.values()) == pytest.approx(1.0, abs=1e-12)
         assert d.mean() == pytest.approx(float(expected_M(40)), abs=1e-9)
 
-    @given(st.integers(min_value=2, max_value=50))
+    def test_float_invariants_at_scale(self):
+        n = 1000
+        d = distribution_M(n)
+        assert not d.exact
+        assert abs(sum(d.probs.values()) - 1.0) <= 1e-13
+        assert d.mean() == pytest.approx(expected_M_series(n)[n], rel=1e-12, abs=0.0)
+        assert all(m % 2 == 0 and (n - 1) / 2 <= m <= n for m in d.probs)
+
+    @pytest.mark.parametrize("n", [30, 60, 300, 1000])
+    def test_variance_identity(self, n):
+        assert abs(variance_gap(distribution_M(n, rational_cap=0).probs, n)) <= variance_envelope(n)
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_variance_identity_planted_fault(self, n):
+        law = recurrence_laws(n, shift=lambda m: (m + 1) // 2)[n]
+        assert abs(variance_gap(law, n)) > variance_envelope(n)
+
+    @given(st.integers(min_value=2, max_value=50), st.booleans())
     @settings(max_examples=15, deadline=None)
-    def test_support_is_even_and_feasible(self, n):
-        for m in distribution_M(n).probs:
+    def test_support_is_even_and_feasible(self, n, exact):
+        d = distribution_M(n, rational_cap=n if exact else n - 1)
+        assert d.exact == exact
+        for m in d.probs:
             assert m % 2 == 0
             assert (n - 1) / 2 <= m <= n
 
