@@ -30,10 +30,8 @@ from .exact import (
     site_coupling_bound,
 )
 from .finite import (
-    MeasuredMT,
     car_slots_from_occupancy,
     first_arrival_batch,
-    measure_M_T,
     occupancy_profile,
     simulate_direct,
     simulate_direct_batch,
@@ -63,11 +61,9 @@ from .stats import (
     proportion_estimate,
 )
 from .trials import (
-    TauStarStats,
     TrialsRow,
     coupon_collector_mean_exact,
     simulate_poissonized,
-    tau_star_statistics,
     trials_ratio_sweep,
 )
 
@@ -82,14 +78,12 @@ __all__ = [
     "EXP",
     "MCEstimate",
     "MDistribution",
-    "MeasuredMT",
     "OracleReport",
     "RareEventCapError",
     "RunsSample",
     "SEED_ENV_VAR",
     "SampleStats",
     "SeedSpec",
-    "TauStarStats",
     "TrialsRow",
     "UNIFORM",
     "WindowSample",
@@ -105,7 +99,6 @@ __all__ = [
     "expected_T_exact",
     "first_arrival_batch",
     "limit_constants",
-    "measure_M_T",
     "occupancy_profile",
     "odd_descent_prob_closed_form",
     "partial_sum_S",
@@ -118,7 +111,6 @@ __all__ = [
     "simulate_direct_batch",
     "simulate_poissonized",
     "site_coupling_bound",
-    "tau_star_statistics",
     "trials_ratio_sweep",
     "verify_lemma1",
     "weak_orderings",

@@ -31,12 +31,9 @@ Conventions used throughout (1-based sites and slots in the API):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import DEFAULT_SEED, SeedSpec, as_generator, chunk_sizes, map_streams
-from .stats import SampleStats
 
 _CHUNK_MARKS = 1 << 14  # marks per first_arrival_batch job; small keeps peak memory flat
 _SCAN_SITES = 1000  # longer rows find tau* by the tau_star scan: the T-only crossover is 700-1000 on 2 vCPUs
@@ -224,21 +221,3 @@ def simulate_direct_batch(
     simulate_direct, which stays the draw-by-draw reference."""
     m, t, _ = first_arrival_batch([n], replicas, seed, threads)[0]
     return m, t
-
-
-@dataclass(frozen=True)
-class MeasuredMT:
-    """Replica statistics of M and T."""
-
-    n: int
-    m_stats: SampleStats
-    t_stats: SampleStats
-
-
-def measure_M_T(n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1) -> MeasuredMT:
-    """Statistics of (M, T) over independent replicas of the uniform-draw
-    process, from simulate_direct_batch."""
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    m, t = simulate_direct_batch(n, replicas, seed, threads)
-    return MeasuredMT(n=n, m_stats=SampleStats.from_samples(m), t_stats=SampleStats.from_samples(t))

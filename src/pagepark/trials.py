@@ -26,6 +26,8 @@ from .finite import first_arrival_batch
 from .oracle import park_in_rank_order
 from .stats import SampleStats
 
+TAU_STAR_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)  # quantiles of tau* in each sweep row
+
 
 def simulate_poissonized(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[float, np.ndarray]:
     """Event-level Poissonized replica: (tau*, per-slot arrival counts over
@@ -49,31 +51,6 @@ def simulate_poissonized(n: int, rng: np.random.Generator | SeedSpec | None = No
 
 
 @dataclass(frozen=True)
-class TauStarStats:
-    """Replica statistics of the jamming time tau*."""
-
-    n: int
-    stats: SampleStats
-    quantiles: dict
-
-
-def tau_star_statistics(
-    n: int,
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    threads: int = 1,
-) -> TauStarStats:
-    """tau* of one first_arrival_batch row."""
-    taus = first_arrival_batch([n], replicas, seed, threads, want_m=False)[0][2]
-    qs = (0.05, 0.25, 0.5, 0.75, 0.95)
-    return TauStarStats(
-        n=n,
-        stats=SampleStats.from_samples(taus),
-        quantiles={q: float(np.quantile(taus, q)) for q in qs},
-    )
-
-
-@dataclass(frozen=True)
 class TrialsRow:
     """One row of the trial-count sweep."""
 
@@ -84,6 +61,7 @@ class TrialsRow:
     ratio: float  # mean T / (n log n)
     ratio_stderr: float
     tau_star_mean: float
+    tau_star_quantiles: tuple  # tau* at each level of TAU_STAR_LEVELS
     coupon_mean: float  # exact (n-1) H_{n-1}
 
     @property
@@ -98,15 +76,22 @@ def coupon_collector_mean_exact(k: int) -> float:
     return k * float(np.sum(1.0 / np.arange(1, k + 1)))
 
 
+def _quantiles(x: np.ndarray, levels) -> np.ndarray:
+    """Quantiles of x by linear interpolation between order statistics, the
+    definition np.quantile uses by default; np.quantile itself imports
+    numpy.ma on its first call, about 20 ms."""
+    return np.interp(np.multiply(levels, x.size - 1), np.arange(x.size), np.sort(x))
+
+
 def trials_ratio_sweep(
     n_list,
     replicas: int,
     seed: int | SeedSpec = DEFAULT_SEED,
     threads: int = 1,
 ) -> list[TrialsRow]:
-    """Mean T_n against n log n for each n, one first_arrival_batch row per n,
-    so rows are independent and any leading row subset reproduces
-    bit-identically."""
+    """Mean T_n against n log n, and the mean and quantiles of tau*, for each
+    n, one first_arrival_batch row per n, so rows are independent and any
+    leading row subset reproduces bit-identically."""
     rows = []
     for n, (_, t, taus) in zip(n_list, first_arrival_batch(n_list, replicas, seed, threads, want_m=False)):
         st = SampleStats.from_samples(t)
@@ -120,6 +105,7 @@ def trials_ratio_sweep(
                 ratio=st.mean / scale,
                 ratio_stderr=st.stderr / scale,
                 tau_star_mean=float(taus.mean()),
+                tau_star_quantiles=tuple(_quantiles(taus, TAU_STAR_LEVELS).tolist()),
                 coupon_mean=coupon_collector_mean_exact(n - 1),
             )
         )

@@ -24,8 +24,14 @@ from pagepark.cli import (
     main,
 )
 from pagepark.core import DEFAULT_SEED, SeedSpec
-from pagepark.exact import DISTRIBUTION_RATIONAL_CAP, density_curve_closed_form, expected_M, limit_constants
-from pagepark.finite import measure_M_T
+from pagepark.exact import (
+    DISTRIBUTION_RATIONAL_CAP,
+    density_curve_closed_form,
+    distribution_M,
+    expected_M,
+    limit_constants,
+)
+from pagepark.finite import simulate_direct_batch
 from pagepark.infinite import autocovariance_mc, sample_runs
 from pagepark.stats import SampleStats
 from pagepark.trials import trials_ratio_sweep
@@ -172,7 +178,16 @@ class TestOutAndErrors:
         assert main(["oracle", "--n", "10"]) == 0
         assert calls == [10]
         doc = json.loads(capsys.readouterr().out)
-        assert "parity_classification_matches_dynamics" in {e["name"] for e in doc["checks"]["entries"]}
+        assert "parity_classification_matches_dynamics_n10" in {e["name"] for e in doc["checks"]["entries"]}
+
+    def test_oracle_n_list_audits_every_n(self):
+        res = run_cli("oracle", "--n", "4,2,3")
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(res.stdout)
+        assert doc["config"]["n_list"] == [row["n"] for row in doc["rows"]] == [2, 3, 4]
+        names = [e["name"] for e in doc["checks"]["entries"]]
+        assert len(names) == 18 and doc["checks"]["passed"]
+        assert [name.rsplit("_", 1)[1] for name in names] == ["n2"] * 6 + ["n3"] * 6 + ["n4"] * 6
 
     def test_oracle_cap_errors(self):
         res = run_cli("oracle", "--n", "11")
@@ -198,7 +213,9 @@ class TestOutAndErrors:
         + [["autocovariance", flag, value] for flag in ("--k-list", "--n-list") for value in ("-1", ",", "1.5")]
         + [["site-vacancy", "--n", value] for value in ("1", "0", "two")]
         + [["oracle", "--n", value] for value in ("1", "11", "six")]
-        + [["density-curve", "--threads", value] for value in ("0", "-2")],
+        + [["density-curve", "--threads", value] for value in ("0", "-2")]
+        + [["oracle", "--n", value] for value in ("2,11", "2,x")]
+        + [["trials", "--threads", value] for value in ("0", "x")],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
         # argparse rejects the value before any work starts: exit 2, never an
@@ -309,11 +326,11 @@ class TestCheckPower:
     def test_density_convergence(self):
         # the CLI's draws at the default replicas for --n-list 10,100
         for idx, n in enumerate((10, 100)):
-            mt = measure_M_T(n, 10_000, seed=SeedSpec(DEFAULT_SEED, idx))
+            m_stats = SampleStats.from_samples(simulate_direct_batch(n, 10_000, SeedSpec(DEFAULT_SEED, idx))[0])
             em = float(expected_M(n))
             check = functools.partial(_mean_check, n)
-            assert check(mt.m_stats, em)[0]
-            self.assert_band(check, mt.m_stats, mt.m_stats.mean, mt.m_stats.stderr, 5.0)
+            assert check(m_stats, em)[0]
+            self.assert_band(check, m_stats, m_stats.mean, m_stats.stderr, 5.0)
 
     def test_no_spread_uses_the_exact_sd(self):
         # Var(M_4) = 8/9: two equal samples at n = 4 are 5 sqrt(8/9)/sqrt(2)
@@ -323,9 +340,16 @@ class TestCheckPower:
             assert ok and "no spread" in detail
         assert _mean_check(2, SampleStats.from_samples([2, 2]), 2.0)[0]
         assert not _mean_check(2, SampleStats.from_samples([2, 2]), 2.5)[0]
+        # above the rational cap the band comes from the float law (sd 4.4 at
+        # n = 257, so the band is 15.4 wide either way)
         n = DISTRIBUTION_RATIONAL_CAP + 1
-        ok, detail = _mean_check(n, SampleStats.from_samples([222, 222]), 222.0)
-        assert not ok and "no spread in 2 replicas" in detail
+        flat = SampleStats.from_samples([222, 222])
+        band = 5.0 * math.sqrt(distribution_M(n).variance() / 2)
+        ok, detail = _mean_check(n, flat, 222.0)
+        assert ok and "no spread" in detail
+        for sign in (-1.0, 1.0):
+            assert _mean_check(n, flat, 222.0 + sign * 0.95 * band)[0]
+            assert not _mean_check(n, flat, 222.0 + sign * 1.05 * band)[0]
 
     @pytest.mark.parametrize("seed", ["1", "7"])
     def test_no_spread_density_convergence(self, seed):
@@ -333,6 +357,13 @@ class TestCheckPower:
         # draws M = 4 twice, and seed 7 draws M = 2 twice, so both use the
         # exact-sd band
         res = run_cli("density-convergence", "--n-list", "4", "--replicas", "2", "--seed", seed)
+        assert res.returncode == 0, res.stderr
+        assert "no spread" in res.stderr
+
+    def test_no_spread_above_the_rational_cap(self):
+        # seed 3 draws M = 260 twice at n = 300; the check used to fail
+        # outright above the cap
+        res = run_cli("density-convergence", "--n-list", "300", "--replicas", "2", "--seed", "3")
         assert res.returncode == 0, res.stderr
         assert "no spread" in res.stderr
 
@@ -371,81 +402,18 @@ class TestInProcess:
         }
 
 
-class TestDensityScript:
-    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_density_experiments.py"
-
-    def run(self, *args):
-        return subprocess.run([sys.executable, str(self.SCRIPT), *args],
-                              capture_output=True, text=True, timeout=120)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["--replicas", v] for v in ("1", "0", "many")]
-        + [["--n-list", v] for v in ("1", "10,1", ",", "ten")]
-        + [["--t-grid", v] for v in ("-1", "nan", "inf", "x")]
-        + [["--threads", v] for v in ("0", "x")],
-    )
-    def test_bad_values_are_usage_errors(self, argv):
-        res = self.run(*argv)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert "Traceback" not in res.stderr and argv[0] in res.stderr
-
-    def test_small_run_prints_both_tables(self):
-        # 4000 replicas are three kernel jobs at n = 10, so --threads 2 splits them
-        argv = ("--n-list", "10,20", "--t-grid", "1", "--replicas", "4000")
-        res = self.run(*argv)
-        assert res.returncode == 0, res.stderr
-        rows = [line.split()[0] for line in res.stdout.splitlines() if line and not line.startswith("#")]
-        assert rows == ["n", "10", "20", "t", "1.00"]
-        threaded = self.run(*argv, "--threads", "2")
-        assert threaded.returncode == 0 and threaded.stdout == res.stdout
-
-
-class TestTrialsScript:
-    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_trials_sweep.py"
-
-    def run(self, *args):
-        return subprocess.run([sys.executable, str(self.SCRIPT), *args],
-                              capture_output=True, text=True, timeout=120)
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["--replicas", v] for v in ("1", "0", "many")]
-        + [["--n-list", v] for v in ("1", "10,1", ",", "x")]
-        + [["--threads", v] for v in ("0", "x")],
-    )
-    def test_bad_values_are_usage_errors(self, argv):
-        res = self.run(*argv)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert "Traceback" not in res.stderr and argv[0] in res.stderr
-
-    def test_small_run_prints_both_tables(self):
+class TestTrialsTable:
+    def test_tau_star_quantiles_ordered_and_thread_free(self):
         # 20 replicas are two kernel jobs at n = 1000, so --threads 2 splits them
-        argv = ("--n-list", "100,1000", "--replicas", "20")
-        res = self.run(*argv)
+        argv = ("trials", "--n-list", "100,1000", "--replicas", "20")
+        res = run_cli(*argv)
         assert res.returncode == 0, res.stderr
-        rows = [line.split()[0] for line in res.stdout.splitlines() if line and not line.startswith("#")]
-        assert rows == ["n", "100", "1000", "mean", "q05", "q25", "q50", "q75", "q95"]
-        threaded = self.run(*argv, "--threads", "2")
+        header, *rows = (line.split(",") for line in res.stdout.splitlines())
+        cols = [header.index(f"tau_star_q{q}") for q in ("05", "25", "50", "75", "95")]
+        assert cols == list(range(cols[0], cols[0] + 5))
+        assert [row[0] for row in rows] == ["100", "1000"]
+        for row in rows:
+            qs = [float(row[c]) for c in cols]
+            assert qs == sorted(qs) and qs[0] > 0
+        threaded = run_cli(*argv, "--threads", "2")
         assert threaded.returncode == 0 and threaded.stdout == res.stdout
-
-
-class TestAuditScript:
-    SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_oracle_audit.py"
-
-    @pytest.mark.parametrize("value", ["0", "1", "11", "x"])
-    def test_n_max_out_of_range_is_usage_error(self, value):
-        # 0 and 1 would audit nothing and pass; 11 is past the enumeration cap
-        res = subprocess.run([sys.executable, str(self.SCRIPT), "--n-max", value],
-                             capture_output=True, text=True, timeout=60)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert "Traceback" not in res.stderr and "--n-max" in res.stderr
-
-    def test_small_audit_passes(self):
-        res = subprocess.run([sys.executable, str(self.SCRIPT), "--n-max", "4"],
-                             capture_output=True, text=True, timeout=60)
-        assert res.returncode == 0, res.stderr
-        assert [line.split(":")[0] for line in res.stdout.splitlines()] == ["n=2", "n=3", "n=4"]

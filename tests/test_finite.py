@@ -12,7 +12,6 @@ from pagepark import (
     distribution_M,
     expected_M,
     first_arrival_batch,
-    measure_M_T,
     occupancy_profile,
     simulate_direct,
     simulate_direct_batch,
@@ -361,11 +360,7 @@ def _chi2(ca, cb):
 
 class TestMeasure:
     def test_direct_mean_tracks_exact(self):
-        mt = measure_M_T(50, 20_000, seed=SeedSpec(31))
-        em = float(expected_M(50))
-        assert abs(mt.m_stats.mean - em) <= 5 * mt.m_stats.stderr
-        assert mt.t_stats.mean > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            measure_M_T(10, 1)
+        m, t = simulate_direct_batch(50, 20_000, SeedSpec(31))
+        m_stats = SampleStats.from_samples(m)
+        assert abs(m_stats.mean - float(expected_M(50))) <= 5 * m_stats.stderr
+        assert np.all(t >= m // 2)  # every car takes a draw

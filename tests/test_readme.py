@@ -1,6 +1,7 @@
-"""The README's library quick start runs as written and every name in
-pagepark.__all__ resolves, so removing a public name it uses breaks the
-suite, not only the docs."""
+"""The README's library quick start runs as written, every name in
+pagepark.__all__ resolves, and every script and subcommand the README names
+exists, so removing a public name or an entry point it uses breaks the suite,
+not only the docs."""
 import pathlib
 import re
 
@@ -21,3 +22,16 @@ def test_star_import_resolves_every_export():
     exec("from pagepark import *", names)  # raises AttributeError on a stale __all__ entry
     assert sorted(set(pagepark.__all__) - set(names)) == []
     assert len(pagepark.__all__) == len(set(pagepark.__all__))
+
+
+def test_named_entry_points_exist():
+    import argparse
+
+    from pagepark.cli import build_parser
+
+    text = README.read_text(encoding="utf-8")
+    root = README.parent
+    assert [path for path in re.findall(r"scripts/[\w./-]*\w", text) if not (root / path).exists()] == []
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    named = set(re.findall(r"(?:^|`)pagepark ([a-z][\w-]*)", text, re.M))
+    assert named and named <= set(sub.choices), named - set(sub.choices)

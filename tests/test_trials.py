@@ -18,11 +18,11 @@ from pagepark import (
     first_arrival_batch,
     occupancy_profile,
     simulate_poissonized,
-    tau_star_statistics,
     trials_ratio_sweep,
 )
 from pagepark import EXP, finite
 from pagepark.finite import tau_star
+from pagepark.trials import TAU_STAR_LEVELS
 
 
 class TestPoissonizedReplica:
@@ -65,19 +65,22 @@ class TestPoissonizedReplica:
 
 class TestTauStarStatistics:
     def test_quantiles_ordered_and_scale(self):
-        st = tau_star_statistics(10_000, 300, seed=90, threads=2)
-        qs = [st.quantiles[q] for q in sorted(st.quantiles)]
+        row = trials_ratio_sweep([10_000], 300, seed=90, threads=2)[0]
+        qs = list(row.tau_star_quantiles)
         assert qs == sorted(qs)
         logn = math.log(10_000)
         # tau* concentrates near log n - 2 with Gumbel fluctuations
-        assert 0.6 * logn < st.stats.mean < 1.1 * logn
-        assert st.quantiles[0.05] > 0.55 * logn
+        assert 0.6 * logn < row.tau_star_mean < 1.1 * logn
+        assert qs[0] > 0.55 * logn
+        # the row reads the kernel's own tau* draws
+        taus = first_arrival_batch([10_000], 300, 90, want_m=False)[0][2]
+        assert row.tau_star_mean == float(taus.mean())
+        np.testing.assert_allclose(qs, np.quantile(taus, TAU_STAR_LEVELS), rtol=1e-14)
 
     def test_deterministic(self):
-        a = tau_star_statistics(1000, 50, seed=91)
-        b = tau_star_statistics(1000, 50, seed=91, threads=4)
-        assert a.stats.mean == b.stats.mean
-        assert a.quantiles == b.quantiles
+        a = trials_ratio_sweep([1000], 50, seed=91)
+        b = trials_ratio_sweep([1000], 50, seed=91, threads=4)
+        assert a == b
 
 
 class TestCouponCollector:
