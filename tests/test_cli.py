@@ -417,3 +417,52 @@ class TestTrialsTable:
             assert qs == sorted(qs) and qs[0] > 0
         threaded = run_cli(*argv, "--threads", "2")
         assert threaded.returncode == 0 and threaded.stdout == res.stdout
+
+
+def assert_usage_error(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}" in captured.err
+
+
+class TestDensityScript:
+    # density-convergence and density-curve print the two density tables; a
+    # bad value is a usage error on every one of them that takes the flag
+    COMMANDS = {
+        "--replicas": ("density-convergence", "density-curve"),
+        "--n-list": ("density-convergence",),
+        "--t-grid": ("density-curve",),
+        "--threads": ("density-convergence", "density-curve"),
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--replicas", v] for v in ("1", "0", "many")]
+        + [["--n-list", v] for v in ("1", "10,1", ",", "ten")]
+        + [["--t-grid", v] for v in ("-1", "nan", "inf", "x")]
+        + [["--threads", v] for v in ("0", "x")],
+    )
+    def test_bad_values_are_usage_errors(self, argv, capsys):
+        for command in self.COMMANDS[argv[0]]:
+            assert_usage_error([command, *argv], argv[0], capsys)
+
+
+class TestTrialsScript:
+    @pytest.mark.parametrize(
+        "argv",
+        [["--replicas", v] for v in ("1", "0", "many")]
+        + [["--n-list", v] for v in ("1", "10,1", ",", "x")]
+        + [["--threads", v] for v in ("0", "x")],
+    )
+    def test_bad_values_are_usage_errors(self, argv, capsys):
+        assert_usage_error(["trials", *argv], argv[0], capsys)
+
+
+class TestAuditScript:
+    @pytest.mark.parametrize("value", ["0", "1", "11", "x"])
+    def test_n_max_out_of_range_is_usage_error(self, value, capsys):
+        # 0 and 1 would audit nothing and pass; 11 is past the enumeration cap
+        assert_usage_error(["oracle", "--n", value], "--n", capsys)
