@@ -132,14 +132,22 @@ def emit(rows: Sequence[ResultRow], config: RunConfig, checks: CheckLog) -> None
 
 
 # argparse types. A bad value is a usage error (exit 2, before any work
-# starts); argparse turns the ValueError of int() or float() into one too.
+# starts), whose message says what the flag needs.
+
+
+def _read(kind: Callable[[str], Any], text: str, need: str):
+    """kind(text), or a usage error saying what was needed."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}") from None
 
 
 def _at_least(low: int) -> Callable[[str], int]:
     """An integer >= low."""
 
     def integer(text: str) -> int:
-        value = int(text)
+        value = _read(int, text, f"an integer >= {low}")
         if value < low:
             raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
         return value
@@ -149,17 +157,23 @@ def _at_least(low: int) -> Callable[[str], int]:
 
 def _time(text: str) -> float:
     """A finite time >= 0."""
-    value = float(text)
+    value = _read(float, text, "a finite time >= 0")
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"need a finite time >= 0, got {text!r}")
     return value
 
 
 def _csv_list(item: Callable[[str], Any]) -> Callable[[str], list]:
-    """A nonempty comma-separated list, each entry parsed by `item`."""
+    """A nonempty comma-separated list, each entry parsed by `item`; a bad
+    entry is named in the usage error."""
 
     def parse(text: str) -> list:
-        values = [item(tok) for tok in text.split(",") if tok.strip()]
+        values = []
+        for tok in filter(str.strip, text.split(",")):
+            try:
+                values.append(item(tok))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise argparse.ArgumentTypeError(f"entry {tok!r} of {text!r}: {exc}") from None
         if not values:
             raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
         return values
@@ -172,7 +186,7 @@ _replica_count = _at_least(2)  # one replica has no standard error
 
 def _enumerable(text: str) -> int:
     """An interval size the oracle can enumerate: 2..ENUMERATION_CAP."""
-    value = int(text)
+    value = _read(int, text, f"an integer in 2..{ENUMERATION_CAP}")
     if not 2 <= value <= ENUMERATION_CAP:
         raise argparse.ArgumentTypeError(f"need an integer in 2..{ENUMERATION_CAP}, got {value}")
     return value

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,13 +72,17 @@ def chunk_sizes(total: int, chunk: int) -> list[int]:
     return [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
 
 
-def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int = 1) -> list:
-    """[fn(job, rng) for job in jobs], in job order, each job on its own stream.
+def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int = 1) -> Iterator:
+    """fn(job, rng) for each job, yielded lazily in job order, each job on its
+    own stream, so a caller can reduce each result as it arrives instead of
+    holding them all.
 
     Job c of a call seeded SeedSpec(m, r) draws from SeedSequence(m,
     spawn_key=(r, c)), the c-th child that SeedSpec(m, r) spawns. So calls with
     different r never share a stream, and results depend on neither `threads`
-    nor the jobs after c."""
+    nor the jobs after c. With threads > 1 the call runs its jobs on its own
+    pool, which it shuts down when the last result is taken or the iterator
+    is closed."""
     children = _as_spec(seed).sequence().spawn(len(jobs))
 
     def run(c: int):
@@ -86,8 +90,9 @@ def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int
 
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(jobs))))
-    return [run(c) for c in range(len(jobs))]
+            yield from pool.map(run, range(len(jobs)))
+    else:
+        yield from map(run, range(len(jobs)))
 
 
 @dataclass(frozen=True)

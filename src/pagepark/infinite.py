@@ -17,6 +17,9 @@ draws one strip of uniform marks, transposed so that each slot is a contiguous
 row over the replicas, and reads each site's runs from the marks within
 w = _STRIP_BUFFER + 2 of it (_site_runs). A replica whose run does not stop
 inside that window is finished exactly on the lazy line, so no run is cut off.
+Each chunk is reduced where it is drawn: sample_runs' chunks carry tau_0, and
+autocovariance_mc's a 2x2 occupancy table, so no pass runs over the whole
+sample.
 
 Run lengths have 1/l! tails, so windows stay tiny; WINDOW_CAP exists only to
 turn an astronomically unlikely runaway into a loud error instead of silent
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -118,25 +122,32 @@ def sample_site_infinite(
     ordered by slot index (left slot first), as everywhere in the package."""
     line = _LazyLine(as_generator(rng), dist)
     rise, desc = line.runs(0)
-    one = RunsSample(*(np.array([x]) for x in (rise, desc, line(-1), line(0))))
     return WindowSample(
         xi_window=np.array([line(i) for i in range(-rise - 1, desc + 1)]),
-        occupancy_at_0=not one.vacant[0],
-        tau_0=float(one.tau()[0]),
+        occupancy_at_0=bool((rise | desc) & 1),
+        tau_0=float(_arrival_time(rise, desc, line(-1), line(0))),
         rise_length=rise,
         descent_length=desc,
     )
 
 
+def _arrival_time(rise, descent, xi_left, xi_right):
+    """tau_0 from the runs at site 0 and the marks xi_-1 and xi_0 (the rule
+    of the module docstring), elementwise over arrays or for one replica."""
+    covered_right = np.where(descent & 1, xi_right, np.inf)
+    return np.minimum(covered_right, np.where(rise & 1, xi_left, np.inf))
+
+
 @dataclass(frozen=True, eq=False)
 class RunsSample:
-    """Batched (rise, descent, xi_-1, xi_0) draws for site 0; fallback_rows
-    counts the replicas whose runs outgrew the strip window and were finished
-    on the lazy line."""
+    """Batched draws for site 0: the rise and descent, the arrival time
+    tau_0 (+inf when vacant) and the mark xi_0. fallback_rows counts the
+    replicas whose runs outgrew the strip window and were finished on the
+    lazy line."""
 
     rise: np.ndarray
     descent: np.ndarray
-    xi_left: np.ndarray
+    tau: np.ndarray
     xi_right: np.ndarray
     fallback_rows: int = 0
 
@@ -148,15 +159,12 @@ class RunsSample:
     def vacant(self) -> np.ndarray:
         return (self.rise % 2 == 0) & (self.descent % 2 == 0)
 
-    def tau(self) -> np.ndarray:
-        covered_right = np.where(self.descent & 1, self.xi_right, np.inf)
-        return np.minimum(covered_right, np.where(self.rise & 1, self.xi_left, np.inf))
-
     def density_at_time(self, t_grid) -> list[MCEstimate]:
         """P(tau_0 <= t) for each t of the grid, from this one batch, so the
         estimated curve is exactly nondecreasing in t."""
-        tau = self.tau()
-        return [proportion_estimate(int(np.count_nonzero(tau <= t)), self.replicas) for t in np.atleast_1d(t_grid)]
+        return [
+            proportion_estimate(int(np.count_nonzero(self.tau <= t)), self.replicas) for t in np.atleast_1d(t_grid)
+        ]
 
     def odd_descent_time_prob(self, t_grid) -> list[MCEstimate]:
         """f(t) = P(xi_0 <= t and the descent at 0 is odd) for each t of the grid."""
@@ -228,10 +236,12 @@ def _strip_runs(
 
 
 def _runs_chunk(size: int, rng: np.random.Generator, dist: ArrivalDistribution) -> RunsSample:
-    """Runs at site 0 (_strip_runs); only xi_-1 and xi_0 are mapped through dist."""
+    """Runs at site 0 (_strip_runs) and tau_0; only xi_-1 and xi_0 are mapped
+    through dist."""
     strip, [(rise, descent)], fallback = _strip_runs(size, rng, (0,))
     w = _STRIP_BUFFER + 2
-    return RunsSample(rise, descent, dist.ppf(strip[w - 1]), dist.ppf(strip[w]), fallback)
+    xi_right = dist.ppf(strip[w])
+    return RunsSample(rise, descent, _arrival_time(rise, descent, dist.ppf(strip[w - 1]), xi_right), xi_right, fallback)
 
 
 def sample_runs(
@@ -244,17 +254,19 @@ def sample_runs(
     (map_streams; chunk c of seed SeedSpec(m, r) is stream (m, (r, c))).
 
     Chunk boundaries do not depend on `threads`, so results are identical for
-    any thread count."""
+    any thread count. Each chunk is copied into its slice of the result as it
+    arrives, so at most a few chunks are held besides the result."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    parts = map_streams(lambda size, rng: _runs_chunk(size, rng, dist), seed, chunk_sizes(replicas, _CHUNK), threads)
-    return RunsSample(
-        rise=np.concatenate([p.rise for p in parts]),
-        descent=np.concatenate([p.descent for p in parts]),
-        xi_left=np.concatenate([p.xi_left for p in parts]),
-        xi_right=np.concatenate([p.xi_right for p in parts]),
-        fallback_rows=sum(p.fallback_rows for p in parts),
-    )
+    rise, descent = np.empty(replicas, _FIRST_STOP.dtype), np.empty(replicas, _FIRST_STOP.dtype)
+    tau, xi_right = np.empty(replicas), np.empty(replicas)
+    start = fallback = 0
+    jobs = chunk_sizes(replicas, _CHUNK)
+    for part in map_streams(lambda size, rng: _runs_chunk(size, rng, dist), seed, jobs, threads):
+        rows = slice(start, start + part.replicas)
+        rise[rows], descent[rows], tau[rows], xi_right[rows] = part.rise, part.descent, part.tau, part.xi_right
+        start, fallback = rows.stop, fallback + part.fallback_rows
+    return RunsSample(rise, descent, tau, xi_right, fallback)
 
 
 @dataclass(frozen=True)
@@ -275,12 +287,39 @@ class AutocovEstimate:
     fallback_rows: int
 
 
-def _occupancy_pair_chunk(size: int, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Occupancy of sites 0 and k (occupied iff a run is odd) and the count of
-    replicas finished on the lazy line, from one strip (_strip_runs)."""
+def _occupancy_pair_chunk(size: int, rng: np.random.Generator, k: int) -> tuple[tuple[int, int, int, int], int]:
+    """The occupancy table (n00, n01, n10, n11) of sites 0 and k, where n_ab
+    counts the replicas with X(0) = a and X(k) = b (a site is occupied iff a
+    run at it is odd), and the count of replicas finished on the lazy line,
+    from one strip (_strip_runs)."""
     _, runs, fallback = _strip_runs(size, rng, (0, k) if k else (0,))
     occ = [((rise | descent) & 1).astype(bool) for rise, descent in runs]
-    return occ[0], occ[-1], fallback
+    at_0, at_k = int(np.count_nonzero(occ[0])), int(np.count_nonzero(occ[-1]))
+    n11 = int(np.count_nonzero(occ[0] & occ[-1]))
+    return (size - at_0 - at_k + n11, at_k - n11, at_0 - n11, n11), fallback
+
+
+def _autocov_estimate(k: int, table: tuple[int, int, int, int], fallback_rows: int) -> AutocovEstimate:
+    """The sample covariance of X(0) and X(k) and its standard error from
+    their occupancy table (n00, n01, n10, n11): each product
+    (x - mean x)(y - mean y) takes one of four values, so both moments are
+    exact rationals, rounded once (the standard error once more, by its
+    square root)."""
+    r = sum(table)
+    x_bar, y_bar = Fraction(table[2] + table[3], r), Fraction(table[1] + table[3], r)
+    prods = [(a - x_bar) * (b - y_bar) for a in (0, 1) for b in (0, 1)]
+    total = sum(n * p for n, p in zip(table, prods))
+    squares = sum(n * p * p for n, p in zip(table, prods))
+    return AutocovEstimate(
+        k=k,
+        estimate=float(total / (r - 1)),
+        stderr=math.sqrt((squares - total * total / r) / (r - 1) / r),
+        mean_site_0=float(x_bar),
+        mean_site_k=float(y_bar),
+        replicas=r,
+        both_vacant=table[0],
+        fallback_rows=fallback_rows,
+    )
 
 
 def autocovariance_mc(
@@ -297,22 +336,9 @@ def autocovariance_mc(
         raise ValueError("lag must be >= 0")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    parts = map_streams(
+    table, fallback = (0, 0, 0, 0), 0
+    for part, rows in map_streams(
         lambda size, rng: _occupancy_pair_chunk(size, rng, k), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), threads
-    )
-    x = np.concatenate([p[0] for p in parts]).astype(np.float64)
-    y = np.concatenate([p[1] for p in parts]).astype(np.float64)
-    r = x.size
-    prod = (x - x.mean()) * (y - y.mean())
-    cov = float(prod.sum() / (r - 1))
-    stderr = float(prod.std(ddof=1) / math.sqrt(r))
-    return AutocovEstimate(
-        k=k,
-        estimate=cov,
-        stderr=stderr,
-        mean_site_0=float(x.mean()),
-        mean_site_k=float(y.mean()),
-        replicas=r,
-        both_vacant=int(np.count_nonzero((x == 0) & (y == 0))),
-        fallback_rows=sum(p[2] for p in parts),
-    )
+    ):
+        table, fallback = tuple(map(sum, zip(table, part))), fallback + rows
+    return _autocov_estimate(k, table, fallback)

@@ -198,9 +198,8 @@ def test_criterion_09_construction_equivalence():
         dict(collections.Counter(int(occ.sum()) for occ, _ in direct)),
         dict(collections.Counter(int(x) for x in m_prio)),
     )
-    t_poisson = [
-        int(simulate_poissonized(n, rng=SeedSpec(424213, i))[1].sum()) for i in range(reps)
-    ]
+    rng_poisson = SeedSpec(424213).generator()  # one stream, as on the direct side
+    t_poisson = [int(simulate_poissonized(n, rng=rng_poisson)[1].sum()) for _ in range(reps)]
     _, _, p_t = chi_square_two_sample(
         dict(collections.Counter(t for _, t in direct)),
         dict(collections.Counter(t_poisson)),

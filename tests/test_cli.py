@@ -227,6 +227,22 @@ class TestOutAndErrors:
         assert captured.out == ""
         assert "error: argument" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, entry, need",
+        [
+            (["oracle", "--n", "2,x"], "x", "need an integer in 2..10"),
+            (["trials", "--n-list", "ten"], "ten", "need an integer >= 2"),
+            (["density-curve", "--t-grid", "0.5,abc"], "abc", "need a finite time >= 0"),
+        ],
+        ids=["oracle", "trials", "density-curve"],
+    )
+    def test_list_flag_names_the_bad_entry(self, argv, entry, need, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"entry {entry!r} of {argv[-1]!r}: {need}, got {entry!r}" in err
+
     def test_usage_error_process_has_no_traceback(self):
         res = run_cli("trials", "--replicas", "1")
         assert res.returncode == 2

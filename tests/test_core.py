@@ -10,6 +10,7 @@ from pagepark import (
     ArrivalDistribution,
     SeedSpec,
 )
+from pagepark import core
 from pagepark.core import DEFAULT_SEED, as_generator, map_streams
 
 
@@ -45,20 +46,20 @@ class TestSeedSpec:
 class TestMapStreams:
     def test_job_c_of_spec_r_is_spawn_key_r_c(self):
         sizes = [3, 5, 2]
-        got = map_streams(lambda size, rng: rng.random(size), SeedSpec(123, 4), sizes)
+        got = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(123, 4), sizes))
         for c, (size, draws) in enumerate(zip(sizes, got)):
             np.testing.assert_array_equal(draws, _stream(123, 4, c).random(size))
 
     def test_int_seed_is_replica_zero(self):
         jobs = [4, 4]
-        a = map_streams(lambda size, rng: rng.random(size), 123, jobs)
-        b = map_streams(lambda size, rng: rng.random(size), SeedSpec(123, 0), jobs)
+        a = list(map_streams(lambda size, rng: rng.random(size), 123, jobs))
+        b = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(123, 0), jobs))
         np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
 
     def test_threads_keep_job_order_and_bytes(self):
         jobs = list(range(1, 40))
-        one = map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs)
-        four = map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs, threads=4)
+        one = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs))
+        four = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs, threads=4))
         assert [a.size for a in four] == jobs
         np.testing.assert_array_equal(np.concatenate(one), np.concatenate(four))
 
@@ -71,6 +72,33 @@ class TestMapStreams:
             for x in map_streams(lambda size, rng: rng.random(size), SeedSpec(5, r), [1] * (r + 3))
         }
         assert len(first) == sum(r + 3 for r in range(4))
+
+    def test_results_are_yielded_lazily(self):
+        # on one thread a job runs only when its result is taken
+        ran = []
+        results = map_streams(lambda job, rng: ran.append(job) or job, 7, [0, 1, 2])
+        assert ran == [] and next(results) == 0 and ran == [0]
+        assert list(results) == [1, 2] and ran == [0, 1, 2]
+
+    def test_one_pool_per_call(self, monkeypatch):
+        pools, shut = [], []
+
+        class CountingPool(core.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                super().shutdown(*args, **kwargs)
+                shut.append(self)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
+        for _ in range(2):
+            assert list(map_streams(lambda job, rng: job, 7, [0, 1, 2], threads=2)) == [0, 1, 2]
+        partial = map_streams(lambda job, rng: job, 7, [0, 1, 2], threads=2)
+        assert next(partial) == 0
+        partial.close()  # closing the iterator early shuts its pool down
+        assert len(pools) == 3 and shut == pools
 
 
 class TestArrivalDistribution:

@@ -5,6 +5,7 @@ P(descent >= j) = P(xi_0 > ... > xi_{j-1}) = 1/j!, so P(descent even) = 1/e,
 and by independence of the two sides P(site vacant) = e^-2.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,20 @@ from pagepark import (
 from pagepark import core, infinite
 from pagepark.cli import _decorrelation_check, _lag0_check, _no_vacant_pair_check
 from pagepark.infinite import (
-    _CHUNK, _FIRST_STOP, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _runs_chunk, _strip_runs,
+    _AUTOCOV_CHUNK, _CHUNK, _FIRST_STOP, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _runs_chunk, _strip_runs,
 )
 from pagepark.stats import wilson_interval
+
+
+def _tau_rule(rise, descent, xi_left, xi_right) -> float:
+    """tau_0 of one replica, branch by branch as the module docstring states it."""
+    if rise % 2 == 1 and descent % 2 == 1:
+        return min(xi_left, xi_right)
+    if rise % 2 == 1:
+        return xi_left
+    if descent % 2 == 1:
+        return xi_right
+    return math.inf
 
 
 class TestWindowSampler:
@@ -70,14 +82,19 @@ class TestWindowSampler:
         assert w.occupancy_at_0 == (rise_odd or desc_odd)
         xi_l = w.xi_window[w.rise_length]  # slot -1
         xi_r = w.xi_window[w.rise_length + 1]  # slot 0
-        if rise_odd and desc_odd:
-            assert w.tau_0 == min(xi_l, xi_r)
-        elif rise_odd:
-            assert w.tau_0 == xi_l
-        elif desc_odd:
-            assert w.tau_0 == xi_r
-        else:
-            assert math.isinf(w.tau_0)
+        assert w.tau_0 == _tau_rule(w.rise_length, w.descent_length, xi_l, xi_r)
+
+    def test_batch_tau_agrees_in_law(self):
+        # tau_0 of the lazy-line sampler and of the strip kernel, binned on a
+        # time grid with the vacant sites (tau_0 = inf) as the last bin
+        edges = [0.25, 0.5, 1.0, 2.0, math.inf]
+        scalar = [sample_site_infinite(rng=SeedSpec(52, i)).tau_0 for i in range(4000)]
+        batch = sample_runs(4000, seed=53).tau
+        bins = [
+            np.bincount(np.searchsorted(edges, tau, side="right"), minlength=len(edges) + 1) for tau in (scalar, batch)
+        ]
+        _, _, p = chi_square_two_sample(*(dict(enumerate(map(int, b))) for b in bins))
+        assert p > 0.001
 
     def test_cap_triggers_loudly(self, monkeypatch):
         monkeypatch.setattr(infinite, "WINDOW_CAP", 0)
@@ -143,7 +160,7 @@ class TestRunLaws:
         a = sample_runs(70_000, seed=64, threads=1)
         b = sample_runs(70_000, seed=64, threads=4)
         np.testing.assert_array_equal(a.descent, b.descent)
-        np.testing.assert_array_equal(a.xi_left, b.xi_left)
+        np.testing.assert_array_equal(a.tau, b.tau)
 
     def test_chunks_are_spawn_key_streams(self):
         # chunk c of a sweep seeded SeedSpec(m, r) is stream SeedSequence(m, (r, c))
@@ -156,8 +173,22 @@ class TestRunLaws:
         ]
         np.testing.assert_array_equal(runs.rise, np.concatenate([p.rise for p in parts]))
         np.testing.assert_array_equal(runs.descent, np.concatenate([p.descent for p in parts]))
-        np.testing.assert_array_equal(runs.xi_left, np.concatenate([p.xi_left for p in parts]))
+        np.testing.assert_array_equal(runs.tau, np.concatenate([p.tau for p in parts]))
         np.testing.assert_array_equal(runs.xi_right, np.concatenate([p.xi_right for p in parts]))
+
+    def test_peak_memory_is_the_result_and_a_few_chunks(self):
+        # each chunk is copied into the preallocated result as it arrives; a
+        # sampler that holds every chunk until the end (then concatenates)
+        # peaks near twice the result and fails this bound
+        strip_bytes = (2 * (infinite._STRIP_BUFFER + 2) + 1) * _CHUNK * 8
+        tracemalloc.start()
+        try:
+            runs = sample_runs(48 * _CHUNK, seed=3, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(a.nbytes for a in (runs.rise, runs.descent, runs.tau, runs.xi_right))
+        assert peak <= result + 4 * strip_bytes
 
     def test_batch_cap_triggers(self, monkeypatch):
         monkeypatch.setattr(infinite, "WINDOW_CAP", 1)
@@ -177,7 +208,7 @@ class TestEstimators:
 
     def test_tau_vacant_iff_infinite(self):
         runs = sample_runs(20_000, seed=71)
-        tau = runs.tau()
+        tau = runs.tau
         np.testing.assert_array_equal(np.isinf(tau), runs.vacant)
         assert float(np.isinf(tau).mean()) == pytest.approx(math.exp(-2), abs=0.01)
 
@@ -254,11 +285,52 @@ class TestAutocovariance:
         b = autocovariance_mc(2, 40_000, seed=85, threads=3)
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 13])
+    def test_table_matches_two_pass(self, k):
+        # the summed 2x2 tables give what the product column of the same
+        # occupancies gives, over several chunks and a partial one
+        replicas, seed = 3 * _AUTOCOV_CHUNK + 123, SeedSpec(89, k)
+        est = autocovariance_mc(k, replicas, seed=seed, threads=2)
+        assert _two_pass_disagreements(est, *_chunk_occupancies(k, replicas, seed)) == []
+
+    def test_swapped_table_cells_fail(self, monkeypatch):
+        # a table with n01 and n10 exchanged swaps the two sites' means
+        table_estimate = infinite._autocov_estimate
+        monkeypatch.setattr(infinite, "_autocov_estimate",
+                            lambda k, t, rows: table_estimate(k, (t[0], t[2], t[1], t[3]), rows))
+        replicas, seed = 3 * _AUTOCOV_CHUNK + 123, SeedSpec(89, 3)
+        est = autocovariance_mc(3, replicas, seed=seed)
+        assert _two_pass_disagreements(est, *_chunk_occupancies(3, replicas, seed)) == ["mean_site_0", "mean_site_k"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             autocovariance_mc(-1, 100)
         with pytest.raises(ValueError):
             autocovariance_mc(0, 1)
+
+
+def _chunk_occupancies(k, replicas, seed):
+    """X(0) and X(k) of every pair autocovariance_mc(k, replicas, seed)
+    draws, chunk by chunk on its streams, as 0/1 floats."""
+    def chunk(size, rng):
+        _, runs, _ = _strip_runs(size, rng, (0, k) if k else (0,))
+        return [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in runs]
+
+    parts = list(core.map_streams(chunk, seed, core.chunk_sizes(replicas, _AUTOCOV_CHUNK)))
+    return np.concatenate([p[0] for p in parts]).astype(float), np.concatenate([p[-1] for p in parts]).astype(float)
+
+
+def _two_pass_disagreements(est, x, y) -> list[str]:
+    """The fields of est that differ from the two-pass sample covariance of
+    the 0/1 arrays x and y (its product column's sum and standard deviation):
+    the counts and means exactly, estimate and stderr beyond 1e-12 relative."""
+    prod = (x - x.mean()) * (y - y.mean())
+    exact = {"mean_site_0": x.mean(), "mean_site_k": y.mean(), "replicas": x.size,
+             "both_vacant": int(np.count_nonzero((x == 0) & (y == 0)))}
+    close = {"estimate": prod.sum() / (x.size - 1), "stderr": prod.std(ddof=1) / math.sqrt(x.size)}
+    return [name for name, want in exact.items() if getattr(est, name) != want] + [
+        name for name, want in close.items() if getattr(est, name) != pytest.approx(want, rel=1e-12, abs=0.0)
+    ]
 
 
 def _strip_failures(est) -> list[str]:
@@ -361,10 +433,9 @@ class TestStripKernel:
 
         want = _strip_reference(rng(), size, sites, buffer + 2)
         _assert_same_strip(_strip_runs(size, rng(), sites), want)
-        occ0, occk, fallback = _occupancy_pair_chunk(size, rng(), k)
+        table, fallback = _occupancy_pair_chunk(size, rng(), k)
         occ = [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in want[1]]  # occupied iff a run is odd
-        np.testing.assert_array_equal(occ0, occ[0])
-        np.testing.assert_array_equal(occk, occ[-1])
+        assert table == tuple(int(np.count_nonzero((occ[0] == a) & (occ[-1] == b))) for a in (0, 1) for b in (0, 1))
         assert fallback == want[2]
         assert want[2] > 0 or buffer > 1  # narrow windows exercise the fallback
 
@@ -380,8 +451,9 @@ class TestStripKernel:
         assert got.fallback_rows == outgrown
         assert outgrown > 0 or buffer > 1  # narrow windows exercise the fallback
         # only the two centre marks pass through the quantile transform
-        np.testing.assert_array_equal(got.xi_left, dist.ppf(strip[w - 1]))
-        np.testing.assert_array_equal(got.xi_right, dist.ppf(strip[w]))
+        xi_left, xi_right = dist.ppf(strip[w - 1]), dist.ppf(strip[w])
+        np.testing.assert_array_equal(got.xi_right, xi_right)
+        np.testing.assert_array_equal(got.tau, [_tau_rule(*row) for row in zip(rise, desc, xi_left, xi_right)])
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 6), st.integers(0, 2), st.booleans())
     @settings(max_examples=60, deadline=None)
