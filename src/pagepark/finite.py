@@ -16,6 +16,15 @@ the draws one by one and trials.simulate_poissonized runs every arrival, and
 both stay independent references. The replay in mark order is
 oracle.park_in_rank_order.
 
+Every classification runs through one parity pass, _run_parities: per slot,
+whether the rise ending at it and the descent starting at it are odd. The
+occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
+both are odd, so the kernel reads M (twice the car count) and tau* (the
+largest car mark, tau_star_rows) off that car mask without building an
+occupancy array. Long rows that want only T never classify: tau_star visits
+the slots above a threshold taken from a strided subsample, in decreasing
+mark order, and lowers the threshold band by band until a slot holds a car.
+
 Conventions used throughout (1-based sites and slots in the API):
 
 * slot i covers sites (i, i+1); marks are a float array over slots 1..n-1
@@ -36,40 +45,68 @@ import numpy as np
 from .core import DEFAULT_SEED, SeedSpec, as_generator, chunk_sizes, map_streams
 
 _CHUNK_MARKS = 1 << 14  # marks per first_arrival_batch job; small keeps peak memory flat
-_SCAN_SITES = 1000  # longer rows find tau* by the tau_star scan: the T-only crossover is 700-1000 on 2 vCPUs
+# longer T-only rows find tau* by the tau_star scan. Per T-only row on 2 vCPUs
+# (whole job, median of 9), scan/mask time is 1.03-1.20 at n = 2001, 1.00 at
+# 2501, 0.88-1.01 at 3001 and 0.79-0.82 at 4001-5001; 1.6 at n = 1001.
+_SCAN_SITES = 2500
+_SCAN_STRIDE = 64  # tau_star's threshold subsample: every 64th mark
+_SCAN_TOP = 4  # its first threshold: the 4th largest subsample mark
+
+
+def _run_parities(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot of the marks xi, shape (..., m): whether the ascending run
+    ending at it (the rise at the site on its right) and the descending run
+    starting at it (the descent at the site on its left) have odd length, as
+    two boolean arrays of xi's shape.
+
+    One int32 buffer holds the last break of each run in turn: a prefix max
+    of the slots that start an ascending run, then a suffix min of the slots
+    that end a descending one, both updated in place; only the parity of the
+    distance to it is kept. An adjacent pair ascends iff mark_left <=
+    mark_right, the package tie rule."""
+    m = xi.shape[-1]
+    asc = xi[..., :-1] <= xi[..., 1:]
+    idx = np.arange(m, dtype=np.int32)
+    last = np.empty(xi.shape, dtype=np.int32)
+    last[..., 0] = 0
+    np.multiply(asc, idx[1:], out=last[..., 1:])
+    np.subtract(idx, last, out=last)  # s where an ascending run starts at s, else 0
+    np.maximum.accumulate(last, axis=-1, out=last)
+    rise = _odd_run(last, idx)
+    last[..., -1] = 0
+    np.multiply(asc, idx[:0:-1], out=last[..., :-1])
+    np.subtract(m - 1, last, out=last)  # s where a descending run ends at s, else m - 1
+    tail = last[..., ::-1]
+    np.minimum.accumulate(tail, axis=-1, out=tail)
+    return rise, _odd_run(last, idx)
+
+
+def _odd_run(last: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Whether the run from slot idx to its break `last` spans an odd number
+    of slots, i.e. idx - last is even; overwrites last."""
+    np.bitwise_xor(last, idx, out=last)
+    np.bitwise_and(last, 1, out=last)
+    return last == 0
 
 
 def occupancy_profile(values: np.ndarray) -> np.ndarray:
     """Vectorised run-parity classification of every site.
 
     values has shape (..., n-1) with marks along the last axis; the result is a
-    boolean occupancy array of shape (..., n). Agrees with parking in mark
-    order (oracle.park_in_rank_order; checked on every ordering for small n).
+    boolean occupancy array of shape (..., n): site i is occupied iff its rise
+    or its descent is odd, a shifted OR of the two parity arrays. Agrees with
+    parking in mark order (oracle.park_in_rank_order; checked on every
+    ordering for small n).
     """
     v = np.asarray(values, dtype=np.float64)
     m = v.shape[-1]
     if m < 1:
         raise ValueError("need at least one slot")
-    asc = v[..., :-1] <= v[..., 1:]
-    idx = np.arange(m)
-
-    # start of the maximal ascending run ending at each slot
-    brk = np.empty(v.shape[:-1] + (m,), dtype=bool)
-    brk[..., 0] = True
-    brk[..., 1:] = ~asc
-    run_start = np.maximum.accumulate(np.where(brk, idx, 0), axis=-1)
-
-    # end of the maximal descending run starting at each slot
-    dbrk = np.empty_like(brk)
-    dbrk[..., m - 1] = True
-    dbrk[..., : m - 1] = asc
-    run_end = np.minimum.accumulate(np.where(dbrk, idx, m - 1)[..., ::-1], axis=-1)[..., ::-1]
-
-    rise = np.zeros(v.shape[:-1] + (m + 1,), dtype=np.int64)
-    rise[..., 1:] = np.arange(1, m + 1) - run_start
-    descent = np.zeros_like(rise)
-    descent[..., :m] = run_end - idx + 1
-    return (rise % 2 == 1) | (descent % 2 == 1)
+    rise, descent = _run_parities(v)
+    occ = np.zeros(v.shape[:-1] + (m + 1,), dtype=bool)
+    occ[..., 1:] = rise
+    occ[..., :-1] |= descent
+    return occ
 
 
 def car_slot_mask(occ: np.ndarray) -> np.ndarray:
@@ -91,32 +128,42 @@ def car_slots_from_occupancy(occ: np.ndarray) -> np.ndarray:
     return np.flatnonzero(car_slot_mask(occ))
 
 
-def tau_star_rows(xi: np.ndarray, occ: np.ndarray) -> np.ndarray:
+def tau_star_rows(xi: np.ndarray, car: np.ndarray) -> np.ndarray:
     """Jamming time of each row of the first-arrival fields xi, shape
-    (..., n-1), given occ = occupancy_profile(xi): the largest mark among the
-    slots that hold a car."""
-    return np.where(car_slot_mask(occ)[..., :-1], xi, -np.inf).max(axis=-1)
+    (..., n-1), given their car mask car (slot s holds a car iff both of its
+    runs in _run_parities are odd): the largest mark among the car slots."""
+    return np.where(car, xi, -np.inf).max(axis=-1)
 
 
 def tau_star(xi: np.ndarray) -> float:
     """Jamming time of one first-arrival field xi over slots 1..n-1, without
-    classifying every site.
+    classifying every slot.
 
-    Slots are visited in decreasing mark order, k at a time (argpartition, then
-    a sort of the top k); the first one that holds a car gives tau*. Every slot
-    not yet visited has a mark no larger, so the result is exact. Slot s holds
-    a car iff the ascending run ending at it (the rise at site s+1) and the
-    descending run starting at it (the descent at site s) both have odd length,
-    with the package tie rule (left slot first). For i.i.d. marks the scan stops
-    after O(1) candidates, each costing O(1) steps of the two walks."""
+    The threshold is the _SCAN_TOP-th largest mark of every _SCAN_STRIDE-th
+    slot, so about _SCAN_TOP * _SCAN_STRIDE slots lie at or above it for
+    i.i.d. marks. Those slots are visited in decreasing mark order, and the
+    first one that holds a car gives tau*. If none does, the threshold falls
+    to the subsample mark 8 times further down the order, and the slots in
+    [new, old) are visited the same way; every slot not yet visited has a mark
+    below the threshold, so the result is exact. Slot s holds a car iff the
+    ascending run ending at it (the rise at site s+1) and the descending run
+    starting at it (the descent at site s) both have odd length, with the
+    package tie rule (left slot first). For i.i.d. marks the first band held
+    a car on each of 25,600 rows tried (2500 to 2e5 slots), found after about
+    7 visits, and each visit costs O(1) steps of the two walks."""
     xi = np.asarray(xi, dtype=np.float64)
     m = xi.size
     if m < 1:
         raise ValueError("need at least one slot")
-    k = min(m, 32)
+    sub = xi[::_SCAN_STRIDE]
+    k, hi = _SCAN_TOP, None
     while True:
-        top = np.argpartition(xi, m - k)[m - k:]
-        for s in top[np.argsort(xi[top])[::-1]].tolist():  # 0-based slots
+        lo = np.partition(sub, sub.size - k)[sub.size - k] if k < sub.size else -np.inf
+        band = xi >= lo
+        if hi is not None:
+            band &= xi < hi
+        band = np.flatnonzero(band)
+        for s in band[np.argsort(xi[band])[::-1]].tolist():  # 0-based slots
             r = s  # walk left to the start r of the ascending run ending at s
             while r > 0 and xi[r - 1] <= xi[r]:
                 r -= 1
@@ -127,9 +174,9 @@ def tau_star(xi: np.ndarray) -> float:
                 e += 1
             if (e - s) % 2 == 0:
                 return float(xi[s])
-        if k == m:
+        if lo == -np.inf:
             raise AssertionError("a nonempty interval always holds a car")
-        k = min(m, 8 * k)
+        k, hi = 8 * k, lo
 
 
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[np.ndarray, int]:
@@ -176,15 +223,22 @@ def _draw_counts(xi: np.ndarray, tau: np.ndarray, rng: np.random.Generator) -> n
 
 def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
     """(M or None, T, tau*) of `rows` replicas on n sites, from one draw of
-    their first-arrival fields. Rows of up to _SCAN_SITES sites find tau* in
-    the classified 2-D block; longer rows scan for it (tau_star) and are
-    classified only when M is wanted."""
+    their first-arrival fields. Rows that want M, and rows of up to
+    _SCAN_SITES sites, take the car mask of one parity pass: M is twice its
+    count and tau* its largest mark (tau_star_rows). Longer T-only rows scan
+    for tau* (tau_star) and are never classified."""
     n, rows, want_m = job
     xi = rng.standard_exponential((rows, n - 1))
-    scan = n > _SCAN_SITES
-    occ = occupancy_profile(xi) if want_m or not scan else None
-    tau = np.array([tau_star(row) for row in xi]) if scan else tau_star_rows(xi, occ)
-    return (occ.sum(axis=1) if want_m else None), _draw_counts(xi, tau, rng), tau
+    m = None
+    if want_m or n <= _SCAN_SITES:
+        rise, descent = _run_parities(xi)
+        car = np.logical_and(rise, descent, out=rise)
+        tau = tau_star_rows(xi, car)
+        if want_m:
+            m = 2 * np.count_nonzero(car, axis=1)
+    else:
+        tau = np.array([tau_star(row) for row in xi])
+    return m, _draw_counts(xi, tau, rng), tau
 
 
 def first_arrival_batch(

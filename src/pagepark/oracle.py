@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import factorial
 
 import numpy as np
 
 ENUMERATION_CAP = 10  # (n-1)! permutations; 9! = 362880 is the practical limit
 CHAIN_CAP = 12
+LEMMA1_BLOCK = factorial(8)  # orderings replayed and classified together by verify_lemma1
 
 
 @dataclass(frozen=True)
@@ -153,13 +154,20 @@ def verify_lemma1(n: int, classify, rank_vectors=None) -> list[tuple[tuple[int, 
     predicts; finite.occupancy_profile is such a function. rank_vectors
     defaults to every permutation of 1..n-1; weak_orderings(n - 1) adds ties,
     which the replay breaks by slot index. Returns the list of (ranks,
-    1-based site) counterexamples, expected empty.
+    1-based site) counterexamples in ranking order, expected empty.
+
+    The rankings are taken LEMMA1_BLOCK at a time, each block replayed and
+    classified in one call, so memory stays flat in the number of rankings
+    (9! at n = 10).
     """
     if not 2 <= n <= ENUMERATION_CAP:
         raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
-    ranked = list(permutations(range(1, n)) if rank_vectors is None else rank_vectors)
-    want = np.array([[c is not None for c in park_in_rank_order(r)] for r in ranked], dtype=bool)
-    got = np.asarray(classify(np.array(ranked, dtype=np.float64).reshape(len(ranked), n - 1)), dtype=bool)
-    if got.shape != want.shape:
-        raise ValueError(f"classify returned shape {got.shape}, expected {want.shape}")
-    return [(ranked[r], int(i) + 1) for r, i in np.argwhere(got != want)]
+    ranked = iter(permutations(range(1, n)) if rank_vectors is None else rank_vectors)
+    bad = []
+    while block := list(islice(ranked, LEMMA1_BLOCK)):
+        want = np.array([[c is not None for c in park_in_rank_order(r)] for r in block], dtype=bool)
+        got = np.asarray(classify(np.array(block, dtype=np.float64).reshape(len(block), n - 1)), dtype=bool)
+        if got.shape != want.shape:
+            raise ValueError(f"classify returned shape {got.shape}, expected {want.shape}")
+        bad += [(block[r], int(i) + 1) for r, i in np.argwhere(got != want)]
+    return bad

@@ -1,5 +1,7 @@
 """Finite-interval dynamics: the classifier, its replay, and the draw process."""
 import collections
+import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,12 +76,15 @@ class TestClassifierEquivalence:
         # every weak ordering of the n-1 slots (4683 at n = 7): equal marks
         # act in slot order, and the classifier and the tau* scan must agree
         # with the oracle's replay of that rule
-        ranked = list(weak_orderings(n - 1))
-        assert verify_lemma1(n, occupancy_profile, ranked) == []
-        for ranks in ranked:
-            cover = park_in_rank_order(ranks)
-            xi = np.array(ranks, dtype=np.float64)
-            assert tau_star(xi) == max(ranks[c] for c in cover if c is not None), ranks
+        assert _tie_rule_misses(n) == []
+
+    def test_strict_tie_rule_fails_weak_orderings(self, monkeypatch):
+        # planted fault: the parity pass with `<` in place of `<=` (tied
+        # neighbours act right slot first) agrees on every permutation and
+        # must fail the weak orderings
+        monkeypatch.setattr(finite, "_run_parities", _strict_run_parities())
+        assert all(verify_lemma1(n, occupancy_profile) == [] for n in range(2, 7))
+        assert [n for n in range(2, 8) if _tie_rule_misses(n)] == list(range(3, 8))
 
     @given(field_seeds, sizes)
     @settings(max_examples=60, deadline=None)
@@ -104,6 +109,52 @@ class TestClassifierEquivalence:
         assert prof.shape == (7, 10)
         for row_marks, row_occ in zip(u, prof):
             np.testing.assert_array_equal(occupancy_profile(row_marks), row_occ)
+
+
+def _tie_rule_misses(n: int) -> list:
+    """Weak orderings of n-1 slots on which the classifier or the tau* scan
+    disagrees with the oracle's replay (ties act in slot order)."""
+    ranked = list(weak_orderings(n - 1))
+    misses = [ranks for ranks, _ in verify_lemma1(n, occupancy_profile, ranked)]
+    for ranks in ranked:
+        cover = park_in_rank_order(ranks)
+        if tau_star(np.array(ranks, dtype=np.float64)) != max(ranks[c] for c in cover if c is not None):
+            misses.append(ranks)
+    return misses
+
+
+def _strict_run_parities():
+    """finite._run_parities rebuilt from its source with `<` in place of the
+    `<=` of its adjacent comparison (the tie rule)."""
+    src, rule = inspect.getsource(finite._run_parities), "xi[..., :-1] <= xi[..., 1:]"
+    assert src.count(rule) == 1
+    scope = dict(vars(finite))
+    exec(compile(src.replace(rule, rule.replace("<=", "<")), finite.__file__, "exec"), scope)
+    return scope["_run_parities"]
+
+
+class TestParityPass:
+    def test_car_mask_is_the_and_of_the_parities(self):
+        # the car mask of the kernel (both runs odd) against the forced
+        # matching of the classified occupancy, on fields with and without ties
+        gen = SeedSpec(5).generator()
+        for xi in (gen.random((40, 57)), np.floor(3.0 * gen.random((40, 57))), gen.random((3, 1))):
+            rise, descent = finite._run_parities(xi)
+            np.testing.assert_array_equal(rise & descent, _car_mask(xi))
+
+    def test_peak_memory_is_a_fraction_of_the_marks(self):
+        # one int32 buffer and a few boolean arrays: an int64 buffer alone
+        # is xi.nbytes, and the per-run index arrays of a plain prefix-max
+        # classifier come to several times that
+        xi = SeedSpec(6).generator().random((64, 2047))
+        occupancy_profile(xi)  # warm numpy's allocation caches
+        tracemalloc.start()
+        try:
+            occupancy_profile(xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * xi.nbytes, peak / xi.nbytes
 
 
 class TestJammedInvariants:
@@ -190,22 +241,29 @@ class TestDirectProcess:
             assert abs(got - float(p)) <= 5 * sigma
 
 
-# the merged law table runs the kernel on each tau* path: _SCAN_SITES = 1
-# sends every n >= 2 through the tau_star scan, CHAIN_CAP keeps n <= CHAIN_CAP
-# in the 2-D classifier
-PATHS = {"scan": 1, "classifier": CHAIN_CAP}
+# the kernel's tau* paths, as (_SCAN_SITES, want_m): with _SCAN_SITES = 1
+# every n >= 2 is long, so T-only rows take the tau_star scan and rows with M
+# the car mask (tau_star_rows); at CHAIN_CAP every n <= CHAIN_CAP is short,
+# so T-only rows take the car mask too
+PATHS = {"scan": (1, False), "mask_long_with_m": (1, True), "mask_short_t_only": (CHAIN_CAP, False)}
 
 
-def _second_largest_car_mark(xi, occ):
+def _car_mask(xi):
+    """The car mask of marks xi, shape (..., n-1), read off the classified
+    occupancy by the forced matching (car_slot_mask), not from the parities."""
+    return car_slot_mask(occupancy_profile(xi))[..., :-1]
+
+
+def _second_largest_car_mark(xi, car):
     """The second-largest car mark of each row (the only one for one car)."""
-    marks = np.sort(np.where(car_slot_mask(occ)[:, :-1], xi, -np.inf), axis=1)
+    marks = np.sort(np.where(car, xi, -np.inf), axis=1)
     second = marks[:, -2] if marks.shape[1] > 1 else marks[:, -1]
     return np.where(np.isfinite(second), second, marks[:, -1])
 
 
 def _on_one_row(tau_of):
     """A tau_star replacement: tau_of applied to one field."""
-    return lambda xi: float(tau_of(xi[None, :], occupancy_profile(xi[None, :]))[0])
+    return lambda xi: float(tau_of(xi[None, :], _car_mask(xi[None, :]))[0])
 
 
 _draw_counts = finite._draw_counts
@@ -221,21 +279,28 @@ PLANTED_FAULTS = {
         "tau_star": _on_one_row(_second_largest_car_mark),
     },
     "largest_mark_of_all_slots": {
-        "tau_star_rows": lambda xi, occ: xi.max(axis=1),
+        "tau_star_rows": lambda xi, car: xi.max(axis=1),
         "tau_star": lambda xi: float(xi.max()),
     },
 }
 
 
-def _chain_mean_misses(reps: int = 6000, seed: int = 99) -> list:
-    """(n, quantity) for each n in 2..CHAIN_CAP where simulate_direct_batch's
-    mean M or T misses the exact E[M_n] or chain E[T_n]: by more than 4
-    stderr, or at all when the sample has no spread (T at n = 2, 3; M at
-    n = 2, 3, 5)."""
+def _chain_mean_misses(want_m: bool, reps: int = 6000, seed: int = 99) -> list:
+    """(n, quantity) for each n in 2..CHAIN_CAP where the kernel's mean M or T
+    misses the exact E[M_n] or chain E[T_n]: by more than 4 stderr, or at all
+    when the sample has no spread (T at n = 2, 3; M at n = 2, 3, 5). With
+    want_m the rows come from simulate_direct_batch, the view that
+    density-convergence reads; without it from a T-only first_arrival_batch
+    call, as the trials sweep makes."""
     misses = []
     for n in range(2, CHAIN_CAP + 1):
-        m, t = simulate_direct_batch(n, reps, SeedSpec(seed, n))
+        if want_m:
+            m, t = simulate_direct_batch(n, reps, SeedSpec(seed, n))
+        else:
+            m, t, _ = first_arrival_batch([n], reps, SeedSpec(seed, n), want_m=False)[0]
         for name, sample, want in (("M", m, expected_M(n)), ("T", t, expected_T_exact(n))):
+            if sample is None:
+                continue
             st_ = SampleStats.from_samples(sample)
             if abs(st_.mean - float(want)) > 4.0 * st_.stderr:
                 misses.append((n, name))
@@ -273,11 +338,13 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
         if kind == "tied":
             v = np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
         elif kind == "sawtooth":
-            # every high slot sits between two lower ones and never holds a
-            # car, so the scan must look past all of them (beyond its first batch)
+            # every high slot sits between lower ones (or at an edge next to
+            # one) and never holds a car; the high slots take the even
+            # positions, which tau_star's subsample reads, so on long rows
+            # its first threshold falls among them and the scan must lower it
             saw = np.empty(2 * v.size + 1)
-            saw[0::2] = np.append(v, 0.5)
-            saw[1::2] = v + 2.0
+            saw[0::2] = np.append(v, 0.5) + 2.0
+            saw[1::2] = v
             v = saw
         out.append(v)
     return np.array(out)
@@ -285,17 +352,17 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
 
 class TestDirectBatchKernel:
     def test_means_match_exact_for_every_small_n(self, monkeypatch):
-        for path, sites in PATHS.items():
+        for path, (sites, want_m) in PATHS.items():
             monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-            assert _chain_mean_misses() == [], path
+            assert _chain_mean_misses(want_m) == [], path
 
     @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
     def test_planted_faults_fail(self, monkeypatch, fault):
         for name, part in PLANTED_FAULTS[fault].items():
             monkeypatch.setattr(finite, name, part)
-        for path, sites in PATHS.items():
+        for path, (sites, want_m) in PATHS.items():
             monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-            assert _chain_mean_misses() != [], path
+            assert _chain_mean_misses(want_m) != [], path
 
     @given(
         st.sampled_from(["float", "tied", "sawtooth"]),
@@ -309,21 +376,46 @@ class TestDirectBatchKernel:
         xi = _mark_rows(kind, values, rows)
         want = [float(row[car_slots_from_occupancy(occupancy_profile(row))].max()) for row in xi]
         assert [tau_star(row) for row in xi] == want
-        assert tau_star_rows(xi, occupancy_profile(xi)).tolist() == want
+        assert tau_star_rows(xi, _car_mask(xi)).tolist() == want
+
+    @pytest.mark.parametrize("kind, size", [("float", 4099), ("tied", 4099), ("sawtooth", 2049), ("sawtooth", 512)])
+    def test_tau_star_on_long_rows(self, kind, size):
+        # rows of 4099 slots, where the scan takes its threshold from a
+        # subsample. A sawtooth of h values has 2h + 1 slots; the short one is
+        # followed by float marks between its low and its high slots. On both
+        # no slot at or above the first threshold holds a car, so the scan
+        # lowers it, and on the short one tau* lies in the next band down
+        gen = SeedSpec(7, size).generator()
+        xi = _mark_rows(kind, gen.random(size).tolist(), 3)
+        xi = np.concatenate([xi, 1.0 + gen.random((3, 4099 - xi.shape[1]))], axis=1)
+        car = _car_mask(xi)
+        want = [float(row[c].max()) for row, c in zip(xi, car)]
+        assert [tau_star(row) for row in xi] == want
+        if kind == "sawtooth":
+            for row, c, tau in zip(xi, car, want):
+                top = np.sort(row[:: finite._SCAN_STRIDE])[::-1]
+                assert not c[row >= top[finite._SCAN_TOP - 1]].any()
+                assert size == 2049 or top[8 * finite._SCAN_TOP - 1] <= tau
 
     @pytest.mark.parametrize(
         "n, replicas",
         [
             (finite._CHUNK_MARKS + 2, 3),  # n - 1 > marks per chunk: one row per chunk
             (6, 2 * (finite._CHUNK_MARKS // 5) + 7),  # a partial last chunk
-            (finite._SCAN_SITES, 40),  # the longest classified row; partial last chunk
-            (finite._SCAN_SITES + 1, 40),  # the shortest scanned row; partial last chunk
+            # the longest classified T-only row and the shortest scanned one;
+            # partial last chunk
+            pytest.param(finite._SCAN_SITES, 40, id="scan_sites-40"),
+            pytest.param(finite._SCAN_SITES + 1, 40, id="scan_sites_plus_1-40"),
         ],
     )
     def test_chunks_equal_rows_built_by_hand(self, n, replicas):
+        # with M every row takes the car mask; T-only rows past _SCAN_SITES scan
+        want = list(_by_hand([n], replicas, 61, 2)[0])
         (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
         assert m.dtype == t.dtype == np.int64
-        assert [m.tolist(), t.tolist(), tau.tolist()] == list(_by_hand([n], replicas, 61, 2)[0])
+        assert [m.tolist(), t.tolist(), tau.tolist()] == want
+        (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2), want_m=False)
+        assert m is None and [t.tolist(), tau.tolist()] == want[1:]
 
     def test_jobs_numbered_across_rows(self):
         # job c counts across rows, so each row's streams follow the jobs of

@@ -4,6 +4,7 @@ The oracle is the trust anchor for the rest of the suite, so its own tests
 pin hand-checkable values and structural identities only.
 """
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -128,6 +129,26 @@ class TestStructure:
 
         assert verify_lemma1(5, right_first) == []
         assert verify_lemma1(5, right_first, weak_orderings(4)) != []
+
+    def test_counterexamples_past_the_first_block_are_reported(self, monkeypatch):
+        # a classifier wrong at one site of two orderings, one in the first
+        # block and one in the last: both are reported in ranking order, and
+        # no call classifies more than a block
+        monkeypatch.setattr(oracle, "LEMMA1_BLOCK", 100)
+        ranked = list(permutations(range(1, 7)))
+        planted = {ranked[3]: 2, ranked[701]: 5}
+        rows = []
+
+        def faulty(marks):
+            rows.append(len(marks))
+            occ = occupancy_profile(marks)
+            for row, ranks in zip(occ, marks.astype(int).tolist()):
+                if tuple(ranks) in planted:
+                    row[planted[tuple(ranks)] - 1] ^= True
+            return occ
+
+        assert verify_lemma1(7, faulty) == [(ranked[3], 2), (ranked[701], 5)]
+        assert rows == [100] * 7 + [20]
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError):
