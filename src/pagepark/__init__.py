@@ -24,7 +24,6 @@ from .exact import (
     expected_M_series,
     limit_constants,
     odd_descent_prob_closed_form,
-    partial_sum_S,
     per_site_vacancy_exact,
     per_site_vacancy_float,
     site_coupling_bound,
@@ -101,7 +100,6 @@ __all__ = [
     "limit_constants",
     "occupancy_profile",
     "odd_descent_prob_closed_form",
-    "partial_sum_S",
     "per_site_vacancy_exact",
     "per_site_vacancy_float",
     "proportion_estimate",

@@ -515,14 +515,18 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 # parser wiring
 
 
-def _default_seed() -> int:
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    return int(env_seed) if env_seed else DEFAULT_SEED
+def _seed(text: str) -> int:
+    """A master seed: an integer >= 0, from --seed or else from the environment."""
+    try:
+        return _at_least(0)(text)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} (from --seed, else {SEED_ENV_VAR})") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
+    # a string default goes through _seed only when --seed is absent
+    p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR) or str(DEFAULT_SEED),
+                   help=f"master seed, an integer >= 0 (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
                    help="output format (default csv; oracle is json-only)")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -598,8 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     if args.command == "oracle":
         # the report is nested (distribution, profile); csv would flatten it badly
         if args.fmt == "csv":

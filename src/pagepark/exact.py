@@ -1,18 +1,26 @@
 """Exact finite-n analytics and closed-form limits.
 
 The first car parks at a uniform slot I of the n-1 slots and splits the
-interval into independent sub-intervals of I-1 and n-I-1 sites. Every exact
-finite-n law here is built on that split, kept in integers and divided by a
-factorial once at the end.
+interval into independent sub-intervals of I-1 and n-I-1 sites. Page (1959)
+solves that split for the vacancy and the mean in one truncated exponential
+series,
 
-The mean: A_k = (k-1)! E[M_k] is the number of occupied sites summed over all
-orderings of k-1 slots. From
+    e_j(x) = sum_{k<j} x^k / k!.
 
-    E[M_k] = 2 + (2 / (k-1)) * sum_{j=0}^{k-2} E[M_j],    E[M_0] = E[M_1] = 0,
+Vacancy: site i stays vacant iff the rise ending at it and the descent
+starting at it are both even. They live on the disjoint slot blocks left and
+right of i, and a run over j-1 slots is even with probability e_j(-1), so
 
-it follows that, with P_k = (k-2)! sum_{j<=k-2} E[M_j],
+    P(site i vacant) = e_i(-1) e_{n+1-i}(-1).
 
-    P_k = (k-2) P_{k-1} + (k-2) A_{k-2},    A_k = 2 (k-1)! + 2 P_k.
+Mean: summing the vacancies over the sites,
+
+    n - E[M_n] = sum_{j<=n} e_j(-2) = sum_{k<n} (n-k) (-2)^k / k!.
+
+The whole series sums to (n+2) e^-2, so E[M_n] = n - (n+2) e^-2 + r_n with
+r_n = sum_{k>n} (n-k) (-2)^k / k! and, for n >= 3,
+|r_n| <= 2^(n+1)/(n+1)! (n+2)/(n-2): the finite-size offset is -2e^-2 against
+n (1 - e^-2), and 1 - 3e^-2 against (n-1) (1 - e^-2).
 
 The law: g_n(x) = E[x^(M_n/2)] obeys the same split, (n-1) g_n =
 x sum_i g_(i-1) g_(n-i-1) with g_0 = g_1 = 1. So H(z) = sum_n g_n z^n solves
@@ -30,13 +38,6 @@ In the deficit d = floor(n/2) - M_n/2 each term keeps its deficit but the
 odd-m terms of an even n, which gain one. The float path cuts the sum at
 m = 40: the weights (m-1)/m! beyond it sum to less than 1.3e-48, and every
 coefficient of g_k is at most 1.
-
-Per-site vacancy factorises over the two sides of the site into alternating
-factorial series; the relevant tail sum is
-
-    S_k = sum_{l=1}^{k} 2l / (2l+1)!  ->  1/e,
-
-since 2l/(2l+1)! = 1/(2l)! - 1/(2l+1)!.
 """
 from __future__ import annotations
 
@@ -52,42 +53,31 @@ from .core import EXP, ArrivalDistribution
 # (0.33-0.45 s cold at this n on a 2-vCPU Xeon VM); beyond it, float64.
 DISTRIBUTION_RATIONAL_CAP = 256
 
-_occupied_totals: list[int] = [0, 0]  # A_k = (k-1)! E[M_k]
-_occupied_prefix = 0  # P_k for the last k in _occupied_totals
-
 
 def expected_M(n: int) -> Fraction:
-    """Exact rational E[M_n] from integer ordering counts, one big-integer step
-    per size (0.03 s at n = 3000 on a 2-vCPU Xeon VM); use expected_M_series
-    for long float sweeps."""
+    """Exact rational E[M_n] = n - sum_{k<n} (n-k) (-2)^k / k!, by Horner in -2
+    over the integers (n-1)!/k!; use expected_M_series for long float sweeps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    global _occupied_prefix
-    totals = _occupied_totals
-    if len(totals) <= n:
-        fact = math.factorial(len(totals) - 2)
-        for k in range(len(totals), n + 1):
-            fact *= k - 1  # (k-1)!
-            _occupied_prefix = (k - 2) * (_occupied_prefix + totals[k - 2])
-            totals.append(2 * fact + 2 * _occupied_prefix)
-    return Fraction(totals[n], math.factorial(n - 1)) if n else Fraction(0)
+    if n == 0:
+        return Fraction(0)
+    total, fact = 0, 1  # fact = (n-1)!/k!
+    for k in range(n - 1, -1, -1):
+        total = (n - k) * fact - 2 * total
+        fact *= k
+    return n - Fraction(total, math.factorial(n - 1))
 
 
 def expected_M_series(n_max: int) -> np.ndarray:
-    """E[M_n] for n = 0..n_max from the same recursion in float64.
-
-    The recursion is numerically benign (positive terms, relative error stays
-    near machine epsilon); agreement with the rational values is ~1e-12 at
-    n=1000, far below any tolerance used downstream.
-    """
+    """E[M_n] for n = 0..n_max in float64 from the same sum, split as
+    n sum_{k<n} a_k - sum_{k<n} k a_k with a_k = (-2)^k / k!; within one ulp of
+    the exact value at every n <= 3000 and at sampled n up to 10^4."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    em = np.zeros(n_max + 1)
-    prefix = 0.0
-    for n in range(2, n_max + 1):
-        prefix += em[n - 2]
-        em[n] = 2.0 + 2.0 * prefix / (n - 1)
-    return em
+    k = np.arange(n_max)
+    a = np.cumprod(np.append(1.0, -2.0 / k[1:]))  # 0 from k = 205 on, by underflow
+    n = np.arange(1, n_max + 1)
+    return np.append(0.0, n - (n * np.cumsum(a) - np.cumsum(k * a)))
 
 
 def _deficit_counts(n: int) -> list[int]:
@@ -157,66 +147,39 @@ def distribution_M(n: int, rational_cap: int = DISTRIBUTION_RATIONAL_CAP) -> MDi
     return MDistribution(n=n, probs=probs, exact=n <= rational_cap)
 
 
-_tail_sums: list[Fraction] = [Fraction(0)]  # S_0, S_1, ...
+_side_series: list[Fraction] = [Fraction(0)]  # e_j(-1) for j = 0, 1, ...
+
+# e_j(-1) is within 1/j! of 1/e; from this j on, the cut moves a vacancy by
+# less than 2^-100, far under half an ulp of any nonzero one (>= 1/9)
+_SIDE_CONVERGED = 30
 
 
-def partial_sum_S(k: int) -> Fraction:
-    """S_k = sum_{l=1}^{k} 2l/(2l+1)!, with S_k = 0 for k <= 0. Converges to 1/e
-    like the tail of the alternating exp(-1) series (error < 1/(2k+2)!)."""
-    if k <= 0:
-        return Fraction(0)
-    while len(_tail_sums) <= k:
-        l = len(_tail_sums)
-        _tail_sums.append(_tail_sums[-1] + Fraction(2 * l, math.factorial(2 * l + 1)))
-    return _tail_sums[k]
-
-
-def _eps_factor(j: int) -> Fraction:
-    """1/(j-1)! when j is odd, else 0: probability that the run on one side of a
-    site covers everything up to the interval edge with even length."""
-    if j % 2 == 1:
-        return Fraction(1, math.factorial(j - 1))
-    return Fraction(0)
+def _side(j: int) -> Fraction:
+    """e_j(-1) = sum_{l<j} (-1)^l / l!: the probability that the run of a site
+    over the j-1 slots on one side of it is even."""
+    while len(_side_series) <= j:
+        l = len(_side_series) - 1
+        _side_series.append(_side_series[-1] + Fraction((-1) ** l, math.factorial(l)))
+    return _side_series[j]
 
 
 def per_site_vacancy_exact(n: int, i: int) -> Fraction:
-    """Exact P(site i vacant at jamming) on n sites, 1-based i.
-
-    The rise and descent at i live on disjoint slot blocks, so vacancy
-    factorises: P = P(even rise) * P(even descent),
-
-        P(even rise at i)    = eps_i + S_{floor((i-2)/2)}
-        P(even descent at i) = eps_{n-i+1} + S_{floor((n-i-1)/2)}
-
-    with eps_j = 1[j odd]/(j-1)!. The eps term is the run hitting the interval
-    edge with even length; the S terms are the interior even-length runs."""
+    """Exact P(site i vacant at jamming) on n sites, 1-based i: the rise and
+    the descent at i live on disjoint slot blocks, so it is
+    P(even rise) P(even descent) = e_i(-1) e_{n+1-i}(-1)."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not 1 <= i <= n:
         raise ValueError(f"site {i} outside 1..{n}")
-    rise_even = _eps_factor(i) + partial_sum_S((i - 2) // 2)
-    desc_even = _eps_factor(n - i + 1) + partial_sum_S((n - i - 1) // 2)
-    return rise_even * desc_even
+    return _side(i) * _side(n + 1 - i)
 
 
 def per_site_vacancy_float(n: int, i: int) -> float:
-    """Float64 evaluation of per_site_vacancy_exact; the series are truncated at
-    machine precision so this stays O(1) per site for any n."""
+    """per_site_vacancy_exact rounded once, each side cut where its series has
+    converged, so O(1) per site for any n."""
     if n < 2 or not 1 <= i <= n:
         raise ValueError("site outside interval")
-
-    def side(j: int) -> float:
-        total = 1.0 / math.factorial(j - 1) if (j % 2 == 1 and j <= 171) else 0.0
-        fact = 1.0
-        for l in range(1, (j - 2) // 2 + 1):
-            fact *= (2 * l) * (2 * l + 1)
-            term = 2 * l / fact
-            total += term
-            if term < 1e-18:
-                break
-        return total
-
-    return side(i) * side(n - i + 1)
+    return float(_side(min(i, _SIDE_CONVERGED)) * _side(min(n + 1 - i, _SIDE_CONVERGED)))
 
 
 def site_coupling_bound(n: int, i: int) -> float:

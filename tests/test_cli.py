@@ -215,7 +215,8 @@ class TestOutAndErrors:
         + [["oracle", "--n", value] for value in ("1", "11", "six")]
         + [["density-curve", "--threads", value] for value in ("0", "-2")]
         + [["oracle", "--n", value] for value in ("2,11", "2,x")]
-        + [["trials", "--threads", value] for value in ("0", "x")],
+        + [["trials", "--threads", value] for value in ("0", "x")]
+        + [["trials", "--seed", value] for value in ("-1", "x")],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
         # argparse rejects the value before any work starts: exit 2, never an
@@ -248,6 +249,17 @@ class TestOutAndErrors:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_bad_env_seed_is_a_usage_error(self, value):
+        # the environment seed goes through the --seed type: exit 2 before
+        # any work, naming the variable, never a traceback
+        res = run_cli("site-vacancy", "--n", "4", env={"PAGEPARK_SEED": value})
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "PAGEPARK_SEED" in res.stderr and "Traceback" not in res.stderr
+        # an explicit --seed still wins over the environment
+        assert run_cli("site-vacancy", "--n", "4", "--seed", "5", env={"PAGEPARK_SEED": value}).returncode == 0
 
     def test_checks_reported_on_stderr(self):
         res = run_cli("site-vacancy", "--n", "10")

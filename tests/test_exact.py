@@ -17,13 +17,49 @@ from pagepark import (
     expected_M_series,
     limit_constants,
     odd_descent_prob_closed_form,
-    partial_sum_S,
     per_site_vacancy_exact,
     per_site_vacancy_float,
     site_coupling_bound,
 )
 
 F = Fraction
+
+
+def first_car_misses(mean, n_values) -> list:
+    """The n where mean(n) breaks the first-car recursion
+    E[M_n] = 2 + (2/(n-1)) sum_{k<=n-2} E[M_k]."""
+    return [n for n in n_values if mean(n) != 2 + F(2, n - 1) * sum(mean(k) for k in range(n - 1))]
+
+
+def mean_closed_form(n: int, weight=lambda n, k: n - k) -> F:
+    """A copy of n - E[M_n] = sum_{k<n} (n-k) (-2)^k / k!, with the weight of
+    the k-th term as a parameter."""
+    return n - sum((F(weight(n, k) * (-2) ** k, math.factorial(k)) for k in range(n)), F(0))
+
+
+def exp_series(x: int, j: int) -> F:
+    """e_j(x) = sum_{k<j} x^k / k!."""
+    return sum((F(x**k, math.factorial(k)) for k in range(j)), F(0))
+
+
+def vacancy_closed_form(n: int, i: int, side=lambda j: j) -> F:
+    """A copy of P(site i vacant) = e_i(-1) e_{n+1-i}(-1), with the length of
+    each side's series as a parameter."""
+    return exp_series(-1, side(i)) * exp_series(-1, side(n + 1 - i))
+
+
+def offset_misses(shift: int) -> list:
+    """The n in 3..79 where E[M_n] - n + (n + shift) e^-2 is not certified to
+    lie within the tail bound 2^(n+1)/(n+1)! (n+2)/(n-2) of the mean's
+    series. e^-2 is bracketed by two consecutive partial sums of its series,
+    and the gap is linear in it, so checking both ends is exact."""
+    ends = (exp_series(-2, 120), exp_series(-2, 121))
+    misses = []
+    for n in range(3, 80):
+        bound = F(2 ** (n + 1) * (n + 2), math.factorial(n + 1) * (n - 2))
+        if any(abs(expected_M(n) - n + (n + shift) * e) > bound for e in ends):
+            misses.append(n)
+    return misses
 
 
 class TestExpectedM:
@@ -37,15 +73,28 @@ class TestExpectedM:
         assert expected_M(n) == enumerate_orderings(n).expected_M
 
     def test_recursion_identity(self):
-        # E[M_n] = 2 + (2/(n-1)) sum_{k<=n-2} E[M_k], checked standalone
-        for n in (5, 17, 60, 256, 300):
-            rhs = 2 + F(2, n - 1) * sum(expected_M(k) for k in range(n - 1))
-            assert expected_M(n) == rhs
+        # the first-car split, checked standalone
+        assert first_car_misses(expected_M, (5, 17, 60, 256, 300)) == []
 
     def test_series_matches_rational(self):
-        em = expected_M_series(400)
-        for n in (0, 1, 2, 50, 256, 400):
-            assert em[n] == pytest.approx(float(expected_M(n)), abs=1e-9)
+        # within one ulp of the rounded exact mean, on both sides of the
+        # rational cap and far past it
+        em = expected_M_series(10_000)
+        for n in (0, 1, 2, 50, 256, 257, 1000, 3000, 10_000):
+            want = float(expected_M(n))
+            assert abs(em[n] - want) <= math.ulp(want), n
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_closed_form_copy_matches_oracle(self, n):
+        assert mean_closed_form(n) == expected_M(n) == enumerate_orderings(n).expected_M
+
+    def test_closed_form_planted_fault_fails(self):
+        # weight (n-k+1) in place of (n-k): off the oracle at every n and off
+        # the first-car recursion
+        fault = dict(weight=lambda n, k: n - k + 1)
+        assert all(mean_closed_form(n, **fault) != enumerate_orderings(n).expected_M for n in range(2, 10))
+        assert first_car_misses(lambda n: mean_closed_form(n, **fault), range(2, 30))
+        assert not first_car_misses(mean_closed_form, range(2, 30))
 
     def test_series_monotone_superadditive(self):
         em = expected_M_series(200)
@@ -215,6 +264,22 @@ class TestVacancyProfile:
         assert vac == vac[::-1]
         assert sum(vac, F(0)) + expected_M(n) == n
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_closed_form_copy_matches_oracle(self, n):
+        got = tuple(vacancy_closed_form(n, i) for i in range(1, n + 1))
+        assert got == enumerate_orderings(n).per_site_vacancy
+        assert got == tuple(per_site_vacancy_exact(n, i) for i in range(1, n + 1))
+
+    def test_closed_form_planted_fault_fails(self):
+        # each side's series one term too long, e_{j+1}(-1): off the oracle
+        # at every n but 2, where both sites are always covered
+        fault = dict(side=lambda j: j + 1)
+        agree = [
+            n for n in range(2, 10)
+            if tuple(vacancy_closed_form(n, i, **fault) for i in range(1, n + 1)) == enumerate_orderings(n).per_site_vacancy
+        ]
+        assert agree == [2]
+
     def test_site_two_never_vacant(self):
         # site 2 is vacant only if sites 1..2 stay empty; but slot 1 alone
         # can always park when both are free, so vacancy(2) = 0
@@ -224,10 +289,9 @@ class TestVacancyProfile:
     @given(st.integers(min_value=2, max_value=400), st.data())
     @settings(max_examples=30, deadline=None)
     def test_float_matches_exact(self, n, data):
+        # the same product rounded once: equal to the rounded exact value
         i = data.draw(st.integers(min_value=1, max_value=n))
-        assert per_site_vacancy_float(n, i) == pytest.approx(
-            float(per_site_vacancy_exact(n, i)), abs=1e-12
-        )
+        assert per_site_vacancy_float(n, i) == float(per_site_vacancy_exact(n, i))
 
     @given(st.integers(min_value=2, max_value=300), st.data())
     @settings(max_examples=40, deadline=None)
@@ -246,20 +310,31 @@ class TestVacancyProfile:
 
 class TestSeriesAndConstants:
     def test_partial_sum_closed_form(self):
-        # 2l/(2l+1)! = 1/(2l)! - 1/(2l+1)! telescopes into the alternating
-        # exp(-1) series truncated after the 1/(2k+1)! term; read out of order,
-        # so the cached prefix is hit both while growing and after
+        # S_k = sum_{l=1}^{k} 2l/(2l+1)! telescopes, by 2l/(2l+1)! = 1/(2l)! -
+        # 1/(2l+1)!, into the alternating exp(-1) series truncated after the
+        # 1/(2k+1)! term: e_{2k+2}(-1), the vacancy of the edge site of 2k+2
+        # sites; read out of order, so the cached series is hit both while
+        # growing and after
         for k in (*range(0, 8), 130, 64, 129):
-            expect = sum(
-                F((-1) ** j, math.factorial(j)) for j in range(2, 2 * k + 2)
-            )
-            assert partial_sum_S(k) == expect
+            s_k = sum((F(2 * l, math.factorial(2 * l + 1)) for l in range(1, k + 1)), F(0))
+            assert per_site_vacancy_exact(2 * k + 2, 1) == s_k
 
     def test_partial_sum_tail_bound(self):
         # S_k -> 1/e like a truncated alternating series: error < 1/(2k+2)!
         for k in (1, 3, 10, 20):
-            err = abs(float(partial_sum_S(k)) - math.exp(-1.0))
+            err = abs(float(per_site_vacancy_exact(2 * k + 2, 1)) - math.exp(-1.0))
             assert err < 1.0 / math.factorial(2 * k + 2) + 1e-18
+
+    def test_finite_size_constant_derived(self):
+        # E[M_n] = n - (n+2) e^-2 + r_n, with r_n the tail of the mean's
+        # alternating series: the offset -2e^-2 against n (1 - e^-2), and so
+        # 1 - 3e^-2 against (n-1) (1 - e^-2), with a bound at every n
+        assert offset_misses(2) == []
+
+    def test_finite_size_constant_planted_fault(self):
+        # (n+1) e^-2 in place of (n+2) e^-2 is off by e^-2, past the bound
+        # from n = 6 on
+        assert offset_misses(1) == list(range(6, 80))
 
     def test_limit_constants_identities(self):
         c = limit_constants()

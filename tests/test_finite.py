@@ -337,14 +337,17 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
         v = np.roll(np.asarray(values, dtype=np.float64), r)
         if kind == "tied":
             v = np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
-        elif kind == "sawtooth":
+        elif kind in ("sawtooth", "sawtooth_odd"):
             # every high slot sits between lower ones (or at an edge next to
-            # one) and never holds a car; the high slots take the even
-            # positions, which tau_star's subsample reads, so on long rows
-            # its first threshold falls among them and the scan must lower it
+            # one) and never holds a car. "sawtooth" gives the high slots the
+            # even positions, which tau_star's subsample reads, so on long
+            # rows its first threshold falls among them and the scan must
+            # lower it; "sawtooth_odd" gives them the odd positions, each
+            # between two low ones, so the scan must look past all of them
             saw = np.empty(2 * v.size + 1)
-            saw[0::2] = np.append(v, 0.5) + 2.0
+            saw[0::2] = np.append(v, 0.5)
             saw[1::2] = v
+            saw[0 if kind == "sawtooth" else 1 :: 2] += 2.0
             v = saw
         out.append(v)
     return np.array(out)
@@ -365,11 +368,12 @@ class TestDirectBatchKernel:
             assert _chain_mean_misses(want_m) != [], path
 
     @given(
-        st.sampled_from(["float", "tied", "sawtooth"]),
+        st.sampled_from(["float", "tied", "sawtooth", "sawtooth_odd"]),
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90),
         st.integers(min_value=1, max_value=4),
     )
     @example("sawtooth", [i / 40 for i in range(40)], 3)
+    @example("sawtooth_odd", [i / 40 for i in range(40)], 1)
     @settings(max_examples=300, deadline=None)
     def test_tau_star_rows_equal_scan(self, kind, values, rows):
         # scan == tau_star_rows == the largest car mark of the classifier
@@ -438,6 +442,10 @@ class TestDirectBatchKernel:
         c = simulate_direct_batch(40, 500, SeedSpec(63))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
         assert not np.array_equal(a[1], c[1])
+
+    def test_tau_star_rejects_empty_field(self):
+        with pytest.raises(ValueError):
+            tau_star(np.array([]))
 
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):

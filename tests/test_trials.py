@@ -4,11 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from pagepark import (
-    CHAIN_CAP,
     SampleStats,
     SeedSpec,
     car_slots_from_occupancy,
@@ -21,7 +18,6 @@ from pagepark import (
     trials_ratio_sweep,
 )
 from pagepark import EXP, finite
-from pagepark.finite import tau_star
 from pagepark.trials import TAU_STAR_LEVELS
 
 
@@ -148,84 +144,3 @@ class TestFastKernelLaw:
             fast = first_arrival_batch([n], reps, seed=97, want_m=False)[0][1]
             _, _, p = chi_square_two_sample(dict(slow), dict(collections.Counter(fast.tolist())))
             assert p > 0.001, sites
-
-
-def _mark_field(kind: str, values: list) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    if kind == "tied":
-        return np.floor(v * 4.0)  # marks in {0, 1, 2, 3}: many ties
-    if kind == "sawtooth":
-        # every high slot sits between two lower ones and never holds a car,
-        # so the scan must look past all of them (beyond its first batch)
-        saw = np.empty(2 * v.size + 1)
-        saw[0::2] = np.append(v, 0.5)
-        saw[1::2] = v + 2.0
-        return saw
-    return v
-
-
-class TestTauStar:
-    @given(
-        st.sampled_from(["float", "tied", "sawtooth"]),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90),
-    )
-    @example("sawtooth", [i / 40 for i in range(40)])
-    @settings(max_examples=300, deadline=None)
-    def test_equals_classifier_max_car_mark(self, kind, values):
-        xi = _mark_field(kind, values)
-        slots = car_slots_from_occupancy(occupancy_profile(xi))
-        assert tau_star(xi) == float(xi[slots].max())
-
-    def test_empty_field_rejected(self):
-        with pytest.raises(ValueError):
-            tau_star(np.array([]))
-
-
-def _kernel_ts(n: int, reps: int, seed: SeedSpec) -> np.ndarray:
-    """T of `reps` replicas of n from the first-arrival kernel."""
-    return first_arrival_batch([n], reps, seed, want_m=False)[0][1]
-
-
-def _per_replica(kernel):
-    """T samples from a one-replica kernel(n, rng), all drawn from one stream."""
-
-    def ts(n: int, reps: int, seed: SeedSpec) -> list:
-        rng = seed.generator()
-        return [kernel(n, rng) for _ in range(reps)]
-
-    return ts
-
-
-def _without_first_arrivals(n: int, rng: np.random.Generator) -> int:
-    """Planted fault: drops the #{xi_s <= tau*} term."""
-    xi = rng.standard_exponential(n - 1)
-    return int(rng.poisson(np.sum(np.maximum(tau_star(xi) - xi, 0.0))))
-
-
-def _second_largest_car_mark(n: int, rng: np.random.Generator) -> int:
-    """Planted fault: takes tau* as the second-largest car mark."""
-    xi = rng.standard_exponential(n - 1)
-    marks = np.sort(xi[car_slots_from_occupancy(occupancy_profile(xi))])
-    tau = marks[-2] if marks.size > 1 else marks[-1]
-    return int(np.count_nonzero(xi <= tau) + rng.poisson(np.sum(np.maximum(tau - xi, 0.0))))
-
-
-def _chain_mean_misses(samples, reps: int = 3000, seed: int = 98) -> list:
-    """Sizes n in 2..CHAIN_CAP where the mean of samples(n, reps, spec) is
-    more than 4 stderr from the absorbing chain's exact E[T_n]."""
-    misses = []
-    for n in range(2, CHAIN_CAP + 1):
-        st_ = SampleStats.from_samples(samples(n, reps, SeedSpec(seed, n)))
-        if abs(st_.mean - float(expected_T_exact(n))) > 4.0 * st_.stderr:
-            misses.append(n)
-    return misses
-
-
-class TestFastKernelChainMean:
-    def test_mean_t_matches_chain_for_every_small_n(self):
-        assert _chain_mean_misses(_kernel_ts) == []
-
-    @pytest.mark.parametrize("kernel", [_without_first_arrivals, _second_largest_car_mark])
-    def test_planted_faults_fail(self, kernel):
-        assert _chain_mean_misses(_per_replica(kernel)) != []
-
