@@ -39,7 +39,7 @@ from .exact import (
 from . import finite, infinite
 from .finite import occupancy_profile
 from .infinite import autocovariance_mc
-from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact, verify_lemma1
+from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact
 from .stats import SampleStats, bernoulli_variance_range, wilson_interval
 from .trials import TAU_STAR_LEVELS, trials_ratio_sweep
 
@@ -343,7 +343,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     rows: list[ResultRow] = []
     for n in n_list:
         print(f"oracle: n={n}: replaying all {math.factorial(n - 1)} orderings", file=sys.stderr)
-        report = enumerate_orderings(n)
+        report = enumerate_orderings(n, occupancy_profile)
         analytic = expected_M(n)
         checks.record(
             f"expected_m_matches_recursion_n{n}",
@@ -374,11 +374,10 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             report.expected_T == chain_T,
             f"enumeration {report.expected_T} == absorbing chain {chain_T}",
         )
-        bad = verify_lemma1(n, occupancy_profile)
         checks.record(
             f"parity_classification_matches_dynamics_n{n}",
-            len(bad) == 0,
-            f"{len(bad)} counterexamples over all {report.permutations} orderings",
+            not report.counterexamples,
+            f"{len(report.counterexamples)} counterexamples over all {report.permutations} orderings",
         )
         rows.append(
             ResultRow(
@@ -386,9 +385,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 permutations=report.permutations,
                 expected_m=report.expected_M,
                 expected_t=report.expected_T,
-                distribution_m={
-                    str(k): _json_value(v) for k, v in sorted(report.distribution_M.items())
-                },
+                distribution_m={str(k): _json_value(v) for k, v in sorted(report.distribution_M.items())},
                 per_site_vacancy=[_json_value(v) for v in report.per_site_vacancy],
             )
         )

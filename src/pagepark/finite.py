@@ -13,8 +13,8 @@ Poisson process on (xi_s, inf) independent of xi, so the draw count is
 exactly (the superposition identity). first_arrival_batch computes (M, T,
 tau*) this way and is the one fast kernel for all three; simulate_direct runs
 the draws one by one and trials.simulate_poissonized runs every arrival, and
-both stay independent references. The replay in mark order is
-oracle.park_in_rank_order.
+both stay independent references. The reference for parking in mark order is
+the oracle's one replay pass, which keeps each site's covering rank.
 
 Every classification runs through one parity pass, _run_parities: per slot,
 whether the rise ending at it and the descent starting at it are odd. The
@@ -95,8 +95,8 @@ def occupancy_profile(values: np.ndarray) -> np.ndarray:
     values has shape (..., n-1) with marks along the last axis; the result is a
     boolean occupancy array of shape (..., n): site i is occupied iff its rise
     or its descent is odd, a shifted OR of the two parity arrays. Agrees with
-    parking in mark order (oracle.park_in_rank_order; checked on every
-    ordering for small n).
+    parking in mark order: a site is occupied iff the oracle's replay gives
+    it a covering rank (checked on every ordering for small n).
     """
     v = np.asarray(values, dtype=np.float64)
     m = v.shape[-1]

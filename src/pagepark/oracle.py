@@ -1,11 +1,11 @@
 """Brute-force ground truth for small intervals.
 
-Everything here is deliberately independent of the simulator modules: parking
-is replayed with its own plain-Python loop over explicit permutations (or weak
-orderings, whose ties the replay breaks by slot index), and the trial-count
-mean comes both from those orderings and from the absorbing-chain linear
-system, two derivations that share no code. The rest of the package is
-validated against these values, never the other way around.
+Everything here is independent of the simulator modules. One pass parks cars
+with its own plain-Python loop, once per permutation or weak ordering of the
+slots, and keeps each site's covering rank: the exact report and the
+classifier check are both read off those ranks. E[T_n] also comes from the
+absorbing-chain linear system, which shares no code with the pass. The rest
+of the package is validated against these values, never the other way round.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 ENUMERATION_CAP = 10  # (n-1)! permutations; 9! = 362880 is the practical limit
 CHAIN_CAP = 12
-LEMMA1_BLOCK = factorial(8)  # orderings replayed and classified together by verify_lemma1
+LEMMA1_BLOCK = factorial(7)  # rankings replayed and classified per block of the one pass (~3 MB)
 
 
 @dataclass(frozen=True)
@@ -32,16 +32,17 @@ class OracleReport:
     distribution_M: dict[int, Fraction]
     per_site_vacancy: tuple[Fraction, ...]
     expected_T: Fraction
+    counterexamples: tuple[tuple[tuple[int, ...], int], ...] | None = None  # as verify_lemma1's, if classified
 
 
-def _replay(order, n: int) -> list[int | None]:
+def _replay(order, n: int) -> list[int]:
     """Park greedily in the given slot order (0-based slots; slot s covers
-    sites s and s+1). Entry i of the result is the slot of the car covering
-    0-based site i, or None when the site stays vacant."""
-    cover: list[int | None] = [None] * n
-    for s in order:
-        if cover[s] is None and cover[s + 1] is None:
-            cover[s] = cover[s + 1] = s
+    sites s and s+1). Entry i of the result is the 1-based position in order
+    of the car covering 0-based site i, or 0 when the site stays vacant."""
+    cover = [0] * n
+    for k, s in enumerate(order, 1):
+        if not (cover[s] or cover[s + 1]):
+            cover[s] = cover[s + 1] = k
     return cover
 
 
@@ -51,11 +52,40 @@ def _draws_to_see(k: int, m: int) -> Fraction:
     return sum((Fraction(m, m - j) for j in range(k)), Fraction(0))
 
 
-def enumerate_orderings(n: int) -> OracleReport:
-    """Exhaustively replay every ordering of the n-1 slots.
+def _replay_all(n: int, rank_vectors, classify):
+    """The one pass: replay each slot ranking once, LEMMA1_BLOCK at a time,
+    each block's orders from one stable argsort (equal ranks act left slot
+    first). Returns the counts, over all rankings, of each number of occupied
+    sites, of vacancies per site and of each position of the last car in the
+    order, and the misses of classify (or None) as verify_lemma1 lists them."""
+    if not 2 <= n <= ENUMERATION_CAP:
+        raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
+    ranked = iter(rank_vectors)
+    occupied_sites = np.zeros(n + 1, dtype=np.int64)
+    vacant = np.zeros(n, dtype=np.int64)
+    last_car = np.zeros(n, dtype=np.int64)  # last_car[k]: rankings whose last car slot comes k-th
+    bad = []
+    while block := list(islice(ranked, LEMMA1_BLOCK)):
+        ranks = np.array(block, dtype=np.float64).reshape(len(block), n - 1)
+        cover = np.array([_replay(order, n) for order in np.argsort(ranks, axis=1, kind="stable").tolist()])
+        occupied = cover > 0
+        occupied_sites += np.bincount(occupied.sum(axis=1), minlength=n + 1)
+        vacant += (~occupied).sum(axis=0)
+        last_car += np.bincount(cover.max(axis=1), minlength=n)
+        if classify is not None:
+            got = np.asarray(classify(ranks), dtype=bool)
+            if got.shape != occupied.shape:
+                raise ValueError(f"classify returned shape {got.shape}, expected {occupied.shape}")
+            bad += [(block[r], int(i) + 1) for r, i in np.argwhere(got != occupied)]
+    return occupied_sites.tolist(), vacant.tolist(), last_car.tolist(), bad
+
+
+def enumerate_orderings(n: int, classify=None) -> OracleReport:
+    """Exhaustively replay every ordering of the n-1 slots, once each.
 
     Returns exact rational aggregates: E[M_n], the full law of M_n, per-site
-    vacancy probabilities, and E[T_n]. Raises ValueError above the
+    vacancy probabilities, and E[T_n]. With a classify (as in verify_lemma1)
+    the same pass also fills counterexamples. Raises ValueError above the
     enumeration cap (n > 10).
 
     E[T_n] comes from the orderings too. The first draws of the uniform-draw
@@ -64,31 +94,17 @@ def enumerate_orderings(n: int) -> OracleReport:
     park a car. So the process jams at the first draw of the last car slot in
     that order; if it comes k-th, the draw count has mean _draws_to_see(k, m).
     """
-    if not 2 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
     m = n - 1
     total = factorial(m)
-    m_counts: dict[int, int] = {}
-    vacant_counts = [0] * n
-    last_car = [0] * (m + 1)  # last_car[k]: orderings whose last car slot comes k-th
-    for order in permutations(range(m)):
-        cover = _replay(order, n)
-        k = m
-        while cover[order[k - 1]] != order[k - 1]:  # cover[s] == s iff slot s holds a car
-            k -= 1
-        last_car[k] += 1
-        parked = n - cover.count(None)
-        m_counts[parked] = m_counts.get(parked, 0) + 1
-        for i in range(n):
-            if cover[i] is None:
-                vacant_counts[i] += 1
+    occupied_sites, vacant, last_car, bad = _replay_all(n, permutations(range(1, n)), classify)
     return OracleReport(
         n=n,
         permutations=total,
-        expected_M=Fraction(sum(k * c for k, c in m_counts.items()), total),
-        distribution_M={k: Fraction(c, total) for k, c in sorted(m_counts.items())},
-        per_site_vacancy=tuple(Fraction(c, total) for c in vacant_counts),
+        expected_M=Fraction(sum(k * c for k, c in enumerate(occupied_sites)), total),
+        distribution_M={k: Fraction(c, total) for k, c in enumerate(occupied_sites) if c},
+        per_site_vacancy=tuple(Fraction(c, total) for c in vacant),
         expected_T=sum((c * _draws_to_see(k, m) for k, c in enumerate(last_car)), Fraction(0)) / total,
+        counterexamples=None if classify is None else tuple(bad),
     )
 
 
@@ -138,36 +154,23 @@ def weak_orderings(m: int):
 
 
 def park_in_rank_order(ranks) -> list[int | None]:
-    """Replay parking with slots tried in increasing rank, equal ranks in slot
-    order (left slot first). Entry i is the 0-based slot of the car covering
-    0-based site i, or None when the site stays vacant."""
-    order = sorted(range(len(ranks)), key=lambda s: ranks[s])  # stable: ties by slot index
-    return _replay(order, len(ranks) + 1)
+    """The one-row view of _replay: slots tried in increasing rank, equal ranks
+    left slot first. Entry i is the 0-based slot of the car covering 0-based
+    site i (read off its covering rank), or None when the site stays vacant."""
+    order = np.argsort(ranks, kind="stable").tolist()
+    return [order[k - 1] if k else None for k in _replay(order, len(order) + 1)]
 
 
 def verify_lemma1(n: int, classify, rank_vectors=None) -> list[tuple[tuple[int, ...], int]]:
     """Check a batched site classifier against the replay for every given
-    slot ranking.
+    slot ranking, in the one pass enumerate_orderings runs.
 
     classify maps a 2-D mark array, one row of n-1 slot ranks per ordering
     (only the ordering matters), to the (rows, n) boolean occupancy it
-    predicts; finite.occupancy_profile is such a function. rank_vectors
-    defaults to every permutation of 1..n-1; weak_orderings(n - 1) adds ties,
-    which the replay breaks by slot index. Returns the list of (ranks,
-    1-based site) counterexamples in ranking order, expected empty.
-
-    The rankings are taken LEMMA1_BLOCK at a time, each block replayed and
-    classified in one call, so memory stays flat in the number of rankings
-    (9! at n = 10).
+    predicts; finite.occupancy_profile is such a function. It is called once
+    per block of LEMMA1_BLOCK rankings. rank_vectors defaults to every
+    permutation of 1..n-1; weak_orderings(n - 1) adds ties, which the replay
+    breaks by slot index. Returns the list of (ranks, 1-based site)
+    counterexamples in ranking order, expected empty.
     """
-    if not 2 <= n <= ENUMERATION_CAP:
-        raise ValueError(f"oracle cap exceeded: need 2 <= n <= {ENUMERATION_CAP}, got {n}")
-    ranked = iter(permutations(range(1, n)) if rank_vectors is None else rank_vectors)
-    bad = []
-    while block := list(islice(ranked, LEMMA1_BLOCK)):
-        want = np.array([[c is not None for c in park_in_rank_order(r)] for r in block], dtype=bool)
-        got = np.asarray(classify(np.array(block, dtype=np.float64).reshape(len(block), n - 1)), dtype=bool)
-        if got.shape != want.shape:
-            raise ValueError(f"classify returned shape {got.shape}, expected {want.shape}")
-        bad += [(block[r], int(i) + 1) for r, i in np.argwhere(got != want)]
-    return bad
+    return _replay_all(n, permutations(range(1, n)) if rank_vectors is None else rank_vectors, classify)[-1]

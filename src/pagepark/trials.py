@@ -11,8 +11,8 @@ n log n; a coupon collector over the n-1 slots dominates it.
 The sweeps below read T and tau* from finite.first_arrival_batch, which draws
 only the first arrivals and counts the later ones with one Poisson draw (the
 superposition identity, stated in finite.py). simulate_poissonized runs every
-arrival and is its event-level reference; it parks cars with the oracle's own
-replay, so it shares no code with the kernel.
+arrival and is its event-level reference; it parks cars with the oracle's
+one-row replay, park_in_rank_order, so it shares no code with the kernel.
 """
 from __future__ import annotations
 

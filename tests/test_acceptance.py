@@ -31,7 +31,6 @@ from pagepark import (
     simulate_direct,
     simulate_poissonized,
     trials_ratio_sweep,
-    verify_lemma1,
 )
 
 RHO = 1.0 - math.exp(-2.0)
@@ -95,13 +94,13 @@ def test_criterion_04_oracle_equivalence():
     counterexamples = 0
     exact_ok = True
     for n in range(2, 10):
-        rep = enumerate_orderings(n)
+        rep = enumerate_orderings(n, occupancy_profile)  # one pass: report and classifier
         exact_ok &= rep.expected_M == expected_M(n)
         exact_ok &= rep.distribution_M == distribution_M(n).probs
         profile = tuple(per_site_vacancy_exact(n, i) for i in range(1, n + 1))
         exact_ok &= rep.per_site_vacancy == profile
         exact_ok &= rep.expected_T == expected_T_exact(n)
-        counterexamples += len(verify_lemma1(n, occupancy_profile))
+        counterexamples += len(rep.counterexamples)
     dt = time.perf_counter() - t0
     report(
         4,

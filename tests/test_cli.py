@@ -11,7 +11,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from pagepark import cli, infinite
+from pagepark import cli, infinite, oracle
 from pagepark.cli import (
     _coupon_check,
     _curve_check,
@@ -30,9 +30,11 @@ from pagepark.exact import (
     distribution_M,
     expected_M,
     limit_constants,
+    per_site_vacancy_exact,
 )
-from pagepark.finite import simulate_direct_batch
+from pagepark.finite import occupancy_profile, simulate_direct_batch
 from pagepark.infinite import autocovariance_mc, sample_runs
+from pagepark.oracle import OracleReport, expected_T_exact, park_in_rank_order
 from pagepark.stats import SampleStats
 from pagepark.trials import trials_ratio_sweep
 
@@ -172,13 +174,40 @@ class TestOutAndErrors:
 
     def test_oracle_sweeps_the_classifier_at_every_n(self, monkeypatch, capsys):
         # n = 10 is the largest --n argparse accepts; the spy stands in for the
-        # full sweep (2.8 s there) and reports no counterexample
+        # one pass over all 9! orderings (1.6 s there), returns the exact report
+        # and plants the counterexamples the classifier check must read
         calls = []
-        monkeypatch.setattr(cli, "verify_lemma1", lambda n, classify: calls.append(n) or [])
-        assert main(["oracle", "--n", "10"]) == 0
-        assert calls == [10]
-        doc = json.loads(capsys.readouterr().out)
-        assert "parity_classification_matches_dynamics_n10" in {e["name"] for e in doc["checks"]["entries"]}
+
+        def one_pass(n, classify=None, bad=()):
+            calls.append((n, classify))
+            return OracleReport(
+                n=n, permutations=math.factorial(n - 1), expected_M=expected_M(n),
+                distribution_M=distribution_M(n).probs,
+                per_site_vacancy=tuple(per_site_vacancy_exact(n, i) for i in range(1, n + 1)),
+                expected_T=expected_T_exact(n), counterexamples=bad)
+
+        for bad, code in (((), 0), ((((1,) * 9, 3),), 1)):
+            calls.clear()
+            monkeypatch.setattr(cli, "enumerate_orderings", functools.partial(one_pass, bad=bad))
+            assert main(["oracle", "--n", "10"]) == code
+            assert calls == [(10, occupancy_profile)]
+            entries = {e["name"]: e for e in json.loads(capsys.readouterr().out)["checks"]["entries"]}
+            assert entries["parity_classification_matches_dynamics_n10"]["passed"] == (not bad)
+            assert sum(not e["passed"] for e in entries.values()) == len(bad)
+
+    def test_oracle_replays_each_ordering_once(self, monkeypatch, capsys):
+        # the report and the classifier check share one pass: 5! replays at
+        # n = 6, one per ordering; the one-row view replays once per call
+        calls = []
+        replay = oracle._replay
+        monkeypatch.setattr(oracle, "_replay", lambda order, n: calls.append(n) or replay(order, n))
+        assert main(["oracle", "--n", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["checks"]["passed"]
+        assert calls == [6] * 120
+        calls.clear()
+        assert park_in_rank_order((1, 1, 1)) == [0, 0, 2, 2]
+        assert park_in_rank_order((2, 1, 1)) == [None, 1, 1, None]
+        assert calls == [4, 4]
 
     def test_oracle_n_list_audits_every_n(self):
         res = run_cli("oracle", "--n", "4,2,3")
@@ -191,14 +220,16 @@ class TestOutAndErrors:
 
     def test_oracle_cap_errors(self):
         res = run_cli("oracle", "--n", "11")
-        assert res.returncode != 0
-        assert res.stdout == ""
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "Traceback" not in res.stderr
 
     def test_bad_flag_values(self):
-        assert run_cli("site-vacancy", "--n", "1").returncode != 0
-        assert run_cli("trials", "--n-list", "1,5").returncode != 0
-        assert run_cli("density-curve", "--t-grid", "-1").returncode != 0
-        assert run_cli("density-curve", "--threads", "0").returncode != 0
+        # bad input is a usage error with its own exit code, not a crash
+        for argv in (("site-vacancy", "--n", "1"), ("trials", "--n-list", "1,5"),
+                     ("density-curve", "--t-grid", "-1"), ("density-curve", "--threads", "0")):
+            res = run_cli(*argv)
+            assert (res.returncode, res.stdout) == (2, ""), argv
+            assert "Traceback" not in res.stderr, argv
 
     @pytest.mark.parametrize(
         "argv",
