@@ -29,7 +29,6 @@ from .exact import (
     site_coupling_bound,
 )
 from .finite import (
-    car_slots_from_occupancy,
     first_arrival_batch,
     occupancy_profile,
     simulate_direct,
@@ -87,7 +86,6 @@ __all__ = [
     "UNIFORM",
     "WindowSample",
     "autocovariance_mc",
-    "car_slots_from_occupancy",
     "chi_square_two_sample",
     "coupon_collector_mean_exact",
     "density_curve_closed_form",

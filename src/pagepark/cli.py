@@ -43,27 +43,7 @@ from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact
 from .stats import SampleStats, bernoulli_variance_range, wilson_interval
 from .trials import TAU_STAR_LEVELS, trials_ratio_sweep
 
-__all__ = ["RunConfig", "ResultRow", "build_parser", "main"]
-
-# A result row is an ordered mapping; insertion order fixes the CSV
-# column order and the JSON key order.
-ResultRow = dict
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation, echoed into the JSON envelope."""
-
-    command: str
-    seed: int
-    fmt: str
-    out: str | None
-    params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {"seed": self.seed}
-        d.update(self.params)
-        return d
+__all__ = ["build_parser", "main"]
 
 
 @dataclass
@@ -107,8 +87,11 @@ def _json_value(x: Any) -> Any:
     return x
 
 
-def emit(rows: Sequence[ResultRow], config: RunConfig, checks: CheckLog) -> None:
-    if config.fmt == "csv":
+def emit(rows: Sequence[dict], checks: CheckLog, args: argparse.Namespace, params: dict) -> None:
+    """Write the table in args.fmt to args.out or stdout. A row's insertion
+    order fixes the CSV column order and the JSON key order; the JSON
+    envelope echoes the command, the seed and the subcommand's params."""
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if rows:
@@ -118,16 +101,16 @@ def emit(rows: Sequence[ResultRow], config: RunConfig, checks: CheckLog) -> None
         text = buf.getvalue()
     else:
         doc = {
-            "command": config.command,
-            "config": config.as_dict(),
+            "command": args.command,
+            "config": {"seed": args.seed, **params},
             "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
             "checks": checks.as_dict(),
         }
         text = json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -181,6 +164,14 @@ def _csv_list(item: Callable[[str], Any]) -> Callable[[str], list]:
     return parse
 
 
+def _out_path(text: str) -> str:
+    """A file path in an existing directory. Nothing is opened here: the
+    table is written only after the run."""
+    if not text or os.path.isdir(text) or not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"need a file path in an existing directory, got {text!r}")
+    return text
+
+
 _replica_count = _at_least(2)  # one replica has no standard error
 
 
@@ -215,7 +206,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
     rho = limit_constants()["jamming_density"]
     series = expected_M_series(n_list[-1]) if n_list[-1] > DISTRIBUTION_RATIONAL_CAP else None
     checks = CheckLog()
-    rows: list[ResultRow] = []
+    rows = []
     for idx, n in enumerate(n_list):
         exact: Fraction | float
         if n <= DISTRIBUTION_RATIONAL_CAP:
@@ -230,7 +221,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
         m_stats = SampleStats.from_samples(m)
         density_gap = abs(em / n - rho)
         rows.append(
-            ResultRow(
+            dict(
                 n=n,
                 expected_m=exact,
                 expected_m_over_n=em / n,
@@ -269,12 +260,12 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     print(f"density-curve: {runs.fallback_rows} replicas took the exact fallback", file=sys.stderr)
     est = runs.density_at_time(t_grid)
     checks = CheckLog()
-    rows: list[ResultRow] = []
+    rows = []
     for t, closed, mc in zip(t_grid, closed_arr, est):
         closed = float(closed)
         diff = abs(mc.estimate - closed)
         rows.append(
-            ResultRow(
+            dict(
                 t=t,
                 closed_form=closed,
                 mc_estimate=mc.estimate,
@@ -312,10 +303,10 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         seed=args.seed,
         threads=args.threads,
     )
-    rows: list[ResultRow] = []
+    rows = []
     for r in sweep:
         rows.append(
-            ResultRow(
+            dict(
                 n=r.n,
                 replicas=r.replicas,
                 mean_t=r.mean_T,
@@ -340,7 +331,7 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     n_list = sorted(set(args.n))
     checks = CheckLog()
-    rows: list[ResultRow] = []
+    rows = []
     for n in n_list:
         print(f"oracle: n={n}: replaying all {math.factorial(n - 1)} orderings", file=sys.stderr)
         report = enumerate_orderings(n, occupancy_profile)
@@ -380,7 +371,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             f"{len(report.counterexamples)} counterexamples over all {report.permutations} orderings",
         )
         rows.append(
-            ResultRow(
+            dict(
                 n=report.n,
                 permutations=report.permutations,
                 expected_m=report.expected_M,
@@ -401,10 +392,10 @@ def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         vac: list = [per_site_vacancy_exact(n, i) for i in range(1, n + 1)]
     else:
         vac = [per_site_vacancy_float(n, i) for i in range(1, n + 1)]
-    rows: list[ResultRow] = []
+    rows = []
     for i, v in enumerate(vac, start=1):
         rows.append(
-            ResultRow(
+            dict(
                 site=i,
                 vacancy=v,
                 vacancy_float=float(v),
@@ -477,7 +468,7 @@ def _no_vacant_pair_check(est) -> tuple[bool, str]:
 def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     k_list = args.k_list
     checks = CheckLog()
-    rows: list[ResultRow] = []
+    rows = []
     vac = limit_constants()["vacancy"]
     for idx, k in enumerate(k_list):
         print(f"autocovariance: lag {k} ({args.replicas} pairs)", file=sys.stderr)
@@ -489,7 +480,7 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         )
         print(f"autocovariance: lag {k}: {est.fallback_rows} pairs took the exact fallback", file=sys.stderr)
         rows.append(
-            ResultRow(
+            dict(
                 lag=k,
                 autocovariance=est.estimate,
                 stderr=est.stderr,
@@ -526,7 +517,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"master seed, an integer >= 0 (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
                    help="output format (default csv; oracle is json-only)")
-    p.add_argument("--out", default=None, metavar="PATH",
+    p.add_argument("--out", type=_out_path, default=None, metavar="PATH",
                    help="write the table to PATH instead of stdout")
     p.add_argument("--threads", type=_at_least(1), default=1, metavar="K",
                    help="worker threads for the Monte Carlo kernels (default 1; "
@@ -610,14 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run: Callable = args.run
     try:
         rows, checks, params = run(args)
-        config = RunConfig(
-            command=args.command,
-            seed=args.seed,
-            fmt=args.fmt,
-            out=args.out,
-            params=params,
-        )
-        emit(rows, config, checks)
+        emit(rows, checks, args, params)
     except Exception as exc:  # the process boundary: one line and exit 3, never a traceback
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"{args.command}: internal error: {type(exc).__name__}: {exc} "

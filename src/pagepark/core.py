@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-# Default master seed for every CLI command and script. Override with the
+# Default master seed for every CLI command. Override with the
 # PAGEPARK_SEED environment variable or --seed.
 DEFAULT_SEED = 42424242
 SEED_ENV_VAR = "PAGEPARK_SEED"

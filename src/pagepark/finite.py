@@ -109,25 +109,6 @@ def occupancy_profile(values: np.ndarray) -> np.ndarray:
     return occ
 
 
-def car_slot_mask(occ: np.ndarray) -> np.ndarray:
-    """Boolean mask, same shape (..., n) as the jammed occupancy occ, of the
-    0-based slots holding cars (slot s covers sites s and s+1).
-
-    Maximal occupied runs have even length and a unique perfect matching, so
-    the car positions are forced: every other site from each run's start."""
-    occ = np.asarray(occ, dtype=bool)
-    idx = np.arange(occ.shape[-1])
-    run_start = occ.copy()
-    run_start[..., 1:] &= ~occ[..., :-1]
-    last_start = np.maximum.accumulate(np.where(run_start, idx, 0), axis=-1)
-    return occ & ((idx - last_start) % 2 == 0)
-
-
-def car_slots_from_occupancy(occ: np.ndarray) -> np.ndarray:
-    """0-based slots holding cars, recovered from a jammed 1-D occupancy."""
-    return np.flatnonzero(car_slot_mask(occ))
-
-
 def tau_star_rows(xi: np.ndarray, car: np.ndarray) -> np.ndarray:
     """Jamming time of each row of the first-arrival fields xi, shape
     (..., n-1), given their car mask car (slot s holds a car iff both of its

@@ -34,9 +34,6 @@ class MCEstimate:
     stderr: float
     replicas: int
 
-    def within(self, target: float, k_sigma: float = 3.0, atol: float = 0.0) -> bool:
-        return abs(self.estimate - target) <= k_sigma * self.stderr + atol
-
 
 def proportion_estimate(hits: int, total: int) -> MCEstimate:
     """hits/total with its Wald stderr, which is 0 at 0 or total hits."""

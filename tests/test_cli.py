@@ -42,7 +42,7 @@ SCHEMA_DIR = pathlib.Path(__file__).resolve().parents[1] / "docs" / "schemas"
 CLI = [sys.executable, "-m", "pagepark.cli"]
 
 
-def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+def run_cli(*args: str, env: dict | None = None, cli: list = CLI) -> subprocess.CompletedProcess:
     import os
 
     full_env = dict(os.environ)
@@ -50,7 +50,7 @@ def run_cli(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
     if env:
         full_env.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=full_env, timeout=600
+        cli + list(args), capture_output=True, text=True, env=full_env, timeout=600
     )
 
 
@@ -247,17 +247,26 @@ class TestOutAndErrors:
         + [["density-curve", "--threads", value] for value in ("0", "-2")]
         + [["oracle", "--n", value] for value in ("2,11", "2,x")]
         + [["trials", "--threads", value] for value in ("0", "x")]
-        + [["trials", "--seed", value] for value in ("-1", "x")],
+        + [["trials", "--seed", value] for value in ("-1", "x")]
+        + [["density-convergence", "--threads", value] for value in ("0", "x")]
+        + [["density-curve", "--threads", "x"]]
+        + [["trials", "--n-list", value] for value in ("10,1", "x")]
+        + [["oracle", "--n", value] for value in ("0", "x")]
+        # a missing directory, a directory or no path fails here, not after
+        # the run with exit 3
+        + [["site-vacancy", "--out", str(pathlib.Path(__file__).parent / path)] for path in ("no-such-dir/x.csv", ".")]
+        + [["site-vacancy", "--out", ""]],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
         # argparse rejects the value before any work starts: exit 2, never an
-        # exception out of main
+        # exception out of main, and the error names the flag
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: argument" in captured.err
+        aliased = argv[0] == "autocovariance" and argv[1] in ("--n-list", "--k-list")
+        assert f"error: argument {'--n-list/--k-list' if aliased else argv[1]}:" in captured.err
 
     @pytest.mark.parametrize(
         "argv, entry, need",
@@ -291,6 +300,14 @@ class TestOutAndErrors:
         assert "PAGEPARK_SEED" in res.stderr and "Traceback" not in res.stderr
         # an explicit --seed still wins over the environment
         assert run_cli("site-vacancy", "--n", "4", "--seed", "5", env={"PAGEPARK_SEED": value}).returncode == 0
+
+    @pytest.mark.parametrize("argv, code", [(["site-vacancy", "--n", "6"], 0), (["site-vacancy", "--n", "1"], 2)],
+                             ids=["good", "usage_error"])
+    def test_python_m_pagepark_runs_the_cli(self, argv, code):
+        package = run_cli(*argv, cli=[sys.executable, "-m", "pagepark"])
+        module = run_cli(*argv)
+        assert (package.returncode, package.stdout, package.stderr) == (module.returncode, module.stdout, module.stderr)
+        assert module.returncode == code
 
     def test_checks_reported_on_stderr(self):
         res = run_cli("site-vacancy", "--n", "10")
@@ -485,6 +502,11 @@ def assert_usage_error(argv, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}" in captured.err
+
+
+# The three classes below keep the usage-error cases of the scripts that the
+# subcommands replaced under their first test names; test_usage_errors_exit_2
+# runs every one of these cases too.
 
 
 class TestDensityScript:

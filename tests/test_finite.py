@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pagepark import (
     SeedSpec,
-    car_slots_from_occupancy,
     distribution_M,
     expected_M,
     first_arrival_batch,
@@ -21,7 +20,7 @@ from pagepark import (
     weak_orderings,
 )
 from pagepark import finite
-from pagepark.finite import car_slot_mask, tau_star, tau_star_rows
+from pagepark.finite import tau_star, tau_star_rows
 from pagepark.oracle import CHAIN_CAP, expected_T_exact, park_in_rank_order
 from pagepark.stats import SampleStats
 
@@ -81,10 +80,11 @@ class TestClassifierEquivalence:
     def test_strict_tie_rule_fails_weak_orderings(self, monkeypatch):
         # planted fault: the parity pass with `<` in place of `<=` (tied
         # neighbours act right slot first) agrees on every permutation and
-        # must fail the weak orderings
+        # must fail the weak orderings, in the occupancy and in the car mask
         monkeypatch.setattr(finite, "_run_parities", _strict_run_parities())
         assert all(verify_lemma1(n, occupancy_profile) == [] for n in range(2, 7))
         assert [n for n in range(2, 8) if _tie_rule_misses(n)] == list(range(3, 8))
+        assert _car_mask_misses(_car_mask_fields()[-1]) > 0
 
     @given(field_seeds, sizes)
     @settings(max_examples=60, deadline=None)
@@ -133,14 +133,25 @@ def _strict_run_parities():
     return scope["_run_parities"]
 
 
+def _car_mask_misses(xi) -> int:
+    """Rows of the marks xi, shape (rows, n-1), where the kernel's car mask
+    (both runs of _run_parities odd) differs from the oracle's replay."""
+    rise, descent = finite._run_parities(xi)
+    return int(np.count_nonzero(((rise & descent) != _car_mask(xi)).any(axis=1)))
+
+
+def _car_mask_fields() -> list:
+    """Fields with and without ties, and every weak ordering of 6 slots."""
+    gen = SeedSpec(5).generator()
+    return [gen.random((40, 57)), np.floor(3.0 * gen.random((40, 57))), gen.random((3, 1)),
+            np.array(list(weak_orderings(6)), dtype=np.float64)]
+
+
 class TestParityPass:
     def test_car_mask_is_the_and_of_the_parities(self):
-        # the car mask of the kernel (both runs odd) against the forced
-        # matching of the classified occupancy, on fields with and without ties
-        gen = SeedSpec(5).generator()
-        for xi in (gen.random((40, 57)), np.floor(3.0 * gen.random((40, 57))), gen.random((3, 1))):
-            rise, descent = finite._run_parities(xi)
-            np.testing.assert_array_equal(rise & descent, _car_mask(xi))
+        # the car mask of the kernel against the slots that park in the
+        # oracle's replay, which shares no code with the parity pass
+        assert [_car_mask_misses(xi) for xi in _car_mask_fields()] == [0, 0, 0, 0]
 
     def test_peak_memory_is_a_fraction_of_the_marks(self):
         # one int32 buffer and a few boolean arrays: an int64 buffer alone
@@ -170,22 +181,16 @@ class TestJammedInvariants:
     @given(field_seeds, sizes)
     @settings(max_examples=40, deadline=None)
     def test_car_slots_reconstruct_occupancy(self, seed, n):
-        occ = occupancy_profile(SeedSpec(seed).generator().random(n - 1))
-        slots = car_slots_from_occupancy(occ)
+        # the kernel's car mask, each car spread to its two sites, rebuilds
+        # the classified occupancy, and no two cars share a site
+        xi = SeedSpec(seed).generator().random(n - 1)
+        rise, descent = finite._run_parities(xi)
+        slots = np.flatnonzero(rise & descent)
         rebuilt = np.zeros(n, dtype=bool)
         rebuilt[slots] = True
         rebuilt[slots + 1] = True
-        np.testing.assert_array_equal(rebuilt, occ)
-        # cars are disjoint
+        np.testing.assert_array_equal(rebuilt, occupancy_profile(xi))
         assert np.all(np.diff(slots) >= 2)
-
-    def test_car_slots_pinned(self):
-        np.testing.assert_array_equal(
-            car_slots_from_occupancy(np.array([1, 1, 0, 1, 1], dtype=bool)), [0, 3]
-        )
-        np.testing.assert_array_equal(
-            car_slots_from_occupancy(np.array([1, 1, 1, 1, 0], dtype=bool)), [0, 2]
-        )
 
 
 class TestDirectProcess:
@@ -248,10 +253,19 @@ class TestDirectProcess:
 PATHS = {"scan": (1, False), "mask_long_with_m": (1, True), "mask_short_t_only": (CHAIN_CAP, False)}
 
 
+def _car_slots(row) -> list:
+    """0-based slots that hold a car when one row of marks parks in the
+    oracle's replay."""
+    return sorted({s for s in park_in_rank_order(row) if s is not None})
+
+
 def _car_mask(xi):
-    """The car mask of marks xi, shape (..., n-1), read off the classified
-    occupancy by the forced matching (car_slot_mask), not from the parities."""
-    return car_slot_mask(occupancy_profile(xi))[..., :-1]
+    """The car mask of marks xi, shape (rows, n-1), from the oracle's replay
+    of each row, not from the parities."""
+    car = np.zeros(xi.shape, dtype=bool)
+    for mask, row in zip(car, xi):
+        mask[_car_slots(row)] = True
+    return car
 
 
 def _second_largest_car_mark(xi, car):
@@ -310,8 +324,9 @@ def _chain_mean_misses(want_m: bool, reps: int = 6000, seed: int = 99) -> list:
 def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
     """(M, T, tau*) of each row rebuilt from the definition: rows of n split
     into jobs of max(1, _CHUNK_MARKS // (n-1)) replicas, numbered c across
-    rows, job c drawing its fields from stream (master, (r, c)); tau* is the
-    largest car mark and the later draws one Poisson draw per row."""
+    rows, job c drawing its fields from stream (master, (r, c)); the cars
+    come from the oracle's replay, M is twice their count, tau* their largest
+    mark, and the later draws one Poisson draw per row."""
     c, out = 0, []
     for n in n_list:
         per_job = max(1, finite._CHUNK_MARKS // (n - 1))
@@ -320,10 +335,10 @@ def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
             rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c))))
             c += 1
             xi = rng.standard_exponential((min(per_job, replicas - lo), n - 1))
-            occ = [occupancy_profile(row) for row in xi]
-            tau = [float(row[car_slots_from_occupancy(o)].max()) for row, o in zip(xi, occ)]
+            cars = [_car_slots(row) for row in xi]
+            tau = [float(row[car].max()) for row, car in zip(xi, cars)]
             later = rng.poisson([float(np.sum(np.maximum(t - row, 0.0))) for t, row in zip(tau, xi)])
-            ms += [int(o.sum()) for o in occ]
+            ms += [2 * len(car) for car in cars]
             ts += [int(np.count_nonzero(row <= t)) + int(k) for t, row, k in zip(tau, xi, later)]
             taus += tau
         out.append((ms, ts, taus))
@@ -376,9 +391,9 @@ class TestDirectBatchKernel:
     @example("sawtooth_odd", [i / 40 for i in range(40)], 1)
     @settings(max_examples=300, deadline=None)
     def test_tau_star_rows_equal_scan(self, kind, values, rows):
-        # scan == tau_star_rows == the largest car mark of the classifier
+        # scan == tau_star_rows == the largest car mark of the replay
         xi = _mark_rows(kind, values, rows)
-        want = [float(row[car_slots_from_occupancy(occupancy_profile(row))].max()) for row in xi]
+        want = [float(row[_car_slots(row)].max()) for row in xi]
         assert [tau_star(row) for row in xi] == want
         assert tau_star_rows(xi, _car_mask(xi)).tolist() == want
 

@@ -8,12 +8,10 @@ import pytest
 from pagepark import (
     SampleStats,
     SeedSpec,
-    car_slots_from_occupancy,
     chi_square_two_sample,
     coupon_collector_mean_exact,
     expected_T_exact,
     first_arrival_batch,
-    occupancy_profile,
     simulate_poissonized,
     trials_ratio_sweep,
 )
@@ -32,18 +30,19 @@ class TestPoissonizedReplica:
     def test_car_slots_counted_at_least_once(self):
         # every car slot has its first arrival at or before tau*, so its
         # stream contributes at least one draw; rebuild the field exactly as
-        # the simulator samples it (quantile transform of the uniform stream)
+        # the simulator samples it (quantile transform of the uniform stream);
+        # the simulator parks with the oracle's replay, the car slots here
+        # come from the kernel's car mask
         xi = EXP.ppf(SeedSpec(6).generator().random(39))
-        slots = car_slots_from_occupancy(occupancy_profile(xi))
+        slots = np.flatnonzero(np.logical_and(*finite._run_parities(xi)))
         _, counts = simulate_poissonized(40, rng=SeedSpec(6))
         assert np.all(counts[slots] >= 1)
 
     def test_tau_star_is_max_car_mark(self):
-        # the replica's tau* (from the oracle's replay) against the largest car
-        # mark of the classifier, on the same field
+        # the replica's tau* (from the oracle's replay) against the kernel's
+        # tau* scan, on the same field
         xi = EXP.ppf(SeedSpec(7).generator().random(99))
-        slots = car_slots_from_occupancy(occupancy_profile(xi))
-        assert simulate_poissonized(100, rng=SeedSpec(7))[0] == float(xi[slots].max())
+        assert simulate_poissonized(100, rng=SeedSpec(7))[0] == finite.tau_star(xi)
 
     def test_mean_t_matches_absorbing_chain(self):
         # E[T] from the Poissonized process equals the direct process's
