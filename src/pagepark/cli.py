@@ -256,9 +256,9 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         f"density-curve: {len(t_grid)} points, {args.replicas} replicas", file=sys.stderr
     )
     # looked up on the module at call time, so that a wrapper installed there sees this call
-    runs = infinite.sample_runs(args.replicas, seed=SeedSpec(args.seed, 0), dist=dist, threads=args.threads)
+    runs = infinite.sample_runs(args.replicas, seed=SeedSpec(args.seed, 0), threads=args.threads)
     print(f"density-curve: {runs.fallback_rows} replicas took the exact fallback", file=sys.stderr)
-    est = runs.density_at_time(t_grid)
+    est = runs.density_at_time(t_grid, dist)
     checks = CheckLog()
     rows = []
     for t, closed, mc in zip(t_grid, closed_arr, est):
@@ -292,7 +292,7 @@ def _ratio_check(a, b) -> tuple[bool, str]:
 
 
 def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = args.n_list
+    n_list = sorted(set(args.n_list))
     checks = CheckLog()
     print(
         f"trials: n in {n_list}, {args.replicas} replicas each", file=sys.stderr
@@ -320,8 +320,7 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             )
         )
         checks.record(f"coupon_dominates_n{r.n}", *_coupon_check(r))
-    increasing_n = all(a < b for a, b in zip(n_list, n_list[1:]))
-    if increasing_n and len(sweep) >= 2 and args.replicas >= 30:
+    if len(sweep) >= 2 and args.replicas >= 30:
         for a, b in zip(sweep, sweep[1:]):
             checks.record(f"ratio_nondecreasing_n{a.n}_to_n{b.n}", *_ratio_check(a, b))
     params = {"n_list": n_list, "replicas": args.replicas}

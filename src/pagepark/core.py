@@ -11,6 +11,7 @@ rule.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -80,16 +81,18 @@ def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int
     Job c of a call seeded SeedSpec(m, r) draws from SeedSequence(m,
     spawn_key=(r, c)), the c-th child that SeedSpec(m, r) spawns. So calls with
     different r never share a stream, and results depend on neither `threads`
-    nor the jobs after c. With threads > 1 the call runs its jobs on its own
-    pool, which it shuts down when the last result is taken or the iterator
-    is closed."""
+    nor the jobs after c. The call runs its jobs on its own pool of
+    min(threads, len(jobs), os.cpu_count()) threads when that is above 1, and
+    shuts the pool down when the last result is taken or the iterator is
+    closed; more threads than CPUs would only hold more chunks at once."""
     children = _as_spec(seed).sequence().spawn(len(jobs))
 
     def run(c: int):
         return fn(jobs[c], _stream(children[c]))
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(run, range(len(jobs)))
     else:
         yield from map(run, range(len(jobs)))
@@ -101,7 +104,9 @@ class ArrivalDistribution:
 
     kind "exp" is the unit-mean exponential (the default used throughout);
     kind "uniform" is Uniform(0, 1). Jammed configurations depend only on the
-    ordering of the marks, so both kinds induce the same occupancy law.
+    ordering of the marks, so both kinds induce the same occupancy law. The
+    samplers draw Uniform(0, 1) marks for any law: time t under F is uniform
+    time F(t), so a law is applied only through cdf, at the estimate.
     """
 
     kind: str = "exp"
@@ -116,14 +121,6 @@ class ArrivalDistribution:
         if self.kind == "exp":
             return -math.expm1(-t)
         return min(t, 1.0)
-
-    def ppf(self, u):
-        """Quantile transform of uniforms in [0, 1). Monotone increasing, so a
-        common uniform stream couples both kinds rank-for-rank."""
-        u = np.asarray(u, dtype=np.float64)
-        if self.kind == "exp":
-            return -np.log1p(-u)
-        return u.copy()
 
 
 EXP = ArrivalDistribution("exp")

@@ -10,6 +10,11 @@ length s'). Site 0 is vacant iff s and s' are both even, and its arrival time is
           = min(xi_{-1}, xi_0) if both are odd
           = +inf     if both are even.
 
+The jammed field depends on the marks only through their order, so every
+sampler here draws plain Uniform(0, 1) marks and takes no law: tau_0 is a time
+under uniform marks. A mark law F enters only at the estimate, through
+P(tau_0 <= t) = P(tau_0^U <= F(t)), as in the closed form 1 - e^(-2F(t)).
+
 sample_site_infinite grows one line lazily and is the reference. The two batch
 estimators, sample_runs (site 0: density curve, vacancy, f(t)) and
 autocovariance_mc (sites 0 and k), read one kernel, _strip_runs: per chunk it
@@ -34,14 +39,14 @@ from fractions import Fraction
 import numpy as np
 
 from .core import (
-    DEFAULT_SEED, EXP, UNIFORM, ArrivalDistribution, SeedSpec, as_generator, chunk_sizes, map_streams,
+    DEFAULT_SEED, EXP, ArrivalDistribution, SeedSpec, as_generator, chunk_sizes, map_streams,
 )
 from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # longest run before aborting loudly; read at call time
 _CHUNK = 1 << 15  # replicas per stream in sample_runs
 _AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
-_STRIP_BUFFER = 6  # strip sites read marks within _STRIP_BUFFER + 2; 6 ran fastest of 3..12
+_STRIP_BUFFER = 6  # strip sites read marks within w = _STRIP_BUFFER + 2; w must fit in _STOP_BITS = 8, so 6 at most
 
 
 class RareEventCapError(RuntimeError):
@@ -55,8 +60,8 @@ class WindowSample:
     xi_window holds the marks of slots m-1 .. m'+1, where m = left_min_index =
     -rise_length and m' = right_min_index = descent_length-1 are the
     bracketing local minima (so xi_window[j - m + 1] is the mark of slot j);
-    the extra left mark lets the local-minimum invariant be checked. tau_0 is
-    +inf when the site stays vacant.
+    the extra left mark lets the local-minimum invariant be checked. Marks and
+    tau_0 are Uniform(0, 1) times; tau_0 is +inf when the site stays vacant.
     """
 
     xi_window: np.ndarray
@@ -75,21 +80,21 @@ class WindowSample:
 
 
 class _LazyLine:
-    """Marks of the integer line: `values` from slot `lo` on, extended by fresh
-    draws, one per slot, in the order slots are first reached."""
+    """Uniform marks of the integer line: `values` from slot `lo` on, extended
+    by fresh draws, one per slot, in the order slots are first reached."""
 
-    def __init__(self, rng: np.random.Generator, dist: ArrivalDistribution, values=(), lo: int = 0) -> None:
-        self.rng, self.dist = rng, dist
+    def __init__(self, rng: np.random.Generator, values=(), lo: int = 0) -> None:
+        self.rng = rng
         self.marks = {lo + j: float(v) for j, v in enumerate(values)}
         self.lo, self.hi = lo, lo + len(values) - 1
 
     def __call__(self, idx: int) -> float:
         while idx < self.lo:
             self.lo -= 1
-            self.marks[self.lo] = float(self.dist.ppf(self.rng.random(1))[0])
+            self.marks[self.lo] = float(self.rng.random(1)[0])
         while idx > self.hi:
             self.hi += 1
-            self.marks[self.hi] = float(self.dist.ppf(self.rng.random(1))[0])
+            self.marks[self.hi] = float(self.rng.random(1)[0])
         return self.marks[idx]
 
     def runs(self, site: int) -> tuple[int, int]:
@@ -111,16 +116,13 @@ class _LazyLine:
         return rise, desc
 
 
-def sample_site_infinite(
-    dist: ArrivalDistribution = EXP,
-    rng: np.random.Generator | SeedSpec | None = None,
-) -> WindowSample:
+def sample_site_infinite(rng: np.random.Generator | SeedSpec | None = None) -> WindowSample:
     """Sample one window around site 0; marks are generated lazily outward.
 
     Draw order is fixed (right side xi_0, xi_1, ..., then left side xi_-1,
     xi_-2, ...), so a seed reproduces the sample bit for bit. Equal marks are
     ordered by slot index (left slot first), as everywhere in the package."""
-    line = _LazyLine(as_generator(rng), dist)
+    line = _LazyLine(as_generator(rng))
     rise, desc = line.runs(0)
     return WindowSample(
         xi_window=np.array([line(i) for i in range(-rise - 1, desc + 1)]),
@@ -141,9 +143,9 @@ def _arrival_time(rise, descent, xi_left, xi_right):
 @dataclass(frozen=True, eq=False)
 class RunsSample:
     """Batched draws for site 0: the rise and descent, the arrival time
-    tau_0 (+inf when vacant) and the mark xi_0. fallback_rows counts the
-    replicas whose runs outgrew the strip window and were finished on the
-    lazy line."""
+    tau_0 (+inf when vacant) and the mark xi_0, both under Uniform(0, 1)
+    marks. fallback_rows counts the replicas whose runs outgrew the strip
+    window and were finished on the lazy line."""
 
     rise: np.ndarray
     descent: np.ndarray
@@ -159,18 +161,21 @@ class RunsSample:
     def vacant(self) -> np.ndarray:
         return (self.rise % 2 == 0) & (self.descent % 2 == 0)
 
-    def density_at_time(self, t_grid) -> list[MCEstimate]:
-        """P(tau_0 <= t) for each t of the grid, from this one batch, so the
-        estimated curve is exactly nondecreasing in t."""
+    def density_at_time(self, t_grid, dist: ArrivalDistribution = EXP) -> list[MCEstimate]:
+        """P(tau_0 <= t) under marks of law dist for each t of the grid: the
+        share of uniform arrival times <= dist.cdf(t). One batch serves the
+        whole grid, so the estimated curve is exactly nondecreasing in t."""
         return [
-            proportion_estimate(int(np.count_nonzero(self.tau <= t)), self.replicas) for t in np.atleast_1d(t_grid)
+            proportion_estimate(int(np.count_nonzero(self.tau <= dist.cdf(float(t)))), self.replicas)
+            for t in np.atleast_1d(t_grid)
         ]
 
-    def odd_descent_time_prob(self, t_grid) -> list[MCEstimate]:
-        """f(t) = P(xi_0 <= t and the descent at 0 is odd) for each t of the grid."""
+    def odd_descent_time_prob(self, t_grid, dist: ArrivalDistribution = EXP) -> list[MCEstimate]:
+        """f(t) = P(xi_0 <= t and the descent at 0 is odd) under marks of law
+        dist, for each t of the grid."""
         odd = self.descent % 2 == 1
         return [
-            proportion_estimate(int(np.count_nonzero(odd & (self.xi_right <= t))), self.replicas)
+            proportion_estimate(int(np.count_nonzero(odd & (self.xi_right <= dist.cdf(float(t))))), self.replicas)
             for t in np.atleast_1d(t_grid)
         ]
 
@@ -229,25 +234,24 @@ def _strip_runs(
     runs = [_site_runs(asc, w + site, w) for site in sites]
     fallback = np.flatnonzero(np.logical_or.reduce([outgrown for _, _, outgrown in runs]))
     for row in fallback:  # about len(sites)/w! of the replicas
-        line = _LazyLine(rng, UNIFORM, strip[:, row], -w)
+        line = _LazyLine(rng, strip[:, row], -w)
         for site, (rise, descent, _) in zip(sites, runs):
             rise[row], descent[row] = line.runs(site)
     return strip, [(rise, descent) for rise, descent, _ in runs], int(fallback.size)
 
 
-def _runs_chunk(size: int, rng: np.random.Generator, dist: ArrivalDistribution) -> RunsSample:
-    """Runs at site 0 (_strip_runs) and tau_0; only xi_-1 and xi_0 are mapped
-    through dist."""
+def _runs_chunk(size: int, rng: np.random.Generator) -> RunsSample:
+    """Runs at site 0 (_strip_runs) and tau_0 from the marks xi_-1 and xi_0.
+    xi_0 is copied out of the strip, so the strip is freed with the chunk."""
     strip, [(rise, descent)], fallback = _strip_runs(size, rng, (0,))
     w = _STRIP_BUFFER + 2
-    xi_right = dist.ppf(strip[w])
-    return RunsSample(rise, descent, _arrival_time(rise, descent, dist.ppf(strip[w - 1]), xi_right), xi_right, fallback)
+    xi_right = strip[w].copy()
+    return RunsSample(rise, descent, _arrival_time(rise, descent, strip[w - 1], xi_right), xi_right, fallback)
 
 
 def sample_runs(
     replicas: int,
     seed: int | SeedSpec = DEFAULT_SEED,
-    dist: ArrivalDistribution = EXP,
     threads: int = 1,
 ) -> RunsSample:
     """Vectorised window sampling, chunked into fixed-size independent streams
@@ -262,7 +266,7 @@ def sample_runs(
     tau, xi_right = np.empty(replicas), np.empty(replicas)
     start = fallback = 0
     jobs = chunk_sizes(replicas, _CHUNK)
-    for part in map_streams(lambda size, rng: _runs_chunk(size, rng, dist), seed, jobs, threads):
+    for part in map_streams(_runs_chunk, seed, jobs, threads):
         rows = slice(start, start + part.replicas)
         rise[rows], descent[rows], tau[rows], xi_right[rows] = part.rise, part.descent, part.tau, part.xi_right
         start, fallback = rows.stop, fallback + part.fallback_rows
@@ -328,10 +332,7 @@ def autocovariance_mc(
     seed: int | SeedSpec = DEFAULT_SEED,
     threads: int = 1,
 ) -> AutocovEstimate:
-    """Estimate cov(X(0), X(k)) of the jammed field on the line.
-
-    Occupancy depends only on the ordering of the marks, so the kernel samples
-    uniform marks."""
+    """Estimate cov(X(0), X(k)) of the jammed field on the line."""
     if k < 0:
         raise ValueError("lag must be >= 0")
     if replicas < 2:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_SEED, EXP, SeedSpec, as_generator
+from .core import DEFAULT_SEED, SeedSpec, as_generator
 from .finite import first_arrival_batch
 from .oracle import park_in_rank_order
 from .stats import SampleStats
@@ -39,7 +39,7 @@ def simulate_poissonized(n: int, rng: np.random.Generator | SeedSpec | None = No
     if n < 2:
         raise ValueError("need n >= 2 sites")
     rng = as_generator(rng)
-    xi = EXP.ppf(rng.random(n - 1))
+    xi = -np.log1p(-rng.random(n - 1))
     tau_star = max(float(xi[s]) for s in park_in_rank_order(xi) if s is not None)
     counts = np.zeros(n - 1, dtype=np.int64)
     for s in range(n - 1):

@@ -494,6 +494,16 @@ class TestTrialsTable:
         threaded = run_cli(*argv, "--threads", "2")
         assert threaded.returncode == 0 and threaded.stdout == res.stdout
 
+    def test_n_list_is_sorted_and_deduplicated(self, capsys):
+        # the sizes are sorted and deduplicated, so an unsorted list keeps the ratio check
+        outputs = []
+        for n_list in ("200,1000", "1000,200,1000"):
+            assert main(["trials", "--n-list", n_list, "--replicas", "40", "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        names = [e["name"] for e in json.loads(outputs[1])["checks"]["entries"]]
+        assert "ratio_nondecreasing_n200_to_n1000" in names
+
 
 def assert_usage_error(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:

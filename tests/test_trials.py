@@ -15,7 +15,7 @@ from pagepark import (
     simulate_poissonized,
     trials_ratio_sweep,
 )
-from pagepark import EXP, finite
+from pagepark import finite
 from pagepark.trials import TAU_STAR_LEVELS
 
 
@@ -30,10 +30,10 @@ class TestPoissonizedReplica:
     def test_car_slots_counted_at_least_once(self):
         # every car slot has its first arrival at or before tau*, so its
         # stream contributes at least one draw; rebuild the field exactly as
-        # the simulator samples it (quantile transform of the uniform stream);
+        # the simulator samples it (exponential marks from the uniform stream);
         # the simulator parks with the oracle's replay, the car slots here
         # come from the kernel's car mask
-        xi = EXP.ppf(SeedSpec(6).generator().random(39))
+        xi = -np.log1p(-SeedSpec(6).generator().random(39))
         slots = np.flatnonzero(np.logical_and(*finite._run_parities(xi)))
         _, counts = simulate_poissonized(40, rng=SeedSpec(6))
         assert np.all(counts[slots] >= 1)
@@ -41,7 +41,7 @@ class TestPoissonizedReplica:
     def test_tau_star_is_max_car_mark(self):
         # the replica's tau* (from the oracle's replay) against the kernel's
         # tau* scan, on the same field
-        xi = EXP.ppf(SeedSpec(7).generator().random(99))
+        xi = -np.log1p(-SeedSpec(7).generator().random(99))
         assert simulate_poissonized(100, rng=SeedSpec(7))[0] == finite.tau_star(xi)
 
     def test_mean_t_matches_absorbing_chain(self):
