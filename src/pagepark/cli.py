@@ -257,7 +257,7 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     )
     # looked up on the module at call time, so that a wrapper installed there sees this call
     runs = infinite.sample_runs(args.replicas, seed=SeedSpec(args.seed, 0), threads=args.threads)
-    print(f"density-curve: {runs.fallback_rows} replicas took the exact fallback", file=sys.stderr)
+    print(f"density-curve: longest run {runs.longest_run} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
     est = runs.density_at_time(t_grid, dist)
     checks = CheckLog()
     rows = []
@@ -477,7 +477,7 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             seed=SeedSpec(args.seed, idx),
             threads=args.threads,
         )
-        print(f"autocovariance: lag {k}: {est.fallback_rows} pairs took the exact fallback", file=sys.stderr)
+        print(f"autocovariance: lag {k}: longest run {est.longest_run} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
         rows.append(
             dict(
                 lag=k,

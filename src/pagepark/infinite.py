@@ -17,16 +17,17 @@ P(tau_0 <= t) = P(tau_0^U <= F(t)), as in the closed form 1 - e^(-2F(t)).
 
 sample_site_infinite grows one line lazily and is the reference. The two batch
 estimators, sample_runs (site 0: density curve, vacancy, f(t)) and
-autocovariance_mc (sites 0 and k), read one kernel, _strip_runs: per chunk it
-draws one strip of uniform marks, transposed so that each slot is a contiguous
-row over the replicas, and reads each site's runs from the marks within
-w = _STRIP_BUFFER + 2 of it (_site_runs). A replica whose run does not stop
-inside that window is finished exactly on the lazy line, so no run is cut off.
-Each chunk is reduced where it is drawn: sample_runs' chunks carry tau_0, and
-autocovariance_mc's a 2x2 occupancy table, so no pass runs over the whole
-sample.
+autocovariance_mc (sites 0 and k), read one kernel, _pair_runs, which draws
+only the marks the runs read: per chunk, a dense core over slots -1..k, one
+contiguous row per slot over the replicas, then two walks outward that draw
+one fresh mark per step for the replicas whose run is still open. Going right
+from slot k, one walk gives the descent at k; going left from slot -1, the
+other gives the rise at 0. Each rise and descent has P(length >= j) = 1/j!, so
+sample_runs reads about 2e marks per replica. Each chunk is reduced where it
+is drawn: sample_runs' chunks carry tau_0, and autocovariance_mc's a 2x2
+occupancy table, so no pass runs over the whole sample.
 
-Run lengths have 1/l! tails, so windows stay tiny; WINDOW_CAP exists only to
+Run lengths have 1/l! tails, so walks stay short; WINDOW_CAP exists only to
 turn an astronomically unlikely runaway into a loud error instead of silent
 bias. On every path, a run longer than WINDOW_CAP raises RareEventCapError.
 """
@@ -45,8 +46,7 @@ from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # longest run before aborting loudly; read at call time
 _CHUNK = 1 << 15  # replicas per stream in sample_runs
-_AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (strips are wider)
-_STRIP_BUFFER = 6  # strip sites read marks within w = _STRIP_BUFFER + 2; w must fit in _STOP_BITS = 8, so 6 at most
+_AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (its cores are wider)
 
 
 class RareEventCapError(RuntimeError):
@@ -133,25 +133,26 @@ def sample_site_infinite(rng: np.random.Generator | SeedSpec | None = None) -> W
     )
 
 
+_UNCOVERED = np.array([np.inf, 0.0])  # added to a mark, by its run's parity: even runs do not cover the site
+
+
 def _arrival_time(rise, descent, xi_left, xi_right):
     """tau_0 from the runs at site 0 and the marks xi_-1 and xi_0 (the rule
     of the module docstring), elementwise over arrays or for one replica."""
-    covered_right = np.where(descent & 1, xi_right, np.inf)
-    return np.minimum(covered_right, np.where(rise & 1, xi_left, np.inf))
+    return np.minimum(xi_right + _UNCOVERED.take(descent & 1), xi_left + _UNCOVERED.take(rise & 1))
 
 
 @dataclass(frozen=True, eq=False)
 class RunsSample:
     """Batched draws for site 0: the rise and descent, the arrival time
     tau_0 (+inf when vacant) and the mark xi_0, both under Uniform(0, 1)
-    marks. fallback_rows counts the replicas whose runs outgrew the strip
-    window and were finished on the lazy line."""
+    marks, and the longest run drawn, against WINDOW_CAP."""
 
     rise: np.ndarray
     descent: np.ndarray
     tau: np.ndarray
     xi_right: np.ndarray
-    fallback_rows: int = 0
+    longest_run: int
 
     @property
     def replicas(self) -> int:
@@ -180,73 +181,70 @@ class RunsSample:
         ]
 
 
-# _FIRST_STOP[b] is the length of the run whose stops are the set bits of b
-# (bit j: the run stops at length j + 1), or 0 when no bit is set. Run lengths
-# are stored in its dtype, int16, which holds every length up to WINDOW_CAP.
-_FIRST_STOP = np.array([0] + [(b & -b).bit_length() for b in range(1, 256)], dtype=np.int16)
-_STOP_BITS = 8  # stops one packed byte holds, so the largest window
+def _walk(start: np.ndarray, rng: np.random.Generator, leftward: bool) -> np.ndarray:
+    """Lengths of the runs that leave the core from the marks `start`, one per
+    replica. Each step draws one fresh mark for the replicas whose run is still
+    open, in replica order: a descent walking right goes on while the fresh
+    mark is below the last, a rise walking left while it is at most the last
+    (equal marks: left slot first). A run longer than WINDOW_CAP raises
+    RareEventCapError; int16 holds every length up to it."""
+    length = np.ones(start.size, np.int16)
+    idx, last, j = None, start, 1  # idx: the open replicas; None while all are
+    while last.size:
+        if j > WINDOW_CAP:
+            raise RareEventCapError(f"run exceeded cap {WINDOW_CAP}")
+        fresh = rng.random(last.size)
+        keep = np.flatnonzero(fresh <= last if leftward else fresh < last)
+        idx, last, j = keep if idx is None else idx.take(keep), fresh.take(keep), j + 1
+        length[idx] = j
+    return length
 
 
-def _pack_stops(rows: list[np.ndarray]) -> np.ndarray:
-    """Bit j of each replica's byte is rows[j] (at most _STOP_BITS rows)."""
-    bits = rows[0].astype(np.uint8)
-    shifted = np.empty_like(bits)
-    for j in range(1, len(rows)):
-        np.left_shift(rows[j].view(np.uint8), j, out=shifted)
-        bits |= shifted
-    return bits
-
-
-def _site_runs(asc: np.ndarray, c: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rise and descent lengths at strip row c, one per replica, read from the
-    w descent stops and the w - 1 rise stops around it, and a flag for the
-    replicas whose runs outgrew that window (their lengths are not set).
-
-    asc[r] is the transposed strip's comparison row xi_r <= xi_{r+1} (equal
-    marks: left slot first), so the descent stops at the first j >= 1 with
-    asc[c + j - 1] and the rise at the first j >= 1 with not asc[c - j - 1].
-    An in-window run longer than WINDOW_CAP raises RareEventCapError, as the
-    lazy line does for the rows it finishes."""
-    if w > _STOP_BITS:
-        raise ValueError(f"a window of {w} stops does not fit in {_STOP_BITS} bits")
-    descent = _FIRST_STOP[_pack_stops([asc[c + j] for j in range(w)])]
-    rise_bits = _pack_stops([asc[c - 2 - j] for j in range(w - 1)])
-    rise = _FIRST_STOP[~rise_bits & ((1 << (w - 1)) - 1)]
-    if max(rise.max(), descent.max()) > WINDOW_CAP:
+def _cross(steps, tail: np.ndarray, k: int) -> np.ndarray:
+    """Lengths of the runs that go on while each of `steps` (the core's k
+    boolean rows, in walking order, evaluated lazily) holds: a run that holds
+    through all k continues as the walk `tail` of the site it reaches, so its
+    length is k + tail. A run longer than WINDOW_CAP raises RareEventCapError."""
+    length = np.ones(tail.size, np.int16)
+    for j, step in enumerate(steps, 1):
+        open_ = step if j == 1 else open_ & step
+        if not open_.any():
+            return length
+        if j >= WINDOW_CAP:
+            raise RareEventCapError(f"run exceeded cap {WINDOW_CAP}")
+        length += open_
+    idx = np.flatnonzero(open_)
+    through = tail.take(idx)
+    if k + int(through.max()) > WINDOW_CAP:
         raise RareEventCapError(f"run exceeded cap {WINDOW_CAP}")
-    return rise, descent, (rise == 0) | (descent == 0)
+    length[idx] = through + k
+    return length
 
 
-def _strip_runs(
-    size: int, rng: np.random.Generator, sites: tuple[int, ...]
-) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], int]:
-    """Rise and descent lengths at each of `sites` (increasing, from 0), one
-    per replica, from one transposed strip of uniform marks over slots
-    -w..sites[-1]+w, w = _STRIP_BUFFER + 2 (strip row r holds slot r - w).
-
-    Each site reads only the marks within w of it (_site_runs). A replica
-    whose runs outgrow any site's window is finished on one lazy line that
-    continues its strip row, classifying the sites in order. Returns the
-    strip, each site's (rise, descent), and the count of finished replicas."""
-    w = _STRIP_BUFFER + 2
-    strip = rng.random((sites[-1] + 2 * w + 1, size))
-    asc = strip[:-1] <= strip[1:]
-    runs = [_site_runs(asc, w + site, w) for site in sites]
-    fallback = np.flatnonzero(np.logical_or.reduce([outgrown for _, _, outgrown in runs]))
-    for row in fallback:  # about len(sites)/w! of the replicas
-        line = _LazyLine(rng, strip[:, row], -w)
-        for site, (rise, descent, _) in zip(sites, runs):
-            rise[row], descent[row] = line.runs(site)
-    return strip, [(rise, descent) for rise, descent, _ in runs], int(fallback.size)
+def _pair_runs(size: int, rng: np.random.Generator, k: int) -> tuple[np.ndarray, tuple, tuple]:
+    """(rise, descent) at sites 0 and k, one per replica, drawing only the
+    marks the runs read. Draw order: a dense core of uniform marks over slots
+    -1..k, one contiguous row per slot over the replicas (core row r holds
+    slot r - 1); then the walk right from slot k (the descent at k); then the
+    walk left from slot -1 (the rise at 0). The descent at 0 and the rise at k
+    are read from the core; a run crossing the whole core goes on as the other
+    site's walk. Returns the core and both sites' runs."""
+    core = rng.random((k + 2, size))
+    desc_k = _walk(core[k + 1], rng, leftward=False)
+    rise_0 = _walk(core[0], rng, leftward=True)
+    if not k:
+        return core, (rise_0, desc_k), (rise_0, desc_k)
+    desc_0 = _cross((core[j] > core[j + 1] for j in range(1, k + 1)), desc_k, k)
+    rise_k = _cross((core[j - 1] <= core[j] for j in range(k, 0, -1)), rise_0, k)
+    return core, (rise_0, desc_0), (rise_k, desc_k)
 
 
 def _runs_chunk(size: int, rng: np.random.Generator) -> RunsSample:
-    """Runs at site 0 (_strip_runs) and tau_0 from the marks xi_-1 and xi_0.
-    xi_0 is copied out of the strip, so the strip is freed with the chunk."""
-    strip, [(rise, descent)], fallback = _strip_runs(size, rng, (0,))
-    w = _STRIP_BUFFER + 2
-    xi_right = strip[w].copy()
-    return RunsSample(rise, descent, _arrival_time(rise, descent, strip[w - 1], xi_right), xi_right, fallback)
+    """Runs at site 0 (_pair_runs at k = 0) and tau_0 from the marks xi_-1 and
+    xi_0, the core's two rows."""
+    core, (rise, descent), _ = _pair_runs(size, rng, 0)
+    longest = max(int(rise.max()), int(descent.max()))
+    return RunsSample(rise, descent, _arrival_time(rise, descent, core[0], core[1]), core[1], longest)
 
 
 def sample_runs(
@@ -262,24 +260,23 @@ def sample_runs(
     arrives, so at most a few chunks are held besides the result."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    rise, descent = np.empty(replicas, _FIRST_STOP.dtype), np.empty(replicas, _FIRST_STOP.dtype)
+    rise, descent = np.empty(replicas, np.int16), np.empty(replicas, np.int16)
     tau, xi_right = np.empty(replicas), np.empty(replicas)
-    start = fallback = 0
+    start = longest = 0
     jobs = chunk_sizes(replicas, _CHUNK)
     for part in map_streams(_runs_chunk, seed, jobs, threads):
         rows = slice(start, start + part.replicas)
         rise[rows], descent[rows], tau[rows], xi_right[rows] = part.rise, part.descent, part.tau, part.xi_right
-        start, fallback = rows.stop, fallback + part.fallback_rows
-    return RunsSample(rise, descent, tau, xi_right, fallback)
+        start, longest = rows.stop, max(longest, part.longest_run)
+    return RunsSample(rise, descent, tau, xi_right, longest)
 
 
 @dataclass(frozen=True)
 class AutocovEstimate:
     """Estimated cov(X(0), X(k)) of the jammed occupancy field.
 
-    both_vacant counts the pairs with both sites vacant; fallback_rows counts
-    the pairs whose runs outgrew their windows and were classified exactly by
-    extending the line."""
+    both_vacant counts the pairs with both sites vacant; longest_run is the
+    longest run drawn at either site, against WINDOW_CAP."""
 
     k: int
     estimate: float
@@ -288,22 +285,21 @@ class AutocovEstimate:
     mean_site_k: float
     replicas: int
     both_vacant: int
-    fallback_rows: int
+    longest_run: int
 
 
 def _occupancy_pair_chunk(size: int, rng: np.random.Generator, k: int) -> tuple[tuple[int, int, int, int], int]:
     """The occupancy table (n00, n01, n10, n11) of sites 0 and k, where n_ab
     counts the replicas with X(0) = a and X(k) = b (a site is occupied iff a
-    run at it is odd), and the count of replicas finished on the lazy line,
-    from one strip (_strip_runs)."""
-    _, runs, fallback = _strip_runs(size, rng, (0, k) if k else (0,))
-    occ = [((rise | descent) & 1).astype(bool) for rise, descent in runs]
-    at_0, at_k = int(np.count_nonzero(occ[0])), int(np.count_nonzero(occ[-1]))
-    n11 = int(np.count_nonzero(occ[0] & occ[-1]))
-    return (size - at_0 - at_k + n11, at_k - n11, at_0 - n11, n11), fallback
+    run at it is odd), and the longest run, from _pair_runs."""
+    _, runs_0, runs_k = _pair_runs(size, rng, k)
+    occ_0, occ_k = [((rise | descent) & 1).astype(bool) for rise, descent in (runs_0, runs_k)]
+    at_0, at_k = int(np.count_nonzero(occ_0)), int(np.count_nonzero(occ_k))
+    n11 = int(np.count_nonzero(occ_0 & occ_k))
+    return (size - at_0 - at_k + n11, at_k - n11, at_0 - n11, n11), max(int(r.max()) for r in (*runs_0, *runs_k))
 
 
-def _autocov_estimate(k: int, table: tuple[int, int, int, int], fallback_rows: int) -> AutocovEstimate:
+def _autocov_estimate(k: int, table: tuple[int, int, int, int], longest_run: int) -> AutocovEstimate:
     """The sample covariance of X(0) and X(k) and its standard error from
     their occupancy table (n00, n01, n10, n11): each product
     (x - mean x)(y - mean y) takes one of four values, so both moments are
@@ -322,7 +318,7 @@ def _autocov_estimate(k: int, table: tuple[int, int, int, int], fallback_rows: i
         mean_site_k=float(y_bar),
         replicas=r,
         both_vacant=table[0],
-        fallback_rows=fallback_rows,
+        longest_run=longest_run,
     )
 
 
@@ -337,9 +333,9 @@ def autocovariance_mc(
         raise ValueError("lag must be >= 0")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    table, fallback = (0, 0, 0, 0), 0
-    for part, rows in map_streams(
+    table, longest = (0, 0, 0, 0), 0
+    for part, run in map_streams(
         lambda size, rng: _occupancy_pair_chunk(size, rng, k), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), threads
     ):
-        table, fallback = tuple(map(sum, zip(table, part))), fallback + rows
-    return _autocov_estimate(k, table, fallback)
+        table, longest = tuple(map(sum, zip(table, part))), max(longest, run)
+    return _autocov_estimate(k, table, longest)

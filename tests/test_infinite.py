@@ -29,9 +29,9 @@ from pagepark import (
 from pagepark import core, infinite
 from pagepark.cli import _decorrelation_check, _lag0_check, _no_vacant_pair_check
 from pagepark.infinite import (
-    _AUTOCOV_CHUNK, _CHUNK, _FIRST_STOP, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _runs_chunk, _strip_runs,
+    _AUTOCOV_CHUNK, _CHUNK, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _pair_runs, _runs_chunk, _walk,
 )
-from pagepark.stats import wilson_interval
+from pagepark.stats import chi_square_sf, wilson_interval
 
 
 def _tau_rule(rise, descent, xi_left, xi_right) -> float:
@@ -85,7 +85,7 @@ class TestWindowSampler:
         assert w.tau_0 == _tau_rule(w.rise_length, w.descent_length, xi_l, xi_r)
 
     def test_batch_tau_agrees_in_law(self):
-        # tau_0 of the lazy-line sampler and of the strip kernel, binned at
+        # tau_0 of the lazy-line sampler and of the batch kernel, binned at
         # the uniform times of an exponential time grid, with the vacant sites
         # (tau_0 = inf) as the last bin
         edges = [EXP.cdf(t) for t in (0.25, 0.5, 1.0, 2.0)] + [math.inf]
@@ -172,16 +172,21 @@ class TestRunLaws:
     def test_peak_memory_is_the_result_and_a_few_chunks(self):
         # each chunk is copied into the preallocated result as it arrives; a
         # sampler that holds every chunk until the end (then concatenates)
-        # peaks near twice the result and fails this bound
-        strip_bytes = (2 * (infinite._STRIP_BUFFER + 2) + 1) * _CHUNK * 8
+        # peaks near twice the result and fails this bound. A chunk in flight
+        # holds its core (two float64 rows), its own result, and a walk step's
+        # index, mark and kept-index arrays (8 bytes each per replica); the
+        # two workers' chunks and the finished ones waiting in the pool stay
+        # below 8 such chunks (about 4 were measured).
         tracemalloc.start()
         try:
             runs = sample_runs(48 * _CHUNK, seed=3, threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = sum(a.nbytes for a in (runs.rise, runs.descent, runs.tau, runs.xi_right))
-        assert peak <= result + 4 * strip_bytes
+        per_replica = [a.itemsize for a in (runs.rise, runs.descent, runs.tau, runs.xi_right)]
+        result = runs.replicas * sum(per_replica)
+        chunk_bytes = _CHUNK * (2 * 8 + sum(per_replica) + 3 * 8)
+        assert peak <= result + 8 * chunk_bytes
 
     def test_batch_cap_triggers(self, monkeypatch):
         monkeypatch.setattr(infinite, "WINDOW_CAP", 1)
@@ -189,8 +194,10 @@ class TestRunLaws:
             sample_runs(10_000, seed=65)
 
     def test_run_lengths_fit_their_dtype(self):
-        # run lengths are stored in _FIRST_STOP's dtype; the cap raises before one overflows it
-        assert np.iinfo(_FIRST_STOP.dtype).max >= WINDOW_CAP
+        # run lengths are stored in the walk's dtype; the cap raises before one overflows it
+        dtype = _walk(np.zeros(1), np.random.Generator(np.random.PCG64DXSM(0)), leftward=False).dtype
+        assert np.iinfo(dtype).max >= WINDOW_CAP
+        assert sample_runs(10, seed=0).rise.dtype == dtype
 
 
 class TestEstimators:
@@ -263,12 +270,12 @@ class TestAutocovariance:
         stream = core._stream
         monkeypatch.setattr(core, "_stream", lambda seq: _Reflected(stream(seq)))
         b = autocovariance_mc(2, 100_000, seed=84)
-        assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)  # the mirrored strips were classified
+        assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)  # the reversed draws were classified
         assert abs(a.estimate - b.estimate) <= 5 * (a.stderr + b.stderr)
 
     def test_each_lag_draws_its_own_marks(self):
         # the CLI seeds lag idx with SeedSpec(seed, idx); equal lags on two
-        # replica indices must see different strips
+        # replica indices must see different marks
         a = autocovariance_mc(1, 20_000, seed=SeedSpec(86, 0))
         b = autocovariance_mc(1, 20_000, seed=SeedSpec(86, 1))
         assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)
@@ -306,7 +313,7 @@ def _chunk_occupancies(k, replicas, seed):
     """X(0) and X(k) of every pair autocovariance_mc(k, replicas, seed)
     draws, chunk by chunk on its streams, as 0/1 floats."""
     def chunk(size, rng):
-        _, runs, _ = _strip_runs(size, rng, (0, k) if k else (0,))
+        _, *runs = _pair_runs(size, rng, k)
         return [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in runs]
 
     parts = list(core.map_streams(chunk, seed, core.chunk_sizes(replicas, _AUTOCOV_CHUNK)))
@@ -328,13 +335,15 @@ def _two_pass_disagreements(est, x, y) -> list[str]:
 
 def _strip_failures(est) -> list[str]:
     """The exact checks an estimate must pass at lags 0, 1, 2 and 4, by name:
-    cov(0) = e^-2 (1 - e^-2), and two vacant sites are never 1, 2 or 4 apart,
-    so there cov(k) = -e^-4 exactly."""
+    both sites are occupied with probability 1 - e^-2, cov(0) = e^-2 (1 - e^-2),
+    and two vacant sites are never 1, 2 or 4 apart, so there cov(k) = -e^-4
+    exactly."""
     vac = math.exp(-2.0)
     failed = []
-    lo, hi = wilson_interval(est.mean_site_0, est.replicas, 4.0)
-    if not lo <= 1.0 - vac <= hi:
-        failed.append("mean_site_0")
+    for name in ("mean_site_0", "mean_site_k"):
+        lo, hi = wilson_interval(getattr(est, name), est.replicas, 4.0)
+        if not lo <= 1.0 - vac <= hi:
+            failed.append(name)
     if est.k == 0 and not _lag0_check(est, vac * (1.0 - vac))[0]:
         failed.append("lag0")
     if est.k in (1, 2, 4):
@@ -351,16 +360,26 @@ def _vacancy_agrees(runs) -> bool:
     return lo <= math.exp(-2.0) <= hi
 
 
-def _truncated_runs(line, site):
-    """A faulty _LazyLine.runs that stops each run at the strip's edge instead
-    of drawing fresh marks beyond it."""
-    desc = 1
-    while site + desc <= line.hi and not line(site + desc - 1) <= line(site + desc):
-        desc += 1
-    rise = 1
-    while site - rise - 1 >= line.lo and line(site - rise - 1) <= line(site - rise):
-        rise += 1
-    return rise, desc
+def _run_law_p(runs) -> float:
+    """One-sample chi-square p-value of the joint (rise, descent) at site 0
+    against its exact law: the two are independent, and each has
+    P(len = j) = j/(j+1)! for j < 6 and P(len >= 6) = 1/6!. The 36 cells are
+    taken in row-major order, and a cell whose expected count is below 5 is
+    pooled with the cells after it (a short last group with the cell before)."""
+    law = [j / math.factorial(j + 1) for j in range(1, 6)] + [1 / math.factorial(6)]
+    observed = np.bincount(6 * (np.minimum(runs.rise, 6) - 1) + np.minimum(runs.descent, 6) - 1, minlength=36)
+    expected = runs.replicas * np.outer(law, law).ravel()
+    pooled_o, pooled_e, acc_o, acc_e = [], [], 0, 0.0
+    for o, e in zip(observed, expected):
+        acc_o, acc_e = acc_o + int(o), acc_e + e
+        if acc_e >= 5.0:
+            pooled_o.append(acc_o)
+            pooled_e.append(acc_e)
+            acc_o, acc_e = 0, 0.0
+    pooled_o[-1] += acc_o
+    pooled_e[-1] += acc_e
+    o, e = np.array(pooled_o), np.array(pooled_e)
+    return chi_square_sf(float(((o - e) ** 2 / e).sum()), o.size - 1)
 
 
 class _IntegerMarks:
@@ -375,9 +394,9 @@ class _IntegerMarks:
 
 
 class _Reflected:
-    """A stand-in generator that draws every strip mirrored: a strip over
-    slots -w..k+w holds slot k - j where the kernel reads slot j, so the
-    kernel classifies the reflected field."""
+    """A stand-in generator that hands out every block reversed: the core's
+    slot rows in mirrored order, and each walk step's marks in reverse
+    replica order."""
 
     def __init__(self, rng) -> None:
         self.rng = rng
@@ -386,64 +405,114 @@ class _Reflected:
         return self.rng.random(shape)[::-1]
 
 
-def _strip_reference(rng, size, sites, w):
-    """What _strip_runs must return, replica by replica, when its generator
-    `rng` has the same state: the strip is drawn transposed, and each
-    replica's sites are classified in order on one lazy line that continues
-    on `rng`, in replica order, exactly as the kernel's fallback does."""
-    strip = rng.random((sites[-1] + 2 * w + 1, size))
-    runs = np.array([
-        [line.runs(site) for site in sites]
-        for line in (_LazyLine(rng, strip[:, row], -w) for row in range(size))
-    ]).reshape(size, len(sites), 2)
-    outgrown = ((runs[..., 0] >= w) | (runs[..., 1] > w)).any(axis=1)  # w - 1 rise, w descent stops
-    return strip, [(runs[:, i, 0], runs[:, i, 1]) for i in range(len(sites))], int(np.count_nonzero(outgrown))
+class _Recording:
+    """A stand-in generator that keeps a copy of every block it hands out."""
+
+    def __init__(self, rng) -> None:
+        self.rng, self.draws = rng, []
+
+    def random(self, shape):
+        out = self.rng.random(shape)
+        self.draws.append(np.array(out))
+        return out
 
 
-def _assert_same_strip(got, want):
-    np.testing.assert_array_equal(got[0], want[0])
-    assert len(got[1]) == len(want[1])
-    for (rise, descent), (rise_ref, descent_ref) in zip(got[1], want[1]):
-        np.testing.assert_array_equal(rise, rise_ref)
-        np.testing.assert_array_equal(descent, descent_ref)
-    assert got[2] == want[2]
+class _NoDraws:
+    """The generator of a line whose marks are all given: a draw means the
+    kernel drew fewer marks than the line reads."""
+
+    def random(self, shape):
+        raise AssertionError("the line read a mark the kernel did not draw")
+
+
+class _Planted:
+    """A stand-in generator that gives every replica the core column `core`
+    (slots -1..k) and, at walk step i, the mark steps[i]."""
+
+    def __init__(self, core, steps) -> None:
+        self.core, self.steps = np.array(core, dtype=float), list(steps)
+
+    def random(self, shape):
+        if isinstance(shape, tuple):
+            return np.repeat(self.core[:, None], shape[1], axis=1)
+        return np.full(shape, self.steps.pop(0))
+
+
+def _walk_marks(draws: list, start, goes_on) -> list[list[float]]:
+    """Each replica's marks of one walk, taken off the front of `draws`: step
+    j holds one mark for each replica whose run is still open, in replica
+    order, and a run stays open while goes_on(fresh, last)."""
+    marks = [[] for _ in start]
+    open_ = list(enumerate(map(float, start)))
+    while open_:
+        step = draws.pop(0)
+        assert step.shape == (len(open_),)
+        for (r, _), x in zip(open_, step):
+            marks[r].append(float(x))
+        open_ = [(r, float(x)) for (r, last), x in zip(open_, step) if goes_on(x, last)]
+    return marks
+
+
+def _replayed_lines(draws, k) -> list[_LazyLine]:
+    """One lazy line per replica over exactly the marks the kernel drew for
+    sites 0 and k, rebuilt from its recorded draws in their documented order:
+    the core over slots -1..k, the right walk's steps from slot k, then the
+    left walk's steps from slot -1. The lines cannot draw."""
+    draws = list(draws)
+    core = draws.pop(0)
+    right = _walk_marks(draws, core[k + 1], lambda x, last: x < last)
+    left = _walk_marks(draws, core[0], lambda x, last: x <= last)
+    assert draws == []
+    return [
+        _LazyLine(_NoDraws(), lo[::-1] + core[:, r].tolist() + hi, -1 - len(lo))
+        for r, (lo, hi) in enumerate(zip(left, right))
+    ]
+
+
+def _assert_kernel_replays(rng, size, k):
+    """_pair_runs on `rng` gives, replica by replica, the runs at 0 and k that
+    the lazy line gives on the marks the kernel drew."""
+    recording = _Recording(rng)
+    _, runs_0, runs_k = _pair_runs(size, recording, k)
+    lines = _replayed_lines(recording.draws, k)
+    for site, (rise, descent) in ((0, runs_0), (k, runs_k)):
+        want = np.array([line.runs(site) for line in lines])
+        np.testing.assert_array_equal(rise, want[:, 0])
+        np.testing.assert_array_equal(descent, want[:, 1])
+    return runs_0, runs_k
 
 
 class TestStripKernel:
-    """The strip kernel of both estimators against the lazy line, replica by
-    replica, and the law when almost every row takes the exact fallback."""
+    """The kernel of both estimators (_pair_runs: a dense core and two walks)
+    against the lazy line, replica by replica, and the run law it draws."""
 
-    @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
+    @pytest.mark.parametrize("seed", [0, 1, 6])
     @pytest.mark.parametrize("reflect", [False, True])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 13])
-    def test_windows_match_lazy_line(self, monkeypatch, buffer, reflect, k):
-        monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
-        size, sites = 1000, (0, k) if k else (0,)
+    def test_windows_match_lazy_line(self, reflect, k, seed):
+        size = 1000
 
         def rng():
-            gen = np.random.Generator(np.random.PCG64DXSM(90 + k))
+            gen = np.random.Generator(np.random.PCG64DXSM([90 + k, seed]))
             return _Reflected(gen) if reflect else gen
 
-        want = _strip_reference(rng(), size, sites, buffer + 2)
-        _assert_same_strip(_strip_runs(size, rng(), sites), want)
-        table, fallback = _occupancy_pair_chunk(size, rng(), k)
-        occ = [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in want[1]]  # occupied iff a run is odd
-        assert table == tuple(int(np.count_nonzero((occ[0] == a) & (occ[-1] == b))) for a in (0, 1) for b in (0, 1))
-        assert fallback == want[2]
-        assert want[2] > 0 or buffer > 1  # narrow windows exercise the fallback
+        runs = _assert_kernel_replays(rng(), size, k)
+        table, longest = _occupancy_pair_chunk(size, rng(), k)
+        occ = [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in runs]  # occupied iff a run is odd
+        assert table == tuple(int(np.count_nonzero((occ[0] == a) & (occ[1] == b))) for a in (0, 1) for b in (0, 1))
+        assert longest == max(int(r.max()) for pair in runs for r in pair)
 
-    @pytest.mark.parametrize("buffer", [0, 1, infinite._STRIP_BUFFER])
+    @pytest.mark.parametrize("seed", [0, 1, 6])
     @pytest.mark.parametrize("dist", [EXP, UNIFORM], ids=["exp", "uniform"])
-    def test_runs_chunk_matches_lazy_line(self, monkeypatch, buffer, dist):
-        monkeypatch.setattr(infinite, "_STRIP_BUFFER", buffer)
-        size, w = 3000, buffer + 2
-        got = _runs_chunk(size, np.random.Generator(np.random.PCG64DXSM(91)))
-        strip, [(rise, desc)], outgrown = _strip_reference(np.random.Generator(np.random.PCG64DXSM(91)), size, (0,), w)
+    def test_runs_chunk_matches_lazy_line(self, dist, seed):
+        size = 3000
+        recording = _Recording(np.random.Generator(np.random.PCG64DXSM([91, seed])))
+        got = _runs_chunk(size, recording)
+        rise, desc = np.array([line.runs(0) for line in _replayed_lines(recording.draws, 0)]).T
         np.testing.assert_array_equal(got.rise, rise)
         np.testing.assert_array_equal(got.descent, desc)
-        assert got.fallback_rows == outgrown
-        assert outgrown > 0 or buffer > 1  # narrow windows exercise the fallback
-        xi_left, xi_right = strip[w - 1], strip[w]
+        assert got.longest_run == max(rise.max(), desc.max())
+        xi_left, xi_right = recording.draws[0]
         tau = np.array([_tau_rule(*row) for row in zip(rise, desc, xi_left, xi_right)])
         np.testing.assert_array_equal(got.xi_right, xi_right)
         np.testing.assert_array_equal(got.tau, tau)
@@ -455,57 +524,61 @@ class TestStripKernel:
         assert [e.estimate for e in got.odd_descent_time_prob(grid, dist)] == [
             np.count_nonzero(odd & (xi_right <= dist.cdf(t))) / size for t in grid]
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 6), st.integers(0, 2), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 13), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_tied_integer_marks(self, seed, levels, k, buffer, reflect):
-        sites = (0, k) if k else (0,)
-
-        def rng():
-            marks = _IntegerMarks(seed, levels)
-            return _Reflected(marks) if reflect else marks
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(infinite, "_STRIP_BUFFER", buffer)
-            got = _strip_runs(64, rng(), sites)
-        _assert_same_strip(got, _strip_reference(rng(), 64, sites, buffer + 2))
-
-    def test_window_wider_than_a_byte_is_refused(self, monkeypatch):
-        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 7)  # w = 9 descent stops
-        with pytest.raises(ValueError):
-            _runs_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)))
-        with pytest.raises(ValueError):
-            _occupancy_pair_chunk(10, np.random.Generator(np.random.PCG64DXSM(0)), 3)
+    def test_tied_integer_marks(self, seed, levels, k, reflect):
+        marks = _IntegerMarks(seed, levels)
+        _assert_kernel_replays(_Reflected(marks) if reflect else marks, 64, k)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cap_binds_inside_the_window(self, monkeypatch, seed):
-        # any run longer than the cap raises, whether or not its row took the fallback
+        # any run longer than the cap raises, on either walk or inside the core
         monkeypatch.setattr(infinite, "WINDOW_CAP", 1)
         with pytest.raises(RareEventCapError):
             autocovariance_mc(3, 2000, seed=seed)
         with pytest.raises(RareEventCapError):
             sample_runs(2000, seed=seed)
 
-    def test_fallback_rows_keep_the_law(self, monkeypatch):
-        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
+    @pytest.mark.parametrize("k", [0, 3, 8])
+    def test_cap_binds_in_the_core_and_the_walks(self, monkeypatch, k):
+        # the rise at k is the longest run: with the core increasing, and the
+        # left walk going on once (0.3 <= 0.4) before it stops, it crosses the
+        # core and is k + 2 long (at k = 0 it is the walk itself); after a
+        # high mark at slot -1 it stops inside the core, k long
+        rising = np.linspace(0.5, 0.9, k + 1).tolist()
+        cases = [([0.4] + rising, [1.0, 0.3, 1.0], k + 2)] + ([([1.0] + rising, [1.0, 1.5], k)] if k else [])
+        for core, steps, longest in cases:
+            _, (rise_0, desc_0), (rise_k, desc_k) = _pair_runs(3, _Planted(core, steps), k)
+            assert rise_k.tolist() == [longest] * 3 and desc_0.tolist() == desc_k.tolist() == [1] * 3
+            monkeypatch.setattr(infinite, "WINDOW_CAP", longest)
+            _pair_runs(3, _Planted(core, steps), k)  # a run as long as the cap is no error
+            monkeypatch.setattr(infinite, "WINDOW_CAP", longest - 1)
+            with pytest.raises(RareEventCapError):
+                _pair_runs(3, _Planted(core, steps), k)
+        monkeypatch.setattr(infinite, "WINDOW_CAP", 50)
+        with pytest.raises(RareEventCapError):  # equal marks: the rise walk never stops
+            _pair_runs(4, _IntegerMarks(0, 1), k)
+
+    def test_runs_follow_their_exact_law(self):
+        runs = sample_runs(400_000, seed=SeedSpec(87, 9))
+        assert _run_law_p(runs) > 0.001 and _vacancy_agrees(runs)
         for k in (0, 1, 2, 4):
-            est = autocovariance_mc(k, 20_000, seed=SeedSpec(87, k))
-            assert est.fallback_rows > est.replicas / 2
-            assert _strip_failures(est) == []
-        runs = sample_runs(20_000, seed=SeedSpec(87, 9))
-        assert runs.fallback_rows > runs.replicas / 2 and _vacancy_agrees(runs)
+            assert _strip_failures(autocovariance_mc(k, 1_000_000, seed=SeedSpec(87, k), threads=2)) == []
 
     def test_truncated_fallback_fails(self, monkeypatch):
-        # the shared fallback cut off at the strip edge: both estimators must notice
-        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 0)
-        monkeypatch.setattr(infinite._LazyLine, "runs", _truncated_runs)
+        # walks that stop at length 4 without raising, on the samples of
+        # test_runs_follow_their_exact_law: both estimators and the law test must notice
+        walk = infinite._walk
+        monkeypatch.setattr(infinite, "_walk", lambda start, rng, leftward: np.minimum(walk(start, rng, leftward), 4))
         for k in (0, 1, 2, 4):
-            assert _strip_failures(autocovariance_mc(k, 20_000, seed=SeedSpec(87, k)))
-        assert not _vacancy_agrees(sample_runs(20_000, seed=SeedSpec(87, 9)))
+            assert _strip_failures(autocovariance_mc(k, 1_000_000, seed=SeedSpec(87, k), threads=2))
+        runs = sample_runs(400_000, seed=SeedSpec(87, 9))
+        assert not _vacancy_agrees(runs)
+        assert _run_law_p(runs) < 1e-9
 
-    def test_fallback_count_is_thread_independent(self, monkeypatch):
-        monkeypatch.setattr(infinite, "_STRIP_BUFFER", 1)
+    def test_longest_run_is_thread_independent(self):
         a = autocovariance_mc(3, 40_000, seed=88, threads=1)
         b = autocovariance_mc(3, 40_000, seed=88, threads=3)
-        assert a == b and a.fallback_rows > 0
-        runs = [sample_runs(_CHUNK + 5000, seed=88, threads=t).fallback_rows for t in (1, 3)]
-        assert runs[0] == runs[1] > 0
+        assert a == b and a.longest_run > 1
+        runs = [sample_runs(_CHUNK + 5000, seed=88, threads=t) for t in (1, 3)]
+        assert runs[0].longest_run == runs[1].longest_run == max(runs[0].rise.max(), runs[0].descent.max())
