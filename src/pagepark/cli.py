@@ -90,7 +90,8 @@ def _json_value(x: Any) -> Any:
 def emit(rows: Sequence[dict], checks: CheckLog, args: argparse.Namespace, params: dict) -> None:
     """Write the table in args.fmt to args.out or stdout. A row's insertion
     order fixes the CSV column order and the JSON key order; the JSON
-    envelope echoes the command, the seed and the subcommand's params."""
+    envelope echoes the command, the seed of a command that takes one, and
+    the subcommand's params."""
     if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -102,7 +103,7 @@ def emit(rows: Sequence[dict], checks: CheckLog, args: argparse.Namespace, param
     else:
         doc = {
             "command": args.command,
-            "config": {"seed": args.seed, **params},
+            "config": {"seed": args.seed, **params} if "seed" in args else params,
             "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
             "checks": checks.as_dict(),
         }
@@ -147,8 +148,8 @@ def _time(text: str) -> float:
 
 
 def _csv_list(item: Callable[[str], Any]) -> Callable[[str], list]:
-    """A nonempty comma-separated list, each entry parsed by `item`; a bad
-    entry is named in the usage error."""
+    """A nonempty comma-separated list, each entry parsed by `item`, sorted
+    and deduplicated; a bad entry is named in the usage error."""
 
     def parse(text: str) -> list:
         values = []
@@ -159,7 +160,7 @@ def _csv_list(item: Callable[[str], Any]) -> Callable[[str], list]:
                 raise argparse.ArgumentTypeError(f"entry {tok!r} of {text!r}: {exc}") from None
         if not values:
             raise argparse.ArgumentTypeError(f"need at least one value, got {text!r}")
-        return values
+        return sorted(set(values))
 
     return parse
 
@@ -202,7 +203,7 @@ def _mean_check(n: int, m_stats, em: float) -> tuple[bool, str]:
 
 
 def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = sorted(set(args.n_list))
+    n_list = args.n_list
     rho = limit_constants()["jamming_density"]
     series = expected_M_series(n_list[-1]) if n_list[-1] > DISTRIBUTION_RATIONAL_CAP else None
     checks = CheckLog()
@@ -292,7 +293,7 @@ def _ratio_check(a, b) -> tuple[bool, str]:
 
 
 def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = sorted(set(args.n_list))
+    n_list = args.n_list
     checks = CheckLog()
     print(
         f"trials: n in {n_list}, {args.replicas} replicas each", file=sys.stderr
@@ -328,7 +329,7 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
 
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = sorted(set(args.n))
+    n_list = args.n
     checks = CheckLog()
     rows = []
     for n in n_list:
@@ -510,14 +511,18 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{exc} (from --seed, else {SEED_ENV_VAR})") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, formats: tuple = ("csv", "json")) -> None:
+    p.add_argument("--format", dest="fmt", choices=formats, default=formats[0],
+                   help=f"output format (default {formats[0]})")
+    p.add_argument("--out", type=_out_path, default=None, metavar="PATH",
+                   help="write the table to PATH instead of stdout")
+
+
+def _add_sampling(p: argparse.ArgumentParser) -> None:
     # a string default goes through _seed only when --seed is absent
     p.add_argument("--seed", type=_seed, default=os.environ.get(SEED_ENV_VAR) or str(DEFAULT_SEED),
                    help=f"master seed, an integer >= 0 (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None,
-                   help="output format (default csv; oracle is json-only)")
-    p.add_argument("--out", type=_out_path, default=None, metavar="PATH",
-                   help="write the table to PATH instead of stdout")
+    _add_output(p)
     p.add_argument("--threads", type=_at_least(1), default=1, metavar="K",
                    help="worker threads for the Monte Carlo kernels (default 1; "
                         "output is independent of K)")
@@ -537,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated interval sizes")
     p.add_argument("--replicas", type=_replica_count, default=10_000,
                    help="Monte Carlo replicas per n (default 10000)")
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(run=cmd_density_convergence)
 
     p = sub.add_parser("density-curve",
@@ -548,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte Carlo replicas (default 100000)")
     p.add_argument("--dist", choices=("exp", "uniform"), default="exp",
                    help="arrival mark distribution (default exp)")
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(run=cmd_density_curve)
 
     p = sub.add_parser("trials",
@@ -557,20 +562,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated interval sizes")
     p.add_argument("--replicas", type=_replica_count, default=100,
                    help="replicas per n (default 100)")
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(run=cmd_trials)
 
     p = sub.add_parser("oracle",
                        help="exhaustive small-n enumeration report (JSON)")
     p.add_argument("--n", type=_csv_list(_enumerable), default="6",
                    help=f"comma-separated interval sizes, each in 2..{ENUMERATION_CAP}")
-    _add_common(p)
+    # the report is nested (a distribution and a profile), which csv would flatten
+    _add_output(p, ("json",))
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("site-vacancy",
                        help="exact per-site vacancy profile")
     p.add_argument("--n", type=_at_least(2), default=20, help="interval size (>= 2)")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(run=cmd_site_vacancy)
 
     p = sub.add_parser("autocovariance",
@@ -580,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated lags")
     p.add_argument("--replicas", type=_replica_count, default=200_000,
                    help="site pairs per lag (default 200000)")
-    _add_common(p)
+    _add_sampling(p)
     p.set_defaults(run=cmd_autocovariance)
 
     return parser
@@ -589,14 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "oracle":
-        # the report is nested (distribution, profile); csv would flatten it badly
-        if args.fmt == "csv":
-            print("note: oracle output is json-only; ignoring --format csv",
-                  file=sys.stderr)
-        args.fmt = "json"
-    elif args.fmt is None:
-        args.fmt = "csv"
     run: Callable = args.run
     try:
         rows, checks, params = run(args)

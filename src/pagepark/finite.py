@@ -21,9 +21,10 @@ whether the rise ending at it and the descent starting at it are odd. The
 occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
 both are odd, so the kernel reads M (twice the car count) and tau* (the
 largest car mark, tau_star_rows) off that car mask without building an
-occupancy array. Long rows that want only T never classify: tau_star visits
-the slots above a threshold taken from a strided subsample, in decreasing
-mark order, and lowers the threshold band by band until a slot holds a car.
+occupancy array. Long rows that want only T are classified only if they
+must: tau_star visits the slots above a threshold taken from a strided
+subsample, in decreasing mark order, and takes the first that holds a car;
+if none does, one parity pass over the row gives tau*.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -123,41 +124,34 @@ def tau_star(xi: np.ndarray) -> float:
     The threshold is the _SCAN_TOP-th largest mark of every _SCAN_STRIDE-th
     slot, so about _SCAN_TOP * _SCAN_STRIDE slots lie at or above it for
     i.i.d. marks. Those slots are visited in decreasing mark order, and the
-    first one that holds a car gives tau*. If none does, the threshold falls
-    to the subsample mark 8 times further down the order, and the slots in
-    [new, old) are visited the same way; every slot not yet visited has a mark
-    below the threshold, so the result is exact. Slot s holds a car iff the
+    first one that holds a car gives tau*. Slot s holds a car iff the
     ascending run ending at it (the rise at site s+1) and the descending run
     starting at it (the descent at site s) both have odd length, with the
-    package tie rule (left slot first). For i.i.d. marks the first band held
-    a car on each of 25,600 rows tried (2500 to 2e5 slots), found after about
+    package tie rule (left slot first). If no visited slot holds a car, the
+    row is classified by one parity pass and tau* is its largest car mark
+    (tau_star_rows), as for short rows. For i.i.d. marks a visited slot held a
+    car on each of 25,600 rows tried (2500 to 2e5 slots), found after about
     7 visits, and each visit costs O(1) steps of the two walks."""
     xi = np.asarray(xi, dtype=np.float64)
     m = xi.size
     if m < 1:
         raise ValueError("need at least one slot")
     sub = xi[::_SCAN_STRIDE]
-    k, hi = _SCAN_TOP, None
-    while True:
-        lo = np.partition(sub, sub.size - k)[sub.size - k] if k < sub.size else -np.inf
-        band = xi >= lo
-        if hi is not None:
-            band &= xi < hi
-        band = np.flatnonzero(band)
-        for s in band[np.argsort(xi[band])[::-1]].tolist():  # 0-based slots
-            r = s  # walk left to the start r of the ascending run ending at s
-            while r > 0 and xi[r - 1] <= xi[r]:
-                r -= 1
-            if (s - r) % 2:
-                continue
-            e = s  # walk right to the end e of the descending run starting at s
-            while e < m - 1 and not xi[e] <= xi[e + 1]:
-                e += 1
-            if (e - s) % 2 == 0:
-                return float(xi[s])
-        if lo == -np.inf:
-            raise AssertionError("a nonempty interval always holds a car")
-        k, hi = 8 * k, lo
+    lo = np.partition(sub, sub.size - _SCAN_TOP)[sub.size - _SCAN_TOP] if _SCAN_TOP < sub.size else -np.inf
+    band = np.flatnonzero(xi >= lo)
+    for s in band[np.argsort(xi[band])[::-1]].tolist():  # 0-based slots
+        r = s  # walk left to the start r of the ascending run ending at s
+        while r > 0 and xi[r - 1] <= xi[r]:
+            r -= 1
+        if (s - r) % 2:
+            continue
+        e = s  # walk right to the end e of the descending run starting at s
+        while e < m - 1 and not xi[e] <= xi[e + 1]:
+            e += 1
+        if (e - s) % 2 == 0:
+            return float(xi[s])
+    rise, descent = _run_parities(xi)
+    return float(tau_star_rows(xi, rise & descent))
 
 
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[np.ndarray, int]:
@@ -207,7 +201,7 @@ def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
     their first-arrival fields. Rows that want M, and rows of up to
     _SCAN_SITES sites, take the car mask of one parity pass: M is twice its
     count and tau* its largest mark (tau_star_rows). Longer T-only rows scan
-    for tau* (tau_star) and are never classified."""
+    for tau* (tau_star), which classifies a row only if its scan finds no car."""
     n, rows, want_m = job
     xi = rng.standard_exponential((rows, n - 1))
     m = None

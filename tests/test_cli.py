@@ -166,11 +166,28 @@ class TestOutAndErrors:
         inline = run_cli("site-vacancy", "--n", "8")
         assert text == inline.stdout
 
-    def test_oracle_forces_json(self):
-        res = run_cli("oracle", "--n", "4", "--format", "csv")
-        assert res.returncode == 0
-        assert "json-only" in res.stderr
-        json.loads(res.stdout)
+    def test_oracle_forces_json(self, capsys):
+        # json is the oracle's one format and its default, and it echoes no seed
+        outputs = []
+        for fmt in ([], ["--format", "json"]):
+            assert main(["oracle", "--n", "4", *fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["config"] == {"n_list": [4]}
+
+    def test_exact_commands_take_no_sampling_flags(self):
+        # oracle and site-vacancy draw no random number: a seed, a thread
+        # count or a csv oracle is a usage error before any work starts
+        for argv, error in (
+            (["oracle", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["oracle", "--threads", "2"], "unrecognized arguments: --threads 2"),
+            (["oracle", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+            (["site-vacancy", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["site-vacancy", "--threads", "2"], "unrecognized arguments: --threads 2"),
+        ):
+            res = run_cli(*argv)
+            assert (res.returncode, res.stdout) == (2, ""), argv
+            assert error in res.stderr and "Traceback" not in res.stderr, argv
 
     def test_oracle_sweeps_the_classifier_at_every_n(self, monkeypatch, capsys):
         # n = 10 is the largest --n argparse accepts; the spy stands in for the
@@ -292,14 +309,20 @@ class TestOutAndErrors:
 
     @pytest.mark.parametrize("value", ["abc", "-3"])
     def test_bad_env_seed_is_a_usage_error(self, value):
-        # the environment seed goes through the --seed type: exit 2 before
-        # any work, naming the variable, never a traceback
-        res = run_cli("site-vacancy", "--n", "4", env={"PAGEPARK_SEED": value})
+        # the environment seed goes through the --seed type of a Monte Carlo
+        # command: exit 2 before any work, naming the variable, never a traceback
+        argv = ("density-curve", "--t-grid", "1", "--replicas", "100")
+        res = run_cli(*argv, env={"PAGEPARK_SEED": value})
         assert res.returncode == 2
         assert res.stdout == ""
         assert "PAGEPARK_SEED" in res.stderr and "Traceback" not in res.stderr
         # an explicit --seed still wins over the environment
-        assert run_cli("site-vacancy", "--n", "4", "--seed", "5", env={"PAGEPARK_SEED": value}).returncode == 0
+        assert run_cli(*argv, "--seed", "5", env={"PAGEPARK_SEED": value}).returncode == 0
+        # the exact commands take no seed, so they never read it
+        for exact in (("site-vacancy", "--n", "4", "--format", "json"), ("oracle", "--n", "4")):
+            res, clean = run_cli(*exact, env={"PAGEPARK_SEED": value}), run_cli(*exact)
+            assert res.returncode == clean.returncode == 0, exact
+            assert res.stdout == clean.stdout, exact
 
     @pytest.mark.parametrize("argv, code", [(["site-vacancy", "--n", "6"], 0), (["site-vacancy", "--n", "1"], 2)],
                              ids=["good", "usage_error"])
@@ -476,6 +499,46 @@ class TestInProcess:
             "site-vacancy",
             "autocovariance",
         }
+
+    def test_each_subcommand_takes_only_the_flags_it_reads(self):
+        import argparse
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+        sampling = {"seed", "threads", "fmt", "out"}
+        assert dests == {
+            "density-convergence": {"n_list", "replicas", *sampling},
+            "density-curve": {"t_grid", "replicas", "dist", *sampling},
+            "trials": {"n_list", "replicas", *sampling},
+            "autocovariance": {"k_list", "replicas", *sampling},
+            "oracle": {"n", "fmt", "out"},
+            "site-vacancy": {"n", "fmt", "out"},
+        }
+        fmt = {name: next(a for a in p._actions if a.dest == "fmt") for name, p in sub.choices.items()}
+        assert {name: (tuple(a.choices), a.default) for name, a in fmt.items()} == {
+            name: (("json",), "json") if name == "oracle" else (("csv", "json"), "csv") for name in fmt
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag, messy, tidy",
+        [
+            ("density-convergence", "--n-list", "20,10,20", "10,20"),
+            ("density-curve", "--t-grid", "1,1,0.5", "0.5,1"),
+            ("autocovariance", "--n-list", "2,1,1", "1,2"),
+            ("oracle", "--n", "3,2,3", "2,3"),
+        ],
+    )
+    def test_list_flags_are_sorted_and_deduplicated(self, command, flag, messy, tidy, capsys):
+        # every list flag is sorted and deduplicated as it is parsed, so a
+        # repeated entry gives the bytes of the tidy list and no check twice
+        sizes = [] if command == "oracle" else ["--replicas", "2000"]
+        outputs = []
+        for values in (messy, tidy):
+            assert main([command, flag, values, *sizes, "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        names = [e["name"] for e in json.loads(outputs[0])["checks"]["entries"]]
+        assert len(names) == len(set(names)) > 0
 
 
 class TestTrialsTable:

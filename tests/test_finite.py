@@ -356,8 +356,8 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
             # every high slot sits between lower ones (or at an edge next to
             # one) and never holds a car. "sawtooth" gives the high slots the
             # even positions, which tau_star's subsample reads, so on long
-            # rows its first threshold falls among them and the scan must
-            # lower it; "sawtooth_odd" gives them the odd positions, each
+            # rows its threshold falls among them and the scan must fall back
+            # to the parity pass; "sawtooth_odd" gives them the odd positions, each
             # between two low ones, so the scan must look past all of them
             saw = np.empty(2 * v.size + 1)
             saw[0::2] = np.append(v, 0.5)
@@ -398,23 +398,26 @@ class TestDirectBatchKernel:
         assert tau_star_rows(xi, _car_mask(xi)).tolist() == want
 
     @pytest.mark.parametrize("kind, size", [("float", 4099), ("tied", 4099), ("sawtooth", 2049), ("sawtooth", 512)])
-    def test_tau_star_on_long_rows(self, kind, size):
+    def test_tau_star_on_long_rows(self, kind, size, monkeypatch):
         # rows of 4099 slots, where the scan takes its threshold from a
         # subsample. A sawtooth of h values has 2h + 1 slots; the short one is
         # followed by float marks between its low and its high slots. On both
-        # no slot at or above the first threshold holds a car, so the scan
-        # lowers it, and on the short one tau* lies in the next band down
+        # no slot at or above the threshold holds a car, so the scan classifies
+        # the row with one parity pass; float and tied rows never do
+        passes = []
+        parities = finite._run_parities
+        monkeypatch.setattr(finite, "_run_parities", lambda xi: passes.append(xi.shape) or parities(xi))
         gen = SeedSpec(7, size).generator()
         xi = _mark_rows(kind, gen.random(size).tolist(), 3)
         xi = np.concatenate([xi, 1.0 + gen.random((3, 4099 - xi.shape[1]))], axis=1)
         car = _car_mask(xi)
         want = [float(row[c].max()) for row, c in zip(xi, car)]
         assert [tau_star(row) for row in xi] == want
+        assert passes == ([(4099,)] * 3 if kind == "sawtooth" else [])
         if kind == "sawtooth":
-            for row, c, tau in zip(xi, car, want):
+            for row, c in zip(xi, car):
                 top = np.sort(row[:: finite._SCAN_STRIDE])[::-1]
                 assert not c[row >= top[finite._SCAN_TOP - 1]].any()
-                assert size == 2049 or top[8 * finite._SCAN_TOP - 1] <= tau
 
     @pytest.mark.parametrize(
         "n, replicas",

@@ -1,7 +1,7 @@
 """The README's library quick start runs as written, every name in
-pagepark.__all__ resolves, and every script and subcommand the README names
-exists, so removing a public name or an entry point it uses breaks the suite,
-not only the docs."""
+pagepark.__all__ resolves, every script and subcommand the README names
+exists, and every command line it prints parses, so removing a public name,
+an entry point or a flag it uses breaks the suite, not only the docs."""
 import pathlib
 import re
 
@@ -35,3 +35,24 @@ def test_named_entry_points_exist():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     named = set(re.findall(r"(?:^|`)pagepark ([a-z][\w-]*)", text, re.M))
     assert named and named <= set(sub.choices), named - set(sub.choices)
+
+
+def test_command_lines_parse():
+    # every pagepark command the README prints, in the command-line block or
+    # inline, parses, so the docs cannot advertise a flag a subcommand dropped
+    import shlex
+
+    from pagepark.cli import build_parser
+
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"```\n(.*?)```", text.split("## Command line", 1)[1], re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("pagepark ")]
+    lines += re.findall(r"`(pagepark [a-z][^`]*)`", text)
+    assert len(lines) >= 6
+    refused = []
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            refused.append(line)
+    assert refused == []
