@@ -4,27 +4,34 @@ classifier of marks that links it to parking in mark order.
 Observed through the first arrivals of one unit-rate Poisson stream per slot
 (merged, the streams pick slots uniformly), only the first draw of a slot can
 park a car, so the jammed configuration is parking in increasing order of the
-first-arrival marks xi, and the jamming time tau* is the largest mark
-among the slots that hold a car. Each slot's later arrivals form a unit-rate
+first-arrival times xi, and the jamming time tau* is the largest time among
+the slots that hold a car. Each slot's later arrivals form a unit-rate
 Poisson process on (xi_s, inf) independent of xi, so the draw count is
 
     T = #{s : xi_s <= tau*} + Poisson(sum_s (tau* - xi_s)^+)
 
-exactly (the superposition identity). first_arrival_batch computes (M, T,
-tau*) this way and is the one fast kernel for all three; simulate_direct runs
-the draws one by one and trials.simulate_poissonized runs every arrival, and
+exactly (the superposition identity). As on the line, the kernel draws
+Uniform(0, 1) marks u and applies the exponential clock only where a time is
+read: xi_s = -log(1 - u_s) is increasing in u_s, so the cars and the tie rule
+are those of u, tau* = -log1p(-u*) for the largest car mark u*, and
+
+    T = below + Poisson(tau* below + sum_{u_s <= u*} log(1 - u_s))
+
+with below = #{s : u_s <= u*}. first_arrival_batch computes (M, T, tau*)
+this way and is the one fast kernel for all three; simulate_direct runs the
+draws one by one and trials.simulate_poissonized runs every arrival, and
 both stay independent references. The reference for parking in mark order is
 the oracle's one replay pass, which keeps each site's covering rank.
 
 Every classification runs through one parity pass, _run_parities: per slot,
 whether the rise ending at it and the descent starting at it are odd. The
 occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
-both are odd, so the kernel reads M (twice the car count) and tau* (the
+both are odd, so the kernel reads M (twice the car count) and u* (the
 largest car mark, tau_star_rows) off that car mask without building an
 occupancy array. Long rows that want only T are classified only if they
 must: tau_star visits the slots above a threshold taken from a strided
 subsample, in decreasing mark order, and takes the first that holds a car;
-if none does, one parity pass over the row gives tau*.
+if none does, one parity pass over the row gives u*.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -119,12 +126,18 @@ def tau_star_rows(xi: np.ndarray, car: np.ndarray) -> np.ndarray:
 
 def tau_star(xi: np.ndarray) -> float:
     """Jamming time of one first-arrival field xi over slots 1..n-1, without
-    classifying every slot.
+    classifying every slot: its largest car mark, in the units of xi."""
+    return _scan(np.asarray(xi, dtype=np.float64))[0]
+
+
+def _scan(xi: np.ndarray) -> tuple[float, np.ndarray]:
+    """tau_star of one field and its marks above that, in slot order.
 
     The threshold is the _SCAN_TOP-th largest mark of every _SCAN_STRIDE-th
     slot, so about _SCAN_TOP * _SCAN_STRIDE slots lie at or above it for
     i.i.d. marks. Those slots are visited in decreasing mark order, and the
-    first one that holds a car gives tau*. Slot s holds a car iff the
+    first one that holds a car gives tau*; every mark above it was visited,
+    so the marks above tau* come off that band. Slot s holds a car iff the
     ascending run ending at it (the rise at site s+1) and the descending run
     starting at it (the descent at site s) both have odd length, with the
     package tie rule (left slot first). If no visited slot holds a car, the
@@ -132,14 +145,14 @@ def tau_star(xi: np.ndarray) -> float:
     (tau_star_rows), as for short rows. For i.i.d. marks a visited slot held a
     car on each of 25,600 rows tried (2500 to 2e5 slots), found after about
     7 visits, and each visit costs O(1) steps of the two walks."""
-    xi = np.asarray(xi, dtype=np.float64)
     m = xi.size
     if m < 1:
         raise ValueError("need at least one slot")
     sub = xi[::_SCAN_STRIDE]
     lo = np.partition(sub, sub.size - _SCAN_TOP)[sub.size - _SCAN_TOP] if _SCAN_TOP < sub.size else -np.inf
     band = np.flatnonzero(xi >= lo)
-    for s in band[np.argsort(xi[band])[::-1]].tolist():  # 0-based slots
+    marks = xi[band]
+    for s in band[np.argsort(marks)[::-1]].tolist():  # 0-based slots
         r = s  # walk left to the start r of the ascending run ending at s
         while r > 0 and xi[r - 1] <= xi[r]:
             r -= 1
@@ -149,9 +162,10 @@ def tau_star(xi: np.ndarray) -> float:
         while e < m - 1 and not xi[e] <= xi[e + 1]:
             e += 1
         if (e - s) % 2 == 0:
-            return float(xi[s])
+            return float(xi[s]), marks[marks > xi[s]]
     rise, descent = _run_parities(xi)
-    return float(tau_star_rows(xi, rise & descent))
+    top = float(tau_star_rows(xi, rise & descent))
+    return top, xi[xi > top]
 
 
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[np.ndarray, int]:
@@ -184,36 +198,49 @@ def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -
     return occ, t
 
 
-def _draw_counts(xi: np.ndarray, tau: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """T of each row of first-arrival fields xi, shape (rows, n-1), with
-    jamming times tau: the superposition identity of the module docstring.
-    sum_s (tau* - xi_s)^+ is taken as tau* #below - (sum of all marks - those
-    above), so only a mask the size of xi is allocated."""
-    above = xi > tau[:, None]
-    below = xi.shape[1] - np.count_nonzero(above, axis=1)
-    mean_later = tau * below - (xi.sum(axis=1) - xi.sum(axis=1, where=above))
+def _draw_counts(
+    u: np.ndarray, top: np.ndarray, above_rows: np.ndarray, above: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(T, tau*) of each row of the Uniform(0, 1) marks u, shape (rows, n-1),
+    with largest car marks top: the superposition identity of the module
+    docstring. The marks above top (above, in slot order, with their rows
+    above_rows) are taken off the count and off the row's sum of log(1 - u),
+    so the classification reads only them. u is overwritten by log(1 - u),
+    in place; 1 - u is exact on the 2^-53 grid of rng.random, so np.log(1 -
+    u) needs no log1p, which only tau* = -log1p(-u*) takes."""
+    rows, m = u.shape
+    tau = -np.log1p(-top)
+    below = m - np.bincount(above_rows, minlength=rows)
+    logs = np.log(np.subtract(1.0, u, out=u), out=u)
+    log_below = logs.sum(axis=1) - np.bincount(above_rows, weights=np.log(1.0 - above), minlength=rows)
     # rounding can leave a mean a few ulp below an exact 0 (ties, n = 2, 3)
-    return below + rng.poisson(np.maximum(mean_later, 0.0))
+    return below + rng.poisson(np.maximum(tau * below + log_below, 0.0)), tau
 
 
 def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
     """(M or None, T, tau*) of `rows` replicas on n sites, from one draw of
-    their first-arrival fields. Rows that want M, and rows of up to
+    their Uniform(0, 1) marks. Rows that want M, and rows of up to
     _SCAN_SITES sites, take the car mask of one parity pass: M is twice its
-    count and tau* its largest mark (tau_star_rows). Longer T-only rows scan
-    for tau* (tau_star), which classifies a row only if its scan finds no car."""
+    count and u* its largest mark (tau_star_rows). Longer T-only rows scan for
+    u* (_scan), which classifies a row only if its scan finds no car. Both
+    paths hand u* and the marks above it to _draw_counts."""
     n, rows, want_m = job
-    xi = rng.standard_exponential((rows, n - 1))
+    u = rng.random((rows, n - 1))
     m = None
     if want_m or n <= _SCAN_SITES:
-        rise, descent = _run_parities(xi)
+        rise, descent = _run_parities(u)
         car = np.logical_and(rise, descent, out=rise)
-        tau = tau_star_rows(xi, car)
+        top = tau_star_rows(u, car)
         if want_m:
             m = 2 * np.count_nonzero(car, axis=1)
+        slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
+        above_rows, above = slots // (n - 1), u.ravel()[slots]
     else:
-        tau = np.array([tau_star(row) for row in xi])
-    return m, _draw_counts(xi, tau, rng), tau
+        scans = [_scan(row) for row in u]
+        top = np.array([t for t, _ in scans])
+        above = np.concatenate([a for _, a in scans])
+        above_rows = np.repeat(np.arange(rows), [a.size for _, a in scans])
+    return (m, *_draw_counts(u, top, above_rows, above, rng))
 
 
 def first_arrival_batch(

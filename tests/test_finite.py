@@ -81,7 +81,8 @@ class TestClassifierEquivalence:
         # planted fault: the parity pass with `<` in place of `<=` (tied
         # neighbours act right slot first) agrees on every permutation and
         # must fail the weak orderings, in the occupancy and in the car mask
-        monkeypatch.setattr(finite, "_run_parities", _strict_run_parities())
+        strict = _edited(finite._run_parities, "xi[..., :-1] <= xi[..., 1:]", "xi[..., :-1] < xi[..., 1:]")
+        monkeypatch.setattr(finite, "_run_parities", strict)
         assert all(verify_lemma1(n, occupancy_profile) == [] for n in range(2, 7))
         assert [n for n in range(2, 8) if _tie_rule_misses(n)] == list(range(3, 8))
         assert _car_mask_misses(_car_mask_fields()[-1]) > 0
@@ -123,14 +124,14 @@ def _tie_rule_misses(n: int) -> list:
     return misses
 
 
-def _strict_run_parities():
-    """finite._run_parities rebuilt from its source with `<` in place of the
-    `<=` of its adjacent comparison (the tie rule)."""
-    src, rule = inspect.getsource(finite._run_parities), "xi[..., :-1] <= xi[..., 1:]"
-    assert src.count(rule) == 1
+def _edited(fn, old: str, new: str):
+    """A function of finite rebuilt from its source with its one occurrence
+    of `old` replaced by `new`."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1
     scope = dict(vars(finite))
-    exec(compile(src.replace(rule, rule.replace("<=", "<")), finite.__file__, "exec"), scope)
-    return scope["_run_parities"]
+    exec(compile(src.replace(old, new), finite.__file__, "exec"), scope)
+    return scope[fn.__name__]
 
 
 def _car_mask_misses(xi) -> int:
@@ -275,26 +276,44 @@ def _second_largest_car_mark(xi, car):
     return np.where(np.isfinite(second), second, marks[:, -1])
 
 
-def _on_one_row(tau_of):
-    """A tau_star replacement: tau_of applied to one field."""
-    return lambda xi: float(tau_of(xi[None, :], _car_mask(xi[None, :]))[0])
+def _scan_by(tau_of):
+    """A _scan replacement: tau_of applied to one field, and the marks above
+    that."""
+
+    def scan(xi):
+        top = float(tau_of(xi[None, :], _car_mask(xi[None, :]))[0])
+        return top, xi[xi > top]
+
+    return scan
 
 
 _draw_counts = finite._draw_counts
 
+
+def _without_first_arrivals(u, top, above_rows, above, rng):
+    below = u.shape[1] - np.bincount(above_rows, minlength=top.size)
+    t, tau = _draw_counts(u, top, above_rows, above, rng)
+    return t - below, tau
+
+
 # planted faults, as replacements of the kernel's parts; the tau* faults
-# replace both tau_star (scan path) and tau_star_rows (classifier path)
+# replace both _scan (scan path) and tau_star_rows (classifier path), and the
+# log-sum faults edit _draw_counts, which both paths call
 PLANTED_FAULTS = {
-    "without_first_arrivals": {
-        "_draw_counts": lambda xi, tau, rng: _draw_counts(xi, tau, rng) - np.count_nonzero(xi <= tau[:, None], axis=1),
-    },
+    "without_first_arrivals": {"_draw_counts": _without_first_arrivals},
     "second_largest_car_mark": {
         "tau_star_rows": _second_largest_car_mark,
-        "tau_star": _on_one_row(_second_largest_car_mark),
+        "_scan": _scan_by(_second_largest_car_mark),
     },
     "largest_mark_of_all_slots": {
         "tau_star_rows": lambda xi, car: xi.max(axis=1),
-        "tau_star": lambda xi: float(xi.max()),
+        "_scan": _scan_by(lambda xi, car: xi.max(axis=1)),
+    },
+    "log_sum_drops_last_slot": {
+        "_draw_counts": _edited(finite._draw_counts, "logs.sum(axis=1)", "logs[:, :-1].sum(axis=1)"),
+    },
+    "log_of_u_not_1_minus_u": {
+        "_draw_counts": _edited(finite._draw_counts, "np.subtract(1.0, u, out=u)", "np.positive(u, out=u)"),
     },
 }
 
@@ -324,9 +343,11 @@ def _chain_mean_misses(want_m: bool, reps: int = 6000, seed: int = 99) -> list:
 def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
     """(M, T, tau*) of each row rebuilt from the definition: rows of n split
     into jobs of max(1, _CHUNK_MARKS // (n-1)) replicas, numbered c across
-    rows, job c drawing its fields from stream (master, (r, c)); the cars
-    come from the oracle's replay, M is twice their count, tau* their largest
-    mark, and the later draws one Poisson draw per row."""
+    rows, job c drawing its Uniform(0, 1) fields u in one call from stream
+    (master, (r, c)); the cars come from the oracle's replay, M is twice
+    their count, tau* = -log1p(-u*) for their largest mark u*, and the later
+    draws one Poisson draw per row with mean sum_s (tau* - xi_s)^+ over the
+    arrival times xi = -log1p(-u)."""
     c, out = 0, []
     for n in n_list:
         per_job = max(1, finite._CHUNK_MARKS // (n - 1))
@@ -334,12 +355,13 @@ def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
         for lo in range(0, replicas, per_job):
             rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c))))
             c += 1
-            xi = rng.standard_exponential((min(per_job, replicas - lo), n - 1))
-            cars = [_car_slots(row) for row in xi]
-            tau = [float(row[car].max()) for row, car in zip(xi, cars)]
-            later = rng.poisson([float(np.sum(np.maximum(t - row, 0.0))) for t, row in zip(tau, xi)])
+            u = rng.random((min(per_job, replicas - lo), n - 1))
+            cars = [_car_slots(row) for row in u]
+            top = [float(row[car].max()) for row, car in zip(u, cars)]
+            tau = [float(-np.log1p(-t)) for t in top]
+            later = rng.poisson([float(np.sum(np.maximum(t + np.log1p(-row), 0.0))) for t, row in zip(tau, u)])
             ms += [2 * len(car) for car in cars]
-            ts += [int(np.count_nonzero(row <= t)) + int(k) for t, row, k in zip(tau, xi, later)]
+            ts += [int(np.count_nonzero(row <= t)) + int(k) for t, row, k in zip(top, u, later)]
             taus += tau
         out.append((ms, ts, taus))
     return out
@@ -431,13 +453,22 @@ class TestDirectBatchKernel:
         ],
     )
     def test_chunks_equal_rows_built_by_hand(self, n, replicas):
-        # with M every row takes the car mask; T-only rows past _SCAN_SITES scan
+        # with M every row takes the car mask; T-only rows past _SCAN_SITES
+        # scan; either way a row gives the same bits
         want = list(_by_hand([n], replicas, 61, 2)[0])
         (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
         assert m.dtype == t.dtype == np.int64
         assert [m.tolist(), t.tolist(), tau.tolist()] == want
         (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2), want_m=False)
         assert m is None and [t.tolist(), tau.tolist()] == want[1:]
+
+    def test_t_only_bytes_free_of_threads(self):
+        # jobs of one long scanned row, of several scanned rows, and of many
+        # classified rows give the same bytes on one thread and two
+        n_list = [finite._CHUNK_MARKS + 2, finite._SCAN_SITES + 1, 40]
+        runs = [first_arrival_batch(n_list, 9, SeedSpec(66), threads=k, want_m=False) for k in (1, 2)]
+        one, two = ([(t.tobytes(), tau.tobytes()) for _, t, tau in run] for run in runs)
+        assert one == two
 
     def test_jobs_numbered_across_rows(self):
         # job c counts across rows, so each row's streams follow the jobs of
