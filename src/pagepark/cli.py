@@ -40,7 +40,7 @@ from . import finite, infinite
 from .finite import occupancy_profile
 from .infinite import autocovariance_mc
 from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact
-from .stats import SampleStats, bernoulli_variance_range, wilson_interval
+from .stats import SampleStats, bernoulli_variance_range, wilson_contains, wilson_interval, within_stderr
 from .trials import TAU_STAR_LEVELS, trials_ratio_sweep
 
 __all__ = ["build_parser", "main"]
@@ -188,20 +188,6 @@ def _enumerable(text: str) -> int:
 # subcommands
 
 
-def _mean_check(n: int, m_stats, em: float) -> tuple[bool, str]:
-    """The MC mean of M_n must lie within 5 stderr of the exact mean em. A
-    sample with no spread has no stderr: the band is then 5 exact standard
-    deviations of M_n over sqrt(replicas), from the law of M_n (its float path
-    above the rational cap)."""
-    diff = abs(m_stats.mean - em)
-    if m_stats.stderr > 0:
-        band = 5.0 * m_stats.stderr
-        return diff <= band, f"MC mean {m_stats.mean:.6f} vs exact {em:.6f} within 5 stderr = {band:.3e}"
-    band = 5.0 * math.sqrt(float(distribution_M(n).variance()) / m_stats.count)
-    return diff <= band, (f"MC mean {m_stats.mean:.6f} vs exact {em:.6f} within 5 exact sd/sqrt({m_stats.count}) "
-                          f"= {band:.3e} (no spread in the sample)")
-
-
 def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     n_list = args.n_list
     rho = limit_constants()["jamming_density"]
@@ -238,15 +224,20 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
             density_gap <= 12.0 / n + 1e-12,
             f"|E[M_n]/n - (1-e^-2)| = {density_gap:.3e} <= 12/n = {12.0 / n:.3e}",
         )
-        checks.record(f"mc_agrees_n{n}", *_mean_check(n, m_stats, em))
+        stderr = m_stats.stderr
+        if not stderr:
+            # no spread, so no sample stderr: take the exact law's. Above the
+            # rational cap Var(M_n) = 4e^-4 (n+2), which the exact law matches
+            # to double precision from n = 40 on; the float law costs O(n^2)
+            if n > DISTRIBUTION_RATIONAL_CAP:
+                var = 4.0 * math.exp(-4.0) * (n + 2)
+            else:
+                var = float(distribution_M(n).variance())
+            stderr = math.sqrt(var / m_stats.count)
+        ok, detail = within_stderr(m_stats.mean, em, stderr, 5.0)
+        checks.record(f"mc_agrees_n{n}", ok, detail if m_stats.stderr else f"{detail} (no spread in the sample)")
     params = {"n_list": n_list, "replicas": args.replicas}
     return rows, checks, params
-
-
-def _curve_check(mc, closed: float) -> tuple[bool, str]:
-    """The closed form must lie in the 4-sigma Wilson interval of the MC proportion."""
-    lo, hi = wilson_interval(mc.estimate, mc.replicas, 4.0)
-    return lo <= closed <= hi, f"closed {closed:.6f} in 4-sigma Wilson interval [{lo:.6f}, {hi:.6f}]"
 
 
 def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
@@ -275,21 +266,9 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 replicas=args.replicas,
             )
         )
-        checks.record(f"curve_t{t:g}", *_curve_check(mc, closed))
+        checks.record(f"curve_t{t:g}", *wilson_contains(mc.estimate, mc.replicas, closed, 4.0))
     params = {"t_grid": t_grid, "replicas": args.replicas, "dist": args.dist}
     return rows, checks, params
-
-
-def _coupon_check(r) -> tuple[bool, str]:
-    """Mean T_n must not exceed the exact coupon-collector mean by more than 3 stderr."""
-    return r.dominated_by_coupon, f"mean T = {r.mean_T:.1f} <= coupon mean {r.coupon_mean:.1f} (+3 stderr)"
-
-
-def _ratio_check(a, b) -> tuple[bool, str]:
-    """T_n / (n log n) must not fall from row a to the larger-n row b by more
-    than 3 stderr of the difference."""
-    slack = 3.0 * math.hypot(a.ratio_stderr, b.ratio_stderr)
-    return b.ratio >= a.ratio - slack, f"ratio {a.ratio:.4f} -> {b.ratio:.4f} (slack {slack:.4f})"
 
 
 def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
@@ -320,10 +299,15 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 dominated_by_coupon=r.dominated_by_coupon,
             )
         )
-        checks.record(f"coupon_dominates_n{r.n}", *_coupon_check(r))
+        checks.record(f"coupon_dominates_n{r.n}", r.dominated_by_coupon,
+                      f"mean T = {r.mean_T:.1f} <= coupon mean {r.coupon_mean:.1f} (+3 stderr)")
     if len(sweep) >= 2 and args.replicas >= 30:
+        # T_n / (n log n) must not fall from one row to the next by more than
+        # 3 stderr of the difference
         for a, b in zip(sweep, sweep[1:]):
-            checks.record(f"ratio_nondecreasing_n{a.n}_to_n{b.n}", *_ratio_check(a, b))
+            slack = 3.0 * math.hypot(a.ratio_stderr, b.ratio_stderr)
+            checks.record(f"ratio_nondecreasing_n{a.n}_to_n{b.n}", b.ratio >= a.ratio - slack,
+                          f"ratio {a.ratio:.4f} -> {b.ratio:.4f} (slack {slack:.4f})")
     params = {"n_list": n_list, "replicas": args.replicas}
     return rows, checks, params
 
@@ -433,38 +417,6 @@ def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     return rows, checks, params
 
 
-def _occupancy_variance(mean: float, replicas: int) -> tuple[float, float]:
-    """Range of the Bernoulli variance of a site occupancy over the 5-sigma
-    Wilson interval of its mean; never a point, even for a constant sample."""
-    return bernoulli_variance_range(*wilson_interval(mean, replicas, 5.0))
-
-
-def _lag0_check(est, var: float) -> tuple[bool, str]:
-    """X(0) = X(k) at lag 0, so cov(0) is the variance of the site-0 occupancy:
-    var must be a Bernoulli variance its Wilson interval allows."""
-    lo, hi = _occupancy_variance(est.mean_site_0, est.replicas)
-    return lo <= var <= hi, (
-        f"cov(0) = {est.estimate:.6f}; reference {var:.6f} in [{lo:.6f}, {hi:.6f}] "
-        f"from the 5-sigma Wilson interval")
-
-
-def _decorrelation_check(est, cov: float = 0.0) -> tuple[bool, str]:
-    """For decorrelated sites the sample covariance has stderr
-    sqrt(var X(0) var X(k) / replicas); each variance is taken at its largest
-    over the site's Wilson interval."""
-    var_0 = _occupancy_variance(est.mean_site_0, est.replicas)[1]
-    var_k = _occupancy_variance(est.mean_site_k, est.replicas)[1]
-    band = 5.0 * math.sqrt(var_0 * var_k / est.replicas)
-    diff = abs(est.estimate - cov)
-    return diff <= band, f"|cov({est.k}) - {cov:g}| = {diff:.3e} <= 5 Wilson stderr = {band:.3e}"
-
-
-def _no_vacant_pair_check(est) -> tuple[bool, str]:
-    """Runs of cars have even length, so two vacant sites are never 1, 2 or 4
-    apart: at those lags the count of vacant pairs must be exactly 0."""
-    return est.both_vacant == 0, f"{est.both_vacant} of {est.replicas} pairs have both sites vacant"
-
-
 def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     k_list = args.k_list
     checks = CheckLog()
@@ -490,11 +442,25 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             )
         )
         if k == 0:
-            checks.record("lag0_is_bernoulli_variance", *_lag0_check(est, vac * (1.0 - vac)))
+            # cov(0) is the variance q(1-q) of the site-0 occupancy q, and it
+            # equals vac (1-vac) at q = vac and at q = 1-vac. X(0) and 1-X(0)
+            # share the variance and have mirrored Wilson intervals, so that of
+            # the occupancy holds vac or 1-vac iff that of the rarer value holds vac
+            rarer = min(est.mean_site_0, 1.0 - est.mean_site_0)
+            checks.record("lag0_is_bernoulli_variance", *wilson_contains(rarer, est.replicas, vac, 5.0))
         elif k in (1, 2, 4):
-            checks.record(f"lag{k}_no_vacant_pair", *_no_vacant_pair_check(est))
+            # runs of cars have even length, so two vacant sites are never 1,
+            # 2 or 4 apart: an exact count, with no band
+            checks.record(f"lag{k}_no_vacant_pair", est.both_vacant == 0,
+                          f"{est.both_vacant} of {est.replicas} pairs have both sites vacant")
         elif k >= 30:
-            checks.record(f"lag{k}_decorrelated", *_decorrelation_check(est))
+            # decorrelated sites give the sample covariance the stderr
+            # sqrt(var X(0) var X(k) / replicas), each variance at its largest
+            # over the site's 5-sigma Wilson interval, so never 0
+            var_0, var_k = (bernoulli_variance_range(*wilson_interval(q, est.replicas, 5.0))
+                            for q in (est.mean_site_0, est.mean_site_k))
+            checks.record(f"lag{k}_decorrelated",
+                          *within_stderr(est.estimate, 0.0, math.sqrt(var_0 * var_k / est.replicas), 5.0))
     params = {"k_list": k_list, "replicas": args.replicas}
     return rows, checks, params
 

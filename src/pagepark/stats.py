@@ -51,54 +51,76 @@ def wilson_interval(p: float, total: int, z: float) -> tuple[float, float]:
     return (0.0 if p == 0.0 else centre - half), (1.0 if p == 1.0 else centre + half)
 
 
-def bernoulli_variance_range(lo: float, hi: float) -> tuple[float, float]:
-    """Smallest and largest q(1-q) over q in [lo, hi]."""
+def bernoulli_variance_range(lo: float, hi: float) -> float:
+    """Largest q(1-q) over q in the range [lo, hi]."""
     peak = min(max(0.5, lo), hi)
-    return min(lo * (1.0 - lo), hi * (1.0 - hi)), peak * (1.0 - peak)
+    return peak * (1.0 - peak)
 
 
-def chi_square_two_sample(counts_a: dict, counts_b: dict, min_expected: float = 5.0):
-    """Two-sample chi-square homogeneity test over integer-valued outcomes.
+def within_stderr(estimate: float, exact: float, stderr: float, z: float) -> tuple[bool, str]:
+    """(ok, detail): the estimate lies within z standard errors of the exact
+    value. A caller whose sample has no spread passes the stderr of the exact
+    law, so the band is 0 only where that law is a single point."""
+    diff, band = abs(estimate - exact), z * stderr
+    return diff <= band, f"estimate {estimate:.6f} vs exact {exact:.6f}: |diff| {diff:.3e} <= {z:g} stderr = {band:.3e}"
 
-    Bins with pooled expected count below min_expected are merged into their
-    right neighbour (tail pooling). Returns (statistic, dof, p_value).
-    """
-    keys = sorted(set(counts_a) | set(counts_b))
-    a = np.array([counts_a.get(k, 0) for k in keys], dtype=np.float64)
-    b = np.array([counts_b.get(k, 0) for k in keys], dtype=np.float64)
-    na, nb = a.sum(), b.sum()
-    if na == 0 or nb == 0:
+
+def wilson_contains(p: float, total: int, exact: float, z: float) -> tuple[bool, str]:
+    """(ok, detail): the exact probability lies in the z-sigma Wilson interval
+    of the proportion p observed in total trials."""
+    lo, hi = wilson_interval(p, total, z)
+    return lo <= exact <= hi, f"exact {exact:.6f} in {z:g}-sigma Wilson interval [{lo:.6f}, {hi:.6f}] of {p:.6f}"
+
+
+def _pooled(cells: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """The columns of cells (outcomes in increasing order) summed over groups
+    of adjacent outcomes, so that the chi-square approximation is sound: a
+    group closes once its expected count reaches 5, and a short last group
+    joins the group before it."""
+    ends, acc = [], 0.0
+    for j, e in enumerate(expected):
+        acc += e
+        if acc >= 5.0:
+            ends.append(j + 1)
+            acc = 0.0
+    ends[-1:] = [len(expected)]
+    return np.add.reduceat(cells, [0, *ends[:-1]], axis=-1)
+
+
+def law_matches(counts: dict, law: dict) -> tuple[bool, str]:
+    """(ok, detail): a one-sample chi-square test of the counts {value: count}
+    against the law {value: probability}, over the values pooled by _pooled,
+    passed at p > 0.001. A value the law excludes makes p = 0, so a one-point
+    law cannot pass vacuously."""
+    excluded = sorted(v for v, c in counts.items() if c and not law.get(v))
+    if excluded:
+        return False, f"p = 0: the law excludes the value {excluded[0]}, seen {counts[excluded[0]]} times"
+    keys = sorted(law)
+    observed = np.array([counts.get(k, 0) for k in keys], dtype=np.float64)
+    if not observed.sum():
         raise ValueError("empty sample")
+    expected = observed.sum() * np.array([float(law[k]) for k in keys])
+    o, e = _pooled(np.array([observed, expected]), expected)
+    stat, dof = float(((o - e) ** 2 / e).sum()), o.size - 1
+    p = chi_square_sf(stat, dof) if dof else 1.0
+    return p > 0.001, f"chi-square {stat:.3f} on {dof} dof, p = {p:.3g}"
 
-    # pool sparse bins so the chi-square approximation is sound
-    pooled_a, pooled_b = [], []
-    acc_a = acc_b = 0.0
-    for va, vb in zip(a, b):
-        acc_a += va
-        acc_b += vb
-        expected_min = min(na, nb) * (acc_a + acc_b) / (na + nb)
-        if expected_min >= min_expected:
-            pooled_a.append(acc_a)
-            pooled_b.append(acc_b)
-            acc_a = acc_b = 0.0
-    if acc_a or acc_b:
-        if pooled_a:
-            pooled_a[-1] += acc_a
-            pooled_b[-1] += acc_b
-        else:
-            pooled_a.append(acc_a)
-            pooled_b.append(acc_b)
-    a = np.array(pooled_a)
-    b = np.array(pooled_b)
-    if a.size < 2:
+
+def chi_square_two_sample(counts_a: dict, counts_b: dict):
+    """Two-sample chi-square homogeneity test over integer-valued outcomes,
+    pooled by _pooled on the expected counts of the smaller sample. Returns
+    (statistic, dof, p_value)."""
+    keys = sorted(set(counts_a) | set(counts_b))
+    ab = np.array([[c.get(k, 0) for k in keys] for c in (counts_a, counts_b)], dtype=np.float64)
+    sizes = ab.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("empty sample")
+    ab = _pooled(ab, sizes.min() * ab.sum(axis=0) / sizes.sum())
+    if ab.shape[1] < 2:
         return 0.0, 0, 1.0
-
-    tot = a + b
-    stat = 0.0
-    for obs, n_side in ((a, na), (b, nb)):
-        exp = tot * n_side / (na + nb)
-        stat += float(((obs - exp) ** 2 / exp).sum())
-    dof = a.size - 1
+    exp = np.outer(sizes, ab.sum(axis=0)) / sizes.sum()
+    stat = float(((ab - exp) ** 2 / exp).sum())
+    dof = ab.shape[1] - 1
     return stat, dof, chi_square_sf(stat, dof)
 
 

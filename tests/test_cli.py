@@ -7,33 +7,23 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from pagepark import cli, infinite, oracle
-from pagepark.cli import (
-    _coupon_check,
-    _curve_check,
-    _decorrelation_check,
-    _lag0_check,
-    _mean_check,
-    _no_vacant_pair_check,
-    _ratio_check,
-    build_parser,
-    main,
-)
+from pagepark.cli import build_parser, main
 from pagepark.core import DEFAULT_SEED, SeedSpec
 from pagepark.exact import (
     DISTRIBUTION_RATIONAL_CAP,
-    density_curve_closed_form,
     distribution_M,
     expected_M,
     limit_constants,
     per_site_vacancy_exact,
 )
 from pagepark.finite import occupancy_profile, simulate_direct_batch
-from pagepark.infinite import autocovariance_mc, sample_runs
+from pagepark.infinite import autocovariance_mc
 from pagepark.oracle import OracleReport, expected_T_exact, park_in_rank_order
 from pagepark.stats import SampleStats
 from pagepark.trials import trials_ratio_sweep
@@ -369,86 +359,155 @@ class TestExitCodes:
         assert last.startswith(f"{argv[0]}: internal error: {error.__name__}: planted (")
 
 
+def run_json(argv, capsys) -> tuple[int, dict]:
+    """main(argv) in json, with its exit code and parsed envelope."""
+    code = main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def outcomes(argv, capsys, prefix: str = "") -> list[bool]:
+    """The outcomes of the checks of one run whose names start with prefix."""
+    _, doc = run_json(argv, capsys)
+    return [e["passed"] for e in doc["checks"]["entries"] if e["name"].startswith(prefix)]
+
+
 class TestCheckPower:
-    """The statistical checks at the default replicas: a reference placed
-    6 Wald stderr from the estimate fails on either side, and the Wilson bands
-    are as wide as the Wald bands they replace to within 5%."""
+    """Each statistical check of the CLI, driven through its command at the
+    default replicas with the reference it reads moved: placed 6 Wald stderr
+    from the estimate it fails on either side, and the Wilson bands are as
+    wide as the Wald bands they replace to within 5%."""
 
     @staticmethod
-    def assert_band(check, est, centre, stderr, z):
+    def assert_band(run, centre, stderr, z):
+        """run(reference) runs the command with the reference placed there
+        and returns the outcomes of the checks that read it."""
         for sign in (-1.0, 1.0):
-            assert check(est, centre + sign * 0.95 * z * stderr)[0]
-            assert not check(est, centre + sign * 1.05 * z * stderr)[0]
-            assert not check(est, centre + sign * 6.0 * stderr)[0]
+            assert all(run(centre + sign * 0.95 * z * stderr))
+            assert not any(run(centre + sign * 1.05 * z * stderr))
+            assert not any(run(centre + sign * 6.0 * stderr))
 
-    def test_density_curve(self):
-        grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-        est = sample_runs(100_000, seed=SeedSpec(DEFAULT_SEED, 0)).density_at_time(grid)
-        for mc, closed in zip(est, density_curve_closed_form(grid)):
-            assert _curve_check(mc, float(closed))[0]
-            self.assert_band(_curve_check, mc, mc.estimate, mc.stderr, 4.0)
+    def test_density_curve(self, monkeypatch, capsys):
+        argv = ["density-curve"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0 and len(doc["rows"]) == 5
+        est = np.array([row["mc_estimate"] for row in doc["rows"]])
+        se = np.array([row["mc_stderr"] for row in doc["rows"]])
 
-    def test_autocovariance_lag0(self):
-        est = autocovariance_mc(0, 200_000, seed=SeedSpec(DEFAULT_SEED, 0))
-        vac = limit_constants()["vacancy"]
-        assert _lag0_check(est, vac * (1.0 - vac))[0]
-        self.assert_band(_lag0_check, est, est.estimate, est.stderr, 5.0)
+        def run(closed):
+            monkeypatch.setattr(cli, "density_curve_closed_form", lambda t_grid, dist: closed)
+            return outcomes(argv, capsys, "curve_")
 
-    def test_autocovariance_decorrelated(self):
+        self.assert_band(run, est, se, 4.0)
+
+    def test_autocovariance_lag0(self, monkeypatch, capsys):
+        # the reference is the Bernoulli variance vac (1 - vac) of the vacancy
+        # limit, so the band is placed through the vac that gives each variance
+        argv = ["autocovariance", "--k-list", "0"]
+        code, doc = run_json(argv, capsys)
+        assert code == 0
+        (row,) = doc["rows"]
+        limits = limit_constants()
+
+        def run(var):
+            monkeypatch.setattr(cli, "limit_constants", lambda: {**limits, "vacancy": 0.5 - math.sqrt(0.25 - var)})
+            return outcomes(argv, capsys, "lag0_")
+
+        self.assert_band(run, row["autocovariance"], row["stderr"], 5.0)
+
+    def test_autocovariance_decorrelated(self, monkeypatch, capsys):
+        # the reference is cov = 0, so the estimate moves instead: the lag-34
+        # pairs the default --k-list draws, shifted by -reference
         est = autocovariance_mc(34, 200_000, seed=SeedSpec(DEFAULT_SEED, 8))
-        assert _decorrelation_check(est)[0]
-        self.assert_band(_decorrelation_check, est, est.estimate, est.stderr, 5.0)
 
-    def test_autocovariance_no_vacant_pair(self):
-        est = autocovariance_mc(1, 200_000, seed=SeedSpec(DEFAULT_SEED, 1))
-        assert est.both_vacant == 0 and _no_vacant_pair_check(est)[0]
-        ok, detail = _no_vacant_pair_check(dataclasses.replace(est, both_vacant=1))
-        assert not ok and detail.startswith("1 of 200000")
+        def run(cov):
+            shifted = dataclasses.replace(est, estimate=est.estimate - cov)
+            monkeypatch.setattr(cli, "autocovariance_mc", lambda *args, **kwargs: shifted)
+            return outcomes(["autocovariance", "--k-list", "34"], capsys, "lag34_")
 
-    def test_trials(self):
+        assert run(0.0) == [True]
+        self.assert_band(run, est.estimate, est.stderr, 5.0)
+
+    def test_autocovariance_no_vacant_pair(self, monkeypatch, capsys):
+        est = autocovariance_mc(1, 200_000, seed=SeedSpec(DEFAULT_SEED, 0))
+        assert est.both_vacant == 0
+        for both_vacant, code in ((0, 0), (1, 1)):
+            monkeypatch.setattr(cli, "autocovariance_mc",
+                                lambda *args, **kwargs: dataclasses.replace(est, both_vacant=both_vacant))
+            got, doc = run_json(["autocovariance", "--k-list", "1"], capsys)
+            (entry,) = doc["checks"]["entries"]
+            assert (got, entry["passed"]) == (code, not both_vacant)
+            assert entry["detail"].startswith(f"{both_vacant} of 200000")
+
+    def test_trials(self, monkeypatch, capsys):
         # the CLI's draws at the default replicas for --n-list 1000,10000; both
         # checks are one-sided, so the reference moves only towards failure
-        a, b = trials_ratio_sweep([1000, 10_000], 100, seed=DEFAULT_SEED)
-        for row in (a, b):
-            assert _coupon_check(row)[0]
+        sweep = trials_ratio_sweep([1000, 10_000], 100, seed=DEFAULT_SEED)
+        argv = ["trials", "--n-list", "1000,10000"]
+
+        def run(rows):
+            monkeypatch.setattr(cli, "trials_ratio_sweep", lambda *args, **kwargs: rows)
+            _, doc = run_json(argv, capsys)
+            return {e["name"]: e["passed"] for e in doc["checks"]["entries"]}
+
+        assert all(run(sweep).values())
+        for i, row in enumerate(sweep):
             edge, se = row.mean_T - 3.0 * row.stderr_T, row.stderr_T
-            assert _coupon_check(dataclasses.replace(row, coupon_mean=edge + 0.15 * se))[0]
-            assert not _coupon_check(dataclasses.replace(row, coupon_mean=edge - 0.15 * se))[0]
-            assert not _coupon_check(dataclasses.replace(row, coupon_mean=edge - 3.0 * se))[0]
-        assert _ratio_check(a, b)[0]
+            for shift, ok in ((0.15, True), (-0.15, False), (-3.0, False)):
+                rows = list(sweep)
+                rows[i] = dataclasses.replace(row, coupon_mean=edge + shift * se)
+                assert run(rows)[f"coupon_dominates_n{row.n}"] == ok
+        a, b = sweep
         se = math.hypot(a.ratio_stderr, b.ratio_stderr)
         edge = b.ratio + 3.0 * se
-        assert _ratio_check(dataclasses.replace(a, ratio=edge - 0.15 * se), b)[0]
-        assert not _ratio_check(dataclasses.replace(a, ratio=edge + 0.15 * se), b)[0]
-        assert not _ratio_check(dataclasses.replace(a, ratio=edge + 3.0 * se), b)[0]
+        for shift, ok in ((-0.15, True), (0.15, False), (3.0, False)):
+            checks = run([dataclasses.replace(a, ratio=edge + shift * se), b])
+            assert checks["ratio_nondecreasing_n1000_to_n10000"] == ok
 
-    def test_density_convergence(self):
+    def test_density_convergence(self, monkeypatch, capsys):
         # the CLI's draws at the default replicas for --n-list 10,100
-        for idx, n in enumerate((10, 100)):
-            m_stats = SampleStats.from_samples(simulate_direct_batch(n, 10_000, SeedSpec(DEFAULT_SEED, idx))[0])
-            em = float(expected_M(n))
-            check = functools.partial(_mean_check, n)
-            assert check(m_stats, em)[0]
-            self.assert_band(check, m_stats, m_stats.mean, m_stats.stderr, 5.0)
+        stats = [SampleStats.from_samples(simulate_direct_batch(n, 10_000, SeedSpec(DEFAULT_SEED, idx))[0])
+                 for idx, n in enumerate((10, 100))]
 
-    def test_no_spread_uses_the_exact_sd(self):
-        # Var(M_4) = 8/9: two equal samples at n = 4 are 5 sqrt(8/9)/sqrt(2)
-        # = 3.33 wide either way; M_2 has no variance, so only 2 passes there
-        for m in (2, 4):
-            ok, detail = _mean_check(4, SampleStats.from_samples([m, m]), 10 / 3)
-            assert ok and "no spread" in detail
-        assert _mean_check(2, SampleStats.from_samples([2, 2]), 2.0)[0]
-        assert not _mean_check(2, SampleStats.from_samples([2, 2]), 2.5)[0]
-        # above the rational cap the band comes from the float law (sd 4.4 at
-        # n = 257, so the band is 15.4 wide either way)
-        n = DISTRIBUTION_RATIONAL_CAP + 1
-        flat = SampleStats.from_samples([222, 222])
-        band = 5.0 * math.sqrt(distribution_M(n).variance() / 2)
-        ok, detail = _mean_check(n, flat, 222.0)
-        assert ok and "no spread" in detail
-        for sign in (-1.0, 1.0):
-            assert _mean_check(n, flat, 222.0 + sign * 0.95 * band)[0]
-            assert not _mean_check(n, flat, 222.0 + sign * 1.05 * band)[0]
+        def run(means):
+            monkeypatch.setattr(cli, "expected_M", dict(zip((10, 100), means)).__getitem__)
+            return outcomes(["density-convergence", "--n-list", "10,100"], capsys, "mc_agrees_")
+
+        assert run([float(expected_M(10)), float(expected_M(100))]) == [True, True]
+        self.assert_band(run, np.array([s.mean for s in stats]), np.array([s.stderr for s in stats]), 5.0)
+
+    def test_no_spread_uses_the_exact_sd(self, monkeypatch, capsys):
+        # M_2 = 2 has no variance, so only the exact mean 2 passes there
+        argv = ["density-convergence", "--n-list", "2", "--replicas", "2"]
+        assert outcomes(argv, capsys, "mc_agrees_") == [True]
+        monkeypatch.setattr(cli, "expected_M", lambda n: 2.5)
+        assert outcomes(argv, capsys, "mc_agrees_") == [False]
+        # above the rational cap the exact sd is sqrt(4e^-4 (n+2)), which the
+        # float law of M_n gives to 2e-15 at n = 300 (sd 4.7, so the band is
+        # 16.6 wide either way); seed 1 draws M = 256 twice there
+        argv = ["density-convergence", "--n-list", "300", "--replicas", "2", "--seed", "1"]
+        band = 5.0 * math.sqrt(distribution_M(300).variance() / 2)
+
+        def run(mean):
+            monkeypatch.setattr(cli, "expected_M_series", lambda n_max: np.full(n_max + 1, mean))
+            _, doc = run_json(argv, capsys)
+            entry = doc["checks"]["entries"][-1]
+            assert entry["detail"].endswith(f"= {band:.3e} (no spread in the sample)")
+            return [entry["passed"]]
+
+        self.assert_band(run, 256.0, band / 5.0, 5.0)
+
+    def test_no_spread_needs_no_float_law(self, monkeypatch, capsys):
+        # seed 62 draws equal M twice at n = 1e5, where the float law of M_n
+        # would take tens of seconds to give the variance
+        law = cli.distribution_M
+
+        def capped(n):
+            assert n <= DISTRIBUTION_RATIONAL_CAP, f"the float law of M_{n} was computed"
+            return law(n)
+
+        monkeypatch.setattr(cli, "distribution_M", capped)
+        assert main(["density-convergence", "--n-list", "100000", "--replicas", "2", "--seed", "62"]) == 0
+        assert "no spread" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["1", "7"])
     def test_no_spread_density_convergence(self, seed):
@@ -578,7 +637,7 @@ def assert_usage_error(argv, flag, capsys):
     assert f"argument {flag}" in captured.err
 
 
-# The three classes below keep the usage-error cases of the scripts that the
+# The two classes below keep the usage-error cases of the scripts that the
 # subcommands replaced under their first test names; test_usage_errors_exit_2
 # runs every one of these cases too.
 
@@ -614,10 +673,3 @@ class TestTrialsScript:
     )
     def test_bad_values_are_usage_errors(self, argv, capsys):
         assert_usage_error(["trials", *argv], argv[0], capsys)
-
-
-class TestAuditScript:
-    @pytest.mark.parametrize("value", ["0", "1", "11", "x"])
-    def test_n_max_out_of_range_is_usage_error(self, value, capsys):
-        # 0 and 1 would audit nothing and pass; 11 is past the enumeration cap
-        assert_usage_error(["oracle", "--n", value], "--n", capsys)

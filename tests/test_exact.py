@@ -235,6 +235,12 @@ class TestDistributionM:
     def test_variance_identity(self, n):
         assert abs(variance_gap(distribution_M(n, rational_cap=0).probs, n)) <= variance_envelope(n)
 
+    @pytest.mark.parametrize("n", range(40, 257, 12))
+    def test_variance_constant_from_40(self, n):
+        # Var(M_n) = 4e^-4 (n+2) up to a remainder below double precision from
+        # n = 40 on: density-convergence takes it above the rational cap
+        assert 4.0 * math.exp(-4.0) * (n + 2) == pytest.approx(float(distribution_M(n).variance()), rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("n", [30, 60])
     def test_variance_identity_planted_fault(self, n):
         law = recurrence_laws(n, shift=lambda m: (m + 1) // 2)[n]

@@ -22,7 +22,7 @@ from pagepark import (
 from pagepark import finite
 from pagepark.finite import tau_star, tau_star_rows
 from pagepark.oracle import CHAIN_CAP, expected_T_exact, park_in_rank_order
-from pagepark.stats import SampleStats
+from pagepark.stats import SampleStats, law_matches
 
 # seed-driven random fields keep hypothesis shrinking useful while the
 # marks themselves stay continuous (ties have probability ~ n 2^-53)
@@ -227,24 +227,13 @@ class TestDirectProcess:
     def test_batch_m_matches_exact_law(self):
         n, reps = 6, 40_000
         m_batch, _ = simulate_direct_batch(n, reps, SeedSpec(97))
-        law = distribution_M(n).probs
-        counts = collections.Counter(m_batch.tolist())
-        assert set(counts) <= set(law)
-        for m, p in law.items():
-            got = counts.get(m, 0) / reps
-            sigma = float(p * (1 - p) / reps) ** 0.5
-            assert abs(got - float(p)) <= 5 * sigma
+        assert law_matches(collections.Counter(m_batch.tolist()), distribution_M(n).probs)[0]
 
     def test_priorities_m_matches_exact_law(self):
         # the classifier on uniform marks: only their ordering matters
         n, reps = 6, 40_000
         m = occupancy_profile(SeedSpec(98).generator().random((reps, n - 1))).sum(axis=1)
-        law = distribution_M(n).probs
-        counts = collections.Counter(int(x) for x in m)
-        for mm, p in law.items():
-            got = counts.get(mm, 0) / reps
-            sigma = float(p * (1 - p) / reps) ** 0.5
-            assert abs(got - float(p)) <= 5 * sigma
+        assert law_matches(collections.Counter(m.tolist()), distribution_M(n).probs)[0]
 
 
 # the kernel's tau* paths, as (_SCAN_SITES, want_m): with _SCAN_SITES = 1

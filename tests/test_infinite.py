@@ -27,11 +27,10 @@ from pagepark import (
     sample_site_infinite,
 )
 from pagepark import core, infinite
-from pagepark.cli import _decorrelation_check, _lag0_check, _no_vacant_pair_check
 from pagepark.infinite import (
     _AUTOCOV_CHUNK, _CHUNK, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _pair_runs, _runs_chunk, _walk,
 )
-from pagepark.stats import chi_square_sf, wilson_interval
+from pagepark.stats import law_matches, wilson_contains, within_stderr
 
 
 def _tau_rule(rise, descent, xi_left, xi_right) -> float:
@@ -122,14 +121,11 @@ class TestRunLaws:
         assert p > 0.001
 
     def test_run_length_marginals(self):
+        # P(len = j) = 1/j! - 1/(j+1)! and P(len >= 4) = 1/4!
         runs = sample_runs(200_000, seed=60)
-        n = runs.replicas
-        for j in (1, 2, 3):
-            for lengths in (runs.descent, runs.rise):
-                got = float((lengths == j).mean())
-                want = 1.0 / math.factorial(j) - 1.0 / math.factorial(j + 1)
-                sigma = math.sqrt(want * (1 - want) / n)
-                assert abs(got - want) <= 5 * sigma
+        law = {j: 1.0 / math.factorial(j) - 1.0 / math.factorial(j + 1) for j in (1, 2, 3)} | {4: 1.0 / 24.0}
+        for lengths in (runs.descent, runs.rise):
+            assert law_matches(dict(enumerate(np.bincount(np.minimum(lengths, 4)))), law)[0]
 
     def test_tail_bound(self):
         runs = sample_runs(200_000, seed=61)
@@ -339,47 +335,30 @@ def _strip_failures(est) -> list[str]:
     and two vacant sites are never 1, 2 or 4 apart, so there cov(k) = -e^-4
     exactly."""
     vac = math.exp(-2.0)
-    failed = []
-    for name in ("mean_site_0", "mean_site_k"):
-        lo, hi = wilson_interval(getattr(est, name), est.replicas, 4.0)
-        if not lo <= 1.0 - vac <= hi:
-            failed.append(name)
-    if est.k == 0 and not _lag0_check(est, vac * (1.0 - vac))[0]:
+    failed = [name for name in ("mean_site_0", "mean_site_k")
+              if not wilson_contains(getattr(est, name), est.replicas, 1.0 - vac, 4.0)[0]]
+    if est.k == 0 and not within_stderr(est.estimate, vac * (1.0 - vac), est.stderr, 5.0)[0]:
         failed.append("lag0")
     if est.k in (1, 2, 4):
-        if not _no_vacant_pair_check(est)[0]:
+        if est.both_vacant:
             failed.append("no_vacant_pair")
-        if not _decorrelation_check(est, cov=-vac * vac)[0]:
+        if not within_stderr(est.estimate, -vac * vac, est.stderr, 5.0)[0]:
             failed.append("cov")
     return failed
 
 
 def _vacancy_agrees(runs) -> bool:
     """e^-2 lies in the 4-sigma Wilson interval of the vacant fraction."""
-    lo, hi = wilson_interval(float(runs.vacant.mean()), runs.replicas, 4.0)
-    return lo <= math.exp(-2.0) <= hi
+    return wilson_contains(float(runs.vacant.mean()), runs.replicas, math.exp(-2.0), 4.0)[0]
 
 
-def _run_law_p(runs) -> float:
-    """One-sample chi-square p-value of the joint (rise, descent) at site 0
-    against its exact law: the two are independent, and each has
-    P(len = j) = j/(j+1)! for j < 6 and P(len >= 6) = 1/6!. The 36 cells are
-    taken in row-major order, and a cell whose expected count is below 5 is
-    pooled with the cells after it (a short last group with the cell before)."""
+def _run_law(runs) -> tuple[bool, str]:
+    """law_matches for the joint (rise, descent) at site 0 against its exact
+    law: the two are independent, and each has P(len = j) = j/(j+1)! for
+    j < 6 and P(len >= 6) = 1/6!. The 36 cells are taken in row-major order."""
     law = [j / math.factorial(j + 1) for j in range(1, 6)] + [1 / math.factorial(6)]
-    observed = np.bincount(6 * (np.minimum(runs.rise, 6) - 1) + np.minimum(runs.descent, 6) - 1, minlength=36)
-    expected = runs.replicas * np.outer(law, law).ravel()
-    pooled_o, pooled_e, acc_o, acc_e = [], [], 0, 0.0
-    for o, e in zip(observed, expected):
-        acc_o, acc_e = acc_o + int(o), acc_e + e
-        if acc_e >= 5.0:
-            pooled_o.append(acc_o)
-            pooled_e.append(acc_e)
-            acc_o, acc_e = 0, 0.0
-    pooled_o[-1] += acc_o
-    pooled_e[-1] += acc_e
-    o, e = np.array(pooled_o), np.array(pooled_e)
-    return chi_square_sf(float(((o - e) ** 2 / e).sum()), o.size - 1)
+    cells = np.bincount(6 * (np.minimum(runs.rise, 6) - 1) + np.minimum(runs.descent, 6) - 1, minlength=36)
+    return law_matches(dict(enumerate(cells)), dict(enumerate(np.outer(law, law).ravel())))
 
 
 class _IntegerMarks:
@@ -561,7 +540,7 @@ class TestStripKernel:
 
     def test_runs_follow_their_exact_law(self):
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
-        assert _run_law_p(runs) > 0.001 and _vacancy_agrees(runs)
+        assert _run_law(runs)[0] and _vacancy_agrees(runs)
         for k in (0, 1, 2, 4):
             assert _strip_failures(autocovariance_mc(k, 1_000_000, seed=SeedSpec(87, k), threads=2)) == []
 
@@ -574,7 +553,8 @@ class TestStripKernel:
             assert _strip_failures(autocovariance_mc(k, 1_000_000, seed=SeedSpec(87, k), threads=2))
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
         assert not _vacancy_agrees(runs)
-        assert _run_law_p(runs) < 1e-9
+        ok, detail = _run_law(runs)
+        assert not ok and float(detail.rsplit("p = ", 1)[1]) < 1e-9
 
     def test_longest_run_is_thread_independent(self):
         a = autocovariance_mc(3, 40_000, seed=88, threads=1)

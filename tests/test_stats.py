@@ -1,12 +1,26 @@
 """The stdlib chi-square tail, checked against scipy, which is a test-only
-dependency."""
+dependency, and the three checks against exact values: each passes on its
+exact value, fails on a shift of a few standard errors, and never passes
+vacuously on a sample with no spread."""
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from pagepark.stats import bernoulli_variance_range, chi_square_sf, proportion_estimate, wilson_interval
+from pagepark.core import SeedSpec
+from pagepark.stats import (
+    SampleStats,
+    bernoulli_variance_range,
+    chi_square_sf,
+    chi_square_two_sample,
+    law_matches,
+    proportion_estimate,
+    wilson_contains,
+    wilson_interval,
+    within_stderr,
+)
 
 
 def test_chi_square_sf_matches_scipy():
@@ -65,6 +79,57 @@ def test_proportion_stderr_is_wald_without_floor():
 
 
 def test_bernoulli_variance_range():
-    assert bernoulli_variance_range(0.1, 0.2) == pytest.approx((0.09, 0.16))
-    assert bernoulli_variance_range(0.4, 0.9) == pytest.approx((0.09, 0.25))
-    assert bernoulli_variance_range(0.7, 0.7) == pytest.approx((0.21, 0.21))
+    assert bernoulli_variance_range(0.1, 0.2) == pytest.approx(0.16)
+    assert bernoulli_variance_range(0.4, 0.9) == pytest.approx(0.25)
+    assert bernoulli_variance_range(0.7, 0.7) == pytest.approx(0.21)
+
+
+def test_within_stderr_power():
+    sample = SampleStats.from_samples(SeedSpec(5).generator().normal(3.0, 2.0, 10_000))
+    assert within_stderr(sample.mean, 3.0, sample.stderr, 5.0)[0]
+    for shift, ok in ((-4.0, True), (4.0, True), (-6.0, False), (6.0, False)):
+        assert within_stderr(3.0 + shift * sample.stderr, 3.0, sample.stderr, 5.0)[0] == ok
+    # no spread and stderr 0: the band is a point, passed only by a one-point law
+    flat = SampleStats.from_samples([2.0, 2.0])
+    assert within_stderr(flat.mean, 2.0, flat.stderr, 5.0)[0]
+    assert not within_stderr(flat.mean, 2.0 + 1e-9, flat.stderr, 5.0)[0]
+
+
+def test_wilson_contains_power():
+    q, total = 0.3, 10_000
+    se = math.sqrt(q * (1.0 - q) / total)
+    assert wilson_contains(q + 2.0 * se, total, q, 4.0)[0]
+    for shift in (-6.0, 6.0):
+        assert not wilson_contains(q + shift * se, total, q, 4.0)[0]
+    # all or no hits: the interval is no point, but it is as narrow as the
+    # score test allows, so it holds only probabilities near 0 or 1
+    assert not wilson_contains(1.0, total, 0.99, 4.0)[0] and not wilson_contains(0.0, total, 0.01, 4.0)[0]
+    assert wilson_contains(1.0, total, 0.9999, 4.0)[0] and wilson_contains(0.0, total, 0.0, 4.0)[0]
+
+
+def test_law_matches_power():
+    law = {0: 0.5, 1: 0.3, 2: 0.2}
+    assert law_matches({0: 5000, 1: 3000, 2: 2000}, law)[0]
+    shift = round(5 * math.sqrt(10_000 * 0.3 * 0.7))  # 5 standard errors of the count of 1
+    assert not law_matches({0: 5000 - shift, 1: 3000 + shift, 2: 2000}, law)[0]
+    assert not law_matches({1: 10_000}, law)[0]  # no spread
+    # a value the law excludes gives p = 0, however rare it was
+    assert law_matches({2: 10}, {2: 1.0}) == (True, "chi-square 0.000 on 0 dof, p = 1")
+    for counts, law_ in (({2: 9, 4: 1}, {2: 1.0}), ({0: 5000, 1: 3000, 2: 1999, 7: 1}, law)):
+        ok, detail = law_matches(counts, law_)
+        assert not ok and detail.startswith("p = 0: the law excludes the value")
+
+
+def test_law_matches_pools_sparse_cells():
+    # expected counts 3, 3 | 10 | 1, 1, 2: the first two cells close a group at
+    # 6 and the third a group of its own; the short last group (4) joins the
+    # one before, so the groups are observed 8, 12 against expected 6, 14
+    law = {k: e / 20 for k, e in enumerate([3, 3, 10, 1, 1, 2])}
+    ok, detail = law_matches({0: 8, 2: 8, 3: 4}, law)
+    stat = 2**2 / 6 + 2**2 / 14
+    assert ok and detail == f"chi-square {stat:.3f} on 1 dof, p = {chi_square_sf(stat, 1):.3g}"
+    # the two-sample test pools by the smaller sample's expected counts
+    # 5.5 | 1.5, 9 | 2.5, 0.5, 1 the same way: groups [0], [1..5]
+    got = chi_square_two_sample({0: 8, 2: 8, 3: 4}, {0: 3, 1: 3, 2: 10, 3: 1, 4: 1, 5: 2})
+    stat = 2 * (2.5**2 / 5.5 + 2.5**2 / 14.5)
+    assert got == pytest.approx((stat, 1, chi_square_sf(stat, 1)), rel=1e-12)
