@@ -35,12 +35,13 @@ from .exact import (
     per_site_vacancy_exact,
     per_site_vacancy_float,
     site_coupling_bound,
+    variance_M,
 )
 from . import finite, infinite
 from .finite import occupancy_profile
 from .infinite import autocovariance_mc
 from .oracle import ENUMERATION_CAP, enumerate_orderings, expected_T_exact
-from .stats import SampleStats, bernoulli_variance_range, wilson_contains, wilson_interval, within_stderr
+from .stats import SampleStats, within_stderr
 from .trials import TAU_STAR_LEVELS, trials_ratio_sweep
 
 __all__ = ["build_parser", "main"]
@@ -127,13 +128,14 @@ def _read(kind: Callable[[str], Any], text: str, need: str):
         raise argparse.ArgumentTypeError(f"need {need}, got {text!r}") from None
 
 
-def _at_least(low: int) -> Callable[[str], int]:
-    """An integer >= low."""
+def _at_least(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An integer >= low, and <= high if a high is given."""
+    need = f"an integer >= {low}" if high is None else f"an integer in {low}..{high}"
 
     def integer(text: str) -> int:
-        value = _read(int, text, f"an integer >= {low}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        value = _read(int, text, need)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"need {need}, got {value}")
         return value
 
     return integer
@@ -176,14 +178,6 @@ def _out_path(text: str) -> str:
 _replica_count = _at_least(2)  # one replica has no standard error
 
 
-def _enumerable(text: str) -> int:
-    """An interval size the oracle can enumerate: 2..ENUMERATION_CAP."""
-    value = _read(int, text, f"an integer in 2..{ENUMERATION_CAP}")
-    if not 2 <= value <= ENUMERATION_CAP:
-        raise argparse.ArgumentTypeError(f"need an integer in 2..{ENUMERATION_CAP}, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -224,18 +218,8 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
             density_gap <= 12.0 / n + 1e-12,
             f"|E[M_n]/n - (1-e^-2)| = {density_gap:.3e} <= 12/n = {12.0 / n:.3e}",
         )
-        stderr = m_stats.stderr
-        if not stderr:
-            # no spread, so no sample stderr: take the exact law's. Above the
-            # rational cap Var(M_n) = 4e^-4 (n+2), which the exact law matches
-            # to double precision from n = 40 on; the float law costs O(n^2)
-            if n > DISTRIBUTION_RATIONAL_CAP:
-                var = 4.0 * math.exp(-4.0) * (n + 2)
-            else:
-                var = float(distribution_M(n).variance())
-            stderr = math.sqrt(var / m_stats.count)
-        ok, detail = within_stderr(m_stats.mean, em, stderr, 5.0)
-        checks.record(f"mc_agrees_n{n}", ok, detail if m_stats.stderr else f"{detail} (no spread in the sample)")
+        checks.record(f"mc_agrees_n{n}",
+                      *within_stderr(m_stats.mean, em, math.sqrt(variance_M(n) / m_stats.count), 5.0))
     params = {"n_list": n_list, "replicas": args.replicas}
     return rows, checks, params
 
@@ -266,7 +250,8 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 replicas=args.replicas,
             )
         )
-        checks.record(f"curve_t{t:g}", *wilson_contains(mc.estimate, mc.replicas, closed, 4.0))
+        checks.record(f"curve_t{t:g}",
+                      *within_stderr(mc.estimate, closed, math.sqrt(closed * (1.0 - closed) / mc.replicas), 4.0))
     params = {"t_grid": t_grid, "replicas": args.replicas, "dist": args.dist}
     return rows, checks, params
 
@@ -444,10 +429,11 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         if k == 0:
             # cov(0) is the variance q(1-q) of the site-0 occupancy q, and it
             # equals vac (1-vac) at q = vac and at q = 1-vac. X(0) and 1-X(0)
-            # share the variance and have mirrored Wilson intervals, so that of
-            # the occupancy holds vac or 1-vac iff that of the rarer value holds vac
+            # share the variance and the band, so the occupancy is near vac or
+            # 1-vac iff the rarer value is near vac
             rarer = min(est.mean_site_0, 1.0 - est.mean_site_0)
-            checks.record("lag0_is_bernoulli_variance", *wilson_contains(rarer, est.replicas, vac, 5.0))
+            checks.record("lag0_is_bernoulli_variance",
+                          *within_stderr(rarer, vac, math.sqrt(vac * (1.0 - vac) / est.replicas), 5.0))
         elif k in (1, 2, 4):
             # runs of cars have even length, so two vacant sites are never 1,
             # 2 or 4 apart: an exact count, with no band
@@ -455,12 +441,10 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                           f"{est.both_vacant} of {est.replicas} pairs have both sites vacant")
         elif k >= 30:
             # decorrelated sites give the sample covariance the stderr
-            # sqrt(var X(0) var X(k) / replicas), each variance at its largest
-            # over the site's 5-sigma Wilson interval, so never 0
-            var_0, var_k = (bernoulli_variance_range(*wilson_interval(q, est.replicas, 5.0))
-                            for q in (est.mean_site_0, est.mean_site_k))
+            # sqrt(var X(0) var X(k) / replicas), and each site's occupancy
+            # variance on the line is exactly vac (1-vac)
             checks.record(f"lag{k}_decorrelated",
-                          *within_stderr(est.estimate, 0.0, math.sqrt(var_0 * var_k / est.replicas), 5.0))
+                          *within_stderr(est.estimate, 0.0, vac * (1.0 - vac) / math.sqrt(est.replicas), 5.0))
     params = {"k_list": k_list, "replicas": args.replicas}
     return rows, checks, params
 
@@ -533,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle",
                        help="exhaustive small-n enumeration report (JSON)")
-    p.add_argument("--n", type=_csv_list(_enumerable), default="6",
+    p.add_argument("--n", type=_csv_list(_at_least(2, ENUMERATION_CAP)), default="6",
                    help=f"comma-separated interval sizes, each in 2..{ENUMERATION_CAP}")
     # the report is nested (a distribution and a profile), which csv would flatten
     _add_output(p, ("json",))

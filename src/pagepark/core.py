@@ -74,9 +74,11 @@ def chunk_sizes(total: int, chunk: int) -> list[int]:
 
 
 def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int = 1) -> Iterator:
-    """fn(job, rng) for each job, yielded lazily in job order, each job on its
-    own stream, so a caller can reduce each result as it arrives instead of
-    holding them all.
+    """fn(job, rng) for each job, yielded in job order, each job on its own
+    stream, so a caller can reduce each result as it arrives. Only the serial
+    path is lazy and holds one result at a time. Under a pool, Executor.map
+    submits every job at once, so results that finish ahead of the caller
+    wait in memory until they are taken.
 
     Job c of a call seeded SeedSpec(m, r) draws from SeedSequence(m,
     spawn_key=(r, c)), the c-th child that SeedSpec(m, r) spawns. So calls with

@@ -41,35 +41,16 @@ def proportion_estimate(hits: int, total: int) -> MCEstimate:
     return MCEstimate(estimate=p, stderr=math.sqrt(p * (1.0 - p) / total), replicas=total)
 
 
-def wilson_interval(p: float, total: int, z: float) -> tuple[float, float]:
-    """Wilson (1927) score interval for a proportion p observed in total trials:
-    the q with |p - q| <= z sqrt(q(1-q)/total). Its width stays positive at
-    p = 0 or 1, where the Wald band p +- z stderr collapses to a point."""
-    z2 = z * z / total
-    centre = (p + z2 / 2.0) / (1.0 + z2)
-    half = z / (1.0 + z2) * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total))
-    return (0.0 if p == 0.0 else centre - half), (1.0 if p == 1.0 else centre + half)
-
-
-def bernoulli_variance_range(lo: float, hi: float) -> float:
-    """Largest q(1-q) over q in the range [lo, hi]."""
-    peak = min(max(0.5, lo), hi)
-    return peak * (1.0 - peak)
-
-
 def within_stderr(estimate: float, exact: float, stderr: float, z: float) -> tuple[bool, str]:
     """(ok, detail): the estimate lies within z standard errors of the exact
-    value. A caller whose sample has no spread passes the stderr of the exact
-    law, so the band is 0 only where that law is a single point."""
+    value. The caller takes stderr from the exact law, not from the sample,
+    so the band is 0 only where that law is a single point, and a sample with
+    no spread is judged like any other. For a proportion p of total trials
+    against an exact q, with stderr sqrt(q(1-q)/total), this is the score test
+    that the Wilson (1927) interval inverts: it passes iff q lies in the
+    z-sigma Wilson interval of p."""
     diff, band = abs(estimate - exact), z * stderr
     return diff <= band, f"estimate {estimate:.6f} vs exact {exact:.6f}: |diff| {diff:.3e} <= {z:g} stderr = {band:.3e}"
-
-
-def wilson_contains(p: float, total: int, exact: float, z: float) -> tuple[bool, str]:
-    """(ok, detail): the exact probability lies in the z-sigma Wilson interval
-    of the proportion p observed in total trials."""
-    lo, hi = wilson_interval(p, total, z)
-    return lo <= exact <= hi, f"exact {exact:.6f} in {z:g}-sigma Wilson interval [{lo:.6f}, {hi:.6f}] of {p:.6f}"
 
 
 def _pooled(cells: np.ndarray, expected: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from pagepark import cli, infinite, oracle
+from pagepark import cli, exact, infinite, oracle
 from pagepark.cli import build_parser, main
 from pagepark.core import DEFAULT_SEED, SeedSpec
 from pagepark.exact import (
@@ -21,6 +21,7 @@ from pagepark.exact import (
     expected_M,
     limit_constants,
     per_site_vacancy_exact,
+    variance_M,
 )
 from pagepark.finite import occupancy_profile, simulate_direct_batch
 from pagepark.infinite import autocovariance_mc
@@ -276,20 +277,22 @@ class TestOutAndErrors:
         assert f"error: argument {'--n-list/--k-list' if aliased else argv[1]}:" in captured.err
 
     @pytest.mark.parametrize(
-        "argv, entry, need",
+        "argv, entry, need, got",
         [
-            (["oracle", "--n", "2,x"], "x", "need an integer in 2..10"),
-            (["trials", "--n-list", "ten"], "ten", "need an integer >= 2"),
-            (["density-curve", "--t-grid", "0.5,abc"], "abc", "need a finite time >= 0"),
+            (["oracle", "--n", "2,x"], "x", "need an integer in 2..10", "'x'"),
+            (["trials", "--n-list", "ten"], "ten", "need an integer >= 2", "'ten'"),
+            (["density-curve", "--t-grid", "0.5,abc"], "abc", "need a finite time >= 0", "'abc'"),
+            (["oracle", "--n", "2,11"], "11", "need an integer in 2..10", "11"),
+            (["trials", "--n-list", "5,1"], "1", "need an integer >= 2", "1"),
         ],
-        ids=["oracle", "trials", "density-curve"],
+        ids=["oracle", "trials", "density-curve", "oracle_out_of_range", "trials_out_of_range"],
     )
-    def test_list_flag_names_the_bad_entry(self, argv, entry, need, capsys):
+    def test_list_flag_names_the_bad_entry(self, argv, entry, need, got, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"entry {entry!r} of {argv[-1]!r}: {need}, got {entry!r}" in err
+        assert f"entry {entry!r} of {argv[-1]!r}: {need}, got {got}\n" in err
 
     def test_usage_error_process_has_no_traceback(self):
         res = run_cli("trials", "--replicas", "1")
@@ -371,11 +374,16 @@ def outcomes(argv, capsys, prefix: str = "") -> list[bool]:
     return [e["passed"] for e in doc["checks"]["entries"] if e["name"].startswith(prefix)]
 
 
+def no_spread_band(n: int, replicas: int) -> float:
+    """The mc_agrees band of density-convergence: 5 exact standard errors."""
+    return 5.0 * math.sqrt(variance_M(n) / replicas)
+
+
 class TestCheckPower:
     """Each statistical check of the CLI, driven through its command at the
     default replicas with the reference it reads moved: placed 6 Wald stderr
-    from the estimate it fails on either side, and the Wilson bands are as
-    wide as the Wald bands they replace to within 5%."""
+    from the estimate it fails on either side. Each band is z standard errors
+    of the exact law, which are as wide as z sample stderr to within 5%."""
 
     @staticmethod
     def assert_band(run, centre, stderr, z):
@@ -481,17 +489,16 @@ class TestCheckPower:
         assert outcomes(argv, capsys, "mc_agrees_") == [True]
         monkeypatch.setattr(cli, "expected_M", lambda n: 2.5)
         assert outcomes(argv, capsys, "mc_agrees_") == [False]
-        # above the rational cap the exact sd is sqrt(4e^-4 (n+2)), which the
-        # float law of M_n gives to 2e-15 at n = 300 (sd 4.7, so the band is
-        # 16.6 wide either way); seed 1 draws M = 256 twice there
+        # at n = 300 the exact sd is sqrt(4e^-4 (n+2)) = 4.7, so the band is
+        # 16.6 wide; seed 1 draws M = 256 twice there
         argv = ["density-convergence", "--n-list", "300", "--replicas", "2", "--seed", "1"]
-        band = 5.0 * math.sqrt(distribution_M(300).variance() / 2)
+        band = no_spread_band(300, 2)
 
         def run(mean):
             monkeypatch.setattr(cli, "expected_M_series", lambda n_max: np.full(n_max + 1, mean))
             _, doc = run_json(argv, capsys)
             entry = doc["checks"]["entries"][-1]
-            assert entry["detail"].endswith(f"= {band:.3e} (no spread in the sample)")
+            assert entry["detail"].endswith(f"= {band:.3e}")
             return [entry["passed"]]
 
         self.assert_band(run, 256.0, band / 5.0, 5.0)
@@ -499,24 +506,25 @@ class TestCheckPower:
     def test_no_spread_needs_no_float_law(self, monkeypatch, capsys):
         # seed 62 draws equal M twice at n = 1e5, where the float law of M_n
         # would take tens of seconds to give the variance
-        law = cli.distribution_M
+        law = exact.distribution_M
 
-        def capped(n):
+        def capped(n, *args, **kwargs):
             assert n <= DISTRIBUTION_RATIONAL_CAP, f"the float law of M_{n} was computed"
-            return law(n)
+            return law(n, *args, **kwargs)
 
+        monkeypatch.setattr(exact, "distribution_M", capped)
         monkeypatch.setattr(cli, "distribution_M", capped)
         assert main(["density-convergence", "--n-list", "100000", "--replicas", "2", "--seed", "62"]) == 0
-        assert "no spread" in capsys.readouterr().err
+        assert f"= {no_spread_band(100_000, 2):.3e}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["1", "7"])
     def test_no_spread_density_convergence(self, seed):
         # seed 1 is the command that failed against the old 1e-9 band; it
-        # draws M = 4 twice, and seed 7 draws M = 2 twice, so both use the
-        # exact-sd band
+        # draws M = 4 twice, and seed 7 draws M = 2 twice, so both are judged
+        # by the exact law's sd alone
         res = run_cli("density-convergence", "--n-list", "4", "--replicas", "2", "--seed", seed)
         assert res.returncode == 0, res.stderr
-        assert "no spread" in res.stderr
+        assert f"= {no_spread_band(4, 2):.3e}\n" in res.stderr
 
     def test_no_spread_above_the_rational_cap(self):
         # seed 1 draws M = 256 twice at n = 300 (the first seed from 0 up whose
@@ -524,19 +532,27 @@ class TestCheckPower:
         # M); the check used to fail outright above the cap
         res = run_cli("density-convergence", "--n-list", "300", "--replicas", "2", "--seed", "1")
         assert res.returncode == 0, res.stderr
-        assert "no spread" in res.stderr
+        assert f"= {no_spread_band(300, 2):.3e}\n" in res.stderr
 
     def test_all_hits_no_longer_fails(self):
-        # with 2 replicas both hit at t = 4: the Wald band was 4 * 1e-150 wide
-        res = run_cli("density-curve", "--replicas", "2", "--seed", "1")
+        # with 2 replicas seed 3 has no hits at t = 0.25, 0.5 and all hits from
+        # t = 1 on: there the Wald stderr is 0, and a band taken from it fails
+        res = run_cli("density-curve", "--replicas", "2", "--seed", "3")
         assert res.returncode == 0, res.stderr
-        assert "check[ok] curve_t4" in res.stderr
+        estimates = [line.split(",")[2] for line in res.stdout.splitlines()[1:]]
+        assert estimates == ["0", "0", "1", "1", "1"]
+        assert "check[ok] curve_t0.25" in res.stderr and "check[ok] curve_t4" in res.stderr
 
     def test_constant_pairs_no_longer_fail(self):
         # 2 pairs with occupancies (1, 0) at lag 0: the sample products are
         # equal, so the Wald stderr was 0 and the band 1e-9
         res = run_cli("autocovariance", "--k-list", "0,34", "--replicas", "2", "--seed", "1")
         assert res.returncode == 0, res.stderr
+        # seed 0 occupies site 0 in both pairs, so the rarer value has no
+        # spread at all, and the lag-0 band comes from e^-2 alone
+        res = run_cli("autocovariance", "--k-list", "0", "--replicas", "2", "--seed", "0")
+        assert res.returncode == 0, res.stderr
+        assert "check[ok] lag0_is_bernoulli_variance: estimate 0.000000 vs exact 0.135335" in res.stderr
 
 
 class TestInProcess:

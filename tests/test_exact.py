@@ -21,6 +21,7 @@ from pagepark import (
     per_site_vacancy_float,
     site_coupling_bound,
 )
+from pagepark.exact import variance_M
 
 F = Fraction
 
@@ -235,11 +236,17 @@ class TestDistributionM:
     def test_variance_identity(self, n):
         assert abs(variance_gap(distribution_M(n, rational_cap=0).probs, n)) <= variance_envelope(n)
 
-    @pytest.mark.parametrize("n", range(40, 257, 12))
+    @pytest.mark.parametrize("n", [*range(40, 257, 12), 1000, 3000])
     def test_variance_constant_from_40(self, n):
-        # Var(M_n) = 4e^-4 (n+2) up to a remainder below double precision from
-        # n = 40 on: density-convergence takes it above the rational cap
-        assert 4.0 * math.exp(-4.0) * (n + 2) == pytest.approx(float(distribution_M(n).variance()), rel=1e-15, abs=0)
+        # variance_M takes Var(M_n) = 4e^-4 (n+2) from n = 40 on, where the
+        # remainder is below double precision: within 1e-15 of the exact law up
+        # to the rational cap, and within the float law's rounding beyond it
+        # (gaps of 7.8e-15 and 2.1e-14 measured at n = 1000 and 3000)
+        law = distribution_M(n)
+        assert variance_M(n) == pytest.approx(float(law.variance()), rel=1e-15 if law.exact else 1e-13, abs=0)
+
+    def test_variance_below_40_is_the_law(self):
+        assert [variance_M(n) for n in range(40)] == [float(distribution_M(n).variance()) for n in range(40)]
 
     @pytest.mark.parametrize("n", [30, 60])
     def test_variance_identity_planted_fault(self, n):

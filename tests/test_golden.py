@@ -33,13 +33,13 @@ EXACT = {
 # sha256 of stdout, by command and format
 DIGESTS = {
     ("density-convergence", "csv"): "a01b4c414c9aefe8ebcd312ad5a626c292f9a6ebc2834db9f0c2b86be996605a",
-    ("density-convergence", "json"): "9658ad3f927a9f81a646f2fd8cd0ba166fc3e8f4b1d25ab9eb908ba4d6c3c81d",
+    ("density-convergence", "json"): "13f9ada5768b91e22e2546546078ef223643e1f5454868845ac965b524cebe83",
     ("density-curve", "csv"): "ece1d98aeb96b50aafbcbed05c7188dea06b435e8911e1ae24fe8e997edfd6b5",
-    ("density-curve", "json"): "44fea9f79d5ce36afd21cb8bf8707701022a0edc1960a9596a1839e5acd7154a",
+    ("density-curve", "json"): "90cb5a56c6033a05229c996b0e9c08f5fb1295076aed073ed614082a171ee869",
     ("trials", "csv"): "7c75661ac8289a873fe349b9fe086a17bc3a33634e84b21b88a7aa4b62c4aa6f",
     ("trials", "json"): "0253af0e58b9868804015d24538fd91a861ce6d85b1ebd6800eb18cc06723d33",
     ("autocovariance", "csv"): "617115b0b28ec12cbcd90bce92564291357927462966bf0565e5c5a6e96f9a27",
-    ("autocovariance", "json"): "5f7d5b8cc517c845882674cc57d28f5330748d5b25d5471b48b12c69fa822af6",
+    ("autocovariance", "json"): "e51adab7a288c54fe523a983b28d8485250830d731cbe35970d5994d884721e7",
     ("site-vacancy", "csv"): "95a80a79351ea2441d97fff3de26e48696fba2e73695ec6a016391b02f1dc21d",
     ("site-vacancy", "json"): "e951178227ad4d1c239e361e97af551d19237a76a3b47271c5733c6ac9a121e8",
     ("oracle", "json"): "008538397544bee9e84c35441384e5fc491406f8052df4fbc7c8b0db3211fd77",

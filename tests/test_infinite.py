@@ -30,7 +30,14 @@ from pagepark import core, infinite
 from pagepark.infinite import (
     _AUTOCOV_CHUNK, _CHUNK, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _pair_runs, _runs_chunk, _walk,
 )
-from pagepark.stats import law_matches, wilson_contains, within_stderr
+from pagepark.stats import law_matches, within_stderr
+
+
+def _proportion_agrees(p: float, total: int, q: float) -> bool:
+    """A proportion p of total trials lies within 4 standard errors of the
+    exact probability q, at the exact Bernoulli sd, so never vacuously at 0
+    or total hits."""
+    return within_stderr(p, q, math.sqrt(q * (1.0 - q) / total), 4.0)[0]
 
 
 def _tau_rule(rise, descent, xi_left, xi_right) -> float:
@@ -200,7 +207,7 @@ class TestEstimators:
     def test_vacancy_near_limit(self):
         runs = sample_runs(300_000, seed=70)
         est = proportion_estimate(int(runs.vacant.sum()), runs.replicas)
-        assert abs(est.estimate - limit_constants()["vacancy"]) <= 4.0 * est.stderr
+        assert _proportion_agrees(est.estimate, est.replicas, limit_constants()["vacancy"])
 
     def test_tau_vacant_iff_infinite(self):
         runs = sample_runs(20_000, seed=71)
@@ -215,14 +222,14 @@ class TestEstimators:
         values = [e.estimate for e in est]
         assert values == sorted(values)  # shared batch forces monotonicity
         for e, c in zip(est, closed):
-            assert abs(e.estimate - c) <= 4 * e.stderr
+            assert _proportion_agrees(e.estimate, e.replicas, c)
 
     def test_odd_descent_prob_curve(self):
         grid = [0.3, 1.0, 3.0]
         est = sample_runs(100_000, seed=73).odd_descent_time_prob(grid)
         closed = odd_descent_prob_closed_form(grid)
         for e, c in zip(est, closed):
-            assert abs(e.estimate - c) <= 4 * e.stderr
+            assert _proportion_agrees(e.estimate, e.replicas, c)
 
     def test_replica_index_selects_the_stream(self):
         # SeedSpec(m, 71) and SeedSpec(m, 72) are independent batches
@@ -233,7 +240,7 @@ class TestEstimators:
     def test_uniform_kind_curve(self):
         est = sample_runs(100_000, seed=74).density_at_time([0.4], UNIFORM)[0]
         closed = float(density_curve_closed_form([0.4], dist=UNIFORM)[0])
-        assert abs(est.estimate - closed) <= 4 * est.stderr
+        assert _proportion_agrees(est.estimate, est.replicas, closed)
 
 
 class TestAutocovariance:
@@ -336,7 +343,7 @@ def _strip_failures(est) -> list[str]:
     exactly."""
     vac = math.exp(-2.0)
     failed = [name for name in ("mean_site_0", "mean_site_k")
-              if not wilson_contains(getattr(est, name), est.replicas, 1.0 - vac, 4.0)[0]]
+              if not _proportion_agrees(getattr(est, name), est.replicas, 1.0 - vac)]
     if est.k == 0 and not within_stderr(est.estimate, vac * (1.0 - vac), est.stderr, 5.0)[0]:
         failed.append("lag0")
     if est.k in (1, 2, 4):
@@ -348,8 +355,8 @@ def _strip_failures(est) -> list[str]:
 
 
 def _vacancy_agrees(runs) -> bool:
-    """e^-2 lies in the 4-sigma Wilson interval of the vacant fraction."""
-    return wilson_contains(float(runs.vacant.mean()), runs.replicas, math.exp(-2.0), 4.0)[0]
+    """The vacant fraction lies within 4 exact standard errors of e^-2."""
+    return _proportion_agrees(float(runs.vacant.mean()), runs.replicas, math.exp(-2.0))
 
 
 def _run_law(runs) -> tuple[bool, str]:

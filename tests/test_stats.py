@@ -1,5 +1,5 @@
 """The stdlib chi-square tail, checked against scipy, which is a test-only
-dependency, and the three checks against exact values: each passes on its
+dependency, and the two checks against exact values: each passes on its
 exact value, fails on a shift of a few standard errors, and never passes
 vacuously on a sample with no spread."""
 import math
@@ -12,13 +12,10 @@ import pytest
 from pagepark.core import SeedSpec
 from pagepark.stats import (
     SampleStats,
-    bernoulli_variance_range,
     chi_square_sf,
     chi_square_two_sample,
     law_matches,
     proportion_estimate,
-    wilson_contains,
-    wilson_interval,
     within_stderr,
 )
 
@@ -51,37 +48,39 @@ def test_import_leaves_scipy_out():
     assert res.stdout.strip() == "False"
 
 
+def wilson_interval(p: float, total: int, z: float) -> tuple[float, float]:
+    """The z-sigma Wilson (1927) score interval of a proportion p observed in
+    total trials, in closed form: {q : |p - q| <= z sqrt(q(1-q)/total)}."""
+    z2 = z * z / total
+    centre = (p + z2 / 2.0) / (1.0 + z2)
+    half = z / (1.0 + z2) * math.sqrt(p * (1.0 - p) / total + z2 / (4.0 * total))
+    return (0.0 if p == 0.0 else centre - half), (1.0 if p == 1.0 else centre + half)
+
+
 @pytest.mark.parametrize("hits,total", [(0, 2), (1, 2), (2, 2), (0, 1000), (3, 1000), (500, 1000), (1000, 1000)])
 @pytest.mark.parametrize("z", [1.96, 4.0, 5.0])
 def test_wilson_interval_inverts_the_score_test(hits, total, z):
+    # within_stderr at the exact Bernoulli sd passes q iff q lies in the
+    # z-sigma Wilson interval of p, which is never a point
     p = hits / total
     lo, hi = wilson_interval(p, total, z)
-    assert 0.0 <= lo <= p <= hi <= 1.0
-    assert hi - lo > 0.0  # never a point, even at 0 or total hits
-    # each interior endpoint q solves |p - q| = z sqrt(q(1-q)/total)
-    for q in (lo, hi):
+    assert 0.0 <= lo <= p <= hi <= 1.0 and hi - lo > 0.0
+
+    def passes(q: float) -> bool:
+        return within_stderr(p, q, math.sqrt(q * (1.0 - q) / total), z)[0]
+
+    for q in np.linspace(0.0, 1.0, 2001):
+        if min(abs(q - lo), abs(q - hi)) > 1e-9:
+            assert passes(q) == (lo <= q <= hi), q
+    for q, inward in ((lo, 1.0), (hi, -1.0)):
         if 0.0 < q < 1.0:
-            assert abs(p - q) == pytest.approx(z * np.sqrt(q * (1.0 - q) / total), rel=1e-9)
-    assert (lo == 0.0) == (hits == 0) and (hi == 1.0) == (hits == total)
-
-
-def test_wilson_interval_tends_to_wald():
-    hits, total = 3 * 10**7, 10**8
-    lo, hi = wilson_interval(hits / total, total, 4.0)
-    wald = 4.0 * proportion_estimate(hits, total).stderr
-    assert (hi - lo) / 2 == pytest.approx(wald, rel=1e-6)
+            assert passes(q + inward * 1e-9) and not passes(q - inward * 1e-9)
 
 
 def test_proportion_stderr_is_wald_without_floor():
     assert proportion_estimate(0, 10).stderr == 0.0
     assert proportion_estimate(10, 10).stderr == 0.0
     assert proportion_estimate(5, 10).stderr == pytest.approx(np.sqrt(0.025))
-
-
-def test_bernoulli_variance_range():
-    assert bernoulli_variance_range(0.1, 0.2) == pytest.approx(0.16)
-    assert bernoulli_variance_range(0.4, 0.9) == pytest.approx(0.25)
-    assert bernoulli_variance_range(0.7, 0.7) == pytest.approx(0.21)
 
 
 def test_within_stderr_power():
@@ -93,18 +92,19 @@ def test_within_stderr_power():
     flat = SampleStats.from_samples([2.0, 2.0])
     assert within_stderr(flat.mean, 2.0, flat.stderr, 5.0)[0]
     assert not within_stderr(flat.mean, 2.0 + 1e-9, flat.stderr, 5.0)[0]
-
-
-def test_wilson_contains_power():
+    # a proportion against an exact q, at the exact Bernoulli sd
     q, total = 0.3, 10_000
+
+    def proportion_ok(p: float, q: float) -> bool:
+        return within_stderr(p, q, math.sqrt(q * (1.0 - q) / total), 4.0)[0]
+
     se = math.sqrt(q * (1.0 - q) / total)
-    assert wilson_contains(q + 2.0 * se, total, q, 4.0)[0]
-    for shift in (-6.0, 6.0):
-        assert not wilson_contains(q + shift * se, total, q, 4.0)[0]
-    # all or no hits: the interval is no point, but it is as narrow as the
-    # score test allows, so it holds only probabilities near 0 or 1
-    assert not wilson_contains(1.0, total, 0.99, 4.0)[0] and not wilson_contains(0.0, total, 0.01, 4.0)[0]
-    assert wilson_contains(1.0, total, 0.9999, 4.0)[0] and wilson_contains(0.0, total, 0.0, 4.0)[0]
+    for shift, ok in ((2.0, True), (-3.9, True), (3.9, True), (-4.1, False), (4.1, False), (-6.0, False), (6.0, False)):
+        assert proportion_ok(q + shift * se, q) == ok
+    # all or no hits: the sample has no spread, but the exact law has, so
+    # the band holds only probabilities near 0 or 1
+    assert not proportion_ok(1.0, 0.99) and not proportion_ok(0.0, 0.01)
+    assert proportion_ok(1.0, 0.9999) and proportion_ok(0.0, 0.0)
 
 
 def test_law_matches_power():
