@@ -92,7 +92,11 @@ def test_within_stderr_power():
     flat = SampleStats.from_samples([2.0, 2.0])
     assert within_stderr(flat.mean, 2.0, flat.stderr, 5.0)[0]
     assert not within_stderr(flat.mean, 2.0 + 1e-9, flat.stderr, 5.0)[0]
-    # a proportion against an exact q, at the exact Bernoulli sd
+
+
+def test_wilson_contains_power():
+    # a proportion against an exact q, at the exact Bernoulli sd: the score
+    # test, which passes iff q lies in the Wilson interval of p
     q, total = 0.3, 10_000
 
     def proportion_ok(p: float, q: float) -> bool:
