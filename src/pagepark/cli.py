@@ -407,14 +407,9 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
     checks = CheckLog()
     rows = []
     vac = limit_constants()["vacancy"]
-    for idx, k in enumerate(k_list):
-        print(f"autocovariance: lag {k} ({args.replicas} pairs)", file=sys.stderr)
-        est = autocovariance_mc(
-            k,
-            args.replicas,
-            seed=SeedSpec(args.seed, idx),
-            threads=args.threads,
-        )
+    print(f"autocovariance: lags {','.join(map(str, k_list))} ({args.replicas} pairs)", file=sys.stderr)
+    estimates = autocovariance_mc(k_list, args.replicas, seed=SeedSpec(args.seed, 0), threads=args.threads)
+    for k, est in zip(k_list, estimates):
         print(f"autocovariance: lag {k}: longest run {est.longest_run} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
         rows.append(
             dict(

@@ -17,19 +17,23 @@ P(tau_0 <= t) = P(tau_0^U <= F(t)), as in the closed form 1 - e^(-2F(t)).
 
 sample_site_infinite grows one line lazily and is the reference. The two batch
 estimators, sample_runs (site 0: density curve, vacancy, f(t)) and
-autocovariance_mc (sites 0 and k), read one kernel, _pair_runs, which draws
-only the marks the runs read: per chunk, a dense core over slots -1..k, one
-contiguous row per slot over the replicas, then two walks outward that draw
-one fresh mark per step for the replicas whose run is still open. Going right
-from slot k, one walk gives the descent at k; going left from slot -1, the
-other gives the rise at 0. Each rise and descent has P(length >= j) = 1/j!, so
-sample_runs reads about 2e marks per replica. Each chunk is reduced where it
-is drawn: sample_runs' chunks carry tau_0, and autocovariance_mc's a 2x2
-occupancy table, so no pass runs over the whole sample.
+autocovariance_mc (site 0 against each lag of a list), read one kernel,
+_line_runs, which draws only the marks the runs read: per chunk, a dense core
+over slots -1..K (K the largest lag), one contiguous row per slot over the
+replicas, then two walks outward that draw one fresh mark per step for the
+replicas whose run is still open: right from slot K (the descent at K) and
+left from slot -1 (the rise at 0). Two row recurrences over the core carry
+these to every site 0..K. Each rise and descent has P(length >= j) = 1/j!, so
+sample_runs reads about 2e marks per replica. All lags come from one sample,
+so autocovariance_mc's estimates at different lags are dependent; each lag's
+estimate, and each check on it, holds on its own. Each chunk is reduced where
+it is drawn: sample_runs' chunks carry tau_0, and autocovariance_mc's one 2x2
+occupancy table per lag, so no pass runs over the whole sample.
 
 Run lengths have 1/l! tails, so walks stay short; WINDOW_CAP exists only to
 turn an astronomically unlikely runaway into a loud error instead of silent
-bias. On every path, a run longer than WINDOW_CAP raises RareEventCapError.
+bias. On every path, a run longer than WINDOW_CAP at a site the estimate reads
+raises RareEventCapError.
 """
 from __future__ import annotations
 
@@ -200,51 +204,46 @@ def _walk(start: np.ndarray, rng: np.random.Generator, leftward: bool) -> np.nda
     return length
 
 
-def _cross(steps, tail: np.ndarray, k: int) -> np.ndarray:
-    """Lengths of the runs that go on while each of `steps` (the core's k
-    boolean rows, in walking order, evaluated lazily) holds: a run that holds
-    through all k continues as the walk `tail` of the site it reaches, so its
-    length is k + tail. A run longer than WINDOW_CAP raises RareEventCapError."""
-    length = np.ones(tail.size, np.int16)
-    for j, step in enumerate(steps, 1):
-        open_ = step if j == 1 else open_ & step
-        if not open_.any():
-            return length
-        if j >= WINDOW_CAP:
-            raise RareEventCapError(f"run exceeded cap {WINDOW_CAP}")
-        length += open_
-    idx = np.flatnonzero(open_)
-    through = tail.take(idx)
-    if k + int(through.max()) > WINDOW_CAP:
+def _line_runs(size: int, rng: np.random.Generator, lags) -> tuple[np.ndarray, dict, dict]:
+    """(rise, descent) at site 0 and at each lag of the increasing list
+    `lags`, one per replica, drawing only the marks the runs read. Draw order:
+    a dense core of uniform marks over slots -1..K, K the largest lag, one
+    contiguous row per slot over the replicas (core row r holds slot r - 1);
+    then the walk right from slot K (the descent at K); then the walk left
+    from slot -1 (the rise at 0). Two row recurrences carry them over the
+    core, equal marks ordered left slot first:
+        descent(j) = 1, or 1 + descent(j + 1) when xi_j > xi_{j+1};
+        rise(j) = 1, or 1 + rise(j - 1) when xi_{j-2} <= xi_{j-1}.
+    Returns the core and, by site, the runs and the longest of the two. A run
+    longer than WINDOW_CAP at a listed site raises RareEventCapError."""
+    top = lags[-1]
+    core = rng.random((top + 2, size))
+    walks = _walk(core[top + 1], rng, leftward=False), _walk(core[0], rng, leftward=True)
+    # a run crossing the core is at most top + WINDOW_CAP long; int16 holds it below 2^15
+    descent, rise = (w.astype(np.int32) for w in walks) if top + WINDOW_CAP >= 1 << 15 else walks
+    sites = {0, *lags}
+    descents, rises = {top: descent}, {0: rise}
+    for j in range(top - 1, -1, -1):
+        descent = (core[j + 1] > core[j + 2]) * descent + 1
+        if j in sites:
+            descents[j] = descent
+    for j in range(1, top + 1):
+        rise = (core[j - 1] <= core[j]) * rise + 1
+        if j in sites:
+            rises[j] = rise
+    runs = {j: (rises[j], descents[j]) for j in sorted(sites)}
+    longest = {j: max(int(r.max()), int(d.max())) for j, (r, d) in runs.items()}
+    if max(longest.values()) > WINDOW_CAP:
         raise RareEventCapError(f"run exceeded cap {WINDOW_CAP}")
-    length[idx] = through + k
-    return length
-
-
-def _pair_runs(size: int, rng: np.random.Generator, k: int) -> tuple[np.ndarray, tuple, tuple]:
-    """(rise, descent) at sites 0 and k, one per replica, drawing only the
-    marks the runs read. Draw order: a dense core of uniform marks over slots
-    -1..k, one contiguous row per slot over the replicas (core row r holds
-    slot r - 1); then the walk right from slot k (the descent at k); then the
-    walk left from slot -1 (the rise at 0). The descent at 0 and the rise at k
-    are read from the core; a run crossing the whole core goes on as the other
-    site's walk. Returns the core and both sites' runs."""
-    core = rng.random((k + 2, size))
-    desc_k = _walk(core[k + 1], rng, leftward=False)
-    rise_0 = _walk(core[0], rng, leftward=True)
-    if not k:
-        return core, (rise_0, desc_k), (rise_0, desc_k)
-    desc_0 = _cross((core[j] > core[j + 1] for j in range(1, k + 1)), desc_k, k)
-    rise_k = _cross((core[j - 1] <= core[j] for j in range(k, 0, -1)), rise_0, k)
-    return core, (rise_0, desc_0), (rise_k, desc_k)
+    return core, runs, longest
 
 
 def _runs_chunk(size: int, rng: np.random.Generator) -> RunsSample:
-    """Runs at site 0 (_pair_runs at k = 0) and tau_0 from the marks xi_-1 and
-    xi_0, the core's two rows."""
-    core, (rise, descent), _ = _pair_runs(size, rng, 0)
-    longest = max(int(rise.max()), int(descent.max()))
-    return RunsSample(rise, descent, _arrival_time(rise, descent, core[0], core[1]), core[1], longest)
+    """Runs at site 0 (_line_runs at K = 0) and tau_0 from the marks xi_-1
+    and xi_0, the core's two rows."""
+    core, runs, longest = _line_runs(size, rng, (0,))
+    rise, descent = runs[0]
+    return RunsSample(rise, descent, _arrival_time(rise, descent, core[0], core[1]), core[1], longest[0])
 
 
 def sample_runs(
@@ -288,15 +287,19 @@ class AutocovEstimate:
     longest_run: int
 
 
-def _occupancy_pair_chunk(size: int, rng: np.random.Generator, k: int) -> tuple[tuple[int, int, int, int], int]:
-    """The occupancy table (n00, n01, n10, n11) of sites 0 and k, where n_ab
-    counts the replicas with X(0) = a and X(k) = b (a site is occupied iff a
-    run at it is odd), and the longest run, from _pair_runs."""
-    _, runs_0, runs_k = _pair_runs(size, rng, k)
-    occ_0, occ_k = [((rise | descent) & 1).astype(bool) for rise, descent in (runs_0, runs_k)]
-    at_0, at_k = int(np.count_nonzero(occ_0)), int(np.count_nonzero(occ_k))
-    n11 = int(np.count_nonzero(occ_0 & occ_k))
-    return (size - at_0 - at_k + n11, at_k - n11, at_0 - n11, n11), max(int(r.max()) for r in (*runs_0, *runs_k))
+def _occupancy_chunk(size: int, rng: np.random.Generator, lags) -> list[tuple[tuple[int, int, int, int], int]]:
+    """For each lag k, the occupancy table (n00, n01, n10, n11) of sites 0
+    and k, where n_ab counts the replicas with X(0) = a and X(k) = b (a site
+    is occupied iff a run at it is odd), and the longest of the four runs at
+    the two sites, all from one _line_runs sample."""
+    _, runs, longest = _line_runs(size, rng, lags)
+    occ = {j: (rise | descent) & 1 for j, (rise, descent) in runs.items()}
+    at_0 = int(np.count_nonzero(occ[0]))
+    tables = []
+    for k in lags:
+        at_k, n11 = int(np.count_nonzero(occ[k])), int(np.count_nonzero(occ[0] & occ[k]))
+        tables.append(((size - at_0 - at_k + n11, at_k - n11, at_0 - n11, n11), max(longest[0], longest[k])))
+    return tables
 
 
 def _autocov_estimate(k: int, table: tuple[int, int, int, int], longest_run: int) -> AutocovEstimate:
@@ -323,19 +326,25 @@ def _autocov_estimate(k: int, table: tuple[int, int, int, int], longest_run: int
 
 
 def autocovariance_mc(
-    k: int,
+    lags,
     replicas: int,
     seed: int | SeedSpec = DEFAULT_SEED,
     threads: int = 1,
-) -> AutocovEstimate:
-    """Estimate cov(X(0), X(k)) of the jammed field on the line."""
-    if k < 0:
-        raise ValueError("lag must be >= 0")
+) -> list[AutocovEstimate]:
+    """Estimate cov(X(0), X(k)) of the jammed field on the line at each lag k
+    of the increasing list `lags`, one estimate per lag, in order. Every lag
+    is read off the same pairs (sites 0..max(lags) of one line per replica),
+    so the estimates at different lags are dependent, but each has the law of
+    a one-lag estimate; the largest lag's is bit for bit the one-lag call's on
+    the same seed."""
+    lags = list(lags)
+    if not lags or lags[0] < 0 or any(a >= b for a, b in zip(lags, lags[1:])):
+        raise ValueError("lags must be a nonempty increasing list of integers >= 0")
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    table, longest = (0, 0, 0, 0), 0
-    for part, run in map_streams(
-        lambda size, rng: _occupancy_pair_chunk(size, rng, k), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), threads
+    totals = [((0, 0, 0, 0), 0)] * len(lags)  # per lag: the summed table and the longest run
+    for part in map_streams(
+        lambda size, rng: _occupancy_chunk(size, rng, lags), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), threads
     ):
-        table, longest = tuple(map(sum, zip(table, part))), max(longest, run)
-    return _autocov_estimate(k, table, longest)
+        totals = [(tuple(map(sum, zip(table, got))), max(run, r)) for (table, run), (got, r) in zip(totals, part)]
+    return [_autocov_estimate(k, *total) for k, total in zip(lags, totals)]

@@ -346,7 +346,7 @@ class TestExitCodes:
         "argv, kernel, error",
         [
             (["density-curve", "--replicas", "100", "--threads", "2"], "_runs_chunk", infinite.RareEventCapError),
-            (["autocovariance", "--k-list", "0,3", "--replicas", "100"], "_occupancy_pair_chunk", ZeroDivisionError),
+            (["autocovariance", "--k-list", "0,3", "--replicas", "100"], "_occupancy_chunk", ZeroDivisionError),
         ],
     )
     def test_internal_error_is_3(self, monkeypatch, capsys, argv, kernel, error):
@@ -424,23 +424,24 @@ class TestCheckPower:
 
     def test_autocovariance_decorrelated(self, monkeypatch, capsys):
         # the reference is cov = 0, so the estimate moves instead: the lag-34
-        # pairs the default --k-list draws, shifted by -reference
-        est = autocovariance_mc(34, 200_000, seed=SeedSpec(DEFAULT_SEED, 8))
+        # pairs the default --k-list draws (its largest lag, which a one-lag
+        # call on the same seed reproduces), shifted by -reference
+        (est,) = autocovariance_mc([34], 200_000, seed=SeedSpec(DEFAULT_SEED, 0))
 
         def run(cov):
             shifted = dataclasses.replace(est, estimate=est.estimate - cov)
-            monkeypatch.setattr(cli, "autocovariance_mc", lambda *args, **kwargs: shifted)
+            monkeypatch.setattr(cli, "autocovariance_mc", lambda *args, **kwargs: [shifted])
             return outcomes(["autocovariance", "--k-list", "34"], capsys, "lag34_")
 
         assert run(0.0) == [True]
         self.assert_band(run, est.estimate, est.stderr, 5.0)
 
     def test_autocovariance_no_vacant_pair(self, monkeypatch, capsys):
-        est = autocovariance_mc(1, 200_000, seed=SeedSpec(DEFAULT_SEED, 0))
+        (est,) = autocovariance_mc([1], 200_000, seed=SeedSpec(DEFAULT_SEED, 0))
         assert est.both_vacant == 0
         for both_vacant, code in ((0, 0), (1, 1)):
             monkeypatch.setattr(cli, "autocovariance_mc",
-                                lambda *args, **kwargs: dataclasses.replace(est, both_vacant=both_vacant))
+                                lambda *args, **kwargs: [dataclasses.replace(est, both_vacant=both_vacant)])
             got, doc = run_json(["autocovariance", "--k-list", "1"], capsys)
             (entry,) = doc["checks"]["entries"]
             assert (got, entry["passed"]) == (code, not both_vacant)
@@ -594,6 +595,20 @@ class TestInProcess:
         assert {name: (tuple(a.choices), a.default) for name, a in fmt.items()} == {
             name: (("json",), "json") if name == "oracle" else (("csv", "json"), "csv") for name in fmt
         }
+
+    def test_autocovariance_calls_the_estimator_once(self, monkeypatch, capsys):
+        # every lag is read off one sample, in one call with the whole lag
+        # list; the benchmark's infinite.autocov probe wraps this name
+        calls, estimate = [], cli.autocovariance_mc
+
+        def spy(lags, *args, **kwargs):
+            calls.append((list(lags), kwargs["seed"]))
+            return estimate(lags, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "autocovariance_mc", spy)
+        assert main(["autocovariance", "--k-list", "5,0,2", "--replicas", "1000", "--seed", "7"]) == 0
+        assert calls == [([0, 2, 5], SeedSpec(7, 0))]
+        assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["0", "2", "5"]
 
     @pytest.mark.parametrize(
         "command, flag, messy, tidy",

@@ -38,8 +38,8 @@ DIGESTS = {
     ("density-curve", "json"): "90cb5a56c6033a05229c996b0e9c08f5fb1295076aed073ed614082a171ee869",
     ("trials", "csv"): "7c75661ac8289a873fe349b9fe086a17bc3a33634e84b21b88a7aa4b62c4aa6f",
     ("trials", "json"): "0253af0e58b9868804015d24538fd91a861ce6d85b1ebd6800eb18cc06723d33",
-    ("autocovariance", "csv"): "617115b0b28ec12cbcd90bce92564291357927462966bf0565e5c5a6e96f9a27",
-    ("autocovariance", "json"): "e51adab7a288c54fe523a983b28d8485250830d731cbe35970d5994d884721e7",
+    ("autocovariance", "csv"): "a75824d187f15c6fc430beb49f31e6f7d218bf15bed9b6144357c26128aeb101",
+    ("autocovariance", "json"): "bc38a21be4771af8b565c79412359a3097909e8d81f8cc180af0de162db6fb03",
     ("site-vacancy", "csv"): "95a80a79351ea2441d97fff3de26e48696fba2e73695ec6a016391b02f1dc21d",
     ("site-vacancy", "json"): "e951178227ad4d1c239e361e97af551d19237a76a3b47271c5733c6ac9a121e8",
     ("oracle", "json"): "008538397544bee9e84c35441384e5fc491406f8052df4fbc7c8b0db3211fd77",

@@ -28,7 +28,7 @@ from pagepark import (
 )
 from pagepark import core, infinite
 from pagepark.infinite import (
-    _AUTOCOV_CHUNK, _CHUNK, WINDOW_CAP, _LazyLine, _occupancy_pair_chunk, _pair_runs, _runs_chunk, _walk,
+    _AUTOCOV_CHUNK, _CHUNK, WINDOW_CAP, _LazyLine, _line_runs, _occupancy_chunk, _runs_chunk, _walk,
 )
 from pagepark.stats import law_matches, within_stderr
 
@@ -245,7 +245,7 @@ class TestEstimators:
 
 class TestAutocovariance:
     def test_lag0_is_variance(self):
-        est = autocovariance_mc(0, 150_000, seed=80)
+        (est,) = autocovariance_mc([0], 150_000, seed=80)
         vac = limit_constants()["vacancy"]
         var = vac * (1 - vac)
         assert abs(est.estimate - var) <= 5 * est.stderr
@@ -254,47 +254,61 @@ class TestAutocovariance:
     def test_lag1_negative(self):
         # a car covering site 0 extends to a neighbour, so adjacent
         # occupancies anti-correlate
-        est = autocovariance_mc(1, 150_000, seed=81)
+        (est,) = autocovariance_mc([1], 150_000, seed=81)
         assert est.estimate < 0
         assert est.estimate + 5 * est.stderr < 0
 
     def test_large_lag_decorrelates(self):
-        est = autocovariance_mc(40, 120_000, seed=82)
+        (est,) = autocovariance_mc([40], 120_000, seed=82)
         assert abs(est.estimate) <= 5 * est.stderr
 
     def test_marginals_near_density(self):
-        est = autocovariance_mc(3, 150_000, seed=83)
+        (est,) = autocovariance_mc([3], 150_000, seed=83)
         rho = limit_constants()["jamming_density"]
         assert est.mean_site_0 == pytest.approx(rho, abs=0.01)
         assert est.mean_site_k == pytest.approx(rho, abs=0.01)
 
     def test_reflection_invariance(self, monkeypatch):
-        a = autocovariance_mc(2, 100_000, seed=84)
+        (a,) = autocovariance_mc([2], 100_000, seed=84)
         stream = core._stream
         monkeypatch.setattr(core, "_stream", lambda seq: _Reflected(stream(seq)))
-        b = autocovariance_mc(2, 100_000, seed=84)
+        (b,) = autocovariance_mc([2], 100_000, seed=84)
         assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)  # the reversed draws were classified
         assert abs(a.estimate - b.estimate) <= 5 * (a.stderr + b.stderr)
 
     def test_each_lag_draws_its_own_marks(self):
-        # the CLI seeds lag idx with SeedSpec(seed, idx); equal lags on two
+        # the replica index of SeedSpec(seed, idx) selects an independent
+        # sample (the CLI reads every lag off idx 0); equal lags on two
         # replica indices must see different marks
-        a = autocovariance_mc(1, 20_000, seed=SeedSpec(86, 0))
-        b = autocovariance_mc(1, 20_000, seed=SeedSpec(86, 1))
+        (a,) = autocovariance_mc([1], 20_000, seed=SeedSpec(86, 0))
+        (b,) = autocovariance_mc([1], 20_000, seed=SeedSpec(86, 1))
         assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)
 
     def test_threads_identical(self):
-        a = autocovariance_mc(2, 40_000, seed=85, threads=1)
-        b = autocovariance_mc(2, 40_000, seed=85, threads=3)
+        (a,) = autocovariance_mc([2], 40_000, seed=85, threads=1)
+        (b,) = autocovariance_mc([2], 40_000, seed=85, threads=3)
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+    def test_one_sample_serves_every_lag(self):
+        # every lag is read off the same pairs: one site-0 mean for all, the
+        # largest lag bit for bit a one-lag call on the same seed (the same
+        # core and walks), and the same estimates on any thread count
+        lags = [0, 1, 2, 5, 13]
+        ests = autocovariance_mc(lags, 40_000, seed=SeedSpec(90, 2), threads=1)
+        assert [e.k for e in ests] == lags
+        assert len({e.mean_site_0 for e in ests}) == 1 and ests[0].mean_site_k == ests[0].mean_site_0
+        assert autocovariance_mc([13], 40_000, seed=SeedSpec(90, 2)) == ests[-1:]
+        assert autocovariance_mc(lags, 40_000, seed=SeedSpec(90, 2), threads=3) == ests
 
     @pytest.mark.parametrize("k", [0, 1, 3, 13])
     def test_table_matches_two_pass(self, k):
         # the summed 2x2 tables give what the product column of the same
-        # occupancies gives, over several chunks and a partial one
-        replicas, seed = 3 * _AUTOCOV_CHUNK + 123, SeedSpec(89, k)
-        est = autocovariance_mc(k, replicas, seed=seed, threads=2)
-        assert _two_pass_disagreements(est, *_chunk_occupancies(k, replicas, seed)) == []
+        # occupancies gives, at every lag up to k, over several chunks and a
+        # partial one
+        lags, replicas, seed = [j for j in (0, 1, 3, 13) if j <= k], 3 * _AUTOCOV_CHUNK + 123, SeedSpec(89, k)
+        occ = _chunk_occupancies(lags, replicas, seed)
+        for est in autocovariance_mc(lags, replicas, seed=seed, threads=2):
+            assert _two_pass_disagreements(est, occ[0], occ[est.k]) == []
 
     def test_swapped_table_cells_fail(self, monkeypatch):
         # a table with n01 and n10 exchanged swaps the two sites' means
@@ -302,25 +316,28 @@ class TestAutocovariance:
         monkeypatch.setattr(infinite, "_autocov_estimate",
                             lambda k, t, rows: table_estimate(k, (t[0], t[2], t[1], t[3]), rows))
         replicas, seed = 3 * _AUTOCOV_CHUNK + 123, SeedSpec(89, 3)
-        est = autocovariance_mc(3, replicas, seed=seed)
-        assert _two_pass_disagreements(est, *_chunk_occupancies(3, replicas, seed)) == ["mean_site_0", "mean_site_k"]
+        (est,) = autocovariance_mc([3], replicas, seed=seed)
+        occ = _chunk_occupancies([3], replicas, seed)
+        assert _two_pass_disagreements(est, occ[0], occ[3]) == ["mean_site_0", "mean_site_k"]
 
     def test_validation(self):
+        for lags in ([-1], [], [2, 1], [1, 1]):  # lags are a nonempty increasing list >= 0
+            with pytest.raises(ValueError):
+                autocovariance_mc(lags, 100)
         with pytest.raises(ValueError):
-            autocovariance_mc(-1, 100)
-        with pytest.raises(ValueError):
-            autocovariance_mc(0, 1)
+            autocovariance_mc([0], 1)
 
 
-def _chunk_occupancies(k, replicas, seed):
-    """X(0) and X(k) of every pair autocovariance_mc(k, replicas, seed)
-    draws, chunk by chunk on its streams, as 0/1 floats."""
+def _chunk_occupancies(lags, replicas, seed) -> dict:
+    """X(j) at site 0 and at every lag j of the pairs
+    autocovariance_mc(lags, replicas, seed) draws, chunk by chunk on its
+    streams, as 0/1 floats by site."""
     def chunk(size, rng):
-        _, *runs = _pair_runs(size, rng, k)
-        return [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in runs]
+        _, runs, _ = _line_runs(size, rng, lags)
+        return {j: (rise % 2 == 1) | (descent % 2 == 1) for j, (rise, descent) in runs.items()}
 
     parts = list(core.map_streams(chunk, seed, core.chunk_sizes(replicas, _AUTOCOV_CHUNK)))
-    return np.concatenate([p[0] for p in parts]).astype(float), np.concatenate([p[-1] for p in parts]).astype(float)
+    return {j: np.concatenate([p[j] for p in parts]).astype(float) for j in parts[0]}
 
 
 def _two_pass_disagreements(est, x, y) -> list[str]:
@@ -439,14 +456,14 @@ def _walk_marks(draws: list, start, goes_on) -> list[list[float]]:
     return marks
 
 
-def _replayed_lines(draws, k) -> list[_LazyLine]:
+def _replayed_lines(draws, top) -> list[_LazyLine]:
     """One lazy line per replica over exactly the marks the kernel drew for
-    sites 0 and k, rebuilt from its recorded draws in their documented order:
-    the core over slots -1..k, the right walk's steps from slot k, then the
-    left walk's steps from slot -1. The lines cannot draw."""
+    sites 0..top, rebuilt from its recorded draws in their documented order:
+    the core over slots -1..top, the right walk's steps from slot top, then
+    the left walk's steps from slot -1. The lines cannot draw."""
     draws = list(draws)
     core = draws.pop(0)
-    right = _walk_marks(draws, core[k + 1], lambda x, last: x < last)
+    right = _walk_marks(draws, core[top + 1], lambda x, last: x < last)
     left = _walk_marks(draws, core[0], lambda x, last: x <= last)
     assert draws == []
     return [
@@ -455,38 +472,46 @@ def _replayed_lines(draws, k) -> list[_LazyLine]:
     ]
 
 
-def _assert_kernel_replays(rng, size, k):
-    """_pair_runs on `rng` gives, replica by replica, the runs at 0 and k that
-    the lazy line gives on the marks the kernel drew."""
+def _assert_kernel_replays(rng, size, lags) -> dict:
+    """_line_runs on `rng` gives, replica by replica, the runs at site 0 and
+    at every lag that the lazy line gives on the marks the kernel drew, and
+    each site's longest run; returns the runs by site."""
     recording = _Recording(rng)
-    _, runs_0, runs_k = _pair_runs(size, recording, k)
-    lines = _replayed_lines(recording.draws, k)
-    for site, (rise, descent) in ((0, runs_0), (k, runs_k)):
+    _, runs, longest = _line_runs(size, recording, lags)
+    assert sorted(runs) == sorted({0, *lags})
+    lines = _replayed_lines(recording.draws, lags[-1])
+    for site, (rise, descent) in runs.items():
         want = np.array([line.runs(site) for line in lines])
         np.testing.assert_array_equal(rise, want[:, 0])
         np.testing.assert_array_equal(descent, want[:, 1])
-    return runs_0, runs_k
+        assert longest[site] == want.max()
+    return runs
+
+
+_SORTED_LAGS = st.lists(st.integers(0, 13), min_size=1, max_size=6, unique=True).map(sorted)
 
 
 class TestStripKernel:
-    """The kernel of both estimators (_pair_runs: a dense core and two walks)
-    against the lazy line, replica by replica, and the run law it draws."""
+    """The kernel of both estimators (_line_runs: a dense core, two walks and
+    two row recurrences) against the lazy line, replica by replica, and the
+    run law it draws."""
 
     @pytest.mark.parametrize("seed", [0, 1, 6])
     @pytest.mark.parametrize("reflect", [False, True])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 13])
     def test_windows_match_lazy_line(self, reflect, k, seed):
-        size = 1000
+        # the lags of (0, 1, 2, 5, 13) up to k, all read off one sample
+        size, lags = 1000, [j for j in (0, 1, 2, 5, 13) if j <= k]
 
         def rng():
             gen = np.random.Generator(np.random.PCG64DXSM([90 + k, seed]))
             return _Reflected(gen) if reflect else gen
 
-        runs = _assert_kernel_replays(rng(), size, k)
-        table, longest = _occupancy_pair_chunk(size, rng(), k)
-        occ = [(rise % 2 == 1) | (descent % 2 == 1) for rise, descent in runs]  # occupied iff a run is odd
-        assert table == tuple(int(np.count_nonzero((occ[0] == a) & (occ[1] == b))) for a in (0, 1) for b in (0, 1))
-        assert longest == max(int(r.max()) for pair in runs for r in pair)
+        runs = _assert_kernel_replays(rng(), size, lags)
+        occ = {j: (rise % 2 == 1) | (descent % 2 == 1) for j, (rise, descent) in runs.items()}  # odd run: occupied
+        for j, (table, longest) in zip(lags, _occupancy_chunk(size, rng(), lags)):
+            assert table == tuple(int(np.count_nonzero((occ[0] == a) & (occ[j] == b))) for a in (0, 1) for b in (0, 1))
+            assert longest == max(int(r.max()) for site in (0, j) for r in runs[site])
 
     @pytest.mark.parametrize("seed", [0, 1, 6])
     @pytest.mark.parametrize("dist", [EXP, UNIFORM], ids=["exp", "uniform"])
@@ -510,18 +535,18 @@ class TestStripKernel:
         assert [e.estimate for e in got.odd_descent_time_prob(grid, dist)] == [
             np.count_nonzero(odd & (xi_right <= dist.cdf(t))) / size for t in grid]
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(0, 13), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), _SORTED_LAGS, st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_tied_integer_marks(self, seed, levels, k, reflect):
+    def test_tied_integer_marks(self, seed, levels, lags, reflect):
         marks = _IntegerMarks(seed, levels)
-        _assert_kernel_replays(_Reflected(marks) if reflect else marks, 64, k)
+        _assert_kernel_replays(_Reflected(marks) if reflect else marks, 64, lags)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cap_binds_inside_the_window(self, monkeypatch, seed):
         # any run longer than the cap raises, on either walk or inside the core
         monkeypatch.setattr(infinite, "WINDOW_CAP", 1)
         with pytest.raises(RareEventCapError):
-            autocovariance_mc(3, 2000, seed=seed)
+            autocovariance_mc([1, 3], 2000, seed=seed)
         with pytest.raises(RareEventCapError):
             sample_runs(2000, seed=seed)
 
@@ -534,38 +559,39 @@ class TestStripKernel:
         rising = np.linspace(0.5, 0.9, k + 1).tolist()
         cases = [([0.4] + rising, [1.0, 0.3, 1.0], k + 2)] + ([([1.0] + rising, [1.0, 1.5], k)] if k else [])
         for core, steps, longest in cases:
-            _, (rise_0, desc_0), (rise_k, desc_k) = _pair_runs(3, _Planted(core, steps), k)
+            _, runs, _ = _line_runs(3, _Planted(core, steps), [k])
+            (rise_0, desc_0), (rise_k, desc_k) = runs[0], runs[k]
             assert rise_k.tolist() == [longest] * 3 and desc_0.tolist() == desc_k.tolist() == [1] * 3
             monkeypatch.setattr(infinite, "WINDOW_CAP", longest)
-            _pair_runs(3, _Planted(core, steps), k)  # a run as long as the cap is no error
+            _line_runs(3, _Planted(core, steps), [k])  # a run as long as the cap is no error
             monkeypatch.setattr(infinite, "WINDOW_CAP", longest - 1)
             with pytest.raises(RareEventCapError):
-                _pair_runs(3, _Planted(core, steps), k)
+                _line_runs(3, _Planted(core, steps), [k])
         monkeypatch.setattr(infinite, "WINDOW_CAP", 50)
         with pytest.raises(RareEventCapError):  # equal marks: the rise walk never stops
-            _pair_runs(4, _IntegerMarks(0, 1), k)
+            _line_runs(4, _IntegerMarks(0, 1), [k])
 
     def test_runs_follow_their_exact_law(self):
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
         assert _run_law(runs)[0] and _vacancy_agrees(runs)
-        for k in (0, 1, 2, 4):
-            assert _strip_failures(autocovariance_mc(k, 1_000_000, seed=SeedSpec(87, k), threads=2)) == []
+        for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0), threads=2):
+            assert _strip_failures(est) == []
 
     def test_truncated_fallback_fails(self, monkeypatch):
         # walks that stop at length 4 without raising, on the samples of
         # test_runs_follow_their_exact_law: both estimators and the law test must notice
         walk = infinite._walk
         monkeypatch.setattr(infinite, "_walk", lambda start, rng, leftward: np.minimum(walk(start, rng, leftward), 4))
-        for k in (0, 1, 2, 4):
-            assert _strip_failures(autocovariance_mc(k, 1_000_000, seed=SeedSpec(87, k), threads=2))
+        for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0), threads=2):
+            assert _strip_failures(est), est.k
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
         assert not _vacancy_agrees(runs)
         ok, detail = _run_law(runs)
         assert not ok and float(detail.rsplit("p = ", 1)[1]) < 1e-9
 
     def test_longest_run_is_thread_independent(self):
-        a = autocovariance_mc(3, 40_000, seed=88, threads=1)
-        b = autocovariance_mc(3, 40_000, seed=88, threads=3)
-        assert a == b and a.longest_run > 1
+        a = autocovariance_mc([0, 3, 8], 40_000, seed=88, threads=1)
+        b = autocovariance_mc([0, 3, 8], 40_000, seed=88, threads=3)
+        assert a == b and min(e.longest_run for e in a) > 1
         runs = [sample_runs(_CHUNK + 5000, seed=88, threads=t) for t in (1, 3)]
         assert runs[0].longest_run == runs[1].longest_run == max(runs[0].rise.max(), runs[0].descent.max())
