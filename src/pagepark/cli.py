@@ -88,11 +88,11 @@ def _json_value(x: Any) -> Any:
     return x
 
 
-def emit(rows: Sequence[dict], checks: CheckLog, args: argparse.Namespace, params: dict) -> None:
+def emit(rows: Sequence[dict], checks: CheckLog, args: argparse.Namespace) -> None:
     """Write the table in args.fmt to args.out or stdout. A row's insertion
     order fixes the CSV column order and the JSON key order; the JSON
-    envelope echoes the command, the seed of a command that takes one, and
-    the subcommand's params."""
+    envelope echoes the command and its config: the seed, if the command
+    takes one, then the command's own flags in parser order, read off args."""
     if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -102,9 +102,10 @@ def emit(rows: Sequence[dict], checks: CheckLog, args: argparse.Namespace, param
                 writer.writerow([_fmt_value(v) for v in row.values()])
         text = buf.getvalue()
     else:
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "run", "fmt", "out", "threads")}
         doc = {
             "command": args.command,
-            "config": {"seed": args.seed, **params} if "seed" in args else params,
+            "config": dict(sorted(flags.items(), key=lambda item: item[0] != "seed")),  # seed first
             "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
             "checks": checks.as_dict(),
         }
@@ -182,7 +183,7 @@ _replica_count = _at_least(2)  # one replica has no standard error
 # subcommands
 
 
-def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
+def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog]:
     n_list = args.n_list
     rho = limit_constants()["jamming_density"]
     series = expected_M_series(n_list[-1]) if n_list[-1] > DISTRIBUTION_RATIONAL_CAP else None
@@ -198,7 +199,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
             exact = em
         print(f"density-convergence: n={n} ({args.replicas} replicas)", file=sys.stderr)
         # looked up on the module at call time, so that a wrapper installed there sees this call
-        m, _ = finite.simulate_direct_batch(n, args.replicas, SeedSpec(args.seed, idx), args.threads)
+        m = finite.simulate_direct_batch(n, args.replicas, SeedSpec(args.seed, idx), args.threads)
         m_stats = SampleStats.from_samples(m)
         density_gap = abs(em / n - rho)
         rows.append(
@@ -220,11 +221,10 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog, d
         )
         checks.record(f"mc_agrees_n{n}",
                       *within_stderr(m_stats.mean, em, math.sqrt(variance_M(n) / m_stats.count), 5.0))
-    params = {"n_list": n_list, "replicas": args.replicas}
-    return rows, checks, params
+    return rows, checks
 
 
-def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
+def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog]:
     t_grid = args.t_grid
     dist = ArrivalDistribution(args.dist)
     closed_arr = density_curve_closed_form(t_grid, dist=dist)
@@ -252,11 +252,10 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         )
         checks.record(f"curve_t{t:g}",
                       *within_stderr(mc.estimate, closed, math.sqrt(closed * (1.0 - closed) / mc.replicas), 4.0))
-    params = {"t_grid": t_grid, "replicas": args.replicas, "dist": args.dist}
-    return rows, checks, params
+    return rows, checks
 
 
-def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
+def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog]:
     n_list = args.n_list
     checks = CheckLog()
     print(
@@ -293,12 +292,11 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             slack = 3.0 * math.hypot(a.ratio_stderr, b.ratio_stderr)
             checks.record(f"ratio_nondecreasing_n{a.n}_to_n{b.n}", b.ratio >= a.ratio - slack,
                           f"ratio {a.ratio:.4f} -> {b.ratio:.4f} (slack {slack:.4f})")
-    params = {"n_list": n_list, "replicas": args.replicas}
-    return rows, checks, params
+    return rows, checks
 
 
-def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
-    n_list = args.n
+def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog]:
+    n_list = args.n_list
     checks = CheckLog()
     rows = []
     for n in n_list:
@@ -349,11 +347,10 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
                 per_site_vacancy=[_json_value(v) for v in report.per_site_vacancy],
             )
         )
-    params = {"n_list": n_list}
-    return rows, checks, params
+    return rows, checks
 
 
-def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
+def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog]:
     n = args.n
     checks = CheckLog()
     use_exact = n <= DISTRIBUTION_RATIONAL_CAP
@@ -398,11 +395,10 @@ def cmd_site_vacancy(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
         abs(mid - lim) <= bound + 1e-12,
         f"|v(mid) - e^-2| = {abs(mid - lim):.3e} <= {bound:.3e}",
     )
-    params = {"n": n}
-    return rows, checks, params
+    return rows, checks
 
 
-def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
+def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog]:
     k_list = args.k_list
     checks = CheckLog()
     rows = []
@@ -440,8 +436,7 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog, dict]:
             # variance on the line is exactly vac (1-vac)
             checks.record(f"lag{k}_decorrelated",
                           *within_stderr(est.estimate, 0.0, vac * (1.0 - vac) / math.sqrt(est.replicas), 5.0))
-    params = {"k_list": k_list, "replicas": args.replicas}
-    return rows, checks, params
+    return rows, checks
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle",
                        help="exhaustive small-n enumeration report (JSON)")
-    p.add_argument("--n", type=_csv_list(_at_least(2, ENUMERATION_CAP)), default="6",
+    p.add_argument("--n", dest="n_list", metavar="N", type=_csv_list(_at_least(2, ENUMERATION_CAP)), default="6",
                    help=f"comma-separated interval sizes, each in 2..{ENUMERATION_CAP}")
     # the report is nested (a distribution and a profile), which csv would flatten
     _add_output(p, ("json",))
@@ -542,8 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     run: Callable = args.run
     try:
-        rows, checks, params = run(args)
-        emit(rows, checks, args, params)
+        rows, checks = run(args)
+        emit(rows, checks, args)
     except Exception as exc:  # the process boundary: one line and exit 3, never a traceback
         where = traceback.extract_tb(exc.__traceback__)[-1]
         print(f"{args.command}: internal error: {type(exc).__name__}: {exc} "

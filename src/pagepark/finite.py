@@ -17,21 +17,20 @@ are those of u, tau* = -log1p(-u*) for the largest car mark u*, and
 
     T = below + Poisson(tau* below + sum_{u_s <= u*} log(1 - u_s))
 
-with below = #{s : u_s <= u*}. first_arrival_batch computes (M, T, tau*)
-this way and is the one fast kernel for all three; simulate_direct runs the
-draws one by one and trials.simulate_poissonized runs every arrival, and
-both stay independent references. The reference for parking in mark order is
-the oracle's one replay pass, which keeps each site's covering rank.
+with below = #{s : u_s <= u*}. first_arrival_batch computes (T, tau*) this
+way, and simulate_direct_batch M from the same marks in the same jobs;
+simulate_direct runs the draws one by one and trials.simulate_poissonized
+runs every arrival, and both stay independent references, as the oracle's
+one replay pass (keeping each site's covering rank) is for parking in order.
 
 Every classification runs through one parity pass, _run_parities: per slot,
 whether the rise ending at it and the descent starting at it are odd. The
 occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
-both are odd, so the kernel reads M (twice the car count) and u* (the
-largest car mark, tau_star_rows) off that car mask without building an
-occupancy array. Long rows that want only T are classified only if they
-must: tau_star visits the slots above a threshold taken from a strided
-subsample, in decreasing mark order, and takes the first that holds a car;
-if none does, one parity pass over the row gives u*.
+both are odd: M is twice the count of that car mask and u* its largest mark
+(tau_star_rows), with no occupancy array built. For T, rows longer than
+_SCAN_SITES are classified only if they must: tau_star visits the slots
+above a threshold taken from a strided subsample, in decreasing mark order,
+and takes the first that holds a car; if none does, one parity pass gives u*.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -52,8 +51,8 @@ import numpy as np
 
 from .core import DEFAULT_SEED, SeedSpec, as_generator, chunk_sizes, map_streams
 
-_CHUNK_MARKS = 1 << 14  # marks per first_arrival_batch job; small keeps peak memory flat
-# longer T-only rows find tau* by the tau_star scan. Per T-only row on 2 vCPUs
+_CHUNK_MARKS = 1 << 14  # marks per kernel job; small keeps peak memory flat
+# longer rows find tau* by the tau_star scan. Per row on 2 vCPUs
 # (whole job, median of 9), scan/mask time is 1.03-1.20 at n = 2001, 1.00 at
 # 2501, 0.88-1.01 at 3001 and 0.79-0.82 at 4001-5001; 1.6 at n = 1001.
 _SCAN_SITES = 2500
@@ -218,21 +217,17 @@ def _draw_counts(
 
 
 def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
-    """(M or None, T, tau*) of `rows` replicas on n sites, from one draw of
-    their Uniform(0, 1) marks. Rows that want M, and rows of up to
-    _SCAN_SITES sites, take the car mask of one parity pass: M is twice its
-    count and u* its largest mark (tau_star_rows). Longer T-only rows scan for
-    u* (_scan), which classifies a row only if its scan finds no car. Both
-    paths hand u* and the marks above it to _draw_counts."""
-    n, rows, want_m = job
+    """(T, tau*) of `rows` replicas on n sites, from one draw of their
+    Uniform(0, 1) marks. Rows of up to _SCAN_SITES sites take the car mask of
+    one parity pass, and u* is its largest mark (tau_star_rows). Longer rows
+    scan for u* (_scan), which classifies a row only if its scan finds no
+    car. Both paths hand u* and the marks above it to _draw_counts."""
+    n, rows = job
     u = rng.random((rows, n - 1))
-    m = None
-    if want_m or n <= _SCAN_SITES:
+    if n <= _SCAN_SITES:
         rise, descent = _run_parities(u)
         car = np.logical_and(rise, descent, out=rise)
         top = tau_star_rows(u, car)
-        if want_m:
-            m = 2 * np.count_nonzero(car, axis=1)
         slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
         above_rows, above = slots // (n - 1), u.ravel()[slots]
     else:
@@ -240,18 +235,21 @@ def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
         top = np.array([t for t, _ in scans])
         above = np.concatenate([a for _, a in scans])
         above_rows = np.repeat(np.arange(rows), [a.size for _, a in scans])
-    return (m, *_draw_counts(u, top, above_rows, above, rng))
+    return _draw_counts(u, top, above_rows, above, rng)
 
 
-def first_arrival_batch(
-    n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1, want_m: bool = True
-) -> list[tuple]:
-    """(M or None, T, tau*) for `replicas` replicas of each n, as int64, int64
-    and float64 arrays: the law of the uniform-draw process, its draw count and
-    its jamming time (see the module docstring).
+def _car_count_chunk(job: tuple, rng: np.random.Generator) -> np.ndarray:
+    """M of `rows` replicas on n sites: twice the car count of one parity
+    pass over the same draw of marks that _first_arrival_chunk takes."""
+    n, rows = job
+    rise, descent = _run_parities(rng.random((rows, n - 1)))
+    return 2 * np.count_nonzero(rise & descent, axis=1)
 
-    Each row is split into jobs of about _CHUNK_MARKS marks (at least one
-    replica), numbered across rows; job c of seed SeedSpec(m, r) draws from
+
+def _rows(chunk, n_list, replicas: int, seed: int | SeedSpec, threads: int) -> list[list]:
+    """chunk(job, rng) over each row's jobs (n, rows), as one list per row: a
+    row of n sites splits into jobs of about _CHUNK_MARKS marks (at least one
+    replica), numbered across rows. Job c of seed SeedSpec(m, r) draws from
     map_streams' stream (m, (r, c)), so results depend on neither `threads`
     nor the rows after a row."""
     for n in n_list:
@@ -260,20 +258,25 @@ def first_arrival_batch(
     if replicas < 1:
         raise ValueError("need at least 1 replica")
     sizes = [chunk_sizes(replicas, max(1, _CHUNK_MARKS // (n - 1))) for n in n_list]
-    jobs = [(n, size, want_m) for n, row in zip(n_list, sizes) for size in row]
-    parts = iter(map_streams(_first_arrival_chunk, seed, jobs, threads))
-    out = []
-    for row in sizes:
-        m, t, tau = zip(*(next(parts) for _ in row))
-        out.append((np.concatenate(m) if want_m else None, np.concatenate(t), np.concatenate(tau)))
-    return out
+    jobs = [(n, size) for n, row in zip(n_list, sizes) for size in row]
+    parts = iter(map_streams(chunk, seed, jobs, threads))
+    return [[next(parts) for _ in row] for row in sizes]
+
+
+def first_arrival_batch(
+    n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(T, tau*) for `replicas` replicas of each n, as int64 and float64
+    arrays: the draw count of the uniform-draw process and its jamming time
+    (see the module docstring)."""
+    rows = _rows(_first_arrival_chunk, n_list, replicas, seed, threads)
+    return [tuple(np.concatenate(part) for part in zip(*row)) for row in rows]
 
 
 def simulate_direct_batch(
     n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Law of (M, T) of the uniform-draw process across replicas, as int64
-    arrays: one row of first_arrival_batch. Exactly the law of
-    simulate_direct, which stays the draw-by-draw reference."""
-    m, t, _ = first_arrival_batch([n], replicas, seed, threads)[0]
-    return m, t
+) -> np.ndarray:
+    """Law of M of the uniform-draw process across replicas, as an int64
+    array, from the jobs and marks of first_arrival_batch([n], ...). Exactly
+    the law of simulate_direct, which stays the draw-by-draw reference."""
+    return np.concatenate(_rows(_car_count_chunk, [n], replicas, seed, threads)[0])

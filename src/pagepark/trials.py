@@ -8,8 +8,9 @@ number of uniform draws (rejections included) the direct process needs to jam:
 merging the streams reproduces i.i.d. uniform slot picks. T_n grows like
 n log n; a coupon collector over the n-1 slots dominates it.
 
-The sweeps below read T and tau* from finite.first_arrival_batch, which draws
-only the first arrivals and counts the later ones with one Poisson draw (the
+The sweeps below read T and tau* from finite.first_arrival_batch (M is a
+separate call, simulate_direct_batch, over the same jobs), which draws only
+the first arrivals and counts the later ones with one Poisson draw (the
 superposition identity, stated in finite.py). simulate_poissonized runs every
 arrival and is its event-level reference; it parks cars with the oracle's
 one-row replay, park_in_rank_order, so it shares no code with the kernel.
@@ -93,7 +94,7 @@ def trials_ratio_sweep(
     n, one first_arrival_batch row per n, so rows are independent and any
     leading row subset reproduces bit-identically."""
     rows = []
-    for n, (_, t, taus) in zip(n_list, first_arrival_batch(n_list, replicas, seed, threads, want_m=False)):
+    for n, (t, taus) in zip(n_list, first_arrival_batch(n_list, replicas, seed, threads)):
         st = SampleStats.from_samples(t)
         scale = n * math.log(n)
         rows.append(

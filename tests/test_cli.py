@@ -474,7 +474,7 @@ class TestCheckPower:
 
     def test_density_convergence(self, monkeypatch, capsys):
         # the CLI's draws at the default replicas for --n-list 10,100
-        stats = [SampleStats.from_samples(simulate_direct_batch(n, 10_000, SeedSpec(DEFAULT_SEED, idx))[0])
+        stats = [SampleStats.from_samples(simulate_direct_batch(n, 10_000, SeedSpec(DEFAULT_SEED, idx)))
                  for idx, n in enumerate((10, 100))]
 
         def run(means):
@@ -588,13 +588,30 @@ class TestInProcess:
             "density-curve": {"t_grid", "replicas", "dist", *sampling},
             "trials": {"n_list", "replicas", *sampling},
             "autocovariance": {"k_list", "replicas", *sampling},
-            "oracle": {"n", "fmt", "out"},
+            "oracle": {"n_list", "fmt", "out"},
             "site-vacancy": {"n", "fmt", "out"},
         }
         fmt = {name: next(a for a in p._actions if a.dest == "fmt") for name, p in sub.choices.items()}
         assert {name: (tuple(a.choices), a.default) for name, a in fmt.items()} == {
             name: (("json",), "json") if name == "oracle" else (("csv", "json"), "csv") for name in fmt
         }
+
+    def test_config_echoes_a_flag_added_to_the_parser(self, monkeypatch, capsys):
+        # config is read off the parsed flags, so a new flag lands in it,
+        # after the command's own, with no edit to the command
+        import argparse
+
+        build = cli.build_parser
+
+        def with_extra():
+            parser = build()
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            sub.choices["site-vacancy"].add_argument("--extra", default="x")
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", with_extra)
+        assert main(["site-vacancy", "--n", "4", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == {"n": 4, "extra": "x"}
 
     def test_autocovariance_calls_the_estimator_once(self, monkeypatch, capsys):
         # every lag is read off one sample, in one call with the whole lag

@@ -221,14 +221,15 @@ class TestDirectProcess:
         # on the laws of M and of T (n = 6, where M takes two values)
         n, reps = 6, 20_000
         single = [simulate_direct(n, rng=SeedSpec(1234, i)) for i in range(reps)]
-        batch_m, batch_t = simulate_direct_batch(n, reps, SeedSpec(5678))
+        batch_m = simulate_direct_batch(n, reps, SeedSpec(5678))
+        batch_t = first_arrival_batch([n], reps, SeedSpec(5678))[0][0]
         for ref, got in (([int(occ.sum()) for occ, _ in single], batch_m), ([t for _, t in single], batch_t)):
             _, _, p = _chi2(collections.Counter(ref), collections.Counter(got.tolist()))
             assert p > 0.001
 
     def test_batch_m_matches_exact_law(self):
         n, reps = 6, 40_000
-        m_batch, _ = simulate_direct_batch(n, reps, SeedSpec(97))
+        m_batch = simulate_direct_batch(n, reps, SeedSpec(97))
         assert law_matches(collections.Counter(m_batch.tolist()), distribution_M(n).probs)[0]
 
     def test_priorities_m_matches_exact_law(self):
@@ -238,11 +239,11 @@ class TestDirectProcess:
         assert law_matches(collections.Counter(m.tolist()), distribution_M(n).probs)[0]
 
 
-# the kernel's tau* paths, as (_SCAN_SITES, want_m): with _SCAN_SITES = 1
-# every n >= 2 is long, so T-only rows take the tau_star scan and rows with M
-# the car mask (tau_star_rows); at CHAIN_CAP every n <= CHAIN_CAP is short,
-# so T-only rows take the car mask too
-PATHS = {"scan": (1, False), "mask_long_with_m": (1, True), "mask_short_t_only": (CHAIN_CAP, False)}
+# the kernels' paths, as (_SCAN_SITES, quantity): with _SCAN_SITES = 1 every
+# n >= 2 is long, so T takes the tau_star scan; at CHAIN_CAP every n <=
+# CHAIN_CAP is short, so T takes the car mask (tau_star_rows). M reads the car
+# mask alone, whatever _SCAN_SITES is
+PATHS = {"scan": (1, "T"), "mask": (CHAIN_CAP, "T"), "m": (CHAIN_CAP, "M")}
 
 
 def _car_slots(row) -> list:
@@ -287,50 +288,50 @@ def _without_first_arrivals(u, top, above_rows, above, rng):
     return t - below, tau
 
 
-# planted faults, as replacements of the kernel's parts; the tau* faults
-# replace both _scan (scan path) and tau_star_rows (classifier path), and the
-# log-sum faults edit _draw_counts, which both paths call
+# planted faults, as the quantity whose paths must catch them and
+# replacements of the kernels' parts; the tau* faults replace both _scan (scan
+# path) and tau_star_rows (car mask path), the log-sum faults edit
+# _draw_counts, which both T paths call, and the M fault counts a car where
+# either parity is odd
 PLANTED_FAULTS = {
-    "without_first_arrivals": {"_draw_counts": _without_first_arrivals},
-    "second_largest_car_mark": {
+    "without_first_arrivals": ("T", {"_draw_counts": _without_first_arrivals}),
+    "second_largest_car_mark": ("T", {
         "tau_star_rows": _second_largest_car_mark,
         "_scan": _scan_by(_second_largest_car_mark),
-    },
-    "largest_mark_of_all_slots": {
+    }),
+    "largest_mark_of_all_slots": ("T", {
         "tau_star_rows": lambda xi, car: xi.max(axis=1),
         "_scan": _scan_by(lambda xi, car: xi.max(axis=1)),
-    },
-    "log_sum_drops_last_slot": {
+    }),
+    "log_sum_drops_last_slot": ("T", {
         "_draw_counts": _edited(finite._draw_counts, "logs.sum(axis=1)", "logs[:, :-1].sum(axis=1)"),
-    },
-    "log_of_u_not_1_minus_u": {
+    }),
+    "log_of_u_not_1_minus_u": ("T", {
         "_draw_counts": _edited(finite._draw_counts, "np.subtract(1.0, u, out=u)", "np.positive(u, out=u)"),
-    },
+    }),
+    "car_count_of_rise_or_descent": ("M", {
+        "_car_count_chunk": _edited(finite._car_count_chunk, "rise & descent", "rise | descent"),
+    }),
 }
 
 
-def _chain_mean_misses(want_m: bool, reps: int = 6000, seed: int = 99) -> list:
-    """(n, quantity) for each n in 2..CHAIN_CAP where the kernel's mean M or T
-    misses the exact E[M_n] or chain E[T_n] by more than 4 stderr: for M the
-    exact law's, sqrt(variance_M(n) / reps); for T, which has no exact
-    variance here, the sample's, so a T sample with no spread (n = 2, 3) must
-    hit the mean exactly. With
-    want_m the rows come from simulate_direct_batch, the view that
-    density-convergence reads; without it from a T-only first_arrival_batch
-    call, as the trials sweep makes."""
+def _chain_mean_misses(quantity: str, reps: int = 6000, seed: int = 99) -> list:
+    """Each n in 2..CHAIN_CAP where the kernel's mean of `quantity` misses
+    the exact E[M_n] or chain E[T_n] by more than 4 stderr: for M the exact
+    law's, sqrt(variance_M(n) / reps); for T, which has no exact variance
+    here, the sample's, so a T sample with no spread (n = 2, 3) must hit the
+    mean exactly. M comes from simulate_direct_batch, which density-convergence
+    reads, and T from a first_arrival_batch call, as the trials sweep makes."""
     misses = []
     for n in range(2, CHAIN_CAP + 1):
-        if want_m:
-            m, t = simulate_direct_batch(n, reps, SeedSpec(seed, n))
+        if quantity == "M":
+            sample, want = simulate_direct_batch(n, reps, SeedSpec(seed, n)), expected_M(n)
         else:
-            m, t, _ = first_arrival_batch([n], reps, SeedSpec(seed, n), want_m=False)[0]
-        for name, sample, want in (("M", m, expected_M(n)), ("T", t, expected_T_exact(n))):
-            if sample is None:
-                continue
-            st_ = SampleStats.from_samples(sample)
-            stderr = math.sqrt(variance_M(n) / reps) if name == "M" else st_.stderr
-            if not within_stderr(st_.mean, float(want), stderr, 4.0)[0]:
-                misses.append((n, name))
+            sample, want = first_arrival_batch([n], reps, SeedSpec(seed, n))[0][0], expected_T_exact(n)
+        st_ = SampleStats.from_samples(sample)
+        stderr = math.sqrt(variance_M(n) / reps) if quantity == "M" else st_.stderr
+        if not within_stderr(st_.mean, float(want), stderr, 4.0)[0]:
+            misses.append(n)
     return misses
 
 
@@ -386,17 +387,19 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
 
 class TestDirectBatchKernel:
     def test_means_match_exact_for_every_small_n(self, monkeypatch):
-        for path, (sites, want_m) in PATHS.items():
+        for path, (sites, quantity) in PATHS.items():
             monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-            assert _chain_mean_misses(want_m) == [], path
+            assert _chain_mean_misses(quantity) == [], path
 
     @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
     def test_planted_faults_fail(self, monkeypatch, fault):
-        for name, part in PLANTED_FAULTS[fault].items():
+        caught_by, parts = PLANTED_FAULTS[fault]
+        for name, part in parts.items():
             monkeypatch.setattr(finite, name, part)
-        for path, (sites, want_m) in PATHS.items():
-            monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-            assert _chain_mean_misses(want_m) != [], path
+        for path, (sites, quantity) in PATHS.items():
+            if quantity == caught_by:
+                monkeypatch.setattr(finite, "_SCAN_SITES", sites)
+                assert _chain_mean_misses(quantity) != [], path
 
     @given(
         st.sampled_from(["float", "tied", "sawtooth", "sawtooth_odd"]),
@@ -447,21 +450,20 @@ class TestDirectBatchKernel:
         ],
     )
     def test_chunks_equal_rows_built_by_hand(self, n, replicas):
-        # with M every row takes the car mask; T-only rows past _SCAN_SITES
-        # scan; either way a row gives the same bits
+        # M reads the car mask of each job's marks; T takes the car mask up to
+        # _SCAN_SITES and the scan past it; either way a row gives the same bits
         want = list(_by_hand([n], replicas, 61, 2)[0])
-        (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
+        m = simulate_direct_batch(n, replicas, SeedSpec(61, 2))
+        (t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
         assert m.dtype == t.dtype == np.int64
         assert [m.tolist(), t.tolist(), tau.tolist()] == want
-        (m, t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2), want_m=False)
-        assert m is None and [t.tolist(), tau.tolist()] == want[1:]
 
     def test_t_only_bytes_free_of_threads(self):
         # jobs of one long scanned row, of several scanned rows, and of many
         # classified rows give the same bytes on one thread and two
         n_list = [finite._CHUNK_MARKS + 2, finite._SCAN_SITES + 1, 40]
-        runs = [first_arrival_batch(n_list, 9, SeedSpec(66), threads=k, want_m=False) for k in (1, 2)]
-        one, two = ([(t.tobytes(), tau.tobytes()) for _, t, tau in run] for run in runs)
+        runs = [first_arrival_batch(n_list, 9, SeedSpec(66), threads=k) for k in (1, 2)]
+        one, two = ([(t.tobytes(), tau.tobytes()) for t, tau in run] for run in runs)
         assert one == two
 
     def test_jobs_numbered_across_rows(self):
@@ -469,22 +471,23 @@ class TestDirectBatchKernel:
         # the rows before it; a leading subset of rows reproduces, and an int
         # seed m is SeedSpec(m, 0)
         n_list, reps = [6, finite._SCAN_SITES + 1, 40], 25
-        got = first_arrival_batch(n_list, reps, SeedSpec(62, 3), want_m=False)
+        got = first_arrival_batch(n_list, reps, SeedSpec(62, 3))
         want = _by_hand(n_list, reps, 62, 3)
-        for (m, t, tau), (_, want_t, want_tau) in zip(got, want):
-            assert m is None
+        for (t, tau), (_, want_t, want_tau) in zip(got, want):
             assert [t.tolist(), tau.tolist()] == [want_t, want_tau]
-        head = first_arrival_batch(n_list[:2], reps, SeedSpec(62, 3), want_m=False)
-        assert all(np.array_equal(x[1], y[1]) for x, y in zip(head, got))
+        head = first_arrival_batch(n_list[:2], reps, SeedSpec(62, 3))
+        assert all(np.array_equal(x[0], y[0]) for x, y in zip(head, got))
         a, b = (first_arrival_batch(n_list, reps, s)[2] for s in (62, SeedSpec(62, 0)))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_deterministic_in_seed(self):
+        # 500 rows of 39 marks are two jobs, so threads=2 runs both at once
         a = simulate_direct_batch(40, 500, SeedSpec(62), threads=2)
         b = simulate_direct_batch(40, 500, SeedSpec(62))
         c = simulate_direct_batch(40, 500, SeedSpec(63))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert not np.array_equal(a[1], c[1])
+        assert a.dtype == np.int64 and a.shape == (500,)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_tau_star_rejects_empty_field(self):
         with pytest.raises(ValueError):
@@ -493,6 +496,22 @@ class TestDirectBatchKernel:
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
             simulate_direct_batch(1, 3, SeedSpec(64))
+        with pytest.raises(ValueError):
+            first_arrival_batch([6, 1], 3, SeedSpec(64))
+
+    @pytest.mark.parametrize("n", [300, finite._SCAN_SITES + 1])
+    def test_m_reads_no_draw_count(self, n, monkeypatch):
+        # M comes off each job's car mask alone: with every part of the T
+        # path made to raise, the same M comes out, on one thread and two
+        want = simulate_direct_batch(n, 60, SeedSpec(67))
+
+        def refuse(*args):
+            raise AssertionError("M computed a part of T")
+
+        for name in ("_draw_counts", "tau_star_rows", "_scan"):
+            monkeypatch.setattr(finite, name, refuse)
+        for threads in (1, 2):
+            np.testing.assert_array_equal(simulate_direct_batch(n, 60, SeedSpec(67), threads), want)
 
 
 def _chi2(ca, cb):
@@ -503,6 +522,5 @@ def _chi2(ca, cb):
 
 class TestMeasure:
     def test_direct_mean_tracks_exact(self):
-        m, t = simulate_direct_batch(50, 20_000, SeedSpec(31))
+        m = simulate_direct_batch(50, 20_000, SeedSpec(31))
         assert within_stderr(float(m.mean()), float(expected_M(50)), math.sqrt(variance_M(50) / m.size), 5.0)[0]
-        assert np.all(t >= m // 2)  # every car takes a draw

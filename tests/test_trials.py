@@ -68,7 +68,7 @@ class TestTauStarStatistics:
         assert 0.6 * logn < row.tau_star_mean < 1.1 * logn
         assert qs[0] > 0.55 * logn
         # the row reads the kernel's own tau* draws
-        taus = first_arrival_batch([10_000], 300, 90, want_m=False)[0][2]
+        taus = first_arrival_batch([10_000], 300, 90)[0][1]
         assert row.tau_star_mean == float(taus.mean())
         np.testing.assert_allclose(qs, np.quantile(taus, TAU_STAR_LEVELS), rtol=1e-14)
 
@@ -119,7 +119,7 @@ class TestRatioSweep:
         master, r, reps = 94, 7, 20
         n_list = [300, finite._SCAN_SITES + 1]
         rows = trials_ratio_sweep(n_list, reps, seed=SeedSpec(master, r))
-        for row, (_, t, tau) in zip(rows, first_arrival_batch(n_list, reps, SeedSpec(master, r), want_m=False)):
+        for row, (t, tau) in zip(rows, first_arrival_batch(n_list, reps, SeedSpec(master, r))):
             want = SampleStats.from_samples(t)
             assert (row.mean_T, row.stderr_T, row.tau_star_mean) == (want.mean, want.stderr, float(tau.mean()))
         assert trials_ratio_sweep([300], reps, seed=master) == trials_ratio_sweep(
@@ -140,6 +140,6 @@ class TestFastKernelLaw:
         slow = collections.Counter(int(simulate_poissonized(n, rng=SeedSpec(96, i))[1].sum()) for i in range(reps))
         for sites in (1, n):
             monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-            fast = first_arrival_batch([n], reps, seed=97, want_m=False)[0][1]
+            fast = first_arrival_batch([n], reps, seed=97)[0][0]
             _, _, p = chi_square_two_sample(dict(slow), dict(collections.Counter(fast.tolist())))
             assert p > 0.001, sites
