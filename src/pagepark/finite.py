@@ -17,20 +17,42 @@ are those of u, tau* = -log1p(-u*) for the largest car mark u*, and
 
     T = below + Poisson(tau* below + sum_{u_s <= u*} log(1 - u_s))
 
-with below = #{s : u_s <= u*}. first_arrival_batch computes (T, tau*) this
-way, and simulate_direct_batch M from the same marks in the same jobs;
-simulate_direct runs the draws one by one and trials.simulate_poissonized
-runs every arrival, and both stay independent references, as the oracle's
-one replay pass (keeping each site's covering rank) is for parking in order.
+with below = #{s : u_s <= u*}. Rows of up to _BAND_SITES sites are computed
+this way, and simulate_direct_batch takes M from the same marks in the same
+jobs, at any n. simulate_direct runs the draws one by one and
+trials.simulate_poissonized runs every arrival, and both stay independent
+references, as the oracle's one replay pass (keeping each site's covering
+rank) is for parking in order; the oracle's chain gives the exact law of T_n
+for n <= 12.
 
 Every classification runs through one parity pass, _run_parities: per slot,
 whether the rise ending at it and the descent starting at it are odd. The
 occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
 both are odd: M is twice the count of that car mask and u* its largest mark
-(tau_star_rows), with no occupancy array built. For T, rows longer than
-_SCAN_SITES are classified only if they must: tau_star visits the slots
-above a threshold taken from a strided subsample, in decreasing mark order,
-and takes the first that holds a car; if none does, one parity pass gives u*.
+(tau_star_rows), with no occupancy array built.
+
+Longer rows take the band path (_band_row), whose cost does not grow with n:
+tau* depends only on the top marks and the short runs around them, and every
+other slot enters T only through its count. With m = n-1 exponential marks
+and a level a = max(0, log(m / B)), B = _BAND, memorylessness splits the
+field into a band, Binomial(m, e^-a) slots as a uniform subset with marks
+a + Exp(1), and the rest, i.i.d. Exp(1) truncated to [0, a]. The band is
+visited in decreasing mark order; at each slot the rise and the descent are
+walked with the tie rule, each other mark is drawn the first time a walk
+reads it, and the first car found gives tau*. If the band holds no car
+(probability about exp(-B e^-2)), the field is completed and one parity pass
+gives tau*. A read slot adds 1 + Poisson(tau* - xi) if xi <= tau*, all in
+one Poisson draw. The U unread slots are still i.i.d. truncated and lie
+below a <= tau*, so each adds 1 + N with
+
+    P(N = j) = [pi_tau*(j+1) - e^-a pi_(tau*-a)(j+1)] / (1 - e^-a),
+
+pi the Poisson pmf (Poisson(tau* - x) integrated over the truncated law of
+x), and one multinomial over j = 0..J and a tail cell j > J counts them all;
+a slot in the tail cell draws N given N > J by rejection. _BAND_SITES is the
+measured crossover where this path, about 0.15 ms a replica at any n,
+overtakes the car mask's O(n) pass. The band path is a Python loop that
+holds the GIL, so a call with a band-path row runs on one thread.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -47,17 +69,23 @@ Conventions used throughout (1-based sites and slots in the API):
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import DEFAULT_SEED, SeedSpec, as_generator, chunk_sizes, map_streams
 
 _CHUNK_MARKS = 1 << 14  # marks per kernel job; small keeps peak memory flat
-# longer rows find tau* by the tau_star scan. Per row on 2 vCPUs
-# (whole job, median of 9), scan/mask time is 1.03-1.20 at n = 2001, 1.00 at
-# 2501, 0.88-1.01 at 3001 and 0.79-0.82 at 4001-5001; 1.6 at n = 1001.
-_SCAN_SITES = 2500
-_SCAN_STRIDE = 64  # tau_star's threshold subsample: every 64th mark
-_SCAN_TOP = 4  # its first threshold: the 4th largest subsample mark
+# T and tau* of longer rows take the band path (_band_row). Per replica on
+# one thread (64 replicas a call, median of 11), band/mask time is 2.9 at n =
+# 2000, 1.16 at 6000, 0.99 at 8000, 0.74 at 10^4 and 0.40 at 2 10^4
+_BAND_SITES = 8000
+_BAND = 400  # the band's expected size B
+_BAND_JOB = 32  # replicas per band-path job
+_FRESH = 32  # truncated marks drawn at a time by the walks and tail rejections
+# _unread_arrivals' last cell J = tau + 12 sqrt(tau) + 30: a slot lands beyond
+# it with probability below 1e-38 for tau* up to 30 (n about e^32)
+_TAIL_SDS, _TAIL_PAD = 12, 30
 
 
 def _run_parities(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,47 +152,13 @@ def tau_star_rows(xi: np.ndarray, car: np.ndarray) -> np.ndarray:
 
 
 def tau_star(xi: np.ndarray) -> float:
-    """Jamming time of one first-arrival field xi over slots 1..n-1, without
-    classifying every slot: its largest car mark, in the units of xi."""
-    return _scan(np.asarray(xi, dtype=np.float64))[0]
-
-
-def _scan(xi: np.ndarray) -> tuple[float, np.ndarray]:
-    """tau_star of one field and its marks above that, in slot order.
-
-    The threshold is the _SCAN_TOP-th largest mark of every _SCAN_STRIDE-th
-    slot, so about _SCAN_TOP * _SCAN_STRIDE slots lie at or above it for
-    i.i.d. marks. Those slots are visited in decreasing mark order, and the
-    first one that holds a car gives tau*; every mark above it was visited,
-    so the marks above tau* come off that band. Slot s holds a car iff the
-    ascending run ending at it (the rise at site s+1) and the descending run
-    starting at it (the descent at site s) both have odd length, with the
-    package tie rule (left slot first). If no visited slot holds a car, the
-    row is classified by one parity pass and tau* is its largest car mark
-    (tau_star_rows), as for short rows. For i.i.d. marks a visited slot held a
-    car on each of 25,600 rows tried (2500 to 2e5 slots), found after about
-    7 visits, and each visit costs O(1) steps of the two walks."""
-    m = xi.size
-    if m < 1:
+    """Jamming time of one first-arrival field xi over slots 1..n-1: its
+    largest car mark, in the units of xi, from one parity pass."""
+    xi = np.asarray(xi, dtype=np.float64)
+    if xi.size < 1:
         raise ValueError("need at least one slot")
-    sub = xi[::_SCAN_STRIDE]
-    lo = np.partition(sub, sub.size - _SCAN_TOP)[sub.size - _SCAN_TOP] if _SCAN_TOP < sub.size else -np.inf
-    band = np.flatnonzero(xi >= lo)
-    marks = xi[band]
-    for s in band[np.argsort(marks)[::-1]].tolist():  # 0-based slots
-        r = s  # walk left to the start r of the ascending run ending at s
-        while r > 0 and xi[r - 1] <= xi[r]:
-            r -= 1
-        if (s - r) % 2:
-            continue
-        e = s  # walk right to the end e of the descending run starting at s
-        while e < m - 1 and not xi[e] <= xi[e + 1]:
-            e += 1
-        if (e - s) % 2 == 0:
-            return float(xi[s]), marks[marks > xi[s]]
     rise, descent = _run_parities(xi)
-    top = float(tau_star_rows(xi, rise & descent))
-    return top, xi[xi > top]
+    return float(tau_star_rows(xi, rise & descent))
 
 
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[np.ndarray, int]:
@@ -216,26 +210,124 @@ def _draw_counts(
     return below + rng.poisson(np.maximum(tau * below + log_below, 0.0)), tau
 
 
-def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
-    """(T, tau*) of `rows` replicas on n sites, from one draw of their
-    Uniform(0, 1) marks. Rows of up to _SCAN_SITES sites take the car mask of
-    one parity pass, and u* is its largest mark (tau_star_rows). Longer rows
-    scan for u* (_scan), which classifies a row only if its scan finds no
-    car. Both paths hand u* and the marks above it to _draw_counts."""
-    n, rows = job
-    u = rng.random((rows, n - 1))
-    if n <= _SCAN_SITES:
-        rise, descent = _run_parities(u)
-        car = np.logical_and(rise, descent, out=rise)
-        top = tau_star_rows(u, car)
-        slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
-        above_rows, above = slots // (n - 1), u.ravel()[slots]
+def _band_tau(xi, band, m: int) -> float | None:
+    """The largest car mark of the field xi over m slots (indexed by 0-based
+    slot) if a slot of band holds a car, else None. The band's slots are
+    visited in decreasing mark order, and the first car found is the largest.
+    Slot s holds a car iff the ascending run ending at it (the rise at site
+    s+1) and the descending run starting at it (the descent at site s) both
+    have odd length, with the package tie rule (left slot first)."""
+    for s in band:
+        r = s  # walk left to the start r of the ascending run ending at s
+        while r > 0 and xi[r - 1] <= xi[r]:
+            r -= 1
+        if (s - r) % 2:
+            continue
+        e = s  # walk right to the end e of the descending run starting at s
+        while e < m - 1 and not xi[e] <= xi[e + 1]:
+            e += 1
+        if (e - s) % 2 == 0:
+            return xi[s]
+    return None
+
+
+def _truncated(rng: np.random.Generator, a: float, size: int) -> np.ndarray:
+    """size Exp(1) marks conditioned to lie in [0, a]: -log1p(-(1 - e^-a) U)."""
+    return -np.log1p(np.expm1(-a) * rng.random(size))
+
+
+class _Field(dict):
+    """One row's marks by 0-based slot: the band's {slot: mark} first, then
+    each other slot in the order a walk first reads it, when it takes the
+    next mark of `fresh`."""
+
+    def __init__(self, band, fresh):
+        super().__init__(band)
+        self.fresh = fresh
+
+    def __missing__(self, s: int) -> float:
+        x = self[s] = next(self.fresh)
+        return x
+
+
+def _fresh(rng: np.random.Generator, a: float):
+    """Marks truncated to [0, a], drawn _FRESH at a time."""
+    while True:
+        yield from _truncated(rng, a, _FRESH).tolist()
+
+
+def _later_law(tau: float, a: float, top: int) -> np.ndarray:
+    """P(N = j) for j = 0..top, where N counts the arrivals in (x, tau] of a
+    unit-rate stream whose first arrival x is Exp(1) truncated to [0, a] <=
+    tau: Poisson(tau - x) integrated over x,
+    [pi_tau(j+1) - e^-a pi_(tau-a)(j+1)] / (1 - e^-a), with pi the Poisson pmf."""
+    k = np.arange(1, top + 2)
+    pi_tau = math.exp(-tau) * np.cumprod(tau / k)
+    pi_low = math.exp(a - tau) * np.cumprod((tau - a) / k)
+    return (pi_tau - math.exp(-a) * pi_low) / -math.expm1(-a)
+
+
+def _unread_arrivals(unread: int, tau: float, a: float, rng: np.random.Generator) -> int:
+    """Total arrivals up to tau of `unread` slots whose marks were never read:
+    each adds 1 + N, N with _later_law. One multinomial counts the slots with
+    N = j for j = 0..J, J = tau + _TAIL_SDS sqrt(tau) + _TAIL_PAD, and a tail
+    cell N > J. The tail cell's mass is summed from its own terms and comes
+    first, so that the rounding of the other cells lands on N = J, not in it."""
+    j = int(tau + _TAIL_SDS * math.sqrt(tau) + _TAIL_PAD)
+    law = _later_law(tau, a, 2 * j + 10)
+    cells = rng.multinomial(unread, np.concatenate((law[j + 1 :].sum(keepdims=True), law[: j + 1])))
+    return unread + int(cells[1:] @ np.arange(j + 1)) + _tail_arrivals(int(cells[0]), tau, a, j, rng)
+
+
+def _tail_arrivals(count: int, tau: float, a: float, j: int, rng: np.random.Generator) -> int:
+    """The sum of `count` draws of N given N > j, N with _later_law, by
+    rejection: N = Poisson(tau - x) for x a mark truncated to [0, a]."""
+    hits = []
+    while len(hits) < count:
+        draws = rng.poisson(tau - _truncated(rng, a, _FRESH))
+        hits += draws[draws > j].tolist()
+    return sum(hits[:count])
+
+
+def _band_row(m: int, rng: np.random.Generator) -> tuple[int, float]:
+    """(T, tau*) of one row of m slots by the band construction of the
+    module docstring. It draws the band's slots and marks, each other mark
+    when a walk of _band_tau first reads it, and the rest of the field only
+    if the band holds no car."""
+    p = min(1.0, _BAND / m)
+    a = -math.log(p)
+    k = int(rng.binomial(m, p))
+    slots = rng.choice(m, k, replace=False, shuffle=False)
+    marks = a + rng.standard_exponential(k)
+    xi = _Field(zip(slots.tolist(), marks.tolist()), _fresh(rng, a))
+    tau = _band_tau(xi, slots[np.argsort(-marks)].tolist(), m)
+    if tau is None:
+        read = np.array([xi[s] for s in range(m)])
+        tau = tau_star(read)
     else:
-        scans = [_scan(row) for row in u]
-        top = np.array([t for t, _ in scans])
-        above = np.concatenate([a for _, a in scans])
-        above_rows = np.repeat(np.arange(rows), [a.size for _, a in scans])
-    return _draw_counts(u, top, above_rows, above, rng)
+        read = np.concatenate((marks, list(xi.values())[k:]))
+    t = np.count_nonzero(read <= tau) + int(rng.poisson(np.maximum(tau - read, 0.0).sum()))
+    if read.size < m:
+        t += _unread_arrivals(m - read.size, tau, a, rng)
+    return int(t), tau
+
+
+def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
+    """(T, tau*) of `rows` replicas on n sites. Rows of up to _BAND_SITES
+    sites draw all their Uniform(0, 1) marks at once, and u* is the largest
+    mark of the car mask of one parity pass (tau_star_rows); _draw_counts
+    takes u* and the marks above it. Longer rows take _band_row, one at a
+    time."""
+    n, rows = job
+    if n > _BAND_SITES:
+        t, tau = zip(*(_band_row(n - 1, rng) for _ in range(rows)))
+        return np.array(t, dtype=np.int64), np.array(tau)
+    u = rng.random((rows, n - 1))
+    rise, descent = _run_parities(u)
+    car = np.logical_and(rise, descent, out=rise)
+    top = tau_star_rows(u, car)
+    slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
+    return _draw_counts(u, top, slots // (n - 1), u.ravel()[slots], rng)
 
 
 def _car_count_chunk(job: tuple, rng: np.random.Generator) -> np.ndarray:
@@ -246,18 +338,28 @@ def _car_count_chunk(job: tuple, rng: np.random.Generator) -> np.ndarray:
     return 2 * np.count_nonzero(rise & descent, axis=1)
 
 
-def _rows(chunk, n_list, replicas: int, seed: int | SeedSpec, threads: int) -> list[list]:
+def _marks_job(n: int) -> int:
+    """Replicas per job of a row of n sites whose jobs draw every mark: about
+    _CHUNK_MARKS marks, at least one replica."""
+    return max(1, _CHUNK_MARKS // (n - 1))
+
+
+def _first_arrival_job(n: int) -> int:
+    """Replicas per _first_arrival_chunk job: _BAND_JOB on the band path."""
+    return _BAND_JOB if n > _BAND_SITES else _marks_job(n)
+
+
+def _rows(chunk, per_job, n_list, replicas: int, seed: int | SeedSpec, threads: int) -> list[list]:
     """chunk(job, rng) over each row's jobs (n, rows), as one list per row: a
-    row of n sites splits into jobs of about _CHUNK_MARKS marks (at least one
-    replica), numbered across rows. Job c of seed SeedSpec(m, r) draws from
-    map_streams' stream (m, (r, c)), so results depend on neither `threads`
-    nor the rows after a row."""
+    row of n sites splits into jobs of per_job(n) replicas, numbered across
+    rows. Job c of seed SeedSpec(m, r) draws from map_streams' stream (m, (r,
+    c)), so results depend on neither `threads` nor the rows after a row."""
     for n in n_list:
         if n < 2:
             raise ValueError("need n >= 2 sites")
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    sizes = [chunk_sizes(replicas, max(1, _CHUNK_MARKS // (n - 1))) for n in n_list]
+    sizes = [chunk_sizes(replicas, per_job(n)) for n in n_list]
     jobs = [(n, size) for n, row in zip(n_list, sizes) for size in row]
     parts = iter(map_streams(chunk, seed, jobs, threads))
     return [[next(parts) for _ in row] for row in sizes]
@@ -268,8 +370,13 @@ def first_arrival_batch(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(T, tau*) for `replicas` replicas of each n, as int64 and float64
     arrays: the draw count of the uniform-draw process and its jamming time
-    (see the module docstring)."""
-    rows = _rows(_first_arrival_chunk, n_list, replicas, seed, threads)
+    (see the module docstring). A call with a band-path row runs on one
+    thread whatever `threads` is: _band_row is a Python loop that holds the
+    GIL, and at n = 10^5 and 10^6, 30 replicas each, two threads took 13.6 ms
+    against one thread's 11.1 (medians of 20 alternating calls)."""
+    if any(n > _BAND_SITES for n in n_list):
+        threads = 1
+    rows = _rows(_first_arrival_chunk, _first_arrival_job, n_list, replicas, seed, threads)
     return [tuple(np.concatenate(part) for part in zip(*row)) for row in rows]
 
 
@@ -277,6 +384,7 @@ def simulate_direct_batch(
     n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1
 ) -> np.ndarray:
     """Law of M of the uniform-draw process across replicas, as an int64
-    array, from the jobs and marks of first_arrival_batch([n], ...). Exactly
-    the law of simulate_direct, which stays the draw-by-draw reference."""
-    return np.concatenate(_rows(_car_count_chunk, [n], replicas, seed, threads)[0])
+    array. Up to _BAND_SITES sites its jobs and marks are those of
+    first_arrival_batch([n], ...). Exactly the law of simulate_direct, which
+    stays the draw-by-draw reference."""
+    return np.concatenate(_rows(_car_count_chunk, _marks_job, [n], replicas, seed, threads)[0])

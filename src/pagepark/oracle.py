@@ -3,9 +3,10 @@
 Everything here is independent of the simulator modules. One pass parks cars
 with its own plain-Python loop, once per permutation or weak ordering of the
 slots, and keeps each site's covering rank: the exact report and the
-classifier check are both read off those ranks. E[T_n] also comes from the
-absorbing-chain linear system, which shares no code with the pass. The rest
-of the package is validated against these values, never the other way round.
+classifier check are both read off those ranks. E[T_n] and the law of T_n
+also come from the absorbing chain over occupancy states, which shares no
+code with the pass. The rest of the package is validated against these
+values, never the other way round.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
-from math import factorial
+from math import ceil, factorial, log
 
 import numpy as np
 
@@ -108,6 +109,12 @@ def enumerate_orderings(n: int, classify=None) -> OracleReport:
     )
 
 
+def _parked(state: int, m: int) -> list[int]:
+    """The chain states one park away from `state`, a bitmask of occupied
+    0-based sites: one for each of the m slots whose two sites are free."""
+    return [state | (0b11 << s) for s in range(m) if not state & (0b11 << s)]
+
+
 def expected_T_exact(n: int) -> Fraction:
     """Exact E[T_n] for the uniform-draw process, T counting every draw up to
     and including the jamming one.
@@ -124,15 +131,49 @@ def expected_T_exact(n: int) -> Fraction:
 
     @lru_cache(maxsize=None)
     def e_from(state: int) -> Fraction:
-        children = []
-        for s in range(m):
-            if not state & (0b11 << s):
-                children.append(state | (0b11 << s))
+        children = _parked(state, m)
         if not children:
             return Fraction(0)
         return Fraction(m + sum(e_from(c) for c in children), len(children))
 
     return e_from(0)
+
+
+def distribution_T_exact(n: int) -> dict[int, float]:
+    """The law of T_n for n <= CHAIN_CAP, in floats: {t: P(T_n = t)} for t =
+    1..cap-1, and a last key cap that stands for "cap and above", with cap =
+    (n-1) (ceil(log(n-1)) + 40) draws, where the tail is below 1e-15.
+
+    A forward pass over the absorbing chain, level by level in car count.
+    Each state holds the law of the draw at which the chain enters it. From a
+    state with f parkable slots, each draw parks with probability q = f/(n-1),
+    so its rejections fold into a Geometric(q) wait: the law of the next park
+    is the state's law convolved with q (1-q)^(k-1), k >= 1, and each of the f
+    states it can reach gets 1/f of it. A state with no parkable slot is
+    jammed, and its law adds to the law of T_n."""
+    if not 2 <= n <= CHAIN_CAP:
+        raise ValueError(f"oracle cap exceeded: need 2 <= n <= {CHAIN_CAP}, got {n}")
+    m = n - 1
+    cap = m * (ceil(log(m)) + 40)
+    start = np.zeros(cap)
+    start[0] = 1.0
+    law, tail, level = np.zeros(cap), 0.0, {0: start}
+    while level:
+        nxt = {}
+        for state, entry in level.items():
+            children = _parked(state, m)
+            if not children:
+                law += entry
+                continue
+            q = len(children) / m
+            wait = np.concatenate(([0.0], q * (1.0 - q) ** np.arange(cap - 1)))
+            parks = np.convolve(entry, wait)[:cap]
+            tail += entry.sum() - parks.sum()  # the next park comes at draw cap or later
+            share = parks / len(children)
+            for c in children:
+                nxt[c] = nxt.get(c, 0.0) + share
+        level = nxt
+    return {**{t: float(law[t]) for t in range(1, cap)}, cap: max(tail, 0.0)}
 
 
 def weak_orderings(m: int):

@@ -9,11 +9,20 @@ merging the streams reproduces i.i.d. uniform slot picks. T_n grows like
 n log n; a coupon collector over the n-1 slots dominates it.
 
 The sweeps below read T and tau* from finite.first_arrival_batch (M is a
-separate call, simulate_direct_batch, over the same jobs), which draws only
-the first arrivals and counts the later ones with one Poisson draw (the
-superposition identity, stated in finite.py). simulate_poissonized runs every
-arrival and is its event-level reference; it parks cars with the oracle's
-one-row replay, park_in_rank_order, so it shares no code with the kernel.
+separate call, simulate_direct_batch), which works from the first arrivals
+and counts the later ones with one Poisson draw (the superposition identity,
+stated in finite.py). Rows of up to finite._BAND_SITES = 8000 sites draw
+every first arrival and classify them with one parity pass. Longer rows take
+the band path, whose cost does not grow with n. It draws the Binomial(n-1,
+e^-a) marks above a level a = log((n-1)/400), a + Exp(1) each, visits them
+in decreasing order, walks each one's rise and descent, and draws a mark
+below a (Exp(1) truncated to [0, a]) only when a walk reads it; the first
+car found gives tau*. The slots never read add their arrivals up to tau*
+through one multinomial over their number of later arrivals. A call with a
+band-path row runs on one thread. simulate_poissonized runs every arrival
+and is the event-level reference of both paths; it parks cars with the
+oracle's one-row replay, park_in_rank_order, so it shares no code with the
+kernels.
 """
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ from pagepark import (
 from pagepark import finite
 from pagepark.exact import variance_M
 from pagepark.finite import tau_star, tau_star_rows
-from pagepark.oracle import CHAIN_CAP, expected_T_exact, park_in_rank_order
+from pagepark.oracle import CHAIN_CAP, distribution_T_exact, expected_T_exact, park_in_rank_order
 from pagepark.stats import SampleStats, law_matches, within_stderr
 
 # seed-driven random fields keep hypothesis shrinking useful while the
@@ -75,8 +75,8 @@ class TestClassifierEquivalence:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_tie_rule_exhaustive_on_weak_orderings(self, n):
         # every weak ordering of the n-1 slots (4683 at n = 7): equal marks
-        # act in slot order, and the classifier and the tau* scan must agree
-        # with the oracle's replay of that rule
+        # act in slot order, and the classifier, tau_star and the band search
+        # over every slot must agree with the oracle's replay of that rule
         assert _tie_rule_misses(n) == []
 
     def test_strict_tie_rule_fails_weak_orderings(self, monkeypatch):
@@ -115,24 +115,28 @@ class TestClassifierEquivalence:
 
 
 def _tie_rule_misses(n: int) -> list:
-    """Weak orderings of n-1 slots on which the classifier or the tau* scan
-    disagrees with the oracle's replay (ties act in slot order)."""
+    """Weak orderings of n-1 slots on which the classifier, tau_star or the
+    band search with every slot in the band disagrees with the oracle's
+    replay (ties act in slot order)."""
     ranked = list(weak_orderings(n - 1))
     misses = [ranks for ranks, _ in verify_lemma1(n, occupancy_profile, ranked)]
     for ranks in ranked:
         cover = park_in_rank_order(ranks)
-        if tau_star(np.array(ranks, dtype=np.float64)) != max(ranks[c] for c in cover if c is not None):
+        want = max(ranks[c] for c in cover if c is not None)
+        band = sorted(range(n - 1), key=lambda s: -ranks[s])
+        if tau_star(np.array(ranks, dtype=np.float64)) != want or finite._band_tau(ranks, band, n - 1) != want:
             misses.append(ranks)
     return misses
 
 
 def _edited(fn, old: str, new: str):
     """A function of finite rebuilt from its source with its one occurrence
-    of `old` replaced by `new`."""
+    of `old` replaced by `new`. Its globals are finite's own, so it reads
+    the module's constants as tests set them."""
     src = inspect.getsource(fn)
     assert src.count(old) == 1
-    scope = dict(vars(finite))
-    exec(compile(src.replace(old, new), finite.__file__, "exec"), scope)
+    scope = {}
+    exec(compile(src.replace(old, new), finite.__file__, "exec"), vars(finite), scope)
     return scope[fn.__name__]
 
 
@@ -239,11 +243,16 @@ class TestDirectProcess:
         assert law_matches(collections.Counter(m.tolist()), distribution_M(n).probs)[0]
 
 
-# the kernels' paths, as (_SCAN_SITES, quantity): with _SCAN_SITES = 1 every
-# n >= 2 is long, so T takes the tau_star scan; at CHAIN_CAP every n <=
-# CHAIN_CAP is short, so T takes the car mask (tau_star_rows). M reads the car
-# mask alone, whatever _SCAN_SITES is
-PATHS = {"scan": (1, "T"), "mask": (CHAIN_CAP, "T"), "m": (CHAIN_CAP, "M")}
+# the kernels' paths, as (constants set, quantity): with _BAND_SITES = 1 every
+# n >= 2 takes the band path, and a band of about 2 slots leaves most rows of
+# n <= CHAIN_CAP with no car in it, so the fallback runs too; at CHAIN_CAP
+# every n <= CHAIN_CAP takes the car mask (tau_star_rows). M reads the car
+# mask alone, whatever _BAND_SITES is
+PATHS = {
+    "band": ({"_BAND_SITES": 1, "_BAND": 2}, "T"),
+    "mask": ({"_BAND_SITES": CHAIN_CAP}, "T"),
+    "m": ({}, "M"),
+}
 
 
 def _car_slots(row) -> list:
@@ -262,21 +271,22 @@ def _car_mask(xi):
 
 
 def _second_largest_car_mark(xi, car):
-    """The second-largest car mark of each row (the only one for one car)."""
-    marks = np.sort(np.where(car, xi, -np.inf), axis=1)
-    second = marks[:, -2] if marks.shape[1] > 1 else marks[:, -1]
-    return np.where(np.isfinite(second), second, marks[:, -1])
+    """The second-largest car mark of each row (the only one for one car),
+    of one row or of a 2-D block."""
+    marks = np.sort(np.where(car, xi, -np.inf), axis=-1)
+    second = marks[..., -2] if marks.shape[-1] > 1 else marks[..., -1]
+    return np.where(np.isfinite(second), second, marks[..., -1])
 
 
-def _scan_by(tau_of):
-    """A _scan replacement: tau_of applied to one field, and the marks above
-    that."""
+def _band_tau_by(tau_of):
+    """A _band_tau replacement: tau_of applied to the whole field, each mark
+    read through the field as the band path reads it."""
 
-    def scan(xi):
-        top = float(tau_of(xi[None, :], _car_mask(xi[None, :]))[0])
-        return top, xi[xi > top]
+    def band_tau(xi, band, m):
+        field = np.array([[xi[s] for s in range(m)]])
+        return float(tau_of(field, _car_mask(field))[0])
 
-    return scan
+    return band_tau
 
 
 _draw_counts = finite._draw_counts
@@ -288,29 +298,44 @@ def _without_first_arrivals(u, top, above_rows, above, rng):
     return t - below, tau
 
 
-# planted faults, as the quantity whose paths must catch them and
-# replacements of the kernels' parts; the tau* faults replace both _scan (scan
-# path) and tau_star_rows (car mask path), the log-sum faults edit
-# _draw_counts, which both T paths call, and the M fault counts a car where
-# either parity is odd
+def _untruncated_marks(rng, a):
+    while True:
+        yield from rng.standard_exponential(finite._FRESH).tolist()
+
+
+# planted faults, as the paths that must catch them and replacements of the
+# kernels' parts. The tau* faults replace both tau_star_rows (car mask path
+# and the band path's fallback) and _band_tau; the log-sum faults edit
+# _draw_counts, which only the car mask path calls; the M fault counts a car
+# where either parity is odd; the last four break one step of the band path
 PLANTED_FAULTS = {
-    "without_first_arrivals": ("T", {"_draw_counts": _without_first_arrivals}),
-    "second_largest_car_mark": ("T", {
+    "without_first_arrivals": (("mask",), {"_draw_counts": _without_first_arrivals}),
+    "second_largest_car_mark": (("mask", "band"), {
         "tau_star_rows": _second_largest_car_mark,
-        "_scan": _scan_by(_second_largest_car_mark),
+        "_band_tau": _band_tau_by(_second_largest_car_mark),
     }),
-    "largest_mark_of_all_slots": ("T", {
-        "tau_star_rows": lambda xi, car: xi.max(axis=1),
-        "_scan": _scan_by(lambda xi, car: xi.max(axis=1)),
+    "largest_mark_of_all_slots": (("mask", "band"), {
+        "tau_star_rows": lambda xi, car: xi.max(axis=-1),
+        "_band_tau": _band_tau_by(lambda xi, car: xi.max(axis=-1)),
     }),
-    "log_sum_drops_last_slot": ("T", {
+    "log_sum_drops_last_slot": (("mask",), {
         "_draw_counts": _edited(finite._draw_counts, "logs.sum(axis=1)", "logs[:, :-1].sum(axis=1)"),
     }),
-    "log_of_u_not_1_minus_u": ("T", {
+    "log_of_u_not_1_minus_u": (("mask",), {
         "_draw_counts": _edited(finite._draw_counts, "np.subtract(1.0, u, out=u)", "np.positive(u, out=u)"),
     }),
-    "car_count_of_rise_or_descent": ("M", {
+    "car_count_of_rise_or_descent": (("m",), {
         "_car_count_chunk": _edited(finite._car_count_chunk, "rise & descent", "rise | descent"),
+    }),
+    "later_law_without_e_minus_a": (("band",), {
+        "_later_law": _edited(finite._later_law, "math.exp(-a) * pi_low", "pi_low"),
+    }),
+    "non_band_marks_untruncated": (("band",), {"_fresh": _untruncated_marks}),
+    "band_in_slot_order": (("band",), {
+        "_band_row": _edited(finite._band_row, "slots[np.argsort(-marks)]", "np.sort(slots)"),
+    }),
+    "tail_cell_dropped": (("band",), {
+        "_unread_arrivals": _edited(finite._unread_arrivals, "law[j + 1 :].sum(keepdims=True)", "np.zeros(1)"),
     }),
 }
 
@@ -335,20 +360,73 @@ def _chain_mean_misses(quantity: str, reps: int = 6000, seed: int = 99) -> list:
     return misses
 
 
+# the band path forced onto chain sizes, as (n, _BAND, replicas): every n is
+# long, most rows hold no car in a band of 2 or 3 slots (the fallback), and
+# with J = tau - 1 a share of the unread slots falls in the tail cell
+BAND_LAWS = ((6, 2, 3000), (12, 3, 2000))
+
+
+def _band_law_misses(monkeypatch, laws=BAND_LAWS) -> list:
+    """The first n of laws, if any, where the forced band path's T fails
+    law_matches against the chain's exact law of T_n (values at or above its
+    last key counted there)."""
+    for name, value in (("_BAND_SITES", 1), ("_TAIL_SDS", 0), ("_TAIL_PAD", -1)):
+        monkeypatch.setattr(finite, name, value)
+    for n, band, reps in laws:
+        monkeypatch.setattr(finite, "_BAND", band)
+        law = distribution_T_exact(n)
+        t = first_arrival_batch([n], reps, SeedSpec(98, n))[0][0]
+        if not law_matches(collections.Counter(np.minimum(t, max(law)).tolist()), law)[0]:
+            return [n]
+    return []
+
+
+def _path_misses(path: str, monkeypatch) -> list:
+    """What the planted-fault test runs on each path: the law check on the
+    band path and the chain means on the others. numpy refuses the draws of
+    a law whose cells sum above 1, and that fails the check too."""
+    if path == "band":
+        try:
+            return _band_law_misses(monkeypatch)
+        except ValueError as refused:
+            return [str(refused)]
+    constants, quantity = PATHS[path]
+    for name, value in constants.items():
+        monkeypatch.setattr(finite, name, value)
+    return _chain_mean_misses(quantity)
+
+
+def _stream(master: int, r: int, c: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c))))
+
+
 def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
-    """(M, T, tau*) of each row rebuilt from the definition: rows of n split
-    into jobs of max(1, _CHUNK_MARKS // (n-1)) replicas, numbered c across
-    rows, job c drawing its Uniform(0, 1) fields u in one call from stream
-    (master, (r, c)); the cars come from the oracle's replay, M is twice
-    their count, tau* = -log1p(-u*) for their largest mark u*, and the later
-    draws one Poisson draw per row with mean sum_s (tau* - xi_s)^+ over the
-    arrival times xi = -log1p(-u)."""
+    """(M, T, tau*) of each row rebuilt from the definition, jobs numbered c
+    across rows, job c drawing from stream (master, (r, c)). Rows of up to
+    _BAND_SITES sites split into jobs of max(1, _CHUNK_MARKS // (n-1))
+    replicas, each drawing its Uniform(0, 1) fields u in one call; the cars
+    come from the oracle's replay, M is twice their count, tau* =
+    -log1p(-u*) for their largest mark u*, and the later draws one Poisson
+    draw per row with mean sum_s (tau* - xi_s)^+ over the arrival times xi =
+    -log1p(-u). Longer rows split into jobs of _BAND_JOB replicas, one
+    _band_row call each, in order, and M is None."""
     c, out = 0, []
     for n in n_list:
+        if n > finite._BAND_SITES:
+            ts, taus = [], []
+            for lo in range(0, replicas, finite._BAND_JOB):
+                rng = _stream(master, r, c)
+                c += 1
+                for _ in range(min(finite._BAND_JOB, replicas - lo)):
+                    t, tau = finite._band_row(n - 1, rng)
+                    ts.append(t)
+                    taus.append(tau)
+            out.append((None, ts, taus))
+            continue
         per_job = max(1, finite._CHUNK_MARKS // (n - 1))
         ms, ts, taus = [], [], []
         for lo in range(0, replicas, per_job):
-            rng = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=(r, c))))
+            rng = _stream(master, r, c)
             c += 1
             u = rng.random((min(per_job, replicas - lo), n - 1))
             cars = [_car_slots(row) for row in u]
@@ -372,10 +450,9 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
         elif kind in ("sawtooth", "sawtooth_odd"):
             # every high slot sits between lower ones (or at an edge next to
             # one) and never holds a car. "sawtooth" gives the high slots the
-            # even positions, which tau_star's subsample reads, so on long
-            # rows its threshold falls among them and the scan must fall back
-            # to the parity pass; "sawtooth_odd" gives them the odd positions, each
-            # between two low ones, so the scan must look past all of them
+            # even positions and "sawtooth_odd" the odd ones, each between
+            # two low ones, so a band of the high marks holds no car and the
+            # band search must look past all of them
             saw = np.empty(2 * v.size + 1)
             saw[0::2] = np.append(v, 0.5)
             saw[1::2] = v
@@ -385,92 +462,153 @@ def _mark_rows(kind: str, values: list, rows: int) -> np.ndarray:
     return np.array(out)
 
 
+MARK_KINDS = st.sampled_from(["float", "tied", "sawtooth", "sawtooth_odd"])
+MARK_VALUES = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90)
+
+
 class TestDirectBatchKernel:
     def test_means_match_exact_for_every_small_n(self, monkeypatch):
-        for path, (sites, quantity) in PATHS.items():
-            monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-            assert _chain_mean_misses(quantity) == [], path
+        for path, (constants, quantity) in PATHS.items():
+            for name, value in constants.items():
+                monkeypatch.setattr(finite, name, value)
+            # the band path is a Python loop per replica: fewer replicas
+            assert _chain_mean_misses(quantity, 1500 if path == "band" else 6000) == [], path
 
     @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
     def test_planted_faults_fail(self, monkeypatch, fault):
-        caught_by, parts = PLANTED_FAULTS[fault]
+        paths, parts = PLANTED_FAULTS[fault]
         for name, part in parts.items():
             monkeypatch.setattr(finite, name, part)
-        for path, (sites, quantity) in PATHS.items():
-            if quantity == caught_by:
-                monkeypatch.setattr(finite, "_SCAN_SITES", sites)
-                assert _chain_mean_misses(quantity) != [], path
+        for path in paths:
+            assert _path_misses(path, monkeypatch) != [], path
 
-    @given(
-        st.sampled_from(["float", "tied", "sawtooth", "sawtooth_odd"]),
-        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=90),
-        st.integers(min_value=1, max_value=4),
-    )
+    def test_band_path_matches_exact_law(self, monkeypatch):
+        # the band path forced onto n = 6 and 12 against the chain's exact
+        # law of T_n, with its two rare paths each made to run: the fallback
+        # (no car in the band, one parity pass) and the tail cell
+        fired = collections.Counter()
+        fallback, tail = finite.tau_star, finite._tail_arrivals
+
+        def counted_fallback(xi):
+            fired["fallback"] += 1
+            return fallback(xi)
+
+        def counted_tail(count, *args):
+            fired["tail"] += count
+            return tail(count, *args)
+
+        monkeypatch.setattr(finite, "tau_star", counted_fallback)
+        monkeypatch.setattr(finite, "_tail_arrivals", counted_tail)
+        for law in BAND_LAWS:
+            fired.clear()
+            assert _band_law_misses(monkeypatch, [law]) == []
+            assert fired["fallback"] > 0 and fired["tail"] > 0, (law, fired)
+
+    def test_band_parts_match_their_laws(self):
+        # the band path's draws against their exact laws: truncated marks in
+        # ten cells of equal mass, -log1p(-q (1 - e^-a)) apart; _later_law's
+        # mass and mean E[tau - x] = tau - 1 + a / (e^a - 1); the tail draws
+        # against _later_law beyond j; the unread slots' total, 1 + N each
+        rng = SeedSpec(70).generator()
+        a = 1.5
+        edges = -np.log1p(-np.linspace(0.1, 0.9, 9) * -math.expm1(-a))
+        cells = collections.Counter(np.searchsorted(edges, finite._truncated(rng, a, 20_000)).tolist())
+        assert law_matches(cells, dict.fromkeys(range(10), 0.1))[0]
+        for tau, a in ((0.7, 0.2), (3.0, 1.5), (12.0, 8.0), (20.0, 0.01)):
+            law = finite._later_law(tau, a, 200)
+            assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(law * np.arange(law.size)) == pytest.approx(tau - 1 + a / math.expm1(a), abs=1e-10)
+        tau, a, j = 3.0, 1.5, 3
+        tail = finite._later_law(tau, a, 60)[j + 1 :]
+        draws = [finite._tail_arrivals(1, tau, a, j, rng) for _ in range(4000)]
+        assert law_matches(collections.Counter(draws), dict(zip(range(j + 1, 62), tail / tail.sum())))[0]
+        totals = SampleStats.from_samples([finite._unread_arrivals(50, tau, a, rng) for _ in range(4000)])
+        assert within_stderr(totals.mean, 50 * (tau + a / math.expm1(a)), totals.stderr, 4.0)[0]
+
+    def test_band_means_match_mask_above_crossover(self, monkeypatch):
+        # just above the crossover the band path against the car mask, each
+        # on its own seed: the means of T and of tau* within 4 stderr of the
+        # difference
+        n, reps = finite._BAND_SITES + 1, 600
+        band = first_arrival_batch([n], reps, SeedSpec(68))[0]
+        monkeypatch.setattr(finite, "_BAND_SITES", n)
+        mask = first_arrival_batch([n], reps, SeedSpec(69))[0]
+        for got, want in zip(band, mask):
+            a, b = SampleStats.from_samples(got), SampleStats.from_samples(want)
+            assert within_stderr(a.mean, b.mean, math.hypot(a.stderr, b.stderr), 4.0)[0]
+
+    @given(MARK_KINDS, MARK_VALUES, st.integers(min_value=1, max_value=4))
     @example("sawtooth", [i / 40 for i in range(40)], 3)
     @example("sawtooth_odd", [i / 40 for i in range(40)], 1)
     @settings(max_examples=300, deadline=None)
     def test_tau_star_rows_equal_scan(self, kind, values, rows):
-        # scan == tau_star_rows == the largest car mark of the replay
+        # tau_star == tau_star_rows == the largest car mark of the replay
         xi = _mark_rows(kind, values, rows)
         want = [float(row[_car_slots(row)].max()) for row in xi]
         assert [tau_star(row) for row in xi] == want
         assert tau_star_rows(xi, _car_mask(xi)).tolist() == want
 
+    @given(MARK_KINDS, MARK_VALUES, st.floats(min_value=-0.5, max_value=3.5))
+    @example("sawtooth", [i / 40 for i in range(40)], 2.0)
+    @example("sawtooth_odd", [i / 40 for i in range(40)], 1.5)
+    @settings(max_examples=300, deadline=None)
+    def test_band_search_matches_tau_star_rows(self, kind, values, level):
+        # the band search over a known field with the band {slots above
+        # level}: the largest car mark if it lies in the band, else no car
+        xi = _mark_rows(kind, values, 1)
+        want = float(tau_star_rows(xi, _car_mask(xi))[0])
+        row = xi[0].tolist()
+        band = sorted((s for s, x in enumerate(row) if x > level), key=lambda s: -row[s])
+        assert finite._band_tau(row, band, len(row)) == (want if want > level else None)
+
     @pytest.mark.parametrize("kind, size", [("float", 4099), ("tied", 4099), ("sawtooth", 2049), ("sawtooth", 512)])
-    def test_tau_star_on_long_rows(self, kind, size, monkeypatch):
-        # rows of 4099 slots, where the scan takes its threshold from a
-        # subsample. A sawtooth of h values has 2h + 1 slots; the short one is
-        # followed by float marks between its low and its high slots. On both
-        # no slot at or above the threshold holds a car, so the scan classifies
-        # the row with one parity pass; float and tied rows never do
-        passes = []
-        parities = finite._run_parities
-        monkeypatch.setattr(finite, "_run_parities", lambda xi: passes.append(xi.shape) or parities(xi))
+    def test_tau_star_on_long_rows(self, kind, size):
+        # rows of 4099 slots. A sawtooth of h values has 2h + 1 slots; the
+        # short one is followed by float marks between its low and its high
+        # slots, so its highest marks hold no car
         gen = SeedSpec(7, size).generator()
         xi = _mark_rows(kind, gen.random(size).tolist(), 3)
         xi = np.concatenate([xi, 1.0 + gen.random((3, 4099 - xi.shape[1]))], axis=1)
-        car = _car_mask(xi)
-        want = [float(row[c].max()) for row, c in zip(xi, car)]
+        want = [float(row[c].max()) for row, c in zip(xi, _car_mask(xi))]
         assert [tau_star(row) for row in xi] == want
-        assert passes == ([(4099,)] * 3 if kind == "sawtooth" else [])
-        if kind == "sawtooth":
-            for row, c in zip(xi, car):
-                top = np.sort(row[:: finite._SCAN_STRIDE])[::-1]
-                assert not c[row >= top[finite._SCAN_TOP - 1]].any()
 
     @pytest.mark.parametrize(
         "n, replicas",
         [
-            (finite._CHUNK_MARKS + 2, 3),  # n - 1 > marks per chunk: one row per chunk
+            (finite._CHUNK_MARKS + 2, 3),  # n - 1 > marks per chunk: one row per M chunk
             (6, 2 * (finite._CHUNK_MARKS // 5) + 7),  # a partial last chunk
-            # the longest classified T-only row and the shortest scanned one;
+            # the longest car-mask T row and the shortest band-path one;
             # partial last chunk
-            pytest.param(finite._SCAN_SITES, 40, id="scan_sites-40"),
-            pytest.param(finite._SCAN_SITES + 1, 40, id="scan_sites_plus_1-40"),
+            pytest.param(finite._BAND_SITES, 40, id="band_sites-40"),
+            pytest.param(finite._BAND_SITES + 1, 40, id="band_sites_plus_1-40"),
         ],
     )
-    def test_chunks_equal_rows_built_by_hand(self, n, replicas):
-        # M reads the car mask of each job's marks; T takes the car mask up to
-        # _SCAN_SITES and the scan past it; either way a row gives the same bits
-        want = list(_by_hand([n], replicas, 61, 2)[0])
+    def test_chunks_equal_rows_built_by_hand(self, n, replicas, monkeypatch):
+        # M reads the car mask of each job's marks at any n; T takes the car
+        # mask up to _BAND_SITES and the band path past it; either way a row
+        # gives the same bits
         m = simulate_direct_batch(n, replicas, SeedSpec(61, 2))
         (t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
+        _, want_t, want_tau = _by_hand([n], replicas, 61, 2)[0]
+        monkeypatch.setattr(finite, "_BAND_SITES", max(n, finite._BAND_SITES))
+        want_m = _by_hand([n], replicas, 61, 2)[0][0]
         assert m.dtype == t.dtype == np.int64
-        assert [m.tolist(), t.tolist(), tau.tolist()] == want
+        assert [m.tolist(), t.tolist(), tau.tolist()] == [want_m, want_t, want_tau]
 
     def test_t_only_bytes_free_of_threads(self):
-        # jobs of one long scanned row, of several scanned rows, and of many
-        # classified rows give the same bytes on one thread and two
-        n_list = [finite._CHUNK_MARKS + 2, finite._SCAN_SITES + 1, 40]
-        runs = [first_arrival_batch(n_list, 9, SeedSpec(66), threads=k) for k in (1, 2)]
-        one, two = ([(t.tobytes(), tau.tobytes()) for t, tau in run] for run in runs)
-        assert one == two
+        # jobs of car-mask rows, which two threads share, and of band-path
+        # rows (two jobs a row), which run on one thread at any `threads`,
+        # give the same bytes on one thread and two
+        for n_list in ([finite._BAND_SITES, 40], [finite._CHUNK_MARKS + 2, finite._BAND_SITES + 1, 40]):
+            runs = [first_arrival_batch(n_list, finite._BAND_JOB + 3, SeedSpec(66), threads=k) for k in (1, 2)]
+            one, two = ([(t.tobytes(), tau.tobytes()) for t, tau in run] for run in runs)
+            assert one == two, n_list
 
     def test_jobs_numbered_across_rows(self):
         # job c counts across rows, so each row's streams follow the jobs of
         # the rows before it; a leading subset of rows reproduces, and an int
         # seed m is SeedSpec(m, 0)
-        n_list, reps = [6, finite._SCAN_SITES + 1, 40], 25
+        n_list, reps = [6, finite._BAND_SITES + 1, 40], 25
         got = first_arrival_batch(n_list, reps, SeedSpec(62, 3))
         want = _by_hand(n_list, reps, 62, 3)
         for (t, tau), (_, want_t, want_tau) in zip(got, want):
@@ -499,7 +637,7 @@ class TestDirectBatchKernel:
         with pytest.raises(ValueError):
             first_arrival_batch([6, 1], 3, SeedSpec(64))
 
-    @pytest.mark.parametrize("n", [300, finite._SCAN_SITES + 1])
+    @pytest.mark.parametrize("n", [300, finite._BAND_SITES + 1])
     def test_m_reads_no_draw_count(self, n, monkeypatch):
         # M comes off each job's car mask alone: with every part of the T
         # path made to raise, the same M comes out, on one thread and two
@@ -508,7 +646,7 @@ class TestDirectBatchKernel:
         def refuse(*args):
             raise AssertionError("M computed a part of T")
 
-        for name in ("_draw_counts", "tau_star_rows", "_scan"):
+        for name in ("_draw_counts", "tau_star_rows", "_band_row"):
             monkeypatch.setattr(finite, name, refuse)
         for threads in (1, 2):
             np.testing.assert_array_equal(simulate_direct_batch(n, 60, SeedSpec(67), threads), want)

@@ -3,6 +3,7 @@
 The oracle is the trust anchor for the rest of the suite, so its own tests
 pin hand-checkable values and structural identities only.
 """
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,7 +20,7 @@ from pagepark import (
     weak_orderings,
 )
 from pagepark import oracle
-from pagepark.oracle import park_in_rank_order
+from pagepark.oracle import distribution_T_exact, park_in_rank_order
 
 F = Fraction
 
@@ -73,6 +74,26 @@ class TestFrozenValues:
         # n=4: 3 slots; first draw parks; middle-first jams immediately,
         # side-first leaves one live slot among three
         assert expected_T_exact(4) == 3
+
+    def test_law_of_t_matches_chain_mean(self):
+        # the forward pass's law of T_n against the back-substitution's mean,
+        # which shares only the chain's states with it: mass 1, a tail below
+        # 1e-15 at the last key, and the mean to 1e-12
+        for n in range(2, CHAIN_CAP + 1):
+            law = distribution_T_exact(n)
+            assert abs(math.fsum(law.values()) - 1.0) <= 1e-12, n
+            assert law[max(law)] <= 1e-15, n
+            assert abs(math.fsum(t * p for t, p in law.items()) - float(expected_T_exact(n))) <= 1e-12, n
+
+    def test_law_of_t_small(self):
+        # n = 2: one slot, parked at the first draw. n = 4: the first draw
+        # parks; on the middle slot (1/3) it jams, else one parkable slot of
+        # three is left, a Geometric(1/3) wait
+        assert distribution_T_exact(2)[1] == 1.0
+        law = distribution_T_exact(4)
+        for t in range(1, 8):
+            want = 1 / 3 if t == 1 else 2 / 3 * (2 / 3) ** (t - 2) / 3
+            assert law[t] == pytest.approx(want, rel=1e-14), t
 
 
 class TestStructure:
@@ -157,3 +178,5 @@ class TestStructure:
             enumerate_orderings(1)
         with pytest.raises(ValueError):
             expected_T_exact(CHAIN_CAP + 1)
+        with pytest.raises(ValueError):
+            distribution_T_exact(CHAIN_CAP + 1)

@@ -40,7 +40,7 @@ class TestPoissonizedReplica:
 
     def test_tau_star_is_max_car_mark(self):
         # the replica's tau* (from the oracle's replay) against the kernel's
-        # tau* scan, on the same field
+        # tau_star, on the same field
         xi = -np.log1p(-SeedSpec(7).generator().random(99))
         assert simulate_poissonized(100, rng=SeedSpec(7))[0] == finite.tau_star(xi)
 
@@ -115,9 +115,9 @@ class TestRatioSweep:
         # the sweep is one first_arrival_batch call over all its rows, so its
         # (row, chunk) jobs are numbered across rows from stream (m, (r, 0));
         # test_finite rebuilds those streams by hand. A row on each side of
-        # the scan crossover; an int seed m is SeedSpec(m, 0)
+        # the band crossover; an int seed m is SeedSpec(m, 0)
         master, r, reps = 94, 7, 20
-        n_list = [300, finite._SCAN_SITES + 1]
+        n_list = [300, finite._BAND_SITES + 1]
         rows = trials_ratio_sweep(n_list, reps, seed=SeedSpec(master, r))
         for row, (t, tau) in zip(rows, first_arrival_batch(n_list, reps, SeedSpec(master, r))):
             want = SampleStats.from_samples(t)
@@ -135,11 +135,11 @@ class TestRatioSweep:
 class TestFastKernelLaw:
     def test_fast_t_matches_event_level(self, monkeypatch):
         # the first-arrival kernel must reproduce the event-level law of T on
-        # each tau* path (the scan forced by _SCAN_SITES = 1)
+        # each path (the band path forced by _BAND_SITES = 1)
         n, reps = 6, 25_000
         slow = collections.Counter(int(simulate_poissonized(n, rng=SeedSpec(96, i))[1].sum()) for i in range(reps))
         for sites in (1, n):
-            monkeypatch.setattr(finite, "_SCAN_SITES", sites)
+            monkeypatch.setattr(finite, "_BAND_SITES", sites)
             fast = first_arrival_batch([n], reps, seed=97)[0][0]
             _, _, p = chi_square_two_sample(dict(slow), dict(collections.Counter(fast.tolist())))
             assert p > 0.001, sites
