@@ -40,6 +40,7 @@ from .infinite import (
     RunsSample,
     WindowSample,
     autocovariance_mc,
+    density_curve_mc,
     sample_runs,
     sample_site_infinite,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "chi_square_two_sample",
     "coupon_collector_mean_exact",
     "density_curve_closed_form",
+    "density_curve_mc",
     "distribution_M",
     "enumerate_orderings",
     "expected_M",

@@ -231,10 +231,11 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog]:
     print(
         f"density-curve: {len(t_grid)} points, {args.replicas} replicas", file=sys.stderr
     )
-    # looked up on the module at call time, so that a wrapper installed there sees this call
-    runs = infinite.sample_runs(args.replicas, seed=SeedSpec(args.seed, 0), threads=args.threads)
-    print(f"density-curve: longest run {runs.longest_run} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
-    est = runs.density_at_time(t_grid, dist)
+    # each chunk is reduced to its grid counts where it is drawn, so memory does not grow
+    # with --replicas; looked up on the module at call time, so that a wrapper installed there sees this call
+    est, longest = infinite.density_curve_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 0),
+                                             threads=args.threads, dist=dist)
+    print(f"density-curve: longest run {longest} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
     checks = CheckLog()
     rows = []
     for t, closed, mc in zip(t_grid, closed_arr, est):

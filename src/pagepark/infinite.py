@@ -15,9 +15,10 @@ sampler here draws plain Uniform(0, 1) marks and takes no law: tau_0 is a time
 under uniform marks. A mark law F enters only at the estimate, through
 P(tau_0 <= t) = P(tau_0^U <= F(t)), as in the closed form 1 - e^(-2F(t)).
 
-sample_site_infinite grows one line lazily and is the reference. The two batch
-estimators, sample_runs (site 0: density curve, vacancy, f(t)) and
-autocovariance_mc (site 0 against each lag of a list), read one kernel,
+sample_site_infinite grows one line lazily and is the reference. The batch
+samplers, sample_runs (site 0: density curve, vacancy, f(t)),
+density_curve_mc (site 0's density curve alone) and autocovariance_mc
+(site 0 against each lag of a list), read one kernel,
 _line_runs, which draws only the marks the runs read: per chunk, a dense core
 over slots -1..K (K the largest lag), one contiguous row per slot over the
 replicas, then two walks outward that draw one fresh mark per step for the
@@ -27,8 +28,11 @@ these to every site 0..K. Each rise and descent has P(length >= j) = 1/j!, so
 sample_runs reads about 2e marks per replica. All lags come from one sample,
 so autocovariance_mc's estimates at different lags are dependent; each lag's
 estimate, and each check on it, holds on its own. Each chunk is reduced where
-it is drawn: sample_runs' chunks carry tau_0, and autocovariance_mc's one 2x2
-occupancy table per lag, so no pass runs over the whole sample.
+it is drawn: sample_runs' chunks carry the per-replica runs, tau_0 and xi_0,
+copied into its result; density_curve_mc's only the count of tau_0 at or below
+each grid time, and autocovariance_mc's one 2x2 occupancy table per lag. These
+two hold no per-replica array beyond a chunk, and none of the three makes a
+pass over the whole sample.
 
 Run lengths have 1/l! tails, so walks stay short; WINDOW_CAP exists only to
 turn an astronomically unlikely runaway into a loud error instead of silent
@@ -49,7 +53,7 @@ from .core import (
 from .stats import MCEstimate, proportion_estimate
 
 WINDOW_CAP = 10_000  # longest run before aborting loudly; read at call time
-_CHUNK = 1 << 15  # replicas per stream in sample_runs
+_CHUNK = 1 << 15  # replicas per stream in sample_runs and density_curve_mc
 _AUTOCOV_CHUNK = 1 << 14  # replicas per stream in autocovariance_mc (its cores are wider)
 
 
@@ -146,6 +150,12 @@ def _arrival_time(rise, descent, xi_left, xi_right):
     return np.minimum(xi_right + _UNCOVERED.take(descent & 1), xi_left + _UNCOVERED.take(rise & 1))
 
 
+def _arrivals_by(tau: np.ndarray, t_grid, dist: ArrivalDistribution) -> list[int]:
+    """For each t of the grid, the number of uniform arrival times tau_0 at or
+    below dist.cdf(t): the one counting rule of the density curve."""
+    return [int(np.count_nonzero(tau <= dist.cdf(float(t)))) for t in np.atleast_1d(t_grid)]
+
+
 @dataclass(frozen=True, eq=False)
 class RunsSample:
     """Batched draws for site 0: the rise and descent, the arrival time
@@ -170,10 +180,7 @@ class RunsSample:
         """P(tau_0 <= t) under marks of law dist for each t of the grid: the
         share of uniform arrival times <= dist.cdf(t). One batch serves the
         whole grid, so the estimated curve is exactly nondecreasing in t."""
-        return [
-            proportion_estimate(int(np.count_nonzero(self.tau <= dist.cdf(float(t)))), self.replicas)
-            for t in np.atleast_1d(t_grid)
-        ]
+        return [proportion_estimate(h, self.replicas) for h in _arrivals_by(self.tau, t_grid, dist)]
 
     def odd_descent_time_prob(self, t_grid, dist: ArrivalDistribution = EXP) -> list[MCEstimate]:
         """f(t) = P(xi_0 <= t and the descent at 0 is odd) under marks of law
@@ -268,6 +275,32 @@ def sample_runs(
         rise[rows], descent[rows], tau[rows], xi_right[rows] = part.rise, part.descent, part.tau, part.xi_right
         start, longest = rows.stop, max(longest, part.longest_run)
     return RunsSample(rise, descent, tau, xi_right, longest)
+
+
+def density_curve_mc(
+    t_grid,
+    replicas: int,
+    seed: int | SeedSpec = DEFAULT_SEED,
+    threads: int = 1,
+    dist: ArrivalDistribution = EXP,
+) -> tuple[list[MCEstimate], int]:
+    """P(tau_0 <= t) under marks of law dist for each t of the grid, and the
+    longest run drawn: sample_runs(replicas, seed, threads)
+    .density_at_time(t_grid, dist) and its longest_run, bit for bit, from the
+    same chunks on the same streams. Each chunk is reduced to its counts of
+    tau_0 at or below each grid time in the worker that drew it, so no
+    per-replica array outlives its chunk."""
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
+
+    def counts(size: int, rng: np.random.Generator) -> tuple[list[int], int]:
+        part = _runs_chunk(size, rng)
+        return _arrivals_by(part.tau, t_grid, dist), part.longest_run
+
+    hits, longest = [0] * np.atleast_1d(t_grid).size, 0
+    for got, run in map_streams(counts, seed, chunk_sizes(replicas, _CHUNK), threads):
+        hits, longest = [a + b for a, b in zip(hits, got)], max(longest, run)
+    return [proportion_estimate(h, replicas) for h in hits], longest
 
 
 @dataclass(frozen=True)

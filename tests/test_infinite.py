@@ -18,8 +18,8 @@ from pagepark import (
     RareEventCapError,
     SeedSpec,
     autocovariance_mc,
-    chi_square_two_sample,
     density_curve_closed_form,
+    density_curve_mc,
     limit_constants,
     odd_descent_prob_closed_form,
     proportion_estimate,
@@ -91,17 +91,18 @@ class TestWindowSampler:
         assert w.tau_0 == _tau_rule(w.rise_length, w.descent_length, xi_l, xi_r)
 
     def test_batch_tau_agrees_in_law(self):
-        # tau_0 of the lazy-line sampler and of the batch kernel, binned at
-        # the uniform times of an exponential time grid, with the vacant sites
-        # (tau_0 = inf) as the last bin
+        # tau_0 of the lazy-line sampler and of the batch kernel, each against
+        # its exact law in uniform time, P(tau_0 <= u) = 1 - e^(-2u) for u <= 1,
+        # binned at the uniform times of an exponential time grid, with the
+        # vacant sites (tau_0 = inf, probability e^-2) as the last bin
         edges = [EXP.cdf(t) for t in (0.25, 0.5, 1.0, 2.0)] + [math.inf]
+        covered = [-math.expm1(-2.0 * u) for u in [0.0, *edges[:-1], 1.0]]
+        law = dict(enumerate([*np.diff(covered), math.exp(-2.0)]))
         scalar = [sample_site_infinite(rng=SeedSpec(52, i)).tau_0 for i in range(4000)]
-        batch = sample_runs(4000, seed=53).tau
-        bins = [
-            np.bincount(np.searchsorted(edges, tau, side="right"), minlength=len(edges) + 1) for tau in (scalar, batch)
-        ]
-        _, _, p = chi_square_two_sample(*(dict(enumerate(map(int, b))) for b in bins))
-        assert p > 0.001
+        for tau in (scalar, sample_runs(4000, seed=53).tau):
+            bins = np.bincount(np.searchsorted(edges, tau, side="right"), minlength=len(edges) + 1)
+            ok, detail = law_matches(dict(enumerate(bins)), law)
+            assert ok, detail
 
     def test_cap_triggers_loudly(self, monkeypatch):
         monkeypatch.setattr(infinite, "WINDOW_CAP", 0)
@@ -111,21 +112,14 @@ class TestWindowSampler:
 
 class TestRunLaws:
     def test_scalar_and_batch_agree_in_law(self):
-        # rise/descent joint parity from the scalar sampler vs the batch kernel
+        # the joint (rise, descent) of the scalar sampler and of the batch
+        # kernel, each against its exact law (_run_law); test_truncated_fallback_fails
+        # shows this batch sample fails it when the walks stop at length 4
         scalar = [sample_site_infinite(rng=SeedSpec(50, i)) for i in range(4000)]
-        runs = sample_runs(4000, seed=51)
-        a = {}
-        b = {}
-        for w in scalar:
-            key = (min(w.rise_length, 4), min(w.descent_length, 4))
-            a[key] = a.get(key, 0) + 1
-        for r, d in zip(runs.rise, runs.descent):
-            key = (min(int(r), 4), min(int(d), 4))
-            b[key] = b.get(key, 0) + 1
-        flat_a = {i: a.get(k, 0) for i, k in enumerate(sorted(set(a) | set(b)))}
-        flat_b = {i: b.get(k, 0) for i, k in enumerate(sorted(set(a) | set(b)))}
-        _, _, p = chi_square_two_sample(flat_a, flat_b)
-        assert p > 0.001
+        scalar_runs = np.array([(w.rise_length, w.descent_length) for w in scalar]).T
+        for rise, descent in (scalar_runs, _batch_runs(4000, 51)):
+            ok, detail = _run_law(rise, descent)
+            assert ok, detail
 
     def test_run_length_marginals(self):
         # P(len = j) = 1/j! - 1/(j+1)! and P(len >= 4) = 1/4!
@@ -241,6 +235,46 @@ class TestEstimators:
         est = sample_runs(100_000, seed=74).density_at_time([0.4], UNIFORM)[0]
         closed = float(density_curve_closed_form([0.4], dist=UNIFORM)[0])
         assert _proportion_agrees(est.estimate, est.replicas, closed)
+
+
+class TestDensityCurve:
+    """density_curve_mc reduces each chunk of sample_runs' job list to its
+    grid counts where it is drawn."""
+
+    GRID = [0.25, 0.5, 1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("replicas", [1, _CHUNK, _CHUNK + 5000, 3 * _CHUNK + 17])
+    @pytest.mark.parametrize("seed", [12, SeedSpec(13, 4)], ids=["int", "spec"])
+    def test_equals_the_sample_route(self, replicas, seed):
+        # estimate, stderr and replicas, and the longest run, bit for bit,
+        # over one chunk, several and a partial one, serial and pooled
+        for threads in (1, 3):
+            runs = sample_runs(replicas, seed=seed, threads=threads)
+            for dist in (EXP, UNIFORM):
+                est, longest = density_curve_mc(self.GRID, replicas, seed=seed, threads=threads, dist=dist)
+                assert est == runs.density_at_time(self.GRID, dist)
+                assert longest == runs.longest_run
+
+    def test_peak_memory_does_not_grow_with_replicas(self):
+        # only each chunk's grid counts outlive it, so 16 chunks peak no
+        # higher than 2 (2.2 MiB at 2 chunks and 1.4 MiB at 16 were
+        # measured); the sample_runs(...).density_at_time route keeps every
+        # replica's runs, tau_0 and mark (20 bytes each), peaks at about
+        # 3.6 MiB at 2 chunks and 12.3 MiB at 16, and fails this bound
+        peaks = []
+        for chunks in (2, 16):
+            tracemalloc.start()
+            try:
+                density_curve_mc(self.GRID, chunks * _CHUNK, seed=3, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
+
+    def test_validation(self):
+        for replicas in (0, -1):
+            with pytest.raises(ValueError):
+                density_curve_mc([1.0], replicas)
 
 
 class TestAutocovariance:
@@ -371,17 +405,24 @@ def _strip_failures(est) -> list[str]:
     return failed
 
 
+def _batch_runs(replicas: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rise, descent) at site 0 of sample_runs(replicas, seed)."""
+    runs = sample_runs(replicas, seed=seed)
+    return runs.rise, runs.descent
+
+
 def _vacancy_agrees(runs) -> bool:
     """The vacant fraction lies within 4 exact standard errors of e^-2."""
     return _proportion_agrees(float(runs.vacant.mean()), runs.replicas, math.exp(-2.0))
 
 
-def _run_law(runs) -> tuple[bool, str]:
+def _run_law(rise, descent) -> tuple[bool, str]:
     """law_matches for the joint (rise, descent) at site 0 against its exact
     law: the two are independent, and each has P(len = j) = j/(j+1)! for
-    j < 6 and P(len >= 6) = 1/6!. The 36 cells are taken in row-major order."""
+    j < 6 and P(len >= 6) = 1/6!. The 36 cells are taken in row-major order.
+    Lengths of 5 and up get their own cells, so walks cut short at 4 fail."""
     law = [j / math.factorial(j + 1) for j in range(1, 6)] + [1 / math.factorial(6)]
-    cells = np.bincount(6 * (np.minimum(runs.rise, 6) - 1) + np.minimum(runs.descent, 6) - 1, minlength=36)
+    cells = np.bincount(6 * (np.minimum(rise, 6) - 1) + np.minimum(descent, 6) - 1, minlength=36)
     return law_matches(dict(enumerate(cells)), dict(enumerate(np.outer(law, law).ravel())))
 
 
@@ -549,6 +590,8 @@ class TestStripKernel:
             autocovariance_mc([1, 3], 2000, seed=seed)
         with pytest.raises(RareEventCapError):
             sample_runs(2000, seed=seed)
+        with pytest.raises(RareEventCapError):
+            density_curve_mc([1.0], 2000, seed=seed)
 
     @pytest.mark.parametrize("k", [0, 3, 8])
     def test_cap_binds_in_the_core_and_the_walks(self, monkeypatch, k):
@@ -573,21 +616,23 @@ class TestStripKernel:
 
     def test_runs_follow_their_exact_law(self):
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
-        assert _run_law(runs)[0] and _vacancy_agrees(runs)
+        assert _run_law(runs.rise, runs.descent)[0] and _vacancy_agrees(runs)
         for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0), threads=2):
             assert _strip_failures(est) == []
 
     def test_truncated_fallback_fails(self, monkeypatch):
         # walks that stop at length 4 without raising, on the samples of
-        # test_runs_follow_their_exact_law: both estimators and the law test must notice
+        # test_runs_follow_their_exact_law and the batch sample of
+        # test_scalar_and_batch_agree_in_law: both estimators and both law tests must notice
         walk = infinite._walk
         monkeypatch.setattr(infinite, "_walk", lambda start, rng, leftward: np.minimum(walk(start, rng, leftward), 4))
         for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0), threads=2):
             assert _strip_failures(est), est.k
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
         assert not _vacancy_agrees(runs)
-        ok, detail = _run_law(runs)
-        assert not ok and float(detail.rsplit("p = ", 1)[1]) < 1e-9
+        for rise, descent in ((runs.rise, runs.descent), _batch_runs(4000, 51)):
+            ok, detail = _run_law(rise, descent)
+            assert not ok and float(detail.rsplit("p = ", 1)[1]) < 1e-9
 
     def test_longest_run_is_thread_independent(self):
         a = autocovariance_mc([0, 3, 8], 40_000, seed=88, threads=1)
