@@ -38,11 +38,12 @@ and a level a = max(0, log(m / B)), B = _BAND, memorylessness splits the
 field into a band, Binomial(m, e^-a) slots as a uniform subset with marks
 a + Exp(1), and the rest, i.i.d. Exp(1) truncated to [0, a]. The band is
 visited in decreasing mark order; at each slot the rise and the descent are
-walked with the tie rule, each other mark is drawn the first time a walk
-reads it, and the first car found gives tau*. If the band holds no car
-(probability about exp(-B e^-2)), the field is completed and one parity pass
-gives tau*. A read slot adds 1 + Poisson(tau* - xi) if xi <= tau*, all in
-one Poisson draw. The U unread slots are still i.i.d. truncated and lie
+walked with the tie rule, each mark is read only when a walk reaches it (a
+band slot's looked up by bisection, any other drawn; _Field), and the first
+car found gives tau*. If the band holds no car (probability about
+exp(-B e^-2)), the field is completed and the same search over all of its
+slots gives tau*. A read slot adds 1 + Poisson(tau* - xi) if xi <= tau*, all
+in one Poisson draw. The U unread slots are still i.i.d. truncated and lie
 below a <= tau*, so each adds 1 + N with
 
     P(N = j) = [pi_tau*(j+1) - e^-a pi_(tau*-a)(j+1)] / (1 - e^-a),
@@ -70,6 +71,7 @@ Conventions used throughout (1-based sites and slots in the API):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -237,16 +239,22 @@ def _truncated(rng: np.random.Generator, a: float, size: int) -> np.ndarray:
 
 
 class _Field(dict):
-    """One row's marks by 0-based slot: the band's {slot: mark} first, then
-    each other slot in the order a walk first reads it, when it takes the
-    next mark of `fresh`."""
+    """One row's marks by 0-based slot, each looked up the first time a walk
+    reads it: a band slot's mark by bisection on the band's sorted slots, any
+    other slot's as the next mark of `fresh`, kept in `drawn` in that order."""
 
-    def __init__(self, band, fresh):
-        super().__init__(band)
-        self.fresh = fresh
+    def __init__(self, slots: np.ndarray, marks: np.ndarray, fresh):
+        order = slots.argsort()
+        self.slots, self.marks = slots[order].tolist(), marks[order].tolist()
+        self.fresh, self.drawn = fresh, []
 
     def __missing__(self, s: int) -> float:
-        x = self[s] = next(self.fresh)
+        i = bisect_left(self.slots, s)
+        if i < len(self.slots) and self.slots[i] == s:
+            x = self[s] = self.marks[i]
+        else:
+            x = self[s] = next(self.fresh)
+            self.drawn.append(x)
         return x
 
 
@@ -293,19 +301,21 @@ def _band_row(m: int, rng: np.random.Generator) -> tuple[int, float]:
     """(T, tau*) of one row of m slots by the band construction of the
     module docstring. It draws the band's slots and marks, each other mark
     when a walk of _band_tau first reads it, and the rest of the field only
-    if the band holds no car."""
+    if the band holds no car; then _band_tau searches all of it."""
     p = min(1.0, _BAND / m)
     a = -math.log(p)
     k = int(rng.binomial(m, p))
     slots = rng.choice(m, k, replace=False, shuffle=False)
     marks = a + rng.standard_exponential(k)
-    xi = _Field(zip(slots.tolist(), marks.tolist()), _fresh(rng, a))
-    tau = _band_tau(xi, slots[np.argsort(-marks)].tolist(), m)
+    xi = _Field(slots, marks, _fresh(rng, a))
+    # the search visits about 7 of the band's 400 slots: convert only those
+    tau = _band_tau(xi, map(int, slots[np.argsort(-marks)]), m)
     if tau is None:
-        read = np.array([xi[s] for s in range(m)])
-        tau = tau_star(read)
+        read = [xi[s] for s in range(m)]
+        tau = _band_tau(read, sorted(range(m), key=read.__getitem__, reverse=True), m)
+        read = np.array(read)
     else:
-        read = np.concatenate((marks, list(xi.values())[k:]))
+        read = np.concatenate((marks, xi.drawn))
     t = np.count_nonzero(read <= tau) + int(rng.poisson(np.maximum(tau - read, 0.0).sum()))
     if read.size < m:
         t += _unread_arrivals(m - read.size, tau, a, rng)

@@ -304,8 +304,8 @@ def _untruncated_marks(rng, a):
 
 
 # planted faults, as the paths that must catch them and replacements of the
-# kernels' parts. The tau* faults replace both tau_star_rows (car mask path
-# and the band path's fallback) and _band_tau; the log-sum faults edit
+# kernels' parts. The tau* faults replace both tau_star_rows (car mask path)
+# and _band_tau (the band search and its fallback); the log-sum faults edit
 # _draw_counts, which only the car mask path calls; the M fault counts a car
 # where either parity is odd; the last four break one step of the band path
 PLANTED_FAULTS = {
@@ -485,19 +485,21 @@ class TestDirectBatchKernel:
     def test_band_path_matches_exact_law(self, monkeypatch):
         # the band path forced onto n = 6 and 12 against the chain's exact
         # law of T_n, with its two rare paths each made to run: the fallback
-        # (no car in the band, one parity pass) and the tail cell
+        # (no car in the band, so the search runs over the whole field) and
+        # the tail cell
         fired = collections.Counter()
-        fallback, tail = finite.tau_star, finite._tail_arrivals
+        band_tau, tail = finite._band_tau, finite._tail_arrivals
 
-        def counted_fallback(xi):
-            fired["fallback"] += 1
-            return fallback(xi)
+        def counted_fallback(xi, band, m):
+            tau = band_tau(xi, band, m)
+            fired["fallback"] += tau is None
+            return tau
 
         def counted_tail(count, *args):
             fired["tail"] += count
             return tail(count, *args)
 
-        monkeypatch.setattr(finite, "tau_star", counted_fallback)
+        monkeypatch.setattr(finite, "_band_tau", counted_fallback)
         monkeypatch.setattr(finite, "_tail_arrivals", counted_tail)
         for law in BAND_LAWS:
             fired.clear()

@@ -37,7 +37,7 @@ DIGESTS = {
     ("density-curve", "csv"): "ece1d98aeb96b50aafbcbed05c7188dea06b435e8911e1ae24fe8e997edfd6b5",
     ("density-curve", "json"): "90cb5a56c6033a05229c996b0e9c08f5fb1295076aed073ed614082a171ee869",
     ("trials", "csv"): "7c75661ac8289a873fe349b9fe086a17bc3a33634e84b21b88a7aa4b62c4aa6f",
-    ("trials", "json"): "0253af0e58b9868804015d24538fd91a861ce6d85b1ebd6800eb18cc06723d33",
+    ("trials", "json"): "5f8762efd04e0b130e9c7c69675911ae147f58e712a99a6c9752f70f0e0fc7e0",
     ("autocovariance", "csv"): "a75824d187f15c6fc430beb49f31e6f7d218bf15bed9b6144357c26128aeb101",
     ("autocovariance", "json"): "bc38a21be4771af8b565c79412359a3097909e8d81f8cc180af0de162db6fb03",
     ("site-vacancy", "csv"): "95a80a79351ea2441d97fff3de26e48696fba2e73695ec6a016391b02f1dc21d",

@@ -1,6 +1,8 @@
 """Poissonized trial counting: tau*, total draws, and the coupon ceiling."""
 import collections
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,8 +83,37 @@ class TestTauStarStatistics:
 class TestCouponCollector:
     def test_exact_small(self):
         assert coupon_collector_mean_exact(1) == 1.0
-        assert coupon_collector_mean_exact(2) == pytest.approx(3.0)
-        assert coupon_collector_mean_exact(3) == pytest.approx(5.5)
+        assert coupon_collector_mean_exact(2) == 3.0
+        assert coupon_collector_mean_exact(3) == 5.5
+
+    def test_equals_rounded_exact_sum(self):
+        # k H_k from an exact running sum, rounded once, for every k up to
+        # 3000: below 20 the function sums Fractions too, from 20 on it
+        # evaluates the Euler-Maclaurin series, whose largest error here is
+        # 0 ulp (k times an np.sum of the reciprocals is up to 2 ulp off)
+        h, wrong = Fraction(0), []
+        for k in range(1, 3001):
+            h += Fraction(1, k)
+            if coupon_collector_mean_exact(k) != float(k * h):
+                wrong.append(k)
+        assert wrong == []
+
+    @pytest.mark.parametrize("k", [10**5, 10**6])
+    def test_within_one_ulp_of_fsum(self, k):
+        # math.fsum of the rounded reciprocals is itself 1 ulp off k H_k at
+        # 10^6 (a 45-digit sum agrees with the function there)
+        want = k * math.fsum(np.reciprocal(np.arange(1.0, k + 1)).tolist())
+        assert abs(coupon_collector_mean_exact(k) - want) <= math.ulp(want)
+
+    def test_constant_memory(self):
+        # O(1) memory: an array of the k reciprocals would peak at 8k bytes
+        tracemalloc.start()
+        try:
+            coupon_collector_mean_exact(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
 
     def test_exact_k100(self):
         h100 = sum(1.0 / j for j in range(1, 101))
@@ -125,6 +156,20 @@ class TestRatioSweep:
         assert trials_ratio_sweep([300], reps, seed=master) == trials_ratio_sweep(
             [300], reps, seed=SeedSpec(master, 0)
         )
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # both rows take the band path, whose memory does not depend on n,
+        # and the coupon mean takes O(1) memory (an array of the n - 1
+        # reciprocals would peak 14 MiB higher at 10^6 than at 10^5)
+        peaks = []
+        for n in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                trials_ratio_sweep([n], 2, seed=92)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20
 
     def test_small_n_mean_matches_chain(self):
         row = trials_ratio_sweep([6], 30_000, seed=95, threads=2)[0]
