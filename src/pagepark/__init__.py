@@ -56,7 +56,6 @@ from .oracle import (
 from .stats import (
     MCEstimate,
     SampleStats,
-    chi_square_two_sample,
     proportion_estimate,
 )
 from .trials import (
@@ -87,7 +86,6 @@ __all__ = [
     "UNIFORM",
     "WindowSample",
     "autocovariance_mc",
-    "chi_square_two_sample",
     "coupon_collector_mean_exact",
     "density_curve_closed_form",
     "density_curve_mc",

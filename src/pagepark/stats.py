@@ -87,24 +87,6 @@ def law_matches(counts: dict, law: dict) -> tuple[bool, str]:
     return p > 0.001, f"chi-square {stat:.3f} on {dof} dof, p = {p:.3g}"
 
 
-def chi_square_two_sample(counts_a: dict, counts_b: dict):
-    """Two-sample chi-square homogeneity test over integer-valued outcomes,
-    pooled by _pooled on the expected counts of the smaller sample. Returns
-    (statistic, dof, p_value)."""
-    keys = sorted(set(counts_a) | set(counts_b))
-    ab = np.array([[c.get(k, 0) for k in keys] for c in (counts_a, counts_b)], dtype=np.float64)
-    sizes = ab.sum(axis=1)
-    if not sizes.all():
-        raise ValueError("empty sample")
-    ab = _pooled(ab, sizes.min() * ab.sum(axis=0) / sizes.sum())
-    if ab.shape[1] < 2:
-        return 0.0, 0, 1.0
-    exp = np.outer(sizes, ab.sum(axis=0)) / sizes.sum()
-    stat = float(((ab - exp) ** 2 / exp).sum())
-    dof = ab.shape[1] - 1
-    return stat, dof, chi_square_sf(stat, dof)
-
-
 def chi_square_sf(x: float, dof: int) -> float:
     """P(X > x) for X chi-square with integer dof >= 1 (Abramowitz & Stegun
     26.4.4-5): with h = x/2, the sum of h^a e^-h / Gamma(a+1) over

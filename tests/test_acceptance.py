@@ -16,7 +16,6 @@ import numpy as np
 
 from pagepark import (
     SeedSpec,
-    chi_square_two_sample,
     density_curve_closed_form,
     distribution_M,
     enumerate_orderings,
@@ -32,6 +31,8 @@ from pagepark import (
     simulate_poissonized,
     trials_ratio_sweep,
 )
+from pagepark.oracle import distribution_T_exact
+from pagepark.stats import law_matches
 
 RHO = 1.0 - math.exp(-2.0)
 VAC = math.exp(-2.0)
@@ -186,29 +187,32 @@ def test_criterion_08_trials_sweep():
 
 
 def test_criterion_09_construction_equivalence():
-    # the direct side runs the draws one by one: the first-arrival kernel is
-    # built from the priority field, so it would compare the classifier with
-    # itself; the priority side classifies uniform marks and never calls it
+    # each construction against its exact law at n = 6: M of the draws one
+    # by one and of parking in mark order against distribution_M, and T of
+    # the draws and of the Poissonized arrivals against the chain's law of
+    # T_n (values at or above its last key counted there). The direct side
+    # runs the draws one by one: the first-arrival kernel is built from the
+    # priority field, so it would check the classifier with itself; the
+    # priority side classifies uniform marks and never calls it
     n, reps = 6, 100_000
     rng = SeedSpec(424211).generator()
     direct = [simulate_direct(n, rng) for _ in range(reps)]  # (occupancy, T) pairs
     m_prio = occupancy_profile(SeedSpec(424212).generator().random((reps, n - 1))).sum(axis=1)
-    _, _, p_m = chi_square_two_sample(
-        dict(collections.Counter(int(occ.sum()) for occ, _ in direct)),
-        dict(collections.Counter(int(x) for x in m_prio)),
-    )
     rng_poisson = SeedSpec(424213).generator()  # one stream, as on the direct side
     t_poisson = [int(simulate_poissonized(n, rng=rng_poisson)[1].sum()) for _ in range(reps)]
-    _, _, p_t = chi_square_two_sample(
-        dict(collections.Counter(t for _, t in direct)),
-        dict(collections.Counter(t_poisson)),
-    )
+    law_m, law_t = distribution_M(n).probs, distribution_T_exact(n)
+    cap = max(law_t)
+    checks = {
+        "M direct": law_matches(collections.Counter(int(occ.sum()) for occ, _ in direct), law_m),
+        "M priority": law_matches(collections.Counter(m_prio.tolist()), law_m),
+        "T direct": law_matches(collections.Counter(min(t, cap) for _, t in direct), law_t),
+        "T Poissonized": law_matches(collections.Counter(min(t, cap) for t in t_poisson), law_t),
+    }
     report(
         9,
-        "construction equivalence in law (n=6, 10^5 replicas)",
-        p_m > 0.001 and p_t > 0.001,
-        f"chi-square p(M direct vs priority) = {p_m:.3f}, "
-        f"p(T direct vs Poissonized) = {p_t:.3f}, both > 0.001",
+        "each construction against its exact law (n=6, 10^5 replicas)",
+        all(ok for ok, _ in checks.values()),
+        "; ".join(f"{name}: {detail}" for name, (_, detail) in checks.items()) + ", each p > 0.001",
     )
 
 

@@ -221,15 +221,20 @@ class TestDirectProcess:
         assert occ.tolist() == [True, True] and t == 1
 
     def test_batch_matches_single_law(self):
-        # the one-pass kernel against the draw-by-draw reference: chi-square
-        # on the laws of M and of T (n = 6, where M takes two values)
+        # the one-pass kernels and the draw-by-draw reference, each against
+        # its exact law at n = 6: M against distribution_M (two values) and T
+        # against the chain's law of T_6 (_fits)
         n, reps = 6, 20_000
         single = [simulate_direct(n, rng=SeedSpec(1234, i)) for i in range(reps)]
-        batch_m = simulate_direct_batch(n, reps, SeedSpec(5678))
-        batch_t = first_arrival_batch([n], reps, SeedSpec(5678))[0][0]
-        for ref, got in (([int(occ.sum()) for occ, _ in single], batch_m), ([t for _, t in single], batch_t)):
-            _, _, p = _chi2(collections.Counter(ref), collections.Counter(got.tolist()))
-            assert p > 0.001
+        law_m, law_t = distribution_M(n).probs, distribution_T_exact(n)
+        for sample, law in (
+            ([int(occ.sum()) for occ, _ in single], law_m),
+            ([t for _, t in single], law_t),
+            (simulate_direct_batch(n, reps, SeedSpec(5678)), law_m),
+            (first_arrival_batch([n], reps, SeedSpec(5678))[0][0], law_t),
+        ):
+            ok, detail = _fits(sample, law)
+            assert ok, detail
 
     def test_batch_m_matches_exact_law(self):
         n, reps = 6, 40_000
@@ -305,9 +310,12 @@ def _untruncated_marks(rng, a):
 
 # planted faults, as the paths that must catch them and replacements of the
 # kernels' parts. The tau* faults replace both tau_star_rows (car mask path)
-# and _band_tau (the band search and its fallback); the log-sum faults edit
-# _draw_counts, which only the car mask path calls; the M fault counts a car
-# where either parity is odd; the last four break one step of the band path
+# and _band_tau (the band search and its fallback); the log-sum faults and a
+# rounding of the later draws' Poisson count (floor(mean + U): its mean, far
+# less spread) edit _draw_counts, which only the car mask path calls; the M
+# fault counts a car where either parity is odd; the last five break one step
+# of the band path, the last of them by a draw in a fifth of the rows, which
+# only the band path's mean check ("band_mean") has the rows to see
 PLANTED_FAULTS = {
     "without_first_arrivals": (("mask",), {"_draw_counts": _without_first_arrivals}),
     "second_largest_car_mark": (("mask", "band"), {
@@ -324,6 +332,13 @@ PLANTED_FAULTS = {
     "log_of_u_not_1_minus_u": (("mask",), {
         "_draw_counts": _edited(finite._draw_counts, "np.subtract(1.0, u, out=u)", "np.positive(u, out=u)"),
     }),
+    "later_draws_rounded_not_poisson": (("mask",), {
+        "_draw_counts": _edited(
+            finite._draw_counts,
+            "rng.poisson(np.maximum(tau * below + log_below, 0.0))",
+            "np.floor(np.maximum(tau * below + log_below, 0.0) + rng.random(rows)).astype(np.int64)",
+        ),
+    }),
     "car_count_of_rise_or_descent": (("m",), {
         "_car_count_chunk": _edited(finite._car_count_chunk, "rise & descent", "rise | descent"),
     }),
@@ -336,6 +351,10 @@ PLANTED_FAULTS = {
     }),
     "tail_cell_dropped": (("band",), {
         "_unread_arrivals": _edited(finite._unread_arrivals, "law[j + 1 :].sum(keepdims=True)", "np.zeros(1)"),
+    }),
+    "unread_arrivals_one_short": (("band_mean",), {
+        "_band_row": _edited(finite._band_row, "_unread_arrivals(m - read.size, tau, a, rng)",
+                             "_unread_arrivals(m - read.size, tau, a, rng) - 1"),
     }),
 }
 
@@ -360,40 +379,79 @@ def _chain_mean_misses(quantity: str, reps: int = 6000, seed: int = 99) -> list:
     return misses
 
 
+def _fits(sample, law) -> tuple[bool, str]:
+    """law_matches of the integer sample against an exact law, values at or
+    above its last key counted there: the chain's law of T_n ends in a key
+    that stands for "cap and above"."""
+    return law_matches(collections.Counter(np.minimum(sample, max(law)).tolist()), law)
+
+
+def _t_fits(n: int, reps: int) -> bool:
+    """Whether first_arrival_batch's T_n on seed SeedSpec(98, n), with
+    finite's constants as set, fits the chain's exact law of T_n."""
+    return _fits(first_arrival_batch([n], reps, SeedSpec(98, n))[0][0], distribution_T_exact(n))[0]
+
+
+def _force_band(monkeypatch, band: int) -> None:
+    """Every n on the band path with a band of about `band` slots, J = tau - 1
+    so that a share of the unread slots falls in the tail cell."""
+    for name, value in (("_BAND_SITES", 1), ("_BAND", band), ("_TAIL_SDS", 0), ("_TAIL_PAD", -1)):
+        monkeypatch.setattr(finite, name, value)
+
+
 # the band path forced onto chain sizes, as (n, _BAND, replicas): every n is
-# long, most rows hold no car in a band of 2 or 3 slots (the fallback), and
-# with J = tau - 1 a share of the unread slots falls in the tail cell
+# long, and most rows hold no car in a band of 2 or 3 slots (the fallback)
 BAND_LAWS = ((6, 2, 3000), (12, 3, 2000))
+# the car mask path's law checks, as (n, replicas): its rows cost microseconds
+MASK_LAWS = ((6, 25_000), (12, 25_000))
 
 
 def _band_law_misses(monkeypatch, laws=BAND_LAWS) -> list:
     """The first n of laws, if any, where the forced band path's T fails
-    law_matches against the chain's exact law of T_n (values at or above its
-    last key counted there)."""
-    for name, value in (("_BAND_SITES", 1), ("_TAIL_SDS", 0), ("_TAIL_PAD", -1)):
-        monkeypatch.setattr(finite, name, value)
+    the chain's exact law of T_n (_t_fits)."""
     for n, band, reps in laws:
-        monkeypatch.setattr(finite, "_BAND", band)
-        law = distribution_T_exact(n)
-        t = first_arrival_batch([n], reps, SeedSpec(98, n))[0][0]
-        if not law_matches(collections.Counter(np.minimum(t, max(law)).tolist()), law)[0]:
+        _force_band(monkeypatch, band)
+        if not _t_fits(n, reps):
             return [n]
     return []
 
 
+def _mask_law_misses() -> list:
+    """Each n of MASK_LAWS where T fails the chain's exact law of T_n
+    (_t_fits), with finite's constants as set."""
+    return [n for n, reps in MASK_LAWS if not _t_fits(n, reps)]
+
+
+def _band_mean_misses(monkeypatch, n: int = 6, reps: int = 20_000) -> list:
+    """[n] if the mean of the forced band path's T_n (a band of 2) misses
+    the chain's E[T_n] by more than 4 standard errors of the exact law's sd,
+    else []. About a fifth of these rows reach _unread_arrivals, so a fault
+    there of a draw or so per row moves the mean by several standard errors,
+    which the law checks' samples are too small to see."""
+    _force_band(monkeypatch, 2)
+    law, want = distribution_T_exact(n), float(expected_T_exact(n))
+    sd = math.sqrt(math.fsum(p * (t - want) ** 2 for t, p in law.items()))
+    t = first_arrival_batch([n], reps, SeedSpec(100, n))[0][0]
+    return [] if within_stderr(float(t.mean()), want, sd / math.sqrt(reps), 4.0)[0] else [n]
+
+
 def _path_misses(path: str, monkeypatch) -> list:
-    """What the planted-fault test runs on each path: the law check on the
-    band path and the chain means on the others. numpy refuses the draws of
-    a law whose cells sum above 1, and that fails the check too."""
+    """What the planted-fault test runs on each path: the law checks on the
+    band path, and on "band_mean" its mean check; the chain means and the
+    law checks on the car mask path, and the chain means for M. numpy
+    refuses the draws of a law whose cells sum above 1, and that fails the
+    check too."""
     if path == "band":
         try:
             return _band_law_misses(monkeypatch)
         except ValueError as refused:
             return [str(refused)]
+    if path == "band_mean":
+        return _band_mean_misses(monkeypatch)
     constants, quantity = PATHS[path]
     for name, value in constants.items():
         monkeypatch.setattr(finite, name, value)
-    return _chain_mean_misses(quantity)
+    return _chain_mean_misses(quantity) + (_mask_law_misses() if path == "mask" else [])
 
 
 def _stream(master: int, r: int, c: int) -> np.random.Generator:
@@ -505,6 +563,16 @@ class TestDirectBatchKernel:
             fired.clear()
             assert _band_law_misses(monkeypatch, [law]) == []
             assert fired["fallback"] > 0 and fired["tail"] > 0, (law, fired)
+
+    def test_band_mean_matches_chain(self, monkeypatch):
+        # the forced band path's mean of T_6 against the chain's E[T_6] = 5.5,
+        # at 4 standard errors of the exact law's sd (4.21)
+        assert _band_mean_misses(monkeypatch) == []
+
+    def test_mask_path_matches_exact_law(self, monkeypatch):
+        # the car mask path against the chain's exact law of T_n, n = 6 and 12
+        monkeypatch.setattr(finite, "_BAND_SITES", CHAIN_CAP)
+        assert _mask_law_misses() == []
 
     def test_band_parts_match_their_laws(self):
         # the band path's draws against their exact laws: truncated marks in
@@ -652,12 +720,6 @@ class TestDirectBatchKernel:
             monkeypatch.setattr(finite, name, refuse)
         for threads in (1, 2):
             np.testing.assert_array_equal(simulate_direct_batch(n, 60, SeedSpec(67), threads), want)
-
-
-def _chi2(ca, cb):
-    from pagepark import chi_square_two_sample
-
-    return chi_square_two_sample(dict(ca), dict(cb))
 
 
 class TestMeasure:

@@ -13,7 +13,6 @@ from pagepark.core import SeedSpec
 from pagepark.stats import (
     SampleStats,
     chi_square_sf,
-    chi_square_two_sample,
     law_matches,
     proportion_estimate,
     within_stderr,
@@ -132,8 +131,3 @@ def test_law_matches_pools_sparse_cells():
     ok, detail = law_matches({0: 8, 2: 8, 3: 4}, law)
     stat = 2**2 / 6 + 2**2 / 14
     assert ok and detail == f"chi-square {stat:.3f} on 1 dof, p = {chi_square_sf(stat, 1):.3g}"
-    # the two-sample test pools by the smaller sample's expected counts
-    # 5.5 | 1.5, 9 | 2.5, 0.5, 1 the same way: groups [0], [1..5]
-    got = chi_square_two_sample({0: 8, 2: 8, 3: 4}, {0: 3, 1: 3, 2: 10, 3: 1, 4: 1, 5: 2})
-    stat = 2 * (2.5**2 / 5.5 + 2.5**2 / 14.5)
-    assert got == pytest.approx((stat, 1, chi_square_sf(stat, 1)), rel=1e-12)
