@@ -1,5 +1,8 @@
 """Exact analytics against the enumeration oracle and against closed forms."""
+import functools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +24,7 @@ from pagepark import (
     per_site_vacancy_float,
     site_coupling_bound,
 )
+from pagepark import exact
 from pagepark.exact import variance_M
 
 F = Fraction
@@ -41,6 +45,90 @@ def mean_closed_form(n: int, weight=lambda n, k: n - k) -> F:
 def exp_series(x: int, j: int) -> F:
     """e_j(x) = sum_{k<j} x^k / k!."""
     return sum((F(x**k, math.factorial(k)) for k in range(j)), F(0))
+
+
+MEAN_SWEEP = range(401)  # uneven splits, and the bases n = 0, 1, 2 of the leaf
+
+
+@functools.cache
+def closed_form_means() -> tuple:
+    return tuple(mean_closed_form(n) for n in MEAN_SWEEP)
+
+
+def horner_mean(n: int) -> F:
+    """E[M_n] by Horner in -2 over the integers (n-1)!/k!: one multiplication
+    of an ever longer integer per k, the kernel binary splitting replaced."""
+    if n == 0:
+        return F(0)
+    total, fact = 0, 1  # fact = (n-1)!/k!
+    for k in range(n - 1, -1, -1):
+        total = (n - k) * fact - 2 * total
+        fact *= k
+    return n - F(total, math.factorial(n - 1))
+
+
+def split_mean(n: int, odd_sign=-1, right_product=lambda r, m: r, weight=lambda n, k: n - k) -> F:
+    """A copy of expected_M's binary splitting, with the sign of an odd shift
+    (-2)^(m-a), the right half's product of j in the join and the weight of the
+    k-th term as parameters."""
+
+    def split(a, b):
+        if b - a <= exact._MEAN_LEAF:
+            t, r, power = 0, 1, 1
+            for k in range(a, b):
+                t = t * k + weight(n, k) * power
+                r *= k
+                power *= -2
+            return t, r
+        m = (a + b) // 2
+        (t_left, r_left), (t_right, r_right) = split(a, m), split(m, b)
+        sign = odd_sign if (m - a) % 2 else 1
+        return t_left * right_product(r_right, m) + sign * (t_right << (m - a)), r_left * r_right
+
+    if n == 0:
+        return F(0)
+    fact = math.factorial(n - 1)
+    return F(n * fact - split(0, n)[0], fact)
+
+
+def split_misses(mean) -> list:
+    """The n of MEAN_SWEEP where mean(n) is not the closed form's value."""
+    return [n for n, want in zip(MEAN_SWEEP, closed_form_means()) if mean(n) != want]
+
+
+def derangements(m_max: int, sign: int = 1) -> list:
+    """D_0..D_m_max by D_m = m D_(m-1) + sign (-1)^m; sign -1 is a planted fault."""
+    table = [1]
+    for m in range(1, m_max + 1):
+        table.append(m * table[-1] + sign * (-1) ** m)
+    return table
+
+
+def recurrence_misses(table: list) -> list:
+    """The m where a cached table breaks D_0 = 1, D_m = m D_(m-1) + (-1)^m."""
+    return [m for m, d in enumerate(table) if d != (m * table[m - 1] + (-1) ** m if m else 1)]
+
+
+def fraction_side_series(j_max: int) -> tuple:
+    """e_j(-1) for j = 0..j_max as a running Fraction sum, the cache the
+    derangement numbers replaced."""
+    series = [F(0)]
+    for l in range(j_max):
+        series.append(series[-1] + F((-1) ** l, math.factorial(l)))
+    assert series[-1] == exp_series(-1, j_max)
+    return tuple(series)
+
+
+def side_misses(j_max: int = 300) -> list:
+    """The j in 1..j_max where exact._side(j) is not e_j(-1)."""
+    ref = fraction_side_series(j_max)
+    return [j for j in range(1, j_max + 1) if F(*exact._side(j)) != ref[j]]
+
+
+def total_misses(n_values=(300, 500)) -> list:
+    """The n where the vacancies and the mean fail sum_i P(i vacant) + E[M_n] = n."""
+    vacancies = {n: sum((per_site_vacancy_exact(n, i) for i in range(1, n + 1)), F(0)) for n in n_values}
+    return [n for n in n_values if vacancies[n] + expected_M(n) != n]
 
 
 def vacancy_closed_form(n: int, i: int, side=lambda j: j) -> F:
@@ -96,6 +184,29 @@ class TestExpectedM:
         assert all(mean_closed_form(n, **fault) != enumerate_orderings(n).expected_M for n in range(2, 10))
         assert first_car_misses(lambda n: mean_closed_form(n, **fault), range(2, 30))
         assert not first_car_misses(mean_closed_form, range(2, 30))
+
+    def test_split_matches_closed_form(self):
+        assert split_misses(expected_M) == []
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_split_matches_horner(self, n):
+        assert expected_M(n) == horner_mean(n)
+
+    def test_split_copy_is_faithful(self):
+        assert split_misses(split_mean) == []
+        assert all(split_mean(n) == expected_M(n) for n in (1000, 1023, 1025))
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            dict(odd_sign=1),
+            dict(right_product=lambda r, m: r // m),
+            dict(weight=lambda n, k: n - k + 1),
+        ],
+        ids=["odd_shift_unsigned", "right_product_one_late", "weight_plus_one"],
+    )
+    def test_split_planted_faults_fail(self, fault):
+        assert split_misses(functools.partial(split_mean, **fault))
 
     def test_series_monotone_superadditive(self):
         em = expected_M_series(200)
@@ -292,6 +403,44 @@ class TestVacancyProfile:
             if tuple(vacancy_closed_form(n, i, **fault) for i in range(1, n + 1)) == enumerate_orderings(n).per_site_vacancy
         ]
         assert agree == [2]
+
+    def test_side_matches_fraction_series(self):
+        assert side_misses() == []
+
+    def test_total_at_scale(self):
+        assert total_misses() == []
+
+    def test_derangement_planted_fault_fails(self, monkeypatch):
+        # D_m = m D_(m-1) - (-1)^m in the cache: e_2(-1) = 2, off from j = 2
+        monkeypatch.setattr(exact, "_derangements", derangements(600, sign=-1))
+        assert side_misses() == list(range(2, 301))
+        assert total_misses() == [300, 500]
+
+    def test_side_cache_is_thread_safe(self, monkeypatch):
+        # four threads extend an empty cache at once, the interpreter handing
+        # the GIL over every microsecond; a cache that reads its length and
+        # its last entry in separate steps appends a wrong entry in about 1 of
+        # 6 such trials on CPython 3.11
+        def extend(barrier):
+            barrier.wait()
+            exact._side(300)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                monkeypatch.setattr(exact, "_derangements", [1])
+                barrier = threading.Barrier(4, timeout=10)
+                threads = [threading.Thread(target=extend, args=(barrier,)) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert len(exact._derangements) >= 300
+                assert recurrence_misses(exact._derangements) == []
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_site_two_never_vacant(self):
         # site 2 is vacant only if sites 1..2 stay empty; but slot 1 alone
