@@ -7,7 +7,9 @@ failed, 2 usage error, 3 internal error (RareEventCapError included).
 Progress and check diagnostics go to stderr; stdout carries data only.
 
 Determinism: for a fixed seed and flag set the emitted bytes are
-identical across re-runs and across --threads settings.
+identical across re-runs and across machines' CPU counts. --threads K is
+accepted and ignored: each kernel picks its own pool (core.map_streams), and
+the flag stays parsed for scripts that still pass it.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def cmd_density_convergence(args: argparse.Namespace) -> tuple[list, CheckLog]:
             exact = em
         print(f"density-convergence: n={n} ({args.replicas} replicas)", file=sys.stderr)
         # looked up on the module at call time, so that a wrapper installed there sees this call
-        m = finite.simulate_direct_batch(n, args.replicas, SeedSpec(args.seed, idx), args.threads)
+        m = finite.simulate_direct_batch(n, args.replicas, SeedSpec(args.seed, idx))
         m_stats = SampleStats.from_samples(m)
         density_gap = abs(em / n - rho)
         rows.append(
@@ -233,8 +235,7 @@ def cmd_density_curve(args: argparse.Namespace) -> tuple[list, CheckLog]:
     )
     # each chunk is reduced to its grid counts where it is drawn, so memory does not grow
     # with --replicas; looked up on the module at call time, so that a wrapper installed there sees this call
-    est, longest = infinite.density_curve_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 0),
-                                             threads=args.threads, dist=dist)
+    est, longest = infinite.density_curve_mc(t_grid, args.replicas, seed=SeedSpec(args.seed, 0), dist=dist)
     print(f"density-curve: longest run {longest} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
     checks = CheckLog()
     rows = []
@@ -262,12 +263,7 @@ def cmd_trials(args: argparse.Namespace) -> tuple[list, CheckLog]:
     print(
         f"trials: n in {n_list}, {args.replicas} replicas each", file=sys.stderr
     )
-    sweep = trials_ratio_sweep(
-        n_list,
-        args.replicas,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    sweep = trials_ratio_sweep(n_list, args.replicas, seed=args.seed)
     rows = []
     for r in sweep:
         rows.append(
@@ -405,7 +401,7 @@ def cmd_autocovariance(args: argparse.Namespace) -> tuple[list, CheckLog]:
     rows = []
     vac = limit_constants()["vacancy"]
     print(f"autocovariance: lags {','.join(map(str, k_list))} ({args.replicas} pairs)", file=sys.stderr)
-    estimates = autocovariance_mc(k_list, args.replicas, seed=SeedSpec(args.seed, 0), threads=args.threads)
+    estimates = autocovariance_mc(k_list, args.replicas, seed=SeedSpec(args.seed, 0))
     for k, est in zip(k_list, estimates):
         print(f"autocovariance: lag {k}: longest run {est.longest_run} (cap {infinite.WINDOW_CAP})", file=sys.stderr)
         rows.append(
@@ -465,8 +461,8 @@ def _add_sampling(p: argparse.ArgumentParser) -> None:
                    help=f"master seed, an integer >= 0 (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
     _add_output(p)
     p.add_argument("--threads", type=_at_least(1), default=1, metavar="K",
-                   help="worker threads for the Monte Carlo kernels (default 1; "
-                        "output is independent of K)")
+                   help="accepted and ignored, so that scripts passing it still run; "
+                        "each kernel picks its own thread pool")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,33 +69,43 @@ def as_generator(rng: np.random.Generator | SeedSpec | int | None = None) -> np.
 
 def chunk_sizes(total: int, chunk: int) -> list[int]:
     """total split into chunks of `chunk`, the last one partial: the job list
-    of every chunked kernel, fixed by its inputs so never by `threads`."""
+    of every chunked kernel, fixed by its inputs alone."""
     return [chunk] * (total // chunk) + ([total % chunk] if total % chunk else [])
 
 
-def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, threads: int = 1) -> Iterator:
-    """fn(job, rng) for each job, yielded in job order, each job on its own
-    stream, so a caller can reduce each result as it arrives. Only the serial
-    path is lazy and holds one result at a time. Under a pool, Executor.map
-    submits every job at once, so results that finish ahead of the caller
-    wait in memory until they are taken.
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (taskset or a cpuset can make it smaller than os.cpu_count())."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-    Job c of a call seeded SeedSpec(m, r) draws from SeedSequence(m,
-    spawn_key=(r, c)), the c-th child that SeedSpec(m, r) spawns. So calls with
-    different r never share a stream, and results depend on neither `threads`
-    nor the jobs after c. The call runs its jobs on its own pool of
-    min(threads, len(jobs), os.cpu_count()) threads when that is above 1, and
-    shuts the pool down when the last result is taken or the iterator is
-    closed; more threads than CPUs would only hold more chunks at once."""
+
+def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, *, pool: bool = False) -> Iterator:
+    """fn(job, rng) for each job, yielded in job order, each job on its own
+    stream, so a caller can reduce each result as it arrives. Job c of a call
+    seeded SeedSpec(m, r) draws from SeedSequence(m, spawn_key=(r, c)), the
+    c-th child that SeedSpec(m, r) spawns, so calls with different r never
+    share a stream, and results depend on neither `pool` nor the jobs after c.
+
+    Without `pool` the jobs run lazily on the calling thread, one result held
+    at a time. With it they run on min(len(jobs), usable_cpus()) threads (none
+    when that is 1), shut down with the iterator, and Executor.map submits
+    every job at once, so results that finish early wait in memory. The pool
+    is the kernel's choice, measured on 2 vCPUs: the three line kernels take
+    it (the `line` benchmark's run_rel is 1.72-1.83 pooled, 2.06-2.43
+    serial), and the finite ones do not, since they lose under it
+    (simulate_direct_batch at the `interval` sizes: 31 ms on one thread, 43 ms
+    on two; density-convergence at its defaults: 1891 and 2591 ms;
+    first_arrival_batch on car-mask rows, n = 1000 and 5000, 2000 replicas:
+    250 and 328 ms) or, on the band path, hold the GIL in a Python loop."""
     children = _as_spec(seed).sequence().spawn(len(jobs))
 
     def run(c: int):
         return fn(jobs[c], _stream(children[c]))
 
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(len(jobs), usable_cpus()) if pool else 1
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, range(len(jobs)))
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            yield from executor.map(run, range(len(jobs)))
     else:
         yield from map(run, range(len(jobs)))
 

@@ -52,8 +52,7 @@ pi the Poisson pmf (Poisson(tau* - x) integrated over the truncated law of
 x), and one multinomial over j = 0..J and a tail cell j > J counts them all;
 a slot in the tail cell draws N given N > J by rejection. _BAND_SITES is the
 measured crossover where this path, about 0.15 ms a replica at any n,
-overtakes the car mask's O(n) pass. The band path is a Python loop that
-holds the GIL, so a call with a band-path row runs on one thread.
+overtakes the car mask's O(n) pass.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -359,11 +358,11 @@ def _first_arrival_job(n: int) -> int:
     return _BAND_JOB if n > _BAND_SITES else _marks_job(n)
 
 
-def _rows(chunk, per_job, n_list, replicas: int, seed: int | SeedSpec, threads: int) -> list[list]:
-    """chunk(job, rng) over each row's jobs (n, rows), as one list per row: a
-    row of n sites splits into jobs of per_job(n) replicas, numbered across
-    rows. Job c of seed SeedSpec(m, r) draws from map_streams' stream (m, (r,
-    c)), so results depend on neither `threads` nor the rows after a row."""
+def _rows(chunk, per_job, n_list, replicas: int, seed: int | SeedSpec) -> list[list]:
+    """chunk(job, rng) over each row's jobs (n, rows), as one list per row, on
+    the calling thread: a row of n sites splits into jobs of per_job(n)
+    replicas, numbered across rows. Job c of seed SeedSpec(m, r) draws from
+    map_streams' stream (m, (r, c)), so no row depends on the rows after it."""
     for n in n_list:
         if n < 2:
             raise ValueError("need n >= 2 sites")
@@ -371,30 +370,23 @@ def _rows(chunk, per_job, n_list, replicas: int, seed: int | SeedSpec, threads: 
         raise ValueError("need at least 1 replica")
     sizes = [chunk_sizes(replicas, per_job(n)) for n in n_list]
     jobs = [(n, size) for n, row in zip(n_list, sizes) for size in row]
-    parts = iter(map_streams(chunk, seed, jobs, threads))
+    parts = iter(map_streams(chunk, seed, jobs))
     return [[next(parts) for _ in row] for row in sizes]
 
 
 def first_arrival_batch(
-    n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1
+    n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(T, tau*) for `replicas` replicas of each n, as int64 and float64
     arrays: the draw count of the uniform-draw process and its jamming time
-    (see the module docstring). A call with a band-path row runs on one
-    thread whatever `threads` is: _band_row is a Python loop that holds the
-    GIL, and at n = 10^5 and 10^6, 30 replicas each, two threads took 13.6 ms
-    against one thread's 11.1 (medians of 20 alternating calls)."""
-    if any(n > _BAND_SITES for n in n_list):
-        threads = 1
-    rows = _rows(_first_arrival_chunk, _first_arrival_job, n_list, replicas, seed, threads)
+    (see the module docstring)."""
+    rows = _rows(_first_arrival_chunk, _first_arrival_job, n_list, replicas, seed)
     return [tuple(np.concatenate(part) for part in zip(*row)) for row in rows]
 
 
-def simulate_direct_batch(
-    n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED, threads: int = 1
-) -> np.ndarray:
+def simulate_direct_batch(n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> np.ndarray:
     """Law of M of the uniform-draw process across replicas, as an int64
     array. Up to _BAND_SITES sites its jobs and marks are those of
     first_arrival_batch([n], ...). Exactly the law of simulate_direct, which
     stays the draw-by-draw reference."""
-    return np.concatenate(_rows(_car_count_chunk, _marks_job, [n], replicas, seed, threads)[0])
+    return np.concatenate(_rows(_car_count_chunk, _marks_job, [n], replicas, seed)[0])

@@ -253,24 +253,20 @@ def _runs_chunk(size: int, rng: np.random.Generator) -> RunsSample:
     return RunsSample(rise, descent, _arrival_time(rise, descent, core[0], core[1]), core[1], longest[0])
 
 
-def sample_runs(
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    threads: int = 1,
-) -> RunsSample:
+def sample_runs(replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> RunsSample:
     """Vectorised window sampling, chunked into fixed-size independent streams
-    (map_streams; chunk c of seed SeedSpec(m, r) is stream (m, (r, c))).
-
-    Chunk boundaries do not depend on `threads`, so results are identical for
-    any thread count. Each chunk is copied into its slice of the result as it
-    arrives, so at most a few chunks are held besides the result."""
+    (map_streams; chunk c of seed SeedSpec(m, r) is stream (m, (r, c))), drawn
+    on the pool of usable CPUs. Chunk boundaries depend on `replicas` alone,
+    so results are identical for any CPU count. Each chunk is copied into its
+    slice of the result as it arrives, but the pool may finish chunks ahead of
+    the copy, and those wait in memory besides the result."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
     rise, descent = np.empty(replicas, np.int16), np.empty(replicas, np.int16)
     tau, xi_right = np.empty(replicas), np.empty(replicas)
     start = longest = 0
     jobs = chunk_sizes(replicas, _CHUNK)
-    for part in map_streams(_runs_chunk, seed, jobs, threads):
+    for part in map_streams(_runs_chunk, seed, jobs, pool=True):
         rows = slice(start, start + part.replicas)
         rise[rows], descent[rows], tau[rows], xi_right[rows] = part.rise, part.descent, part.tau, part.xi_right
         start, longest = rows.stop, max(longest, part.longest_run)
@@ -281,15 +277,15 @@ def density_curve_mc(
     t_grid,
     replicas: int,
     seed: int | SeedSpec = DEFAULT_SEED,
-    threads: int = 1,
+    *,
     dist: ArrivalDistribution = EXP,
 ) -> tuple[list[MCEstimate], int]:
     """P(tau_0 <= t) under marks of law dist for each t of the grid, and the
-    longest run drawn: sample_runs(replicas, seed, threads)
-    .density_at_time(t_grid, dist) and its longest_run, bit for bit, from the
-    same chunks on the same streams. Each chunk is reduced to its counts of
-    tau_0 at or below each grid time in the worker that drew it, so no
-    per-replica array outlives its chunk."""
+    longest run drawn: sample_runs(replicas, seed).density_at_time(t_grid,
+    dist) and its longest_run, bit for bit, from the same chunks on the same
+    streams. Each chunk is reduced to its counts of tau_0 at or below each
+    grid time in the worker that drew it, so no per-replica array outlives
+    its chunk."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
 
@@ -298,7 +294,7 @@ def density_curve_mc(
         return _arrivals_by(part.tau, t_grid, dist), part.longest_run
 
     hits, longest = [0] * np.atleast_1d(t_grid).size, 0
-    for got, run in map_streams(counts, seed, chunk_sizes(replicas, _CHUNK), threads):
+    for got, run in map_streams(counts, seed, chunk_sizes(replicas, _CHUNK), pool=True):
         hits, longest = [a + b for a, b in zip(hits, got)], max(longest, run)
     return [proportion_estimate(h, replicas) for h in hits], longest
 
@@ -358,12 +354,7 @@ def _autocov_estimate(k: int, table: tuple[int, int, int, int], longest_run: int
     )
 
 
-def autocovariance_mc(
-    lags,
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    threads: int = 1,
-) -> list[AutocovEstimate]:
+def autocovariance_mc(lags, replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> list[AutocovEstimate]:
     """Estimate cov(X(0), X(k)) of the jammed field on the line at each lag k
     of the increasing list `lags`, one estimate per lag, in order. Every lag
     is read off the same pairs (sites 0..max(lags) of one line per replica),
@@ -377,7 +368,7 @@ def autocovariance_mc(
         raise ValueError("need at least 2 replicas")
     totals = [((0, 0, 0, 0), 0)] * len(lags)  # per lag: the summed table and the longest run
     for part in map_streams(
-        lambda size, rng: _occupancy_chunk(size, rng, lags), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), threads
+        lambda size, rng: _occupancy_chunk(size, rng, lags), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), pool=True
     ):
         totals = [(tuple(map(sum, zip(table, got))), max(run, r)) for (table, run), (got, r) in zip(totals, part)]
     return [_autocov_estimate(k, *total) for k, total in zip(lags, totals)]

@@ -19,10 +19,10 @@ in decreasing order, walks each one's rise and descent, and reads a mark
 only when a walk reaches it (below a it draws one, Exp(1) truncated to [0,
 a]); the first car found gives tau*. The slots never read add their
 arrivals up to tau* through one multinomial over their number of later
-arrivals. A call with a band-path row runs on one thread.
-simulate_poissonized runs every arrival and is the event-level reference of
-both paths; it parks cars with the oracle's one-row replay,
-park_in_rank_order, so it shares no code with the kernels.
+arrivals. Both paths run on the calling thread; the core.map_streams
+docstring says why. simulate_poissonized runs every arrival and is the
+event-level reference of both paths; it parks cars with the oracle's
+one-row replay, park_in_rank_order, so it shares no code with the kernels.
 
 Each row's coupon_mean, the ceiling (n-1) H_{n-1}, comes from
 coupon_collector_mean_exact in O(1) time and memory: an exact Fraction sum
@@ -126,17 +126,12 @@ def _quantiles(x: np.ndarray, levels) -> np.ndarray:
     return np.interp(np.multiply(levels, x.size - 1), np.arange(x.size), np.sort(x))
 
 
-def trials_ratio_sweep(
-    n_list,
-    replicas: int,
-    seed: int | SeedSpec = DEFAULT_SEED,
-    threads: int = 1,
-) -> list[TrialsRow]:
+def trials_ratio_sweep(n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> list[TrialsRow]:
     """Mean T_n against n log n, and the mean and quantiles of tau*, for each
     n, one first_arrival_batch row per n, so rows are independent and any
     leading row subset reproduces bit-identically."""
     rows = []
-    for n, (t, taus) in zip(n_list, first_arrival_batch(n_list, replicas, seed, threads)):
+    for n, (t, taus) in zip(n_list, first_arrival_batch(n_list, replicas, seed)):
         st = SampleStats.from_samples(t)
         scale = n * math.log(n)
         rows.append(

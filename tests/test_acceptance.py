@@ -114,7 +114,7 @@ def test_criterion_04_oracle_equivalence():
 
 def test_criterion_05_infinite_vacancy():
     t0 = time.perf_counter()
-    runs = sample_runs(1_000_000, seed=SeedSpec(42424242), threads=4)
+    runs = sample_runs(1_000_000, seed=SeedSpec(42424242))
     est = proportion_estimate(int(runs.vacant.sum()), runs.replicas)
     dt = time.perf_counter() - t0
     z = (est.estimate - VAC) / est.stderr
@@ -171,7 +171,7 @@ def test_criterion_08_trials_sweep():
     plan = [(1_000, 1_000), (10_000, 1_000), (100_000, 2_000), (1_000_000, 1_200)]
     rows = []
     for n, reps in plan:
-        rows.extend(trials_ratio_sweep([n], reps, seed=SeedSpec(42424242, n), threads=4))
+        rows.extend(trials_ratio_sweep([n], reps, seed=SeedSpec(42424242, n)))
     ratios = [r.ratio for r in rows]
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
     in_band = 0.85 <= ratios[-1] <= 1.05

@@ -651,7 +651,7 @@ class TestInProcess:
 
 class TestTrialsTable:
     def test_tau_star_quantiles_ordered_and_thread_free(self):
-        # 20 replicas are two kernel jobs at n = 1000, so --threads 2 splits them
+        # --threads is parsed and read by nothing, so it moves no byte
         argv = ("trials", "--n-list", "100,1000", "--replicas", "20")
         res = run_cli(*argv)
         assert res.returncode == 0, res.stderr

@@ -1,4 +1,4 @@
-"""Seeding and arrival laws."""
+"""Seeding, the stream pool and arrival laws."""
 import os
 
 import numpy as np
@@ -9,13 +9,45 @@ from pagepark import (
     UNIFORM,
     ArrivalDistribution,
     SeedSpec,
+    autocovariance_mc,
+    core,
+    density_curve_mc,
+    finite,
+    first_arrival_batch,
+    infinite,
+    sample_runs,
+    simulate_direct_batch,
+    trials_ratio_sweep,
 )
-from pagepark import core
 from pagepark.core import DEFAULT_SEED, as_generator, map_streams
 
 
 def _stream(master, *key):
     return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(master, spawn_key=key)))
+
+
+def _record_pools(monkeypatch, cpus: int) -> list[int]:
+    """Pretend the process may run on `cpus` CPUs, and replace map_streams'
+    pool by one that records its worker count and runs the jobs itself, so
+    no thread starts. Returns the list the counts go to."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    return made
 
 
 class TestSeedSpec:
@@ -57,10 +89,10 @@ class TestMapStreams:
         np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
 
     def test_threads_keep_job_order_and_bytes(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # four workers on any machine
+        monkeypatch.setattr(core, "usable_cpus", lambda: 4)  # four workers on any machine
         jobs = list(range(1, 40))
         one = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs))
-        four = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs, threads=4))
+        four = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs, pool=True))
         assert [a.size for a in four] == jobs
         np.testing.assert_array_equal(np.concatenate(one), np.concatenate(four))
 
@@ -94,40 +126,66 @@ class TestMapStreams:
                 shut.append(self)
 
         monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)  # a pool even on one CPU
         for _ in range(2):
-            assert list(map_streams(lambda job, rng: job, 7, [0, 1, 2], threads=2)) == [0, 1, 2]
-        partial = map_streams(lambda job, rng: job, 7, [0, 1, 2], threads=2)
+            assert list(map_streams(lambda job, rng: job, 7, [0, 1, 2], pool=True)) == [0, 1, 2]
+        partial = map_streams(lambda job, rng: job, 7, [0, 1, 2], pool=True)
         assert next(partial) == 0
         partial.close()  # closing the iterator early shuts its pool down
         assert len(pools) == 3 and shut == pools
 
-    @pytest.mark.parametrize(
-        "threads, jobs, cpus, workers",
-        [(100_000, 3, 8, 3), (100_000, 40, 2, 2), (4, 40, 16, 4), (8, 40, None, None), (2, 1, 8, None)],
-    )
-    def test_workers_are_capped_by_jobs_and_cpus(self, monkeypatch, threads, jobs, cpus, workers):
-        # min(threads, jobs, CPUs) workers, and no pool when that is 1; the
-        # recorder runs the jobs itself, so no thread starts
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert list(map_streams(lambda job, rng: job, 7, list(range(jobs)), threads=threads)) == list(range(jobs))
+    @pytest.mark.parametrize("jobs, cpus, workers", [(3, 8, 3), (40, 2, 2), (40, 16, 16), (40, 1, None), (1, 8, None)])
+    def test_workers_are_capped_by_jobs_and_cpus(self, monkeypatch, jobs, cpus, workers):
+        # min(jobs, CPUs) workers, and no pool when that is 1 or when the
+        # caller asks for none
+        made = _record_pools(monkeypatch, cpus)
+        assert list(map_streams(lambda job, rng: job, 7, list(range(jobs)), pool=True)) == list(range(jobs))
+        assert list(map_streams(lambda job, rng: job, 7, list(range(jobs)))) == list(range(jobs))
         assert made == ([] if workers is None else [workers])
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        # a process pinned to 3 of 64 CPUs may run 3 threads at once
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert core.usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert core.usable_cpus() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert core.usable_cpus() == 1
+
+
+class TestKernelPools:
+    """Which kernels ask map_streams for a pool: the three line kernels, each
+    one pool of min(jobs, CPUs) workers; the finite and trials kernels
+    none."""
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_finite_and_trials_kernels_build_no_pool(self, monkeypatch, cpus):
+        made = _record_pools(monkeypatch, cpus)
+        simulate_direct_batch(40, 2000, SeedSpec(1))  # 5 jobs
+        first_arrival_batch([40, 1000], 2000, SeedSpec(2))  # car-mask rows, 5 + 125 jobs
+        first_arrival_batch([finite._BAND_SITES + 1], 2 * finite._BAND_JOB + 1, SeedSpec(3))  # a band row, 3 jobs
+        trials_ratio_sweep([40, finite._BAND_SITES + 1], 2 * finite._BAND_JOB + 1, seed=4)
+        assert made == []
+
+    @pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (16, 3)])
+    def test_line_kernels_pool_over_jobs_and_cpus(self, monkeypatch, cpus, workers):
+        # three jobs each: one pool a call of min(3, CPUs) workers, none at 1 CPU
+        made = _record_pools(monkeypatch, cpus)
+        per_call = [] if workers is None else [workers]
+        sample_runs(2 * infinite._CHUNK + 1, seed=5)
+        assert made == per_call
+        density_curve_mc([1.0], 2 * infinite._CHUNK + 1, seed=6)
+        assert made == per_call * 2
+        autocovariance_mc([0, 2], 2 * infinite._AUTOCOV_CHUNK + 1, seed=7)
+        assert made == per_call * 3
+
+    def test_line_kernels_build_no_pool_for_one_job(self, monkeypatch):
+        made = _record_pools(monkeypatch, 16)
+        sample_runs(100, seed=8)
+        density_curve_mc([1.0], 100, seed=9)
+        autocovariance_mc([0, 2], 100, seed=10)
+        assert made == []
 
 
 class TestArrivalDistribution:

@@ -665,15 +665,6 @@ class TestDirectBatchKernel:
         assert m.dtype == t.dtype == np.int64
         assert [m.tolist(), t.tolist(), tau.tolist()] == [want_m, want_t, want_tau]
 
-    def test_t_only_bytes_free_of_threads(self):
-        # jobs of car-mask rows, which two threads share, and of band-path
-        # rows (two jobs a row), which run on one thread at any `threads`,
-        # give the same bytes on one thread and two
-        for n_list in ([finite._BAND_SITES, 40], [finite._CHUNK_MARKS + 2, finite._BAND_SITES + 1, 40]):
-            runs = [first_arrival_batch(n_list, finite._BAND_JOB + 3, SeedSpec(66), threads=k) for k in (1, 2)]
-            one, two = ([(t.tobytes(), tau.tobytes()) for t, tau in run] for run in runs)
-            assert one == two, n_list
-
     def test_jobs_numbered_across_rows(self):
         # job c counts across rows, so each row's streams follow the jobs of
         # the rows before it; a leading subset of rows reproduces, and an int
@@ -689,8 +680,8 @@ class TestDirectBatchKernel:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_deterministic_in_seed(self):
-        # 500 rows of 39 marks are two jobs, so threads=2 runs both at once
-        a = simulate_direct_batch(40, 500, SeedSpec(62), threads=2)
+        # 500 rows of 39 marks are two jobs
+        a = simulate_direct_batch(40, 500, SeedSpec(62))
         b = simulate_direct_batch(40, 500, SeedSpec(62))
         c = simulate_direct_batch(40, 500, SeedSpec(63))
         assert a.dtype == np.int64 and a.shape == (500,)
@@ -710,7 +701,7 @@ class TestDirectBatchKernel:
     @pytest.mark.parametrize("n", [300, finite._BAND_SITES + 1])
     def test_m_reads_no_draw_count(self, n, monkeypatch):
         # M comes off each job's car mask alone: with every part of the T
-        # path made to raise, the same M comes out, on one thread and two
+        # path made to raise, the same M comes out
         want = simulate_direct_batch(n, 60, SeedSpec(67))
 
         def refuse(*args):
@@ -718,8 +709,7 @@ class TestDirectBatchKernel:
 
         for name in ("_draw_counts", "tau_star_rows", "_band_row"):
             monkeypatch.setattr(finite, name, refuse)
-        for threads in (1, 2):
-            np.testing.assert_array_equal(simulate_direct_batch(n, 60, SeedSpec(67), threads), want)
+        np.testing.assert_array_equal(simulate_direct_batch(n, 60, SeedSpec(67)), want)
 
 
 class TestMeasure:

@@ -1,6 +1,7 @@
 """Golden stdout digests of a fixed command set.
 
-Every Monte Carlo command runs in csv and json at --threads 1 and 2, next to
+Every Monte Carlo command runs in csv and json with the usable CPU count
+patched to 1 and 2 (so the line kernels run serial and on a pool), next to
 site-vacancy at n = 300 and the oracle up to n = 8; the set takes about 0.3 s
 in process. A change that moves draws or bytes updates DIGESTS in the same
 commit and says which entries moved and why. numpy does not promise stable
@@ -13,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from pagepark import core
 from pagepark.cli import main
 from pagepark.core import SeedSpec
 
@@ -60,13 +62,15 @@ def test_recorded_numpy_and_bit_generator():
 
 
 @pytest.mark.parametrize("command, fmt", sorted(DIGESTS))
-def test_stdout_digest(command, fmt, capsys):
+def test_stdout_digest(command, fmt, capsys, monkeypatch):
     test_recorded_numpy_and_bit_generator()
     if command in EXACT:
         out = _stdout([command, *EXACT[command], "--format", fmt], capsys)
     else:
-        out, threaded = (
-            _stdout([command, *MONTE_CARLO[command], "--format", fmt, "--threads", t], capsys) for t in ("1", "2")
-        )
-        assert threaded == out
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+            outs.append(_stdout([command, *MONTE_CARLO[command], "--format", fmt], capsys))
+        out, pooled = outs
+        assert pooled == out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command, fmt]

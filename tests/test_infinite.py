@@ -33,6 +33,13 @@ from pagepark.infinite import (
 from pagepark.stats import law_matches, within_stderr
 
 
+def _on_cpus(monkeypatch, cpus: int, kernel, *args, **kwargs):
+    """kernel(*args, **kwargs) in a process that may run on `cpus` CPUs: the
+    line kernels' pool has min(jobs, cpus) workers."""
+    monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    return kernel(*args, **kwargs)
+
+
 def _proportion_agrees(p: float, total: int, q: float) -> bool:
     """A proportion p of total trials lies within 4 standard errors of the
     exact probability q, at the exact Bernoulli sd, so never vacuously at 0
@@ -147,9 +154,8 @@ class TestRunLaws:
         assert abs(float(rise_even.mean()) - math.exp(-1)) <= 5e-3
         assert abs(float(desc_even.mean()) - math.exp(-1)) <= 5e-3
 
-    def test_threads_do_not_change_output(self):
-        a = sample_runs(70_000, seed=64, threads=1)
-        b = sample_runs(70_000, seed=64, threads=4)
+    def test_threads_do_not_change_output(self, monkeypatch):
+        a, b = (_on_cpus(monkeypatch, cpus, sample_runs, 70_000, seed=64) for cpus in (1, 4))
         np.testing.assert_array_equal(a.descent, b.descent)
         np.testing.assert_array_equal(a.tau, b.tau)
 
@@ -166,17 +172,18 @@ class TestRunLaws:
         np.testing.assert_array_equal(runs.tau, np.concatenate([p.tau for p in parts]))
         np.testing.assert_array_equal(runs.xi_right, np.concatenate([p.xi_right for p in parts]))
 
-    def test_peak_memory_is_the_result_and_a_few_chunks(self):
+    def test_peak_memory_is_the_result_and_a_few_chunks(self, monkeypatch):
         # each chunk is copied into the preallocated result as it arrives; a
         # sampler that holds every chunk until the end (then concatenates)
         # peaks near twice the result and fails this bound. A chunk in flight
         # holds its core (two float64 rows), its own result, and a walk step's
         # index, mark and kept-index arrays (8 bytes each per replica); the
         # two workers' chunks and the finished ones waiting in the pool stay
-        # below 8 such chunks (about 4 were measured).
+        # below 8 such chunks (about 4 were measured) at 2 CPUs.
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
         tracemalloc.start()
         try:
-            runs = sample_runs(48 * _CHUNK, seed=3, threads=2)
+            runs = sample_runs(48 * _CHUNK, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -245,27 +252,29 @@ class TestDensityCurve:
 
     @pytest.mark.parametrize("replicas", [1, _CHUNK, _CHUNK + 5000, 3 * _CHUNK + 17])
     @pytest.mark.parametrize("seed", [12, SeedSpec(13, 4)], ids=["int", "spec"])
-    def test_equals_the_sample_route(self, replicas, seed):
+    def test_equals_the_sample_route(self, replicas, seed, monkeypatch):
         # estimate, stderr and replicas, and the longest run, bit for bit,
         # over one chunk, several and a partial one, serial and pooled
-        for threads in (1, 3):
-            runs = sample_runs(replicas, seed=seed, threads=threads)
+        for cpus in (1, 3):
+            runs = _on_cpus(monkeypatch, cpus, sample_runs, replicas, seed=seed)
             for dist in (EXP, UNIFORM):
-                est, longest = density_curve_mc(self.GRID, replicas, seed=seed, threads=threads, dist=dist)
+                est, longest = density_curve_mc(self.GRID, replicas, seed=seed, dist=dist)
                 assert est == runs.density_at_time(self.GRID, dist)
                 assert longest == runs.longest_run
 
-    def test_peak_memory_does_not_grow_with_replicas(self):
+    def test_peak_memory_does_not_grow_with_replicas(self, monkeypatch):
         # only each chunk's grid counts outlive it, so 16 chunks peak no
         # higher than 2 (2.2 MiB at 2 chunks and 1.4 MiB at 16 were
         # measured); the sample_runs(...).density_at_time route keeps every
         # replica's runs, tau_0 and mark (20 bytes each), peaks at about
-        # 3.6 MiB at 2 chunks and 12.3 MiB at 16, and fails this bound
+        # 3.6 MiB at 2 chunks and 12.3 MiB at 16, and fails this bound; on
+        # one CPU, so that no chunk waits in a pool
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         peaks = []
         for chunks in (2, 16):
             tracemalloc.start()
             try:
-                density_curve_mc(self.GRID, chunks * _CHUNK, seed=3, threads=1)
+                density_curve_mc(self.GRID, chunks * _CHUNK, seed=3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -318,21 +327,20 @@ class TestAutocovariance:
         (b,) = autocovariance_mc([1], 20_000, seed=SeedSpec(86, 1))
         assert (a.estimate, a.mean_site_0) != (b.estimate, b.mean_site_0)
 
-    def test_threads_identical(self):
-        (a,) = autocovariance_mc([2], 40_000, seed=85, threads=1)
-        (b,) = autocovariance_mc([2], 40_000, seed=85, threads=3)
+    def test_threads_identical(self, monkeypatch):
+        (a,), (b,) = (_on_cpus(monkeypatch, cpus, autocovariance_mc, [2], 40_000, seed=85) for cpus in (1, 3))
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
-    def test_one_sample_serves_every_lag(self):
+    def test_one_sample_serves_every_lag(self, monkeypatch):
         # every lag is read off the same pairs: one site-0 mean for all, the
         # largest lag bit for bit a one-lag call on the same seed (the same
-        # core and walks), and the same estimates on any thread count
+        # core and walks), and the same estimates on any CPU count
         lags = [0, 1, 2, 5, 13]
-        ests = autocovariance_mc(lags, 40_000, seed=SeedSpec(90, 2), threads=1)
+        ests = _on_cpus(monkeypatch, 1, autocovariance_mc, lags, 40_000, seed=SeedSpec(90, 2))
         assert [e.k for e in ests] == lags
         assert len({e.mean_site_0 for e in ests}) == 1 and ests[0].mean_site_k == ests[0].mean_site_0
         assert autocovariance_mc([13], 40_000, seed=SeedSpec(90, 2)) == ests[-1:]
-        assert autocovariance_mc(lags, 40_000, seed=SeedSpec(90, 2), threads=3) == ests
+        assert _on_cpus(monkeypatch, 3, autocovariance_mc, lags, 40_000, seed=SeedSpec(90, 2)) == ests
 
     @pytest.mark.parametrize("k", [0, 1, 3, 13])
     def test_table_matches_two_pass(self, k):
@@ -341,7 +349,7 @@ class TestAutocovariance:
         # partial one
         lags, replicas, seed = [j for j in (0, 1, 3, 13) if j <= k], 3 * _AUTOCOV_CHUNK + 123, SeedSpec(89, k)
         occ = _chunk_occupancies(lags, replicas, seed)
-        for est in autocovariance_mc(lags, replicas, seed=seed, threads=2):
+        for est in autocovariance_mc(lags, replicas, seed=seed):
             assert _two_pass_disagreements(est, occ[0], occ[est.k]) == []
 
     def test_swapped_table_cells_fail(self, monkeypatch):
@@ -617,7 +625,7 @@ class TestStripKernel:
     def test_runs_follow_their_exact_law(self):
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
         assert _run_law(runs.rise, runs.descent)[0] and _vacancy_agrees(runs)
-        for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0), threads=2):
+        for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0)):
             assert _strip_failures(est) == []
 
     def test_truncated_fallback_fails(self, monkeypatch):
@@ -626,7 +634,7 @@ class TestStripKernel:
         # test_scalar_and_batch_agree_in_law: both estimators and both law tests must notice
         walk = infinite._walk
         monkeypatch.setattr(infinite, "_walk", lambda start, rng, leftward: np.minimum(walk(start, rng, leftward), 4))
-        for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0), threads=2):
+        for est in autocovariance_mc([0, 1, 2, 4], 1_000_000, seed=SeedSpec(87, 0)):
             assert _strip_failures(est), est.k
         runs = sample_runs(400_000, seed=SeedSpec(87, 9))
         assert not _vacancy_agrees(runs)
@@ -634,9 +642,8 @@ class TestStripKernel:
             ok, detail = _run_law(rise, descent)
             assert not ok and float(detail.rsplit("p = ", 1)[1]) < 1e-9
 
-    def test_longest_run_is_thread_independent(self):
-        a = autocovariance_mc([0, 3, 8], 40_000, seed=88, threads=1)
-        b = autocovariance_mc([0, 3, 8], 40_000, seed=88, threads=3)
+    def test_longest_run_is_thread_independent(self, monkeypatch):
+        a, b = (_on_cpus(monkeypatch, cpus, autocovariance_mc, [0, 3, 8], 40_000, seed=88) for cpus in (1, 3))
         assert a == b and min(e.longest_run for e in a) > 1
-        runs = [sample_runs(_CHUNK + 5000, seed=88, threads=t) for t in (1, 3)]
+        runs = [_on_cpus(monkeypatch, cpus, sample_runs, _CHUNK + 5000, seed=88) for cpus in (1, 3)]
         assert runs[0].longest_run == runs[1].longest_run == max(runs[0].rise.max(), runs[0].descent.max())

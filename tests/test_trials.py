@@ -63,7 +63,7 @@ class TestPoissonizedReplica:
 
 class TestTauStarStatistics:
     def test_quantiles_ordered_and_scale(self):
-        row = trials_ratio_sweep([10_000], 300, seed=90, threads=2)[0]
+        row = trials_ratio_sweep([10_000], 300, seed=90)[0]
         qs = list(row.tau_star_quantiles)
         assert qs == sorted(qs)
         logn = math.log(10_000)
@@ -77,7 +77,7 @@ class TestTauStarStatistics:
 
     def test_deterministic(self):
         a = trials_ratio_sweep([1000], 50, seed=91)
-        b = trials_ratio_sweep([1000], 50, seed=91, threads=4)
+        b = trials_ratio_sweep([1000], 50, seed=91)
         assert a == b
 
 
@@ -127,7 +127,7 @@ class TestCouponCollector:
 
 class TestRatioSweep:
     def test_rows_consistent(self):
-        rows = trials_ratio_sweep([500, 2000], 60, seed=93, threads=2)
+        rows = trials_ratio_sweep([500, 2000], 60, seed=93)
         assert [r.n for r in rows] == [500, 2000]
         for r in rows:
             assert r.replicas == 60
@@ -173,7 +173,7 @@ class TestRatioSweep:
         assert peaks[1] <= peaks[0] + 2**20
 
     def test_small_n_mean_matches_chain(self):
-        row = trials_ratio_sweep([6], 30_000, seed=95, threads=2)[0]
+        row = trials_ratio_sweep([6], 30_000, seed=95)[0]
         want = float(expected_T_exact(6))
         assert abs(row.mean_T - want) <= 4 * row.stderr_T
 
