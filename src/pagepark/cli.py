@@ -8,8 +8,9 @@ Progress and check diagnostics go to stderr; stdout carries data only.
 
 Determinism: for a fixed seed and flag set the emitted bytes are
 identical across re-runs and across machines' CPU counts. --threads K is
-accepted and ignored: each kernel picks its own pool (core.map_streams), and
-the flag stays parsed for scripts that still pass it.
+accepted and ignored, and stays parsed for scripts that still pass it: the
+line kernels pool over the usable CPUs (core.map_streams), and the finite
+kernels run one stream per row on the calling thread.
 """
 
 from __future__ import annotations
@@ -461,8 +462,8 @@ def _add_sampling(p: argparse.ArgumentParser) -> None:
                    help=f"master seed, an integer >= 0 (default {DEFAULT_SEED}; env {SEED_ENV_VAR})")
     _add_output(p)
     p.add_argument("--threads", type=_at_least(1), default=1, metavar="K",
-                   help="accepted and ignored, so that scripts passing it still run; "
-                        "each kernel picks its own thread pool")
+                   help="accepted and ignored, so that scripts passing it still run; the line "
+                        "kernels pool over the usable CPUs, the finite kernels run one stream per row")
 
 
 def build_parser() -> argparse.ArgumentParser:

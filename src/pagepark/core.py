@@ -38,8 +38,8 @@ class SeedSpec:
     """Addresses one deterministic RNG stream.
 
     SeedSpec(m, r) is the _stream seeded by SeedSequence(m,
-    spawn_key=(r,)); job c of a map_streams call seeded with it draws from the
-    child SeedSequence(m, spawn_key=(r, c)). Distinct specs give statistically
+    spawn_key=(r,)); its c-th child stream (child_streams) is seeded by
+    SeedSequence(m, spawn_key=(r, c)). Distinct specs give statistically
     independent streams, and identical specs give bit-identical draws on every
     platform.
     """
@@ -79,35 +79,29 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence, *, pool: bool = False) -> Iterator:
-    """fn(job, rng) for each job, yielded in job order, each job on its own
-    stream, so a caller can reduce each result as it arrives. Job c of a call
-    seeded SeedSpec(m, r) draws from SeedSequence(m, spawn_key=(r, c)), the
-    c-th child that SeedSpec(m, r) spawns, so calls with different r never
-    share a stream, and results depend on neither `pool` nor the jobs after c.
+def child_streams(seed: int | SeedSpec, count: int) -> list[np.random.Generator]:
+    """The `count` child streams of a call seeded SeedSpec(m, r): the c-th is
+    the _stream of SeedSequence(m, spawn_key=(r, c)), the c-th child that
+    SeedSpec(m, r) spawns, so calls with different r never share a stream.
+    Every kernel takes its job or row streams from here."""
+    return [_stream(child) for child in _as_spec(seed).sequence().spawn(count)]
 
-    Without `pool` the jobs run lazily on the calling thread, one result held
-    at a time. With it they run on min(len(jobs), usable_cpus()) threads (none
-    when that is 1), shut down with the iterator, and Executor.map submits
-    every job at once, so results that finish early wait in memory. The pool
-    is the kernel's choice, measured on 2 vCPUs: the three line kernels take
-    it (the `line` benchmark's run_rel is 1.72-1.83 pooled, 2.06-2.43
-    serial), and the finite ones do not, since they lose under it
-    (simulate_direct_batch at the `interval` sizes: 31 ms on one thread, 43 ms
-    on two; density-convergence at its defaults: 1891 and 2591 ms;
-    first_arrival_batch on car-mask rows, n = 1000 and 5000, 2000 replicas:
-    250 and 328 ms) or, on the band path, hold the GIL in a Python loop."""
-    children = _as_spec(seed).sequence().spawn(len(jobs))
 
-    def run(c: int):
-        return fn(jobs[c], _stream(children[c]))
-
-    workers = min(len(jobs), usable_cpus()) if pool else 1
+def map_streams(fn: Callable, seed: int | SeedSpec, jobs: Sequence) -> Iterator:
+    """fn(job, rng) for each job, yielded in job order, job c on child stream
+    c of child_streams(seed, len(jobs)), so results depend on neither the
+    CPU count nor the jobs after c, and a caller can reduce each result as it
+    arrives. The jobs run on min(len(jobs), usable_cpus()) threads, shut down
+    with the iterator; Executor.map submits every job at once, so results
+    that finish early wait in memory. When that is 1 they run lazily on the
+    calling thread, one result held at a time."""
+    streams = child_streams(seed, len(jobs))
+    workers = min(len(jobs), usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            yield from executor.map(run, range(len(jobs)))
+            yield from executor.map(fn, jobs, streams)
     else:
-        yield from map(run, range(len(jobs)))
+        yield from map(fn, jobs, streams)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ are those of u, tau* = -log1p(-u*) for the largest car mark u*, and
     T = below + Poisson(tau* below + sum_{u_s <= u*} log(1 - u_s))
 
 with below = #{s : u_s <= u*}. Rows of up to _BAND_SITES sites are computed
-this way, and simulate_direct_batch takes M from the same marks in the same
-jobs, at any n. simulate_direct runs the draws one by one and
+this way, and simulate_direct_batch takes M from the same marks, at any n.
+simulate_direct runs the draws one by one and
 trials.simulate_poissonized runs every arrival, and both stay independent
 references, as the oracle's one replay pass (keeping each site's covering
 rank) is for parking in order; the oracle's chain gives the exact law of T_n
@@ -30,6 +30,21 @@ whether the rise ending at it and the descent starting at it are odd. The
 occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
 both are odd: M is twice the count of that car mask and u* its largest mark
 (tau_star_rows), with no occupancy array built.
+
+Each row has one stream: row i of a call seeded SeedSpec(m, r) draws from
+child (m, (r, i)) of core.child_streams, so a row reproduces whatever the
+other rows are. A car-mask row draws its marks in chunks of about
+_CHUNK_MARKS, one after another, so that peak memory stays flat, and T adds
+its later draws with one Poisson draw after the last chunk, so M and T of a
+replica read the same marks at every chunk count. Every row runs on the
+calling thread. A pool of threads made each of these kernels slower on 2
+vCPUs (one thread against two): simulate_direct_batch at the `interval`
+benchmark's sizes 31 against 43 ms; density-convergence at its defaults 1891
+against 2591 ms; first_arrival_batch on car-mask rows (n = 1000 and 5000,
+2000 replicas) 250 against 328 ms; and the band path holds the GIL in a
+Python loop. The line kernels of infinite.py gain from the pool (the `line`
+benchmark's run_rel is 1.72-1.83 pooled, 2.06-2.43 serial) and run their
+chunks through core.map_streams.
 
 Longer rows take the band path (_band_row), whose cost does not grow with n:
 tau* depends only on the top marks and the short runs around them, and every
@@ -74,15 +89,14 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .core import DEFAULT_SEED, SeedSpec, as_generator, chunk_sizes, map_streams
+from .core import DEFAULT_SEED, SeedSpec, as_generator, child_streams, chunk_sizes
 
-_CHUNK_MARKS = 1 << 14  # marks per kernel job; small keeps peak memory flat
+_CHUNK_MARKS = 1 << 14  # marks per chunk of a row; small keeps peak memory flat
 # T and tau* of longer rows take the band path (_band_row). Per replica on
 # one thread (64 replicas a call, median of 11), band/mask time is 2.9 at n =
 # 2000, 1.16 at 6000, 0.99 at 8000, 0.74 at 10^4 and 0.40 at 2 10^4
 _BAND_SITES = 8000
 _BAND = 400  # the band's expected size B
-_BAND_JOB = 32  # replicas per band-path job
 _FRESH = 32  # truncated marks drawn at a time by the walks and tail rejections
 # _unread_arrivals' last cell J = tau + 12 sqrt(tau) + 30: a slot lands beyond
 # it with probability below 1e-38 for tau* up to 30 (n about e^32)
@@ -152,16 +166,6 @@ def tau_star_rows(xi: np.ndarray, car: np.ndarray) -> np.ndarray:
     return np.where(car, xi, -np.inf).max(axis=-1)
 
 
-def tau_star(xi: np.ndarray) -> float:
-    """Jamming time of one first-arrival field xi over slots 1..n-1: its
-    largest car mark, in the units of xi, from one parity pass."""
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.size < 1:
-        raise ValueError("need at least one slot")
-    rise, descent = _run_parities(xi)
-    return float(tau_star_rows(xi, rise & descent))
-
-
 def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -> tuple[np.ndarray, int]:
     """Run the uniform-draw process on n sites until jamming: (occupancy, T).
 
@@ -193,22 +197,23 @@ def simulate_direct(n: int, rng: np.random.Generator | SeedSpec | None = None) -
 
 
 def _draw_counts(
-    u: np.ndarray, top: np.ndarray, above_rows: np.ndarray, above: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """(T, tau*) of each row of the Uniform(0, 1) marks u, shape (rows, n-1),
-    with largest car marks top: the superposition identity of the module
-    docstring. The marks above top (above, in slot order, with their rows
-    above_rows) are taken off the count and off the row's sum of log(1 - u),
-    so the classification reads only them. u is overwritten by log(1 - u),
-    in place; 1 - u is exact on the 2^-53 grid of rng.random, so np.log(1 -
-    u) needs no log1p, which only tau* = -log1p(-u*) takes."""
+    u: np.ndarray, top: np.ndarray, above_rows: np.ndarray, above: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(below, mean, tau*) of each row of the Uniform(0, 1) marks u, shape
+    (rows, n-1), with largest car marks top: T = below + Poisson(mean) by the
+    superposition identity of the module docstring; it draws nothing. The
+    marks above top (above, in slot order, with their rows above_rows) are
+    taken off the count and off the row's sum of log(1 - u), so the
+    classification reads only them. u is overwritten by log(1 - u), in place;
+    1 - u is exact on the 2^-53 grid of rng.random, so np.log(1 - u) needs no
+    log1p, which only tau* = -log1p(-u*) takes."""
     rows, m = u.shape
     tau = -np.log1p(-top)
     below = m - np.bincount(above_rows, minlength=rows)
     logs = np.log(np.subtract(1.0, u, out=u), out=u)
     log_below = logs.sum(axis=1) - np.bincount(above_rows, weights=np.log(1.0 - above), minlength=rows)
     # rounding can leave a mean a few ulp below an exact 0 (ties, n = 2, 3)
-    return below + rng.poisson(np.maximum(tau * below + log_below, 0.0)), tau
+    return below, np.maximum(tau * below + log_below, 0.0), tau
 
 
 def _band_tau(xi, band, m: int) -> float | None:
@@ -321,57 +326,52 @@ def _band_row(m: int, rng: np.random.Generator) -> tuple[int, float]:
     return int(t), tau
 
 
-def _first_arrival_chunk(job: tuple, rng: np.random.Generator) -> tuple:
-    """(T, tau*) of `rows` replicas on n sites. Rows of up to _BAND_SITES
-    sites draw all their Uniform(0, 1) marks at once, and u* is the largest
-    mark of the car mask of one parity pass (tau_star_rows); _draw_counts
-    takes u* and the marks above it. Longer rows take _band_row, one at a
-    time."""
-    n, rows = job
+def _row_marks(n: int, replicas: int, rng: np.random.Generator):
+    """The Uniform(0, 1) marks of a row of `replicas` replicas on n sites, in
+    chunks of about _CHUNK_MARKS marks (at least one replica) drawn one after
+    another from the row's stream, each with its parity pass: (u, rise,
+    descent) per chunk."""
+    for rows in chunk_sizes(replicas, max(1, _CHUNK_MARKS // (n - 1))):
+        u = rng.random((rows, n - 1))
+        yield (u, *_run_parities(u))
+
+
+def _car_counts(n: int, replicas: int, rng: np.random.Generator) -> np.ndarray:
+    """M of each replica of a row: twice the car count of each chunk's
+    parity pass."""
+    chunks = _row_marks(n, replicas, rng)
+    return np.concatenate([2 * np.count_nonzero(rise & descent, axis=1) for _, rise, descent in chunks])
+
+
+def _first_arrival_row(n: int, replicas: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(T, tau*) of each replica of a row. Up to _BAND_SITES sites u* is the
+    largest mark of each chunk's car mask (tau_star_rows), _draw_counts takes
+    it and the marks above it, and one Poisson draw after the last chunk
+    gives the later draws, so the row reads the marks _car_counts reads.
+    Longer rows take _band_row, one replica after another."""
     if n > _BAND_SITES:
-        t, tau = zip(*(_band_row(n - 1, rng) for _ in range(rows)))
+        t, tau = zip(*(_band_row(n - 1, rng) for _ in range(replicas)))
         return np.array(t, dtype=np.int64), np.array(tau)
-    u = rng.random((rows, n - 1))
-    rise, descent = _run_parities(u)
-    car = np.logical_and(rise, descent, out=rise)
-    top = tau_star_rows(u, car)
-    slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
-    return _draw_counts(u, top, slots // (n - 1), u.ravel()[slots], rng)
+    parts = []
+    for u, rise, descent in _row_marks(n, replicas, rng):
+        car = np.logical_and(rise, descent, out=rise)
+        top = tau_star_rows(u, car)
+        slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
+        parts.append(_draw_counts(u, top, slots // (n - 1), u.ravel()[slots]))
+    below, mean, tau = map(np.concatenate, zip(*parts))
+    return below + rng.poisson(mean), tau
 
 
-def _car_count_chunk(job: tuple, rng: np.random.Generator) -> np.ndarray:
-    """M of `rows` replicas on n sites: twice the car count of one parity
-    pass over the same draw of marks that _first_arrival_chunk takes."""
-    n, rows = job
-    rise, descent = _run_parities(rng.random((rows, n - 1)))
-    return 2 * np.count_nonzero(rise & descent, axis=1)
-
-
-def _marks_job(n: int) -> int:
-    """Replicas per job of a row of n sites whose jobs draw every mark: about
-    _CHUNK_MARKS marks, at least one replica."""
-    return max(1, _CHUNK_MARKS // (n - 1))
-
-
-def _first_arrival_job(n: int) -> int:
-    """Replicas per _first_arrival_chunk job: _BAND_JOB on the band path."""
-    return _BAND_JOB if n > _BAND_SITES else _marks_job(n)
-
-
-def _rows(chunk, per_job, n_list, replicas: int, seed: int | SeedSpec) -> list[list]:
-    """chunk(job, rng) over each row's jobs (n, rows), as one list per row, on
-    the calling thread: a row of n sites splits into jobs of per_job(n)
-    replicas, numbered across rows. Job c of seed SeedSpec(m, r) draws from
-    map_streams' stream (m, (r, c)), so no row depends on the rows after it."""
+def _row_streams(n_list, replicas: int, seed: int | SeedSpec) -> list[np.random.Generator]:
+    """One stream per row, after checking the rows: row i of seed SeedSpec(m,
+    r) draws from child stream (m, (r, i)) (core.child_streams), so a row's
+    bits depend on its index, n and replicas, not on the other rows."""
     for n in n_list:
         if n < 2:
             raise ValueError("need n >= 2 sites")
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    sizes = [chunk_sizes(replicas, per_job(n)) for n in n_list]
-    jobs = [(n, size) for n, row in zip(n_list, sizes) for size in row]
-    parts = iter(map_streams(chunk, seed, jobs))
-    return [[next(parts) for _ in row] for row in sizes]
+    return child_streams(seed, len(n_list))
 
 
 def first_arrival_batch(
@@ -380,13 +380,13 @@ def first_arrival_batch(
     """(T, tau*) for `replicas` replicas of each n, as int64 and float64
     arrays: the draw count of the uniform-draw process and its jamming time
     (see the module docstring)."""
-    rows = _rows(_first_arrival_chunk, _first_arrival_job, n_list, replicas, seed)
-    return [tuple(np.concatenate(part) for part in zip(*row)) for row in rows]
+    return [_first_arrival_row(n, replicas, rng) for n, rng in zip(n_list, _row_streams(n_list, replicas, seed))]
 
 
 def simulate_direct_batch(n: int, replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> np.ndarray:
     """Law of M of the uniform-draw process across replicas, as an int64
-    array. Up to _BAND_SITES sites its jobs and marks are those of
+    array. Up to _BAND_SITES sites its marks are those of
     first_arrival_batch([n], ...). Exactly the law of simulate_direct, which
     stays the draw-by-draw reference."""
-    return np.concatenate(_rows(_car_count_chunk, _marks_job, [n], replicas, seed)[0])
+    (rng,) = _row_streams([n], replicas, seed)
+    return _car_counts(n, replicas, rng)

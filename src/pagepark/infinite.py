@@ -255,8 +255,8 @@ def _runs_chunk(size: int, rng: np.random.Generator) -> RunsSample:
 
 def sample_runs(replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> RunsSample:
     """Vectorised window sampling, chunked into fixed-size independent streams
-    (map_streams; chunk c of seed SeedSpec(m, r) is stream (m, (r, c))), drawn
-    on the pool of usable CPUs. Chunk boundaries depend on `replicas` alone,
+    (map_streams; chunk c of seed SeedSpec(m, r) is child stream c), drawn on
+    the pool of usable CPUs. Chunk boundaries depend on `replicas` alone,
     so results are identical for any CPU count. Each chunk is copied into its
     slice of the result as it arrives, but the pool may finish chunks ahead of
     the copy, and those wait in memory besides the result."""
@@ -266,7 +266,7 @@ def sample_runs(replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> RunsSampl
     tau, xi_right = np.empty(replicas), np.empty(replicas)
     start = longest = 0
     jobs = chunk_sizes(replicas, _CHUNK)
-    for part in map_streams(_runs_chunk, seed, jobs, pool=True):
+    for part in map_streams(_runs_chunk, seed, jobs):
         rows = slice(start, start + part.replicas)
         rise[rows], descent[rows], tau[rows], xi_right[rows] = part.rise, part.descent, part.tau, part.xi_right
         start, longest = rows.stop, max(longest, part.longest_run)
@@ -294,7 +294,7 @@ def density_curve_mc(
         return _arrivals_by(part.tau, t_grid, dist), part.longest_run
 
     hits, longest = [0] * np.atleast_1d(t_grid).size, 0
-    for got, run in map_streams(counts, seed, chunk_sizes(replicas, _CHUNK), pool=True):
+    for got, run in map_streams(counts, seed, chunk_sizes(replicas, _CHUNK)):
         hits, longest = [a + b for a, b in zip(hits, got)], max(longest, run)
     return [proportion_estimate(h, replicas) for h in hits], longest
 
@@ -367,8 +367,7 @@ def autocovariance_mc(lags, replicas: int, seed: int | SeedSpec = DEFAULT_SEED) 
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     totals = [((0, 0, 0, 0), 0)] * len(lags)  # per lag: the summed table and the longest run
-    for part in map_streams(
-        lambda size, rng: _occupancy_chunk(size, rng, lags), seed, chunk_sizes(replicas, _AUTOCOV_CHUNK), pool=True
-    ):
+    jobs = chunk_sizes(replicas, _AUTOCOV_CHUNK)
+    for part in map_streams(lambda size, rng: _occupancy_chunk(size, rng, lags), seed, jobs):
         totals = [(tuple(map(sum, zip(table, got))), max(run, r)) for (table, run), (got, r) in zip(totals, part)]
     return [_autocov_estimate(k, *total) for k, total in zip(lags, totals)]

@@ -19,8 +19,8 @@ in decreasing order, walks each one's rise and descent, and reads a mark
 only when a walk reaches it (below a it draws one, Exp(1) truncated to [0,
 a]); the first car found gives tau*. The slots never read add their
 arrivals up to tau* through one multinomial over their number of later
-arrivals. Both paths run on the calling thread; the core.map_streams
-docstring says why. simulate_poissonized runs every arrival and is the
+arrivals. Each row draws from its own stream and runs on the calling
+thread; the finite.py module docstring says why. simulate_poissonized runs every arrival and is the
 event-level reference of both paths; it parks cars with the oracle's
 one-row replay, park_in_rank_order, so it shares no code with the kernels.
 
@@ -128,8 +128,8 @@ def _quantiles(x: np.ndarray, levels) -> np.ndarray:
 
 def trials_ratio_sweep(n_list, replicas: int, seed: int | SeedSpec = DEFAULT_SEED) -> list[TrialsRow]:
     """Mean T_n against n log n, and the mean and quantiles of tau*, for each
-    n, one first_arrival_batch row per n, so rows are independent and any
-    leading row subset reproduces bit-identically."""
+    n, one first_arrival_batch row per n on its own stream, so a row
+    reproduces bit for bit whatever the other rows are."""
     rows = []
     for n, (t, taus) in zip(n_list, first_arrival_batch(n_list, replicas, seed)):
         st = SampleStats.from_samples(t)

@@ -685,7 +685,7 @@ def assert_usage_error(argv, flag, capsys):
     assert f"argument {flag}" in captured.err
 
 
-# The two classes below keep the usage-error cases of the scripts that the
+# The class below keeps the usage-error cases of the density scripts that the
 # subcommands replaced under their first test names; test_usage_errors_exit_2
 # runs every one of these cases too.
 
@@ -710,14 +710,3 @@ class TestDensityScript:
     def test_bad_values_are_usage_errors(self, argv, capsys):
         for command in self.COMMANDS[argv[0]]:
             assert_usage_error([command, *argv], argv[0], capsys)
-
-
-class TestTrialsScript:
-    @pytest.mark.parametrize(
-        "argv",
-        [["--replicas", v] for v in ("1", "0", "many")]
-        + [["--n-list", v] for v in ("1", "10,1", ",", "x")]
-        + [["--threads", v] for v in ("0", "x")],
-    )
-    def test_bad_values_are_usage_errors(self, argv, capsys):
-        assert_usage_error(["trials", *argv], argv[0], capsys)

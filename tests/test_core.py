@@ -19,7 +19,7 @@ from pagepark import (
     simulate_direct_batch,
     trials_ratio_sweep,
 )
-from pagepark.core import DEFAULT_SEED, as_generator, map_streams
+from pagepark.core import DEFAULT_SEED, as_generator, child_streams, map_streams
 
 
 def _stream(master, *key):
@@ -42,8 +42,8 @@ def _record_pools(monkeypatch, cpus: int) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
@@ -79,8 +79,10 @@ class TestMapStreams:
     def test_job_c_of_spec_r_is_spawn_key_r_c(self):
         sizes = [3, 5, 2]
         got = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(123, 4), sizes))
+        children = child_streams(SeedSpec(123, 4), len(sizes))
         for c, (size, draws) in enumerate(zip(sizes, got)):
             np.testing.assert_array_equal(draws, _stream(123, 4, c).random(size))
+            np.testing.assert_array_equal(children[c].random(size), draws)
 
     def test_int_seed_is_replica_zero(self):
         jobs = [4, 4]
@@ -89,10 +91,11 @@ class TestMapStreams:
         np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
 
     def test_threads_keep_job_order_and_bytes(self, monkeypatch):
-        monkeypatch.setattr(core, "usable_cpus", lambda: 4)  # four workers on any machine
         jobs = list(range(1, 40))
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         one = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs))
-        four = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs, pool=True))
+        monkeypatch.setattr(core, "usable_cpus", lambda: 4)  # four workers on any machine
+        four = list(map_streams(lambda size, rng: rng.random(size), SeedSpec(9, 2), jobs))
         assert [a.size for a in four] == jobs
         np.testing.assert_array_equal(np.concatenate(one), np.concatenate(four))
 
@@ -106,8 +109,9 @@ class TestMapStreams:
         }
         assert len(first) == sum(r + 3 for r in range(4))
 
-    def test_results_are_yielded_lazily(self):
+    def test_results_are_yielded_lazily(self, monkeypatch):
         # on one thread a job runs only when its result is taken
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         ran = []
         results = map_streams(lambda job, rng: ran.append(job) or job, 7, [0, 1, 2])
         assert ran == [] and next(results) == 0 and ran == [0]
@@ -128,18 +132,16 @@ class TestMapStreams:
         monkeypatch.setattr(core, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(core, "usable_cpus", lambda: 2)  # a pool even on one CPU
         for _ in range(2):
-            assert list(map_streams(lambda job, rng: job, 7, [0, 1, 2], pool=True)) == [0, 1, 2]
-        partial = map_streams(lambda job, rng: job, 7, [0, 1, 2], pool=True)
+            assert list(map_streams(lambda job, rng: job, 7, [0, 1, 2])) == [0, 1, 2]
+        partial = map_streams(lambda job, rng: job, 7, [0, 1, 2])
         assert next(partial) == 0
         partial.close()  # closing the iterator early shuts its pool down
         assert len(pools) == 3 and shut == pools
 
     @pytest.mark.parametrize("jobs, cpus, workers", [(3, 8, 3), (40, 2, 2), (40, 16, 16), (40, 1, None), (1, 8, None)])
     def test_workers_are_capped_by_jobs_and_cpus(self, monkeypatch, jobs, cpus, workers):
-        # min(jobs, CPUs) workers, and no pool when that is 1 or when the
-        # caller asks for none
+        # min(jobs, CPUs) workers, and no pool when that is 1
         made = _record_pools(monkeypatch, cpus)
-        assert list(map_streams(lambda job, rng: job, 7, list(range(jobs)), pool=True)) == list(range(jobs))
         assert list(map_streams(lambda job, rng: job, 7, list(range(jobs)))) == list(range(jobs))
         assert made == ([] if workers is None else [workers])
 
@@ -155,18 +157,21 @@ class TestMapStreams:
 
 
 class TestKernelPools:
-    """Which kernels ask map_streams for a pool: the three line kernels, each
-    one pool of min(jobs, CPUs) workers; the finite and trials kernels
-    none."""
+    """Which kernels run on a pool: the three line kernels, each one pool of
+    min(jobs, CPUs) workers through map_streams; the finite and trials
+    kernels none, and they never call map_streams."""
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_finite_and_trials_kernels_build_no_pool(self, monkeypatch, cpus):
         made = _record_pools(monkeypatch, cpus)
-        simulate_direct_batch(40, 2000, SeedSpec(1))  # 5 jobs
-        first_arrival_batch([40, 1000], 2000, SeedSpec(2))  # car-mask rows, 5 + 125 jobs
-        first_arrival_batch([finite._BAND_SITES + 1], 2 * finite._BAND_JOB + 1, SeedSpec(3))  # a band row, 3 jobs
-        trials_ratio_sweep([40, finite._BAND_SITES + 1], 2 * finite._BAND_JOB + 1, seed=4)
-        assert made == []
+        mapped = []
+        for module in (core, finite):
+            monkeypatch.setattr(module, "map_streams", lambda *args: mapped.append(args), raising=False)
+        simulate_direct_batch(40, 2000, SeedSpec(1))  # 5 chunks
+        first_arrival_batch([40, 1000], 2000, SeedSpec(2))  # car-mask rows, 5 + 125 chunks
+        first_arrival_batch([finite._BAND_SITES + 1], 65, SeedSpec(3))  # a band row
+        trials_ratio_sweep([40, finite._BAND_SITES + 1], 65, seed=4)
+        assert made == [] and mapped == []
 
     @pytest.mark.parametrize("cpus, workers", [(1, None), (2, 2), (16, 3)])
     def test_line_kernels_pool_over_jobs_and_cpus(self, monkeypatch, cpus, workers):

@@ -22,7 +22,7 @@ from pagepark import (
 )
 from pagepark import finite
 from pagepark.exact import variance_M
-from pagepark.finite import tau_star, tau_star_rows
+from pagepark.finite import tau_star_rows
 from pagepark.oracle import CHAIN_CAP, distribution_T_exact, expected_T_exact, park_in_rank_order
 from pagepark.stats import SampleStats, law_matches, within_stderr
 
@@ -75,7 +75,7 @@ class TestClassifierEquivalence:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_tie_rule_exhaustive_on_weak_orderings(self, n):
         # every weak ordering of the n-1 slots (4683 at n = 7): equal marks
-        # act in slot order, and the classifier, tau_star and the band search
+        # act in slot order, and the classifier, _tau_star and the band search
         # over every slot must agree with the oracle's replay of that rule
         assert _tie_rule_misses(n) == []
 
@@ -115,7 +115,7 @@ class TestClassifierEquivalence:
 
 
 def _tie_rule_misses(n: int) -> list:
-    """Weak orderings of n-1 slots on which the classifier, tau_star or the
+    """Weak orderings of n-1 slots on which the classifier, _tau_star or the
     band search with every slot in the band disagrees with the oracle's
     replay (ties act in slot order)."""
     ranked = list(weak_orderings(n - 1))
@@ -124,9 +124,16 @@ def _tie_rule_misses(n: int) -> list:
         cover = park_in_rank_order(ranks)
         want = max(ranks[c] for c in cover if c is not None)
         band = sorted(range(n - 1), key=lambda s: -ranks[s])
-        if tau_star(np.array(ranks, dtype=np.float64)) != want or finite._band_tau(ranks, band, n - 1) != want:
+        if _tau_star(ranks) != want or finite._band_tau(ranks, band, n - 1) != want:
             misses.append(ranks)
     return misses
+
+
+def _tau_star(xi) -> float:
+    """tau* of one field xi over slots 1..n-1, in the units of xi: its
+    largest car mark, from the kernel's parity pass and tau_star_rows."""
+    xi = np.asarray(xi, dtype=np.float64)
+    return float(tau_star_rows(xi, np.logical_and(*finite._run_parities(xi))))
 
 
 def _edited(fn, old: str, new: str):
@@ -297,10 +304,9 @@ def _band_tau_by(tau_of):
 _draw_counts = finite._draw_counts
 
 
-def _without_first_arrivals(u, top, above_rows, above, rng):
-    below = u.shape[1] - np.bincount(above_rows, minlength=top.size)
-    t, tau = _draw_counts(u, top, above_rows, above, rng)
-    return t - below, tau
+def _without_first_arrivals(u, top, above_rows, above):
+    below, mean, tau = _draw_counts(u, top, above_rows, above)
+    return np.zeros_like(below), mean, tau
 
 
 def _untruncated_marks(rng, a):
@@ -310,12 +316,13 @@ def _untruncated_marks(rng, a):
 
 # planted faults, as the paths that must catch them and replacements of the
 # kernels' parts. The tau* faults replace both tau_star_rows (car mask path)
-# and _band_tau (the band search and its fallback); the log-sum faults and a
-# rounding of the later draws' Poisson count (floor(mean + U): its mean, far
-# less spread) edit _draw_counts, which only the car mask path calls; the M
-# fault counts a car where either parity is odd; the last five break one step
-# of the band path, the last of them by a draw in a fifth of the rows, which
-# only the band path's mean check ("band_mean") has the rows to see
+# and _band_tau (the band search and its fallback); the log-sum faults edit
+# _draw_counts and a rounding of the later draws' Poisson count (floor(mean +
+# U): its mean, far less spread) edits _first_arrival_row, both reached only
+# by the car mask path; the M fault counts a car where either parity is odd;
+# the last five break one step of the band path, the last of them by a draw
+# in a fifth of the rows, which only the band path's mean check ("band_mean")
+# has the rows to see
 PLANTED_FAULTS = {
     "without_first_arrivals": (("mask",), {"_draw_counts": _without_first_arrivals}),
     "second_largest_car_mark": (("mask", "band"), {
@@ -333,14 +340,14 @@ PLANTED_FAULTS = {
         "_draw_counts": _edited(finite._draw_counts, "np.subtract(1.0, u, out=u)", "np.positive(u, out=u)"),
     }),
     "later_draws_rounded_not_poisson": (("mask",), {
-        "_draw_counts": _edited(
-            finite._draw_counts,
-            "rng.poisson(np.maximum(tau * below + log_below, 0.0))",
-            "np.floor(np.maximum(tau * below + log_below, 0.0) + rng.random(rows)).astype(np.int64)",
+        "_first_arrival_row": _edited(
+            finite._first_arrival_row,
+            "rng.poisson(mean)",
+            "np.floor(mean + rng.random(mean.size)).astype(np.int64)",
         ),
     }),
     "car_count_of_rise_or_descent": (("m",), {
-        "_car_count_chunk": _edited(finite._car_count_chunk, "rise & descent", "rise | descent"),
+        "_car_counts": _edited(finite._car_counts, "rise & descent", "rise | descent"),
     }),
     "later_law_without_e_minus_a": (("band",), {
         "_later_law": _edited(finite._later_law, "math.exp(-a) * pi_low", "pi_low"),
@@ -459,42 +466,34 @@ def _stream(master: int, r: int, c: int) -> np.random.Generator:
 
 
 def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
-    """(M, T, tau*) of each row rebuilt from the definition, jobs numbered c
-    across rows, job c drawing from stream (master, (r, c)). Rows of up to
-    _BAND_SITES sites split into jobs of max(1, _CHUNK_MARKS // (n-1))
-    replicas, each drawing its Uniform(0, 1) fields u in one call; the cars
-    come from the oracle's replay, M is twice their count, tau* =
-    -log1p(-u*) for their largest mark u*, and the later draws one Poisson
-    draw per row with mean sum_s (tau* - xi_s)^+ over the arrival times xi =
-    -log1p(-u). Longer rows split into jobs of _BAND_JOB replicas, one
-    _band_row call each, in order, and M is None."""
-    c, out = 0, []
-    for n in n_list:
+    """(M, T, tau*) of each row rebuilt from the definition, row i drawing
+    from stream (master, (r, i)). Rows of up to _BAND_SITES sites draw their
+    Uniform(0, 1) fields u in chunks of max(1, _CHUNK_MARKS // (n-1))
+    replicas, one after another; the cars come from the oracle's replay, M
+    is twice their count, tau* = -log1p(-u*) for their largest mark u*, and
+    the later draws are one Poisson draw per row after its last chunk, with
+    mean sum_s (tau* - xi_s)^+ per replica over the arrival times xi =
+    -log1p(-u). Longer rows make one _band_row call per replica, in order,
+    and M is None."""
+    out = []
+    for i, n in enumerate(n_list):
+        rng = _stream(master, r, i)
         if n > finite._BAND_SITES:
-            ts, taus = [], []
-            for lo in range(0, replicas, finite._BAND_JOB):
-                rng = _stream(master, r, c)
-                c += 1
-                for _ in range(min(finite._BAND_JOB, replicas - lo)):
-                    t, tau = finite._band_row(n - 1, rng)
-                    ts.append(t)
-                    taus.append(tau)
-            out.append((None, ts, taus))
+            ts, taus = zip(*(finite._band_row(n - 1, rng) for _ in range(replicas)))
+            out.append((None, list(ts), list(taus)))
             continue
-        per_job = max(1, finite._CHUNK_MARKS // (n - 1))
-        ms, ts, taus = [], [], []
-        for lo in range(0, replicas, per_job):
-            rng = _stream(master, r, c)
-            c += 1
-            u = rng.random((min(per_job, replicas - lo), n - 1))
+        per_chunk = max(1, finite._CHUNK_MARKS // (n - 1))
+        ms, below, means, taus = [], [], [], []
+        for lo in range(0, replicas, per_chunk):
+            u = rng.random((min(per_chunk, replicas - lo), n - 1))
             cars = [_car_slots(row) for row in u]
             top = [float(row[car].max()) for row, car in zip(u, cars)]
             tau = [float(-np.log1p(-t)) for t in top]
-            later = rng.poisson([float(np.sum(np.maximum(t + np.log1p(-row), 0.0))) for t, row in zip(tau, u)])
             ms += [2 * len(car) for car in cars]
-            ts += [int(np.count_nonzero(row <= t)) + int(k) for t, row, k in zip(top, u, later)]
+            below += [int(np.count_nonzero(row <= t)) for t, row in zip(top, u)]
+            means += [float(np.sum(np.maximum(t + np.log1p(-row), 0.0))) for t, row in zip(tau, u)]
             taus += tau
-        out.append((ms, ts, taus))
+        out.append((ms, [b + int(k) for b, k in zip(below, rng.poisson(means))], taus))
     return out
 
 
@@ -612,10 +611,10 @@ class TestDirectBatchKernel:
     @example("sawtooth_odd", [i / 40 for i in range(40)], 1)
     @settings(max_examples=300, deadline=None)
     def test_tau_star_rows_equal_scan(self, kind, values, rows):
-        # tau_star == tau_star_rows == the largest car mark of the replay
+        # _tau_star == tau_star_rows == the largest car mark of the replay
         xi = _mark_rows(kind, values, rows)
         want = [float(row[_car_slots(row)].max()) for row in xi]
-        assert [tau_star(row) for row in xi] == want
+        assert [_tau_star(row) for row in xi] == want
         assert tau_star_rows(xi, _car_mask(xi)).tolist() == want
 
     @given(MARK_KINDS, MARK_VALUES, st.floats(min_value=-0.5, max_value=3.5))
@@ -640,13 +639,14 @@ class TestDirectBatchKernel:
         xi = _mark_rows(kind, gen.random(size).tolist(), 3)
         xi = np.concatenate([xi, 1.0 + gen.random((3, 4099 - xi.shape[1]))], axis=1)
         want = [float(row[c].max()) for row, c in zip(xi, _car_mask(xi))]
-        assert [tau_star(row) for row in xi] == want
+        assert [_tau_star(row) for row in xi] == want
 
     @pytest.mark.parametrize(
         "n, replicas",
         [
             (finite._CHUNK_MARKS + 2, 3),  # n - 1 > marks per chunk: one row per M chunk
             (6, 2 * (finite._CHUNK_MARKS // 5) + 7),  # a partial last chunk
+            (1000, 40),  # 3 chunks: M and T read the same marks across chunks
             # the longest car-mask T row and the shortest band-path one;
             # partial last chunk
             pytest.param(finite._BAND_SITES, 40, id="band_sites-40"),
@@ -654,9 +654,9 @@ class TestDirectBatchKernel:
         ],
     )
     def test_chunks_equal_rows_built_by_hand(self, n, replicas, monkeypatch):
-        # M reads the car mask of each job's marks at any n; T takes the car
-        # mask up to _BAND_SITES and the band path past it; either way a row
-        # gives the same bits
+        # M reads the car mask of each chunk's marks at any n; T takes the
+        # car mask up to _BAND_SITES and the band path past it; either way a
+        # row gives the same bits
         m = simulate_direct_batch(n, replicas, SeedSpec(61, 2))
         (t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
         _, want_t, want_tau = _by_hand([n], replicas, 61, 2)[0]
@@ -665,32 +665,30 @@ class TestDirectBatchKernel:
         assert m.dtype == t.dtype == np.int64
         assert [m.tolist(), t.tolist(), tau.tolist()] == [want_m, want_t, want_tau]
 
-    def test_jobs_numbered_across_rows(self):
-        # job c counts across rows, so each row's streams follow the jobs of
-        # the rows before it; a leading subset of rows reproduces, and an int
-        # seed m is SeedSpec(m, 0)
+    def test_rows_do_not_depend_on_each_other(self):
+        # row i draws from stream (m, (r, i)) alone: a row of 1000 sites (3
+        # chunks) is bit-equal after a row of 6 sites (1 chunk), of 2000
+        # sites (5 chunks) or on the band path; every row matches _by_hand,
+        # and an int seed m is SeedSpec(m, 0)
+        want = first_arrival_batch([6, 1000], 40, SeedSpec(62, 3))[1]
+        for a in (2000, finite._BAND_SITES + 1):
+            got = first_arrival_batch([a, 1000], 40, SeedSpec(62, 3))[1]
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), a
         n_list, reps = [6, finite._BAND_SITES + 1, 40], 25
         got = first_arrival_batch(n_list, reps, SeedSpec(62, 3))
-        want = _by_hand(n_list, reps, 62, 3)
-        for (t, tau), (_, want_t, want_tau) in zip(got, want):
+        for (t, tau), (_, want_t, want_tau) in zip(got, _by_hand(n_list, reps, 62, 3)):
             assert [t.tolist(), tau.tolist()] == [want_t, want_tau]
-        head = first_arrival_batch(n_list[:2], reps, SeedSpec(62, 3))
-        assert all(np.array_equal(x[0], y[0]) for x, y in zip(head, got))
         a, b = (first_arrival_batch(n_list, reps, s)[2] for s in (62, SeedSpec(62, 0)))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_deterministic_in_seed(self):
-        # 500 rows of 39 marks are two jobs
+        # 500 rows of 39 marks are two chunks
         a = simulate_direct_batch(40, 500, SeedSpec(62))
         b = simulate_direct_batch(40, 500, SeedSpec(62))
         c = simulate_direct_batch(40, 500, SeedSpec(63))
         assert a.dtype == np.int64 and a.shape == (500,)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_tau_star_rejects_empty_field(self):
-        with pytest.raises(ValueError):
-            tau_star(np.array([]))
 
     def test_rejects_single_site(self):
         with pytest.raises(ValueError):
@@ -700,7 +698,7 @@ class TestDirectBatchKernel:
 
     @pytest.mark.parametrize("n", [300, finite._BAND_SITES + 1])
     def test_m_reads_no_draw_count(self, n, monkeypatch):
-        # M comes off each job's car mask alone: with every part of the T
+        # M comes off each chunk's car mask alone: with every part of the T
         # path made to raise, the same M comes out
         want = simulate_direct_batch(n, 60, SeedSpec(67))
 

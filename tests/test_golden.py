@@ -34,12 +34,12 @@ EXACT = {
 
 # sha256 of stdout, by command and format
 DIGESTS = {
-    ("density-convergence", "csv"): "a01b4c414c9aefe8ebcd312ad5a626c292f9a6ebc2834db9f0c2b86be996605a",
-    ("density-convergence", "json"): "13f9ada5768b91e22e2546546078ef223643e1f5454868845ac965b524cebe83",
+    ("density-convergence", "csv"): "13b58bded2382996dabc0aa089c185d3635372fbd71605be704cc2b4ea1b1704",
+    ("density-convergence", "json"): "61b4ead69b584fafe02787dc048fc5b4ef6f801971f50692540137173401b812",
     ("density-curve", "csv"): "ece1d98aeb96b50aafbcbed05c7188dea06b435e8911e1ae24fe8e997edfd6b5",
     ("density-curve", "json"): "90cb5a56c6033a05229c996b0e9c08f5fb1295076aed073ed614082a171ee869",
-    ("trials", "csv"): "7c75661ac8289a873fe349b9fe086a17bc3a33634e84b21b88a7aa4b62c4aa6f",
-    ("trials", "json"): "5f8762efd04e0b130e9c7c69675911ae147f58e712a99a6c9752f70f0e0fc7e0",
+    ("trials", "csv"): "fd386d1f0252b90f46e3dd3e4ef726712bff986fe88800d40b8c763f333d12f7",
+    ("trials", "json"): "2558683ab5a2d0ffe1e428b748e2d7709ccc8c1ac7e7cac8188c9cfbf4fcef22",
     ("autocovariance", "csv"): "a75824d187f15c6fc430beb49f31e6f7d218bf15bed9b6144357c26128aeb101",
     ("autocovariance", "json"): "bc38a21be4771af8b565c79412359a3097909e8d81f8cc180af0de162db6fb03",
     ("site-vacancy", "csv"): "95a80a79351ea2441d97fff3de26e48696fba2e73695ec6a016391b02f1dc21d",

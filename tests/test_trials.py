@@ -43,9 +43,10 @@ class TestPoissonizedReplica:
 
     def test_tau_star_is_max_car_mark(self):
         # the replica's tau* (from the oracle's replay) against the kernel's
-        # tau_star, on the same field
+        # parity pass and tau_star_rows, on the same field
         xi = -np.log1p(-SeedSpec(7).generator().random(99))
-        assert simulate_poissonized(100, rng=SeedSpec(7))[0] == finite.tau_star(xi)
+        car = np.logical_and(*finite._run_parities(xi))
+        assert simulate_poissonized(100, rng=SeedSpec(7))[0] == float(finite.tau_star_rows(xi, car))
 
     def test_mean_t_matches_absorbing_chain(self):
         # E[T] from the Poissonized process equals the direct process's
@@ -143,10 +144,16 @@ class TestRatioSweep:
         assert full[0].mean_T == head[0].mean_T
         assert full[0].tau_star_mean == head[0].tau_star_mean
 
+    def test_rows_do_not_depend_on_each_other(self):
+        # each row has its own stream: the row of 1000 sites (3 chunks) is
+        # the same after a row of one chunk (6 sites) or of five (2000 sites)
+        want = trials_ratio_sweep([6, 1000], 40, seed=95)[1]
+        assert trials_ratio_sweep([2000, 1000], 40, seed=95)[1] == want
+
     def test_seedspec_seed_starts_stream_indices(self):
-        # the sweep is one first_arrival_batch call over all its rows, so its
-        # (row, chunk) jobs are numbered across rows from stream (m, (r, 0));
-        # test_finite rebuilds those streams by hand. A row on each side of
+        # the sweep is one first_arrival_batch call over all its rows, so row
+        # i draws from stream (m, (r, i)); test_finite rebuilds those streams
+        # by hand. A row on each side of
         # the band crossover; an int seed m is SeedSpec(m, 0)
         master, r, reps = 94, 7, 20
         n_list = [300, finite._BAND_SITES + 1]
