@@ -58,16 +58,17 @@ band slot's looked up by bisection, any other drawn; _Field), and the first
 car found gives tau*. If the band holds no car (probability about
 exp(-B e^-2)), the field is completed and the same search over all of its
 slots gives tau*. A read slot adds 1 + Poisson(tau* - xi) if xi <= tau*, all
-in one Poisson draw. The U unread slots are still i.i.d. truncated and lie
-below a <= tau*, so each adds 1 + N with
-
-    P(N = j) = [pi_tau*(j+1) - e^-a pi_(tau*-a)(j+1)] / (1 - e^-a),
-
-pi the Poisson pmf (Poisson(tau* - x) integrated over the truncated law of
-x), and one multinomial over j = 0..J and a tail cell j > J counts them all;
-a slot in the tail cell draws N given N > J by rejection. _BAND_SITES is the
-measured crossover where this path, about 0.15 ms a replica at any n,
-overtakes the car mask's O(n) pass.
+in one Poisson draw per row. Each of the U unread slots is still i.i.d.
+truncated, so its stream has an arrival in [0, a], and a <= tau* (a band
+car's mark is above a, and the fallback reads every slot). Split at a, its
+count up to tau* is K + Poisson(tau* - a): K, its count on [0, a], is
+Poisson(a) given K >= 1, a zero-truncated law of a alone, and the count on
+(a, tau*] is independent of it (independent increments). So U (tau* - a)
+joins the read slots' Poisson mean, and one multinomial over k = 1..J and a
+tail cell k > J, its cells built once per row (_unread_cells), counts the U
+values of K; a slot in the tail cell draws K given K > J by rejection from
+Poisson(a). _BAND_SITES is the measured crossover where this path, about 0.1
+ms a replica at any n, overtakes the car mask's O(n) pass.
 
 Conventions used throughout (1-based sites and slots in the API):
 
@@ -93,13 +94,13 @@ from .core import DEFAULT_SEED, SeedSpec, as_generator, child_streams, chunk_siz
 
 _CHUNK_MARKS = 1 << 14  # marks per chunk of a row; small keeps peak memory flat
 # T and tau* of longer rows take the band path (_band_row). Per replica on
-# one thread (64 replicas a call, median of 11), band/mask time is 2.9 at n =
-# 2000, 1.16 at 6000, 0.99 at 8000, 0.74 at 10^4 and 0.40 at 2 10^4
+# one thread (64 replicas a call, median of 11), band/mask time is 1.35-1.39
+# at n = 4000, 0.94-0.97 at 6000, 0.79-0.88 at 8000 and 0.57-0.58 at 10^4
 _BAND_SITES = 8000
 _BAND = 400  # the band's expected size B
 _FRESH = 32  # truncated marks drawn at a time by the walks and tail rejections
-# _unread_arrivals' last cell J = tau + 12 sqrt(tau) + 30: a slot lands beyond
-# it with probability below 1e-38 for tau* up to 30 (n about e^32)
+# _unread_cells' last cell J = a + 12 sqrt(a) + 30: a slot's K lands beyond
+# it with probability below 1e-38 for a up to 30 (n about e^36)
 _TAIL_SDS, _TAIL_PAD = 12, 30
 
 
@@ -268,47 +269,40 @@ def _fresh(rng: np.random.Generator, a: float):
         yield from _truncated(rng, a, _FRESH).tolist()
 
 
-def _later_law(tau: float, a: float, top: int) -> np.ndarray:
-    """P(N = j) for j = 0..top, where N counts the arrivals in (x, tau] of a
-    unit-rate stream whose first arrival x is Exp(1) truncated to [0, a] <=
-    tau: Poisson(tau - x) integrated over x,
-    [pi_tau(j+1) - e^-a pi_(tau-a)(j+1)] / (1 - e^-a), with pi the Poisson pmf."""
-    k = np.arange(1, top + 2)
-    pi_tau = math.exp(-tau) * np.cumprod(tau / k)
-    pi_low = math.exp(a - tau) * np.cumprod((tau - a) / k)
-    return (pi_tau - math.exp(-a) * pi_low) / -math.expm1(-a)
+def _unread_cells(a: float) -> np.ndarray:
+    """_unread_arrivals' cells at the level a > 0: P(K > J), then P(K = k) for
+    k = 1..J, K Poisson(a) given K >= 1, J = a + _TAIL_SDS sqrt(a) + _TAIL_PAD.
+    The tail cell's mass is summed from its own terms and comes first, so
+    that the rounding of the other cells lands on K = J, not in it."""
+    j = int(a + _TAIL_SDS * math.sqrt(a) + _TAIL_PAD)
+    law = math.exp(-a) * np.cumprod(a / np.arange(1, 2 * j + 11)) / -math.expm1(-a)
+    return np.concatenate((law[j:].sum(keepdims=True), law[:j]))
 
 
-def _unread_arrivals(unread: int, tau: float, a: float, rng: np.random.Generator) -> int:
-    """Total arrivals up to tau of `unread` slots whose marks were never read:
-    each adds 1 + N, N with _later_law. One multinomial counts the slots with
-    N = j for j = 0..J, J = tau + _TAIL_SDS sqrt(tau) + _TAIL_PAD, and a tail
-    cell N > J. The tail cell's mass is summed from its own terms and comes
-    first, so that the rounding of the other cells lands on N = J, not in it."""
-    j = int(tau + _TAIL_SDS * math.sqrt(tau) + _TAIL_PAD)
-    law = _later_law(tau, a, 2 * j + 10)
-    cells = rng.multinomial(unread, np.concatenate((law[j + 1 :].sum(keepdims=True), law[: j + 1])))
-    return unread + int(cells[1:] @ np.arange(j + 1)) + _tail_arrivals(int(cells[0]), tau, a, j, rng)
+def _unread_arrivals(unread: int, cells: np.ndarray, a: float, rng: np.random.Generator) -> int:
+    """Total arrivals in [0, a] of `unread` slots whose marks were never
+    read, K each, counted by one multinomial over _unread_cells(a)."""
+    counts, j = rng.multinomial(unread, cells), cells.size - 1
+    return int(counts[1:] @ np.arange(1, j + 1)) + _tail_arrivals(int(counts[0]), a, j, rng)
 
 
-def _tail_arrivals(count: int, tau: float, a: float, j: int, rng: np.random.Generator) -> int:
-    """The sum of `count` draws of N given N > j, N with _later_law, by
-    rejection: N = Poisson(tau - x) for x a mark truncated to [0, a]."""
+def _tail_arrivals(count: int, a: float, j: int, rng: np.random.Generator) -> int:
+    """The sum of `count` draws of Poisson(a) given that it exceeds j >= 0, by rejection."""
     hits = []
     while len(hits) < count:
-        draws = rng.poisson(tau - _truncated(rng, a, _FRESH))
+        draws = rng.poisson(a, _FRESH)
         hits += draws[draws > j].tolist()
     return sum(hits[:count])
 
 
-def _band_row(m: int, rng: np.random.Generator) -> tuple[int, float]:
-    """(T, tau*) of one row of m slots by the band construction of the
-    module docstring. It draws the band's slots and marks, each other mark
-    when a walk of _band_tau first reads it, and the rest of the field only
-    if the band holds no car; then _band_tau searches all of it."""
-    p = min(1.0, _BAND / m)
-    a = -math.log(p)
-    k = int(rng.binomial(m, p))
+def _band_row(m: int, a: float, cells: np.ndarray | None, rng: np.random.Generator) -> tuple[int, float, float]:
+    """(count, mean, tau*) of one row of m slots at the level a by the band
+    construction of the module docstring, T = count + Poisson(mean) as in
+    _draw_counts; cells are _unread_cells(a), None at a = 0, where every slot
+    is in the band. It draws the band's slots and marks, each other mark when
+    a walk of _band_tau first reads it, and the rest of the field only if the
+    band holds no car; then _band_tau searches all of it."""
+    k = int(rng.binomial(m, math.exp(-a)))
     slots = rng.choice(m, k, replace=False, shuffle=False)
     marks = a + rng.standard_exponential(k)
     xi = _Field(slots, marks, _fresh(rng, a))
@@ -320,10 +314,9 @@ def _band_row(m: int, rng: np.random.Generator) -> tuple[int, float]:
         read = np.array(read)
     else:
         read = np.concatenate((marks, xi.drawn))
-    t = np.count_nonzero(read <= tau) + int(rng.poisson(np.maximum(tau - read, 0.0).sum()))
-    if read.size < m:
-        t += _unread_arrivals(m - read.size, tau, a, rng)
-    return int(t), tau
+    unread = m - read.size
+    count = np.count_nonzero(read <= tau) + (_unread_arrivals(unread, cells, a, rng) if unread else 0)
+    return count, np.maximum(tau - read, 0.0).sum() + unread * (tau - a), tau
 
 
 def _row_marks(n: int, replicas: int, rng: np.random.Generator):
@@ -344,22 +337,25 @@ def _car_counts(n: int, replicas: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _first_arrival_row(n: int, replicas: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(T, tau*) of each replica of a row. Up to _BAND_SITES sites u* is the
-    largest mark of each chunk's car mask (tau_star_rows), _draw_counts takes
-    it and the marks above it, and one Poisson draw after the last chunk
-    gives the later draws, so the row reads the marks _car_counts reads.
-    Longer rows take _band_row, one replica after another."""
+    """(T, tau*) of each replica of a row, T = count + Poisson(mean) with one
+    Poisson draw after the last replica. Up to _BAND_SITES sites u* is the
+    largest mark of each chunk's car mask (tau_star_rows) and _draw_counts
+    takes it and the marks above it, so the row reads the marks _car_counts
+    reads. Longer rows take _band_row, one replica after another, at the
+    row's level a."""
     if n > _BAND_SITES:
-        t, tau = zip(*(_band_row(n - 1, rng) for _ in range(replicas)))
-        return np.array(t, dtype=np.int64), np.array(tau)
-    parts = []
-    for u, rise, descent in _row_marks(n, replicas, rng):
-        car = np.logical_and(rise, descent, out=rise)
-        top = tau_star_rows(u, car)
-        slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
-        parts.append(_draw_counts(u, top, slots // (n - 1), u.ravel()[slots]))
-    below, mean, tau = map(np.concatenate, zip(*parts))
-    return below + rng.poisson(mean), tau
+        a = -math.log(min(1.0, _BAND / (n - 1)))
+        cells = _unread_cells(a) if a > 0 else None
+        count, mean, tau = map(np.array, zip(*(_band_row(n - 1, a, cells, rng) for _ in range(replicas))))
+    else:
+        parts = []
+        for u, rise, descent in _row_marks(n, replicas, rng):
+            car = np.logical_and(rise, descent, out=rise)
+            top = tau_star_rows(u, car)
+            slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order
+            parts.append(_draw_counts(u, top, slots // (n - 1), u.ravel()[slots]))
+        count, mean, tau = map(np.concatenate, zip(*parts))
+    return count + rng.poisson(mean), tau
 
 
 def _row_streams(n_list, replicas: int, seed: int | SeedSpec) -> list[np.random.Generator]:

@@ -72,7 +72,8 @@ def law_matches(counts: dict, law: dict) -> tuple[bool, str]:
     """(ok, detail): a one-sample chi-square test of the counts {value: count}
     against the law {value: probability}, over the values pooled by _pooled,
     passed at p > 0.001. A value the law excludes makes p = 0, so a one-point
-    law cannot pass vacuously."""
+    law cannot pass vacuously; a sample too small to leave two groups of a
+    law with two or more values is refused, like an empty one."""
     excluded = sorted(v for v, c in counts.items() if c and not law.get(v))
     if excluded:
         return False, f"p = 0: the law excludes the value {excluded[0]}, seen {counts[excluded[0]]} times"
@@ -83,6 +84,8 @@ def law_matches(counts: dict, law: dict) -> tuple[bool, str]:
     expected = observed.sum() * np.array([float(law[k]) for k in keys])
     o, e = _pooled(np.array([observed, expected]), expected)
     stat, dof = float(((o - e) ** 2 / e).sum()), o.size - 1
+    if not dof and np.count_nonzero(expected) > 1:
+        raise ValueError(f"{observed.sum():g} values pool into one group: too few to test the law")
     p = chi_square_sf(stat, dof) if dof else 1.0
     return p > 0.001, f"chi-square {stat:.3f} on {dof} dof, p = {p:.3g}"
 

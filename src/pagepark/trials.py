@@ -17,12 +17,12 @@ the band path, whose cost does not grow with n. It draws the Binomial(n-1,
 e^-a) marks above a level a = log((n-1)/400), a + Exp(1) each, visits them
 in decreasing order, walks each one's rise and descent, and reads a mark
 only when a walk reaches it (below a it draws one, Exp(1) truncated to [0,
-a]); the first car found gives tau*. The slots never read add their
-arrivals up to tau* through one multinomial over their number of later
-arrivals. Each row draws from its own stream and runs on the calling
-thread; the finite.py module docstring says why. simulate_poissonized runs every arrival and is the
-event-level reference of both paths; it parks cars with the oracle's
-one-row replay, park_in_rank_order, so it shares no code with the kernels.
+a]); the first car found gives tau*. The finite.py module docstring says
+how the slots never read are counted, and why each row, which draws from
+its own stream, runs on the calling thread. simulate_poissonized runs
+every arrival and is the event-level reference of both paths; it parks
+cars with the oracle's one-row replay, park_in_rank_order, so it shares no
+code with the kernels.
 
 Each row's coupon_mean, the ceiling (n-1) H_{n-1}, comes from
 coupon_collector_mean_exact in O(1) time and memory: an exact Fraction sum

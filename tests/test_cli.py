@@ -675,38 +675,3 @@ class TestTrialsTable:
         names = [e["name"] for e in json.loads(outputs[1])["checks"]["entries"]]
         assert "ratio_nondecreasing_n200_to_n1000" in names
 
-
-def assert_usage_error(argv, flag, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"argument {flag}" in captured.err
-
-
-# The class below keeps the usage-error cases of the density scripts that the
-# subcommands replaced under their first test names; test_usage_errors_exit_2
-# runs every one of these cases too.
-
-
-class TestDensityScript:
-    # density-convergence and density-curve print the two density tables; a
-    # bad value is a usage error on every one of them that takes the flag
-    COMMANDS = {
-        "--replicas": ("density-convergence", "density-curve"),
-        "--n-list": ("density-convergence",),
-        "--t-grid": ("density-curve",),
-        "--threads": ("density-convergence", "density-curve"),
-    }
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["--replicas", v] for v in ("1", "0", "many")]
-        + [["--n-list", v] for v in ("1", "10,1", ",", "ten")]
-        + [["--t-grid", v] for v in ("-1", "nan", "inf", "x")]
-        + [["--threads", v] for v in ("0", "x")],
-    )
-    def test_bad_values_are_usage_errors(self, argv, capsys):
-        for command in self.COMMANDS[argv[0]]:
-            assert_usage_error([command, *argv], argv[0], capsys)

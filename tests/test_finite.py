@@ -1,5 +1,6 @@
 """Finite-interval dynamics: the classifier, its replay, and the draw process."""
 import collections
+import functools
 import inspect
 import math
 import tracemalloc
@@ -290,6 +291,17 @@ def _second_largest_car_mark(xi, car):
     return np.where(np.isfinite(second), second, marks[..., -1])
 
 
+def _mixture_law(tau: float, a: float, top: int) -> np.ndarray:
+    """P(N = j) for j = 0..top, where N counts the arrivals in (x, tau] of a
+    unit-rate stream whose first arrival x is Exp(1) truncated to [0, a] <=
+    tau: Poisson(tau - x) integrated over x,
+    [pi_tau(j+1) - e^-a pi_(tau-a)(j+1)] / (1 - e^-a), with pi the Poisson pmf."""
+    k = np.arange(1, top + 2)
+    pi_tau = math.exp(-tau) * np.cumprod(tau / k)
+    pi_low = math.exp(a - tau) * np.cumprod((tau - a) / k)
+    return (pi_tau - math.exp(-a) * pi_low) / -math.expm1(-a)
+
+
 def _band_tau_by(tau_of):
     """A _band_tau replacement: tau_of applied to the whole field, each mark
     read through the field as the band path reads it."""
@@ -317,12 +329,13 @@ def _untruncated_marks(rng, a):
 # planted faults, as the paths that must catch them and replacements of the
 # kernels' parts. The tau* faults replace both tau_star_rows (car mask path)
 # and _band_tau (the band search and its fallback); the log-sum faults edit
-# _draw_counts and a rounding of the later draws' Poisson count (floor(mean +
-# U): its mean, far less spread) edits _first_arrival_row, both reached only
-# by the car mask path; the M fault counts a car where either parity is odd;
-# the last five break one step of the band path, the last of them by a draw
-# in a fifth of the rows, which only the band path's mean check ("band_mean")
-# has the rows to see
+# _draw_counts, reached only by the car mask path; a rounding of the later
+# draws' Poisson count (floor(mean + U): its mean, far less spread) edits the
+# Poisson draw both paths share, which only the car mask path has the rows
+# to see; the M fault counts a car where either parity is odd; the last five
+# break one step of the band path, the last of them by a draw in a fifth of
+# the rows, which only the band path's mean check ("band_mean") has the rows
+# to see
 PLANTED_FAULTS = {
     "without_first_arrivals": (("mask",), {"_draw_counts": _without_first_arrivals}),
     "second_largest_car_mark": (("mask", "band"), {
@@ -349,19 +362,17 @@ PLANTED_FAULTS = {
     "car_count_of_rise_or_descent": (("m",), {
         "_car_counts": _edited(finite._car_counts, "rise & descent", "rise | descent"),
     }),
-    "later_law_without_e_minus_a": (("band",), {
-        "_later_law": _edited(finite._later_law, "math.exp(-a) * pi_low", "pi_low"),
+    "unread_cell_counted_one_low": (("band", "band_mean"), {
+        "_unread_arrivals": _edited(finite._unread_arrivals, "np.arange(1, j + 1)", "np.arange(j)"),
     }),
     "non_band_marks_untruncated": (("band",), {"_fresh": _untruncated_marks}),
     "band_in_slot_order": (("band",), {
         "_band_row": _edited(finite._band_row, "slots[np.argsort(-marks)]", "np.sort(slots)"),
     }),
-    "tail_cell_dropped": (("band",), {
-        "_unread_arrivals": _edited(finite._unread_arrivals, "law[j + 1 :].sum(keepdims=True)", "np.zeros(1)"),
-    }),
+    "tail_draws_dropped": (("band", "band_mean"), {"_tail_arrivals": lambda count, a, j, rng: 0}),
     "unread_arrivals_one_short": (("band_mean",), {
-        "_band_row": _edited(finite._band_row, "_unread_arrivals(m - read.size, tau, a, rng)",
-                             "_unread_arrivals(m - read.size, tau, a, rng) - 1"),
+        "_band_row": _edited(finite._band_row, "_unread_arrivals(unread, cells, a, rng)",
+                             "_unread_arrivals(unread, cells, a, rng) - 1"),
     }),
 }
 
@@ -400,9 +411,10 @@ def _t_fits(n: int, reps: int) -> bool:
 
 
 def _force_band(monkeypatch, band: int) -> None:
-    """Every n on the band path with a band of about `band` slots, J = tau - 1
-    so that a share of the unread slots falls in the tail cell."""
-    for name, value in (("_BAND_SITES", 1), ("_BAND", band), ("_TAIL_SDS", 0), ("_TAIL_PAD", -1)):
+    """Every n on the band path with a band of about `band` slots, J = a + 1
+    (at least 1) so that the unread slots fill both the cells of K = 1..J and
+    the tail cell."""
+    for name, value in (("_BAND_SITES", 1), ("_BAND", band), ("_TAIL_SDS", 0), ("_TAIL_PAD", 1)):
         monkeypatch.setattr(finite, name, value)
 
 
@@ -473,14 +485,17 @@ def _by_hand(n_list, replicas: int, master: int, r: int) -> list:
     is twice their count, tau* = -log1p(-u*) for their largest mark u*, and
     the later draws are one Poisson draw per row after its last chunk, with
     mean sum_s (tau* - xi_s)^+ per replica over the arrival times xi =
-    -log1p(-u). Longer rows make one _band_row call per replica, in order,
-    and M is None."""
+    -log1p(-u). Longer rows make one _band_row call per replica, in order, at
+    the level a = max(0, log((n-1) / _BAND)), and their later draws are one
+    Poisson draw per row after the last; M is None."""
     out = []
     for i, n in enumerate(n_list):
         rng = _stream(master, r, i)
         if n > finite._BAND_SITES:
-            ts, taus = zip(*(finite._band_row(n - 1, rng) for _ in range(replicas)))
-            out.append((None, list(ts), list(taus)))
+            a = -math.log(min(1.0, finite._BAND / (n - 1)))
+            cells = finite._unread_cells(a) if a > 0 else None
+            counts, means, taus = zip(*(finite._band_row(n - 1, a, cells, rng) for _ in range(replicas)))
+            out.append((None, [c + int(k) for c, k in zip(counts, rng.poisson(means))], list(taus)))
             continue
         per_chunk = max(1, finite._CHUNK_MARKS // (n - 1))
         ms, below, means, taus = [], [], [], []
@@ -573,26 +588,38 @@ class TestDirectBatchKernel:
         monkeypatch.setattr(finite, "_BAND_SITES", CHAIN_CAP)
         assert _mask_law_misses() == []
 
-    def test_band_parts_match_their_laws(self):
+    def test_band_parts_match_their_laws(self, monkeypatch):
         # the band path's draws against their exact laws: truncated marks in
-        # ten cells of equal mass, -log1p(-q (1 - e^-a)) apart; _later_law's
-        # mass and mean E[tau - x] = tau - 1 + a / (e^a - 1); the tail draws
-        # against _later_law beyond j; the unread slots' total, 1 + N each
+        # ten cells of equal mass, -log1p(-q (1 - e^-a)) apart; the cells of
+        # K, Poisson(a) given K >= 1, with mass 1 and mean a / (1 - e^-a); the
+        # tail draws against Poisson(a) beyond j; and the split at a: the
+        # unread slots' K + Poisson(U (tau - a)) against U copies of 1 + N,
+        # N with _mixture_law, with J small enough that the tail cell fires.
+        # The split without its Poisson(U (tau - a)) must fail
         rng = SeedSpec(70).generator()
         a = 1.5
         edges = -np.log1p(-np.linspace(0.1, 0.9, 9) * -math.expm1(-a))
         cells = collections.Counter(np.searchsorted(edges, finite._truncated(rng, a, 20_000)).tolist())
         assert law_matches(cells, dict.fromkeys(range(10), 0.1))[0]
-        for tau, a in ((0.7, 0.2), (3.0, 1.5), (12.0, 8.0), (20.0, 0.01)):
-            law = finite._later_law(tau, a, 200)
-            assert math.fsum(law) == pytest.approx(1.0, abs=1e-12)
-            assert math.fsum(law * np.arange(law.size)) == pytest.approx(tau - 1 + a / math.expm1(a), abs=1e-10)
-        tau, a, j = 3.0, 1.5, 3
-        tail = finite._later_law(tau, a, 60)[j + 1 :]
-        draws = [finite._tail_arrivals(1, tau, a, j, rng) for _ in range(4000)]
-        assert law_matches(collections.Counter(draws), dict(zip(range(j + 1, 62), tail / tail.sum())))[0]
-        totals = SampleStats.from_samples([finite._unread_arrivals(50, tau, a, rng) for _ in range(4000)])
-        assert within_stderr(totals.mean, 50 * (tau + a / math.expm1(a)), totals.stderr, 4.0)[0]
+        for a in (0.01, 0.2, 1.5, 8.0, 30.0):
+            cells = finite._unread_cells(a)
+            assert math.fsum(cells) == pytest.approx(1.0, abs=1e-12)
+            assert math.fsum(cells[1:] * np.arange(1, cells.size)) == pytest.approx(a / -math.expm1(-a), abs=1e-10)
+        a, j = 1.5, 3
+        poisson = math.exp(-a) * np.cumprod(np.append(1.0, a / np.arange(1, 61)))
+        draws = [finite._tail_arrivals(1, a, j, rng) for _ in range(4000)]
+        tail = poisson[j + 1 :]
+        assert law_matches(collections.Counter(draws), dict(zip(range(j + 1, 61), tail / tail.sum())))[0]
+        monkeypatch.setattr(finite, "_TAIL_SDS", 0)
+        monkeypatch.setattr(finite, "_TAIL_PAD", 1)
+        for tau, a, unread in ((3.0, 1.5, 5), (12.0, 8.0, 3), (0.9, 0.3, 4)):
+            cells = finite._unread_cells(a)
+            k = np.array([finite._unread_arrivals(unread, cells, a, rng) for _ in range(20_000)])
+            one = np.append(0.0, _mixture_law(tau, a, 80))  # the law of 1 + N
+            law = dict(enumerate(functools.reduce(np.convolve, [one] * unread)))
+            split = k + rng.poisson(unread * (tau - a), k.size)
+            assert law_matches(collections.Counter(split.tolist()), law)[0], (tau, a, unread)
+            assert not law_matches(collections.Counter(k.tolist()), law)[0], (tau, a, unread)
 
     def test_band_means_match_mask_above_crossover(self, monkeypatch):
         # just above the crossover the band path against the car mask, each

@@ -118,6 +118,12 @@ def test_law_matches_power():
     assert not law_matches({1: 10_000}, law)[0]  # no spread
     # a value the law excludes gives p = 0, however rare it was
     assert law_matches({2: 10}, {2: 1.0}) == (True, "chi-square 0.000 on 0 dof, p = 1")
+    assert law_matches({2: 3}, {1: 0.0, 2: 1.0})[0]
+    # a law of two or more values that the sample pools into one group has
+    # nothing to test: refused, like an empty sample, not passed
+    for counts in ({0: 3}, {1: 4}):
+        with pytest.raises(ValueError):
+            law_matches(counts, {0: 0.1, 1: 0.9})
     for counts, law_ in (({2: 9, 4: 1}, {2: 1.0}), ({0: 5000, 1: 3000, 2: 1999, 7: 1}, law)):
         ok, detail = law_matches(counts, law_)
         assert not ok and detail.startswith("p = 0: the law excludes the value")
