@@ -215,14 +215,19 @@ def _side(j: int) -> tuple[int, int]:
     return table[j - 1], math.factorial(j - 1)
 
 
-def per_site_vacancy_exact(n: int, i: int) -> Fraction:
-    """Exact P(site i vacant at jamming) on n sites, 1-based i: the rise and
-    the descent at i live on disjoint slot blocks, so it is
-    P(even rise) P(even descent) = e_i(-1) e_{n+1-i}(-1)."""
+def _check_site(n: int, i: int) -> None:
+    """Refuse an interval of fewer than 2 sites or a site i outside 1..n."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not 1 <= i <= n:
         raise ValueError(f"site {i} outside 1..{n}")
+
+
+def per_site_vacancy_exact(n: int, i: int) -> Fraction:
+    """Exact P(site i vacant at jamming) on n sites, 1-based i: the rise and
+    the descent at i live on disjoint slot blocks, so it is
+    P(even rise) P(even descent) = e_i(-1) e_{n+1-i}(-1)."""
+    _check_site(n, i)
     left, left_den = _side(i)
     right, right_den = _side(n + 1 - i)
     return Fraction(left * right, left_den * right_den)
@@ -231,8 +236,7 @@ def per_site_vacancy_exact(n: int, i: int) -> Fraction:
 def per_site_vacancy_float(n: int, i: int) -> float:
     """per_site_vacancy_exact rounded once, each side cut where its series has
     converged, so O(1) per site for any n."""
-    if n < 2 or not 1 <= i <= n:
-        raise ValueError("site outside interval")
+    _check_site(n, i)
     left, left_den = _side(min(i, _SIDE_CONVERGED))
     right, right_den = _side(min(n + 1 - i, _SIDE_CONVERGED))
     return left * right / (left_den * right_den)  # int / int rounds once, as float(Fraction) does

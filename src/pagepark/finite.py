@@ -25,11 +25,21 @@ references, as the oracle's one replay pass (keeping each site's covering
 rank) is for parking in order; the oracle's chain gives the exact law of T_n
 for n <= 12.
 
-Every classification runs through one parity pass, _run_parities: per slot,
-whether the rise ending at it and the descent starting at it are odd. The
-occupancy (occupancy_profile) is their shifted OR, and slot s holds a car iff
-both are odd: M is twice the count of that car mask and u* its largest mark
-(tau_star_rows), with no occupancy array built.
+Every per-slot classification runs through one parity pass, _run_parities:
+per slot, whether the rise ending at it and the descent starting at it are
+odd. The occupancy (occupancy_profile) is their shifted OR, and slot s holds
+a car iff both are odd: u* is the largest mark of that car mask
+(tau_star_rows), and M of a row of fewer than _TURNING_MARKS = 2100 marks is
+twice its count, with no occupancy array built. M needs only the count, and
+that is a function of the row's turning points (_turning_cars): the local
+extrema split the row into monotone segments; every local minimum holds a
+car, as do (L-1) >> 1 slots inside each segment of L steps, and every local
+maximum whose two segments both have even length (an edge counts as length
+0). One compare, the direction changes and a few passes over their ~2m/3
+points replace the parity pass's two scans, so longer rows count this way,
+one row at a time from the same chunks, and M keeps its bits. Per row, the
+count alone takes 37 us at 10^4 marks against the parity pass's 87 us, and
+16 against 9 us at 10^3 (in 16-row chunks; minimum of 7, one thread).
 
 Each row has one stream: row i of a call seeded SeedSpec(m, r) draws from
 child (m, (r, i)) of core.child_streams, so a row reproduces whatever the
@@ -93,10 +103,18 @@ import numpy as np
 from .core import DEFAULT_SEED, SeedSpec, as_generator, child_streams, chunk_sizes
 
 _CHUNK_MARKS = 1 << 14  # marks per chunk of a row; small keeps peak memory flat
+# M of rows of at least _TURNING_MARKS marks is counted from their turning
+# points (_turning_cars), of shorter rows by the parity pass. Per row on one
+# thread (simulate_direct_batch, 150 replicas a call, median of 11, two
+# runs), turning/parity time is 1.57-1.60 at n = 1000, 1.07 at 1800,
+# 1.01-1.03 at 2000, 0.94-0.96 at 2200 and 0.85-0.87 at 2600; one run gave
+# 0.86 at 3000 and 0.54 at 10^4
+_TURNING_MARKS = 2100
 # T and tau* of longer rows take the band path (_band_row). Per replica on
-# one thread (64 replicas a call, median of 11), band/mask time is 1.35-1.39
-# at n = 4000, 0.94-0.97 at 6000, 0.79-0.88 at 8000 and 0.57-0.58 at 10^4
-_BAND_SITES = 8000
+# one thread (first_arrival_batch, 64 replicas a call, median of 11, two
+# runs), band/mask time is 1.33-1.45 at n = 4000, 1.12-1.13 at 5400,
+# 0.96-1.00 at 5600, 0.91-0.95 at 6000 and 0.77-0.83 at 8000
+_BAND_SITES = 5600
 _BAND = 400  # the band's expected size B
 _FRESH = 32  # truncated marks drawn at a time by the walks and tail rejections
 # _unread_cells' last cell J = a + 12 sqrt(a) + 30: a slot's K lands beyond
@@ -322,18 +340,44 @@ def _band_row(m: int, a: float, cells: np.ndarray | None, rng: np.random.Generat
 def _row_marks(n: int, replicas: int, rng: np.random.Generator):
     """The Uniform(0, 1) marks of a row of `replicas` replicas on n sites, in
     chunks of about _CHUNK_MARKS marks (at least one replica) drawn one after
-    another from the row's stream, each with its parity pass: (u, rise,
-    descent) per chunk."""
+    another from the row's stream, each of shape (rows, n-1)."""
     for rows in chunk_sizes(replicas, max(1, _CHUNK_MARKS // (n - 1))):
-        u = rng.random((rows, n - 1))
-        yield (u, *_run_parities(u))
+        yield rng.random((rows, n - 1))
+
+
+def _turning_cars(u: np.ndarray) -> int:
+    """The car count of one row of marks u, from its turning points: with
+    the package tie rule, the local extrema (the edge slots among them)
+    split the row into monotone segments. Every local minimum holds a car,
+    as does every other slot inside a segment of L steps counted from its
+    minimum end, (L-1) >> 1 of them, and every local maximum whose two
+    segments both have even length, an edge counting as length 0."""
+    m = u.size
+    asc = u[:-1] <= u[1:]
+    turn = np.ones(m, dtype=bool)  # the edge slots and each slot where the direction changes
+    np.not_equal(asc[1:], asc[:-1], out=turn[1:-1])
+    seg = np.diff(np.flatnonzero(turn))  # steps per segment; extrema alternate
+    even = np.ones(seg.size + 2, dtype=bool)
+    np.equal(seg & 1, 0, out=even[1:-1])
+    first_max = int(m == 1 or asc[0])  # the index of the first maximum among the turning points
+    minima = (seg.size + 1 + first_max) // 2
+    peaks = np.count_nonzero(even[first_max:-1:2] & even[first_max + 1 :: 2])
+    return minima + int(((seg - 1) >> 1).sum()) + peaks
 
 
 def _car_counts(n: int, replicas: int, rng: np.random.Generator) -> np.ndarray:
-    """M of each replica of a row: twice the car count of each chunk's
-    parity pass."""
-    chunks = _row_marks(n, replicas, rng)
-    return np.concatenate([2 * np.count_nonzero(rise & descent, axis=1) for _, rise, descent in chunks])
+    """M of each replica of a row: twice its car count, from each chunk's
+    parity pass, or row by row from its turning points (_turning_cars) for
+    rows of at least _TURNING_MARKS = 2100 marks, where the two draw level
+    (a row at n = 10^4, its marks drawn, takes 65 against 121 us)."""
+    counts = []
+    for u in _row_marks(n, replicas, rng):
+        if n - 1 >= _TURNING_MARKS:
+            counts.append([_turning_cars(row) for row in u])
+        else:
+            rise, descent = _run_parities(u)
+            counts.append(np.count_nonzero(rise & descent, axis=1))
+    return 2 * np.concatenate(counts)
 
 
 def _first_arrival_row(n: int, replicas: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +393,8 @@ def _first_arrival_row(n: int, replicas: int, rng: np.random.Generator) -> tuple
         count, mean, tau = map(np.array, zip(*(_band_row(n - 1, a, cells, rng) for _ in range(replicas))))
     else:
         parts = []
-        for u, rise, descent in _row_marks(n, replicas, rng):
+        for u in _row_marks(n, replicas, rng):
+            rise, descent = _run_parities(u)
             car = np.logical_and(rise, descent, out=rise)
             top = tau_star_rows(u, car)
             slots = np.flatnonzero(np.greater(u, top[:, None], out=car))  # in row-major order

@@ -11,7 +11,7 @@ n log n; a coupon collector over the n-1 slots dominates it.
 The sweeps below read T and tau* from finite.first_arrival_batch (M is a
 separate call, simulate_direct_batch), which works from the first arrivals
 and counts the later ones with one Poisson draw (the superposition identity,
-stated in finite.py). Rows of up to finite._BAND_SITES = 8000 sites draw
+stated in finite.py). Rows of up to finite._BAND_SITES = 5600 sites draw
 every first arrival and classify them with one parity pass. Longer rows take
 the band path, whose cost does not grow with n. It draws the Binomial(n-1,
 e^-a) marks above a level a = log((n-1)/400), a + Exp(1) each, visits them

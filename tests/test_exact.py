@@ -388,6 +388,16 @@ class TestVacancyProfile:
         assert vac == vac[::-1]
         assert sum(vac, F(0)) + expected_M(n) == n
 
+    @pytest.mark.parametrize("fn", [per_site_vacancy_exact, per_site_vacancy_float])
+    @pytest.mark.parametrize(
+        "n, i, message",
+        [(1, 1, "need n >= 2"), (0, 1, "need n >= 2"), (5, 0, "site 0 outside 1..5"), (5, 6, "site 6 outside 1..5")],
+    )
+    def test_rejects_bad_sites_with_one_message(self, fn, n, i, message):
+        with pytest.raises(ValueError) as refused:
+            fn(n, i)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("n", range(2, 10))
     def test_closed_form_copy_matches_oracle(self, n):
         got = tuple(vacancy_closed_form(n, i) for i in range(1, n + 1))

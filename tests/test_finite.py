@@ -162,6 +162,35 @@ def _car_mask_fields() -> list:
             np.array(list(weak_orderings(6)), dtype=np.float64)]
 
 
+def _turning_misses() -> list:
+    """The fields, by index, with a row whose car count from the turning
+    points (_turning_cars) differs from the parity pass's: every weak
+    ordering (tie pattern) of 1..6 slots, then 20 random rows of each m =
+    1..64, continuous and on a grid of 3 levels (ties), then two long rows."""
+    gen = SeedSpec(9).generator()
+    fields = [np.array(list(weak_orderings(m)), dtype=np.float64) for m in range(1, 7)]
+    for m in range(1, 65):
+        fields += [gen.random((20, m)), np.floor(3.0 * gen.random((20, m)))]
+    fields += [gen.random((1, 100_000)), np.floor(3.0 * gen.random((1, 100_000)))]
+    misses = []
+    for i, xi in enumerate(fields):
+        rise, descent = finite._run_parities(xi)
+        if [finite._turning_cars(row) for row in xi] != np.count_nonzero(rise & descent, axis=1).tolist():
+            misses.append(i)
+    return misses
+
+
+class TestTurningCount:
+    def test_equals_the_parity_count(self):
+        assert _turning_misses() == []
+
+    def test_one_and_two_slots(self):
+        # one slot always parks; of two, only the one that acts first (the
+        # smaller mark, the left one on a tie)
+        for row in ([0.3], [0.2, 0.7], [0.7, 0.2], [0.5, 0.5]):
+            assert finite._turning_cars(np.array(row)) == 1, row
+
+
 class TestParityPass:
     def test_car_mask_is_the_and_of_the_parities(self):
         # the car mask of the kernel against the slots that park in the
@@ -260,11 +289,13 @@ class TestDirectProcess:
 # n >= 2 takes the band path, and a band of about 2 slots leaves most rows of
 # n <= CHAIN_CAP with no car in it, so the fallback runs too; at CHAIN_CAP
 # every n <= CHAIN_CAP takes the car mask (tau_star_rows). M reads the car
-# mask alone, whatever _BAND_SITES is
+# mask alone, whatever _BAND_SITES is, and with _TURNING_MARKS = 1 every row
+# counts its cars from its turning points
 PATHS = {
     "band": ({"_BAND_SITES": 1, "_BAND": 2}, "T"),
     "mask": ({"_BAND_SITES": CHAIN_CAP}, "T"),
     "m": ({}, "M"),
+    "turning": ({"_TURNING_MARKS": 1}, "M"),
 }
 
 
@@ -332,7 +363,10 @@ def _untruncated_marks(rng, a):
 # _draw_counts, reached only by the car mask path; a rounding of the later
 # draws' Poisson count (floor(mean + U): its mean, far less spread) edits the
 # Poisson draw both paths share, which only the car mask path has the rows
-# to see; the M fault counts a car where either parity is odd; the last five
+# to see; the first M fault counts a car where either parity is odd, the
+# next three break one term of the turning-point count, and the third of
+# them, which counts the cars of the complement row 1 - u and so has exactly
+# the law of M, only the row-by-row check ("turning_rows") can see; the last five
 # break one step of the band path, the last of them by a draw in a fifth of
 # the rows, which only the band path's mean check ("band_mean") has the rows
 # to see
@@ -361,6 +395,15 @@ PLANTED_FAULTS = {
     }),
     "car_count_of_rise_or_descent": (("m",), {
         "_car_counts": _edited(finite._car_counts, "rise & descent", "rise | descent"),
+    }),
+    "peak_with_either_segment_even": (("turning", "turning_rows"), {
+        "_turning_cars": _edited(finite._turning_cars, "even[first_max:-1:2] & even", "even[first_max:-1:2] | even"),
+    }),
+    "segment_counts_l_halves": (("turning", "turning_rows"), {
+        "_turning_cars": _edited(finite._turning_cars, "(seg - 1) >> 1", "seg >> 1"),
+    }),
+    "first_turning_point_kind_flipped": (("turning_rows",), {
+        "_turning_cars": _edited(finite._turning_cars, "int(m == 1 or asc[0])", "int(not (m == 1 or asc[0]))"),
     }),
     "unread_cell_counted_one_low": (("band", "band_mean"), {
         "_unread_arrivals": _edited(finite._unread_arrivals, "np.arange(1, j + 1)", "np.arange(j)"),
@@ -457,9 +500,10 @@ def _band_mean_misses(monkeypatch, n: int = 6, reps: int = 20_000) -> list:
 def _path_misses(path: str, monkeypatch) -> list:
     """What the planted-fault test runs on each path: the law checks on the
     band path, and on "band_mean" its mean check; the chain means and the
-    law checks on the car mask path, and the chain means for M. numpy
-    refuses the draws of a law whose cells sum above 1, and that fails the
-    check too."""
+    law checks on the car mask path, and the chain means for M; on
+    "turning_rows" the fields where the turning-point count differs from
+    the parity pass (_turning_misses). numpy refuses the draws of a law
+    whose cells sum above 1, and that fails the check too."""
     if path == "band":
         try:
             return _band_law_misses(monkeypatch)
@@ -467,6 +511,8 @@ def _path_misses(path: str, monkeypatch) -> list:
             return [str(refused)]
     if path == "band_mean":
         return _band_mean_misses(monkeypatch)
+    if path == "turning_rows":
+        return _turning_misses()
     constants, quantity = PATHS[path]
     for name, value in constants.items():
         monkeypatch.setattr(finite, name, value)
@@ -681,16 +727,20 @@ class TestDirectBatchKernel:
         ],
     )
     def test_chunks_equal_rows_built_by_hand(self, n, replicas, monkeypatch):
-        # M reads the car mask of each chunk's marks at any n; T takes the
-        # car mask up to _BAND_SITES and the band path past it; either way a
-        # row gives the same bits
+        # M reads each chunk's parity pass below _TURNING_MARKS marks and
+        # each row's turning points from there on, and is also taken with
+        # every row on the turning points; T takes the car mask up to
+        # _BAND_SITES and the band path past it; either way a row gives the
+        # same bits
         m = simulate_direct_batch(n, replicas, SeedSpec(61, 2))
         (t, tau), = first_arrival_batch([n], replicas, SeedSpec(61, 2))
         _, want_t, want_tau = _by_hand([n], replicas, 61, 2)[0]
         monkeypatch.setattr(finite, "_BAND_SITES", max(n, finite._BAND_SITES))
         want_m = _by_hand([n], replicas, 61, 2)[0][0]
-        assert m.dtype == t.dtype == np.int64
-        assert [m.tolist(), t.tolist(), tau.tolist()] == [want_m, want_t, want_tau]
+        monkeypatch.setattr(finite, "_TURNING_MARKS", 1)
+        m_turning = simulate_direct_batch(n, replicas, SeedSpec(61, 2))
+        assert m.dtype == m_turning.dtype == t.dtype == np.int64
+        assert [m.tolist(), m_turning.tolist(), t.tolist(), tau.tolist()] == [want_m, want_m, want_t, want_tau]
 
     def test_rows_do_not_depend_on_each_other(self):
         # row i draws from stream (m, (r, i)) alone: a row of 1000 sites (3
@@ -723,7 +773,7 @@ class TestDirectBatchKernel:
         with pytest.raises(ValueError):
             first_arrival_batch([6, 1], 3, SeedSpec(64))
 
-    @pytest.mark.parametrize("n", [300, finite._BAND_SITES + 1])
+    @pytest.mark.parametrize("n", [300, pytest.param(finite._BAND_SITES + 1, id="band_sites_plus_1")])
     def test_m_reads_no_draw_count(self, n, monkeypatch):
         # M comes off each chunk's car mask alone: with every part of the T
         # path made to raise, the same M comes out

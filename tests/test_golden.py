@@ -1,8 +1,8 @@
 """Golden stdout digests of a fixed command set.
 
-Every Monte Carlo command runs in csv and json with the usable CPU count
+Every Monte Carlo case runs in csv and json with the usable CPU count
 patched to 1 and 2 (so the line kernels run serial and on a pool), next to
-site-vacancy at n = 300 and the oracle up to n = 8; the set takes about 0.3 s
+site-vacancy at n = 300 and the oracle up to n = 8; the set takes about 0.4 s
 in process. A change that moves draws or bytes updates DIGESTS in the same
 commit and says which entries moved and why. numpy does not promise stable
 streams across releases, so the table holds only for the numpy version and
@@ -21,21 +21,27 @@ from pagepark.core import SeedSpec
 NUMPY = "2.4.6"
 BIT_GENERATOR = "PCG64DXSM"
 
+# argv by case name; a name is its command unless the command has two cases
 MONTE_CARLO = {
-    "density-convergence": ["--n-list", "10,100,1000", "--replicas", "1000"],
-    "density-curve": ["--replicas", "20000"],
-    "trials": ["--n-list", "100,1000", "--replicas", "40"],
-    "autocovariance": ["--k-list", "0,1,2,3,34", "--replicas", "20000"],
+    "density-convergence": ["density-convergence", "--n-list", "10,100,1000", "--replicas", "1000"],
+    # a row on each side of finite._TURNING_MARKS: M of the n = 5000 row is
+    # counted from its turning points, of the n = 100 row by the parity pass
+    "density-convergence-long": ["density-convergence", "--n-list", "100,5000", "--replicas", "200"],
+    "density-curve": ["density-curve", "--replicas", "20000"],
+    "trials": ["trials", "--n-list", "100,1000", "--replicas", "40"],
+    "autocovariance": ["autocovariance", "--k-list", "0,1,2,3,34", "--replicas", "20000"],
 }
 EXACT = {
-    "site-vacancy": ["--n", "300"],
-    "oracle": ["--n", "2,3,4,5,6,7,8"],
+    "site-vacancy": ["site-vacancy", "--n", "300"],
+    "oracle": ["oracle", "--n", "2,3,4,5,6,7,8"],
 }
 
-# sha256 of stdout, by command and format
+# sha256 of stdout, by case and format
 DIGESTS = {
     ("density-convergence", "csv"): "13b58bded2382996dabc0aa089c185d3635372fbd71605be704cc2b4ea1b1704",
     ("density-convergence", "json"): "61b4ead69b584fafe02787dc048fc5b4ef6f801971f50692540137173401b812",
+    ("density-convergence-long", "csv"): "4942437e4cca6245e6de916a81320cbbb5f1bcb2d81e6f02d26209269052712c",
+    ("density-convergence-long", "json"): "e412ecf022888b51b98c445f925d8ba9b25e1b571850922afea99934ee22f630",
     ("density-curve", "csv"): "ece1d98aeb96b50aafbcbed05c7188dea06b435e8911e1ae24fe8e997edfd6b5",
     ("density-curve", "json"): "90cb5a56c6033a05229c996b0e9c08f5fb1295076aed073ed614082a171ee869",
     ("trials", "csv"): "fd386d1f0252b90f46e3dd3e4ef726712bff986fe88800d40b8c763f333d12f7",
@@ -61,16 +67,16 @@ def test_recorded_numpy_and_bit_generator():
     assert got == BIT_GENERATOR, f"digests recorded with {BIT_GENERATOR}, streams now come from {got}"
 
 
-@pytest.mark.parametrize("command, fmt", sorted(DIGESTS))
-def test_stdout_digest(command, fmt, capsys, monkeypatch):
+@pytest.mark.parametrize("case, fmt", sorted(DIGESTS))
+def test_stdout_digest(case, fmt, capsys, monkeypatch):
     test_recorded_numpy_and_bit_generator()
-    if command in EXACT:
-        out = _stdout([command, *EXACT[command], "--format", fmt], capsys)
+    if case in EXACT:
+        out = _stdout([*EXACT[case], "--format", fmt], capsys)
     else:
         outs = []
         for cpus in (1, 2):
             monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
-            outs.append(_stdout([command, *MONTE_CARLO[command], "--format", fmt], capsys))
+            outs.append(_stdout([*MONTE_CARLO[case], "--format", fmt], capsys))
         out, pooled = outs
         assert pooled == out
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[case, fmt]
